@@ -1,18 +1,17 @@
 """TXT4 — stage-profiler overhead guard (observability ablation, part 3).
 
-The plan-vs-actual profiler follows the tracer's and telemetry's
-zero-cost-off contract: disabled, every machine holds ``None`` instead
-of a :class:`MachineStageProfile` view, the bulk-kernel cache serves the
-uninstrumented variant (the profiled counters are not even compiled in),
-and the remaining cursor/route sites are one pointer comparison each.
-This bench runs a FIG6-scale query with profiling off and on,
-interleaved, and asserts:
+The runtime charges its five per-machine stage counters whether or not
+a profile was asked for — there is one kernel variant and no profiler
+handle on the hot path — so ``PlannerOptions(profile=True)`` only adds
+the finalize-time read-out: a :class:`StageProfiler` absorbing each
+machine's counter lists.  This bench runs a FIG6-scale query with
+profiling off and on, interleaved, and asserts:
 
-* profiling never perturbs the simulation — identical ticks, ops, and
-  rows whether the stage counters are recording or not; and
-* the disabled path stays within 5% of the enabled run's cost (the same
-  margin as TXT2/TXT3): if the "off" checks leaked work into the hot
-  path, disabled would approach enabled and the margin would vanish.
+* asking for a profile never perturbs the simulation — identical ticks,
+  ops, and rows either way; and
+* the read-out stays within 5% of the run's cost (the same margin as
+  TXT2/TXT3).  What the counters themselves cost is a host-time question
+  for the ledger (``python3 -m ledger``), not for this guard.
 """
 
 import time
@@ -31,8 +30,8 @@ def run_profile_overhead_experiment(random_workload):
     engine = PgxdAsyncEngine(graph, bench_config(8))
     profile_options = PlannerOptions(profile=True)
 
-    # Warm up caches/lazy imports (both bulk-kernel variants compile
-    # here) before timing anything.
+    # Warm up caches/lazy imports (the bulk kernels compile here)
+    # before timing anything.
     baseline = engine.query(query)
     profiled = engine.query(query, options=profile_options)
 
@@ -75,7 +74,6 @@ def test_txt4_profile_overhead(benchmark, random_workload):
         run_profile_overhead_experiment, args=(random_workload,),
         rounds=1, iterations=1,
     )
-    # The profiling-off path must cost no more than 5% over the
-    # profiling-on run's floor — the "off" configuration is the default
-    # every non-observability benchmark and test pays for.
-    assert disabled <= enabled * 1.05
+    # Reading the counters out at finalize time must cost no more than
+    # 5% of the run.
+    assert enabled <= disabled * 1.05

@@ -1,117 +1,74 @@
 """RPR008 — the kernel-codegen audit.
 
 The bulk kernels (:mod:`repro.runtime.kernels`) are *generated source*:
-``compile_plan_kernels`` specializes one function per plan stage, and
-the runtime differential (CI's bulk-kernel parity step) asserts the
-compiled path charges bit-identical deterministic metrics to the
-micro-stepped cursor path.  That differential only covers the plans the
-gate happens to execute, and it reports *that* a counter diverged, not
-*where the codegen went wrong*.  This rule is the static complement:
+``compile_plan_kernels`` specializes one function per plan stage.  That
+every counter a kernel charges equals what the micro-stepped cursor
+path charges is proved dynamically, bit for bit, by the kernels-on/off
+differential (``tests/test_kernels.py`` and CI's bulk-kernel parity
+step) over the bench workload matrix.  This rule covers what no dynamic
+test observes — properties of paths a run may never take:
 
-1. compile every plan of the bench workload matrix (the same matrix
-   ``tests/test_kernels.py`` differentials run over), in **both**
-   ``profiled=`` variants;
+1. compile every plan of that same matrix;
 2. parse each generated kernel's attached ``__source__``;
-3. verify every counter-charge site present in the micro-step handlers
-   — ``worker._vertex_function`` (stage visits/passes), the
-   ``hops.py`` cursor ``advance`` methods (profiler ``scanned``),
-   ``machine.route`` (profiler ``emitted``) and ``machine.emit_result``
-   (``results_emitted`` + profiler ``emitted``) — appears in the kernel
-   **exactly** the expected number of times, that the unprofiled
-   variant contains zero profiler references (the zero-cost-off claim
-   at codegen level), that generated trace calls are guarded, and that
+3. verify that generated trace calls are guarded (the zero-cost-off
+   contract inside generated code, which RPR002 cannot see) and that
    the generated reservation protocol cannot leak
    (:class:`~repro.analysis.flows.ReservationAnalysis` over the kernel
    body).
 
-A pure-AST cross-check pins the handler side: if a handler starts
-charging a counter family this audit does not model, the audit itself
-is flagged as drifted — the table below and the codegen must move
-together.
-
 Unlike every other rule, this one *imports and executes* repository
 code (plan compilation pulls in numpy via the graph layer).  When those
-imports are unavailable the dynamic half degrades to a skip — the
-pure-AST handler cross-check still runs — so ``repro lint`` keeps
-working in a dependency-free environment.
+imports are unavailable the audit degrades to a skip, so ``repro lint``
+keeps working in a dependency-free environment.
 """
 
 import ast
 
 from repro.analysis.core import Rule, enclosing_symbols
 from repro.analysis.flows import ReservationAnalysis, call_aliases
-from repro.analysis.guards import UnguardedCallScanner, dotted_parts
-
-#: Counter families the audit models (the vocabulary of the handler
-#: cross-check and the per-kernel expectation table).
-_FAMILIES = ("stage_visits", "stage_passes", "scanned", "emitted",
-             "results_emitted")
-
-#: What each micro-step handler charges.  ``hops.py`` cursor ``advance``
-#: methods may charge a subset (the output cursor charges nothing).
-_HANDLER_CHARGES = {
-    ("repro.runtime.worker", "_vertex_function"):
-        frozenset({"stage_visits", "stage_passes"}),
-    ("repro.runtime.hops", "advance"): frozenset({"scanned"}),
-    ("repro.runtime.machine", "route"): frozenset({"emitted"}),
-    ("repro.runtime.machine", "emit_result"):
-        frozenset({"results_emitted", "emitted"}),
-}
+from repro.analysis.guards import UnguardedCallScanner
 
 #: Tracer-ish handles that must stay guarded inside generated source.
-#: ``profiler`` is deliberately absent: profiled kernels are installed
-#: iff a profiler is attached, so their charges are guard-free by
-#: contract (and the unprofiled variant must not mention it at all).
 _KERNEL_TRACERISH = frozenset({"trace", "tracer", "telemetry"})
 
-#: Process-wide cache of the (expensive, deterministic) dynamic audit:
-#: raw ``(message, pattern)`` problem tuples, or None before first run.
+#: Process-wide cache of the (expensive, deterministic) audit: raw
+#: ``(message, pattern)`` problem tuples, or None before first run.
 _AUDIT_CACHE = None
 
 
-def _reset_audit_cache():
-    """Test hook: force the next check to re-run the dynamic audit."""
-    global _AUDIT_CACHE
-    _AUDIT_CACHE = None
-
-
 class KernelCodegenAuditRule(Rule):
-    """RPR008: generated kernels charge what the handlers charge."""
+    """RPR008: generated kernels keep trace calls guarded and release
+    every reservation."""
 
     id = "RPR008"
-    title = "kernel-codegen audit: generated counter charges match handlers"
+    title = ("kernel-codegen audit: generated trace calls guarded, "
+             "reservations released")
     severity = "error"
     project_wide = True
     rationale = (
-        "The bulk kernels are generated source, and the deterministic "
-        "metrics they charge (stage visits/passes, profiler scanned/"
-        "emitted cardinalities, result counts, micro-ops) are exactly "
-        "what the regression, parity, and drift gates compare. The "
-        "runtime differential proves equality for executed plans; this "
-        "audit proves the *shape*: it compiles both profiled variants of "
-        "every plan in the bench matrix, parses the generated source, "
-        "and checks each handler-side charge site appears in the kernel "
-        "exactly once per semantic event — plus that the unprofiled "
-        "variant contains zero profiler references, generated trace "
-        "calls stay guarded, and the generated reservation protocol "
-        "releases on every path. A pure-AST cross-check over worker.py/"
-        "hops.py/machine.py fails the audit itself when a handler grows "
-        "a counter family this table does not model."
+        "The bulk kernels are generated source, invisible to the rules "
+        "that parse the repository. What they charge (stage visits/"
+        "passes/scanned/emitted, result counts, micro-ops) is compared "
+        "bit for bit against the micro-stepped cursor path by the "
+        "kernels-on/off differential. This audit covers the two "
+        "contracts that differential cannot observe because a run may "
+        "never take the offending path: it compiles every plan in the "
+        "bench matrix, parses the generated source, and checks that "
+        "generated trace calls stay behind an `is not None` guard and "
+        "that the generated reservation protocol releases on every path "
+        "to kernel exit."
     )
     example = (
-        "# codegen must mirror machine.emit_result exactly once:\n"
-        "#   rt.collector.add(ctx)\n"
-        "#   M.results_emitted += 1\n"
-        "#   rt.profiler.emitted[-1] += 1   (profiled variant only)\n"
-        "# a second charge, or a dropped one, fails the audit with the\n"
-        "# workload/stage/counter that diverged."
+        "# generated NEIGHBOR kernel, every exit of the adjacency loop:\n"
+        "#   if resv: rt.end_batch(2, resv)\n"
+        "#   return ops, K_BUDGET\n"
+        "# an exit emitted without the end_batch line fails the audit\n"
+        "# with the workload/stage whose kernel leaks."
     )
 
     def check_project(self, modules):
         kernels_module = None
-        by_name = {}
         for module in modules:
-            by_name[module.name] = module
             if module.name == "repro.runtime.kernels":
                 kernels_module = module
         if kernels_module is None:
@@ -119,290 +76,63 @@ class KernelCodegenAuditRule(Rule):
         symbols = enclosing_symbols(kernels_module.tree)
         anchor = kernels_module.tree.body[0] if kernels_module.tree.body \
             else kernels_module.tree
-        for message, pattern in _handler_drift(by_name):
-            yield self.finding(kernels_module, anchor, message, pattern,
-                               symbols)
-        for message, pattern in _dynamic_audit():
+        for message, pattern in _cached_audit():
             yield self.finding(kernels_module, anchor, message, pattern,
                                symbols)
 
 
-# ---------------------------------------------------------------------------
-# Handler-side cross-check (pure AST)
-# ---------------------------------------------------------------------------
-
-def _charge_family(target):
-    """The counter family an AugAssign *target* charges, or None."""
-    node = target
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    chain = dotted_parts(node)
-    if chain is None:
-        return None
-    if "profiler" in chain[:-1]:
-        return chain[-1]
-    if chain[-1] in ("stage_visits", "stage_passes", "results_emitted"):
-        return chain[-1]
-    return None
-
-
-def _handler_drift(modules_by_name):
-    """Yield problems when handler charge sites drift from the table."""
-    expected_by_module = {}
-    for (module_name, symbol), families in _HANDLER_CHARGES.items():
-        expected_by_module.setdefault(module_name, {})[symbol] = families
-    for module_name, table in sorted(expected_by_module.items()):
-        module = modules_by_name.get(module_name)
-        if module is None:
-            continue
-        observed = {}
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            families = set()
-            for child in ast.walk(node):
-                if isinstance(child, ast.AugAssign):
-                    family = _charge_family(child.target)
-                    if family is not None:
-                        families.add(family)
-            if families:
-                observed.setdefault(node.name, set()).update(families)
-        for symbol, families in sorted(observed.items()):
-            expected = table.get(symbol)
-            if expected is None:
-                yield (
-                    "handler %s.%s charges counter famil%s %s that the "
-                    "kernel audit does not model — update the audit "
-                    "table and the codegen together" % (
-                        module_name, symbol,
-                        "y" if len(families) == 1 else "ies",
-                        ", ".join(sorted(families)),
-                    ),
-                    "audit-drift:%s.%s" % (module_name, symbol),
-                )
-            elif not families <= expected:
-                extra = families - expected
-                yield (
-                    "handler %s.%s now also charges %s — the kernel "
-                    "audit table (and the generated kernels) must be "
-                    "updated to match" % (
-                        module_name, symbol, ", ".join(sorted(extra)),
-                    ),
-                    "audit-drift:%s.%s" % (module_name, symbol),
-                )
-
-
-# ---------------------------------------------------------------------------
-# Dynamic half: compile the bench plan matrix and audit each kernel
-# ---------------------------------------------------------------------------
-
-def _dynamic_audit():
+def _cached_audit():
     global _AUDIT_CACHE
     if _AUDIT_CACHE is None:
         try:
             _AUDIT_CACHE = tuple(_audit_plan_matrix())
         except ImportError:
-            # Dependency-free environment (no numpy): the dynamic half
-            # is skipped; CI installs numpy so the gate still runs it.
+            # Dependency-free environment (no numpy): the audit is
+            # skipped; CI installs numpy so the gate still runs it.
             _AUDIT_CACHE = ()
     return _AUDIT_CACHE
 
 
 def _audit_plan_matrix():
-    from repro.bench import WORKLOADS
-    from repro.cluster.config import ClusterConfig
+    from repro.bench import WORKLOADS, workload_setup
     from repro.pgql import parse_and_validate
-    from repro.plan import PlannerOptions, SchedulingPolicy
-    from repro.runtime.engine import PgxdAsyncEngine
     from repro.runtime.kernels import compile_plan_kernels
-    from repro.workloads.random_graphs import seeded_workload
-    from repro.workloads.skewed import skewed_workload
 
     problems = []
     for key, spec in WORKLOADS:
-        config = ClusterConfig(num_machines=spec["machines"], seed=0)
-        if spec.get("kind") == "planner":
-            graph, queries = skewed_workload(
-                config,
-                num_persons=spec["persons"],
-                num_bands=spec["bands"],
-                num_songs=spec["songs"],
-                fan_edges=spec["fans"],
-                likes_edges=spec["likes"],
-            )
-            options = PlannerOptions(scheduling=SchedulingPolicy.COST)
-        else:
-            graph, queries = seeded_workload(
-                config,
-                num_vertices=spec["vertices"],
-                num_edges=spec["edges"],
-                num_queries=spec["queries"],
-                query_edges=spec["query_edges"],
-            )
-            options = PlannerOptions()
-        engine = PgxdAsyncEngine(graph, config)
+        engine, queries, options = workload_setup(spec)
         for index, query in enumerate(queries):
             if isinstance(query, str):
                 query = parse_and_validate(query)
             plan = engine.plan(query, options)
-            for profiled in (False, True):
-                kernels = compile_plan_kernels(plan, profiled=profiled)
-                for stage, kernel in zip(plan.stages,
-                                         kernels.stage_kernels):
-                    source = getattr(kernel, "__source__", None)
-                    if source is None:
-                        continue  # generic (cursor-backed) kernel
-                    where = "%s[q%d] stage %d (%s, profiled=%s)" % (
-                        key, index, stage.index, stage.hop.kind.value,
-                        profiled,
-                    )
-                    problems.extend(_audit_kernel_source(
-                        where, key, stage, profiled, source,
-                    ))
+            kernels = compile_plan_kernels(plan)
+            for stage, kernel in zip(plan.stages, kernels.stage_kernels):
+                source = getattr(kernel, "__source__", None)
+                if source is None:
+                    continue  # generic (cursor-backed) kernel
+                where = "%s[q%d] stage %d (%s)" % (
+                    key, index, stage.index, stage.hop.kind.value,
+                )
+                problems.extend(_audit_kernel_source(
+                    where, key, stage.index, source,
+                ))
     return problems
 
 
-#: Expected call counts common to every specialized kernel kind.
-_ZERO_CALLS = {"reserve": 0, "end_batch": 0, "route": 0,
-               "collector_add": 0}
-
-
-def _expected_counts(kind, profiled, source):
-    """The expectation table: counter/call multiplicities per kernel.
-
-    Mirrors the micro-step handlers: one visit + one pass per vertex
-    function, ``scanned`` per inspected edge (profiled only), ``emitted``
-    at every route-equivalent delivery point, ``results_emitted`` and
-    the collector exactly once for OUTPUT, three inline ``ops +=``
-    charge sites per kind, and the NEIGHBOR kernel's reservation
-    protocol (one reserve, four exit-path end_batch calls, one route
-    fallback).
-    """
-    counters = {
-        "stage_visits": 1, "stage_passes": 1,
-        "scanned": 0, "emitted": 0, "results_emitted": 0,
-    }
-    calls = dict(_ZERO_CALLS)
-    ops, return_charges = 3, 0
-    if kind == "neighbor":
-        counters["scanned"] = 1 if profiled else 0
-        counters["emitted"] = 2 if profiled else 0
-        calls.update({"reserve": 1, "end_batch": 4, "route": 1})
-        return_charges = 1
-    elif kind == "vertex":
-        edge_checked = "_EdgeRun(" in source
-        counters["scanned"] = 1 if (profiled and edge_checked) else 0
-        calls["route"] = 1
-    elif kind == "output":
-        counters["emitted"] = 1 if profiled else 0
-        counters["results_emitted"] = 1
-        calls["collector_add"] = 1
-    return counters, calls, ops, return_charges
-
-
-def _observed_counts(tree):
-    """Count counter charges and protocol calls in a kernel's AST."""
-    aliases = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            chain = dotted_parts(node.value)
-            if chain and len(chain) >= 2 and "profiler" in chain:
-                aliases[node.targets[0].id] = chain[-1]
-    counters = {family: 0 for family in _FAMILIES}
-    calls = dict(_ZERO_CALLS)
-    ops = return_charges = 0
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Name) \
-                    and node.target.id == "ops":
-                ops += 1
-                continue
-            base = node.target
-            while isinstance(base, ast.Subscript):
-                base = base.value
-            chain = dotted_parts(base)
-            family = None
-            if chain is not None:
-                if len(chain) == 1 and chain[0] in aliases:
-                    family = aliases[chain[0]]
-                else:
-                    family = _charge_family(node.target)
-            if family in counters:
-                counters[family] += 1
-        elif isinstance(node, ast.Return) \
-                and isinstance(node.value, ast.Tuple) \
-                and node.value.elts:
-            first = node.value.elts[0]
-            if isinstance(first, ast.BinOp) \
-                    and isinstance(first.left, ast.Name) \
-                    and first.left.id == "ops":
-                return_charges += 1
-        elif isinstance(node, ast.Call):
-            chain = dotted_parts(node.func)
-            if chain is None:
-                continue
-            tail = chain[-1]
-            if tail in ("reserve", "reserve_items"):
-                calls["reserve"] += 1
-            elif tail == "end_batch":
-                calls["end_batch"] += 1
-            elif tail == "route":
-                calls["route"] += 1
-            elif tail == "add" and len(chain) >= 2 \
-                    and chain[-2] == "collector":
-                calls["collector_add"] += 1
-    return counters, calls, ops, return_charges
-
-
-def _audit_kernel_source(where, workload, stage, profiled, source):
+def _audit_kernel_source(where, workload, stage_index, source):
     """Audit one generated kernel; yields (message, pattern) problems."""
-    kind = stage.hop.kind.value
 
-    def problem(counter, detail):
+    def problem(check, detail):
         return (
             "%s: %s" % (where, detail),
-            "kernel-audit:%s:%d:%s" % (workload, stage.index, counter),
+            "kernel-audit:%s:%d:%s" % (workload, stage_index, check),
         )
 
-    if not profiled and "profiler" in source:
-        yield problem(
-            "profiler",
-            "unprofiled kernel source references the profiler — the "
-            "zero-cost-off claim requires zero profiling instructions",
-        )
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         yield problem("parse", "generated source does not parse: %s" % exc)
         return
-
-    counters, calls, ops, return_charges = _observed_counts(tree)
-    exp_counters, exp_calls, exp_ops, exp_returns = _expected_counts(
-        kind, profiled, source)
-    for family in _FAMILIES:
-        if counters[family] != exp_counters[family]:
-            yield problem(family, (
-                "counter %s charged %d time(s), handlers imply exactly "
-                "%d" % (family, counters[family], exp_counters[family])
-            ))
-    for name in sorted(exp_calls):
-        if calls[name] != exp_calls[name]:
-            yield problem(name, (
-                "%s called %d time(s), expected exactly %d"
-                % (name, calls[name], exp_calls[name])
-            ))
-    if ops != exp_ops:
-        yield problem("ops", (
-            "%d inline `ops +=` charge sites, expected exactly %d"
-            % (ops, exp_ops)
-        ))
-    if return_charges != exp_returns:
-        yield problem("ops-return", (
-            "%d return-time op charges (`return ops + n`), expected "
-            "exactly %d" % (return_charges, exp_returns)
-        ))
 
     scanner = UnguardedCallScanner(
         lambda segment: segment.lstrip("_") in _KERNEL_TRACERISH

@@ -16,8 +16,8 @@ Each rule encodes one cross-cutting contract of this codebase (see
   views (hash-seed-dependent order breaks bit-determinism);
 * **RPR007** — flow-control reservations must be paired with a release
   on every CFG path to function exit;
-* **RPR008** — the generated bulk kernels must charge every counter the
-  micro-step handlers charge, exactly once (see
+* **RPR008** — the generated bulk kernels must guard their trace calls
+  and release every reservation (see
   :mod:`repro.analysis.kernel_audit`);
 * **RPR009** — no ``QueryScope``-reachable mutable state mutated across
   the service boundary except through the scheduler API.
@@ -148,8 +148,7 @@ class DeterminismRule(Rule):
 # ----------------------------------------------------------------------
 
 #: Segment names that denote an optional observability handle.
-_TRACERISH = frozenset({"trace", "tracer", "telemetry", "sampler",
-                        "profiler"})
+_TRACERISH = frozenset({"trace", "tracer", "telemetry", "sampler"})
 
 
 class ZeroCostOffRule(Rule):

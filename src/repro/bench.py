@@ -110,6 +110,37 @@ def _finish_record(record, wall):
     )
 
 
+def workload_setup(spec, seed=0, bulk_kernels=True):
+    """Instantiate one matrix row: ``(engine, queries, options)``.
+
+    The planner pillar plans under the cost-based policy; every other
+    row runs its queries in appearance order.
+    """
+    config = ClusterConfig(
+        num_machines=spec["machines"], seed=seed, bulk_kernels=bulk_kernels
+    )
+    if spec.get("kind") == "planner":
+        graph, queries = skewed_workload(
+            config,
+            num_persons=spec["persons"],
+            num_bands=spec["bands"],
+            num_songs=spec["songs"],
+            fan_edges=spec["fans"],
+            likes_edges=spec["likes"],
+        )
+        options = PlannerOptions(scheduling=SchedulingPolicy.COST)
+    else:
+        graph, queries = seeded_workload(
+            config,
+            num_vertices=spec["vertices"],
+            num_edges=spec["edges"],
+            num_queries=spec["queries"],
+            query_edges=spec["query_edges"],
+        )
+        options = PlannerOptions()
+    return PgxdAsyncEngine(graph, config), queries, options
+
+
 def run_workload(key, spec, seed=0, bulk_kernels=True):
     """Execute one workload row; returns its result record.
 
@@ -120,18 +151,8 @@ def run_workload(key, spec, seed=0, bulk_kernels=True):
     if spec.get("kind") == "planner":
         return run_planner_workload(key, spec, seed=seed,
                                     bulk_kernels=bulk_kernels)
-    config = ClusterConfig(
-        num_machines=spec["machines"], seed=seed, bulk_kernels=bulk_kernels
-    )
-    graph, queries = seeded_workload(
-        config,
-        num_vertices=spec["vertices"],
-        num_edges=spec["edges"],
-        num_queries=spec["queries"],
-        query_edges=spec["query_edges"],
-    )
-    engine = PgxdAsyncEngine(graph, config)
-    options = PlannerOptions()
+    engine, queries, options = workload_setup(spec, seed, bulk_kernels)
+    config = engine.config
     senders = config.num_machines - 1
     record = _blank_record(len(queries))
     started = time.perf_counter()
@@ -159,20 +180,9 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
     """
     from repro.obs.feedback import FeedbackStore
 
-    config = ClusterConfig(
-        num_machines=spec["machines"], seed=seed, bulk_kernels=bulk_kernels
-    )
-    graph, queries = skewed_workload(
-        config,
-        num_persons=spec["persons"],
-        num_bands=spec["bands"],
-        num_songs=spec["songs"],
-        fan_edges=spec["fans"],
-        likes_edges=spec["likes"],
-    )
-    engine = PgxdAsyncEngine(graph, config)
-    cost_options = PlannerOptions(scheduling=SchedulingPolicy.COST,
-                                  profile=True)
+    engine, queries, cost_options = workload_setup(spec, seed, bulk_kernels)
+    config = engine.config
+    cost_options.profile = True
     naive_options = PlannerOptions()
     senders = config.num_machines - 1
     record = _blank_record(len(queries))

@@ -303,8 +303,6 @@ def build_parser():
     )
     _add_graph_args(stats)
     _add_format_args(stats)
-    stats.add_argument("--json", action="store_true",
-                       help="deprecated alias for --format json")
     stats.add_argument("--top", type=int, default=5,
                        help="fan-out triples / top values shown per "
                             "section in table mode (default 5)")
@@ -605,6 +603,7 @@ def cmd_trace(args):
 
 
 def cmd_monitor(args):
+    from repro.context import ExecutionContext
     from repro.obs import Telemetry
     from repro.obs.dashboard import Dashboard
     from repro.obs.exporters import prometheus_text, series_csv, \
@@ -632,9 +631,9 @@ def cmd_monitor(args):
         else:
             dashboard.attach(telemetry.sampler)
             plan = engine.plan(query, options)
-            result = engine.execute_plan(
-                plan, telemetry=telemetry, deadline=options.timeout_ticks
-            )
+            result = engine.execute_plan(plan, ExecutionContext(
+                telemetry=telemetry, deadline=options.timeout_ticks
+            ))
     except QueryAborted as aborted:
         code = _print_abort(aborted)
         if telemetry.sampler.num_samples:
@@ -1053,10 +1052,7 @@ def cmd_traffic(args):
 def cmd_stats(args):
     graph = load_graph(args)
     stats = graph.statistics()
-    if args.json:
-        print("note: --json is deprecated; use --format json",
-              file=sys.stderr)
-    if args.json or args.format == "json":
+    if args.format == "json":
         print(stats.to_json())
     else:
         print(stats.table(top=args.top))

@@ -4,7 +4,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MachineMetrics, QueryMetrics
 from repro.cluster.network import Envelope, Network
 from repro.cluster.simulator import MachineAPI, MachineInterface, Simulator
-from repro.cluster.tasks import CallbackTask, Task, TaskQueue, TaskState
 
 __all__ = [
     "ClusterConfig",
@@ -15,8 +14,4 @@ __all__ = [
     "Simulator",
     "MachineAPI",
     "MachineInterface",
-    "Task",
-    "CallbackTask",
-    "TaskQueue",
-    "TaskState",
 ]

@@ -14,10 +14,10 @@ and the multi-query service would have added two more.  An
   time per global tick); ignored by direct single-query execution;
 * ``query_id`` — the tenant identity stamped on flow-state snapshots,
   abort diagnostics, and per-tenant telemetry labels; None for plain
-  single-query runs.
-
-The legacy keyword arguments still work (thin deprecation shims fold
-them into a context), so existing call sites and tests are unaffected.
+  single-query runs;
+* ``profile`` — whether ``finalize_execution`` reads the machines'
+  stage counters into a :class:`repro.obs.feedback.StageProfiler`
+  (plan-vs-actual observability).
 """
 
 from dataclasses import dataclass, replace
@@ -37,9 +37,9 @@ class ExecutionContext:
     priority: int = 1
     #: Tenant identity for scoped diagnostics and telemetry labels.
     query_id: str = None
-    #: Optional repro.obs.feedback.StageProfiler collecting per-stage
-    #: actual cardinalities per machine (plan-vs-actual observability).
-    profiler: object = None
+    #: Attach a repro.obs.feedback.StageProfiler (per-stage actual
+    #: cardinalities per machine) to the result.
+    profile: bool = False
 
     def replace(self, **changes):
         """Return a copy with *changes* applied."""
@@ -77,14 +77,10 @@ class ExecutionContext:
                 config.telemetry_interval if config is not None else 1
             )
             telemetry = Telemetry(interval=interval)
-        profiler = None
-        if options is not None and getattr(options, "profile", False):
-            from repro.obs.feedback import StageProfiler
-
-            profiler = StageProfiler()
+        profile = options is not None and options.profile
         deadline = options.timeout_ticks if options is not None else None
         context = cls(tracer=tracer, telemetry=telemetry, deadline=deadline,
-                      profiler=profiler)
+                      profile=profile)
         if overrides:
             context = context.replace(**overrides)
         return context

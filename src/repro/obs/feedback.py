@@ -7,11 +7,10 @@ layers:
 
 * :class:`StageProfiler` — per-machine *actual* stage cardinalities
   (contexts entering each stage, neighbor candidates scanned, vertex-
-  function passes, continuations emitted), collected by both execution
-  paths behind the usual ``is not None`` guards (RPR002): the runtime
-  holds either a per-machine view or ``None``, so a disabled profiler
-  costs one pointer comparison per site and the differential oracle
-  (kernels on vs off) covers the profile bit-for-bit.
+  function passes, continuations emitted).  Both execution paths charge
+  them unconditionally as ordinary per-machine stage counters, so the
+  profiler only *reads* them at finalize time and the differential
+  oracle (kernels on vs off) covers the profile bit-for-bit.
 * :class:`ExecutionProfile` — the join of estimates against actuals:
   per-operator q-error, per-machine skew/imbalance ratios, and a
   straggler summary.  ``--explain-analyze`` renders it, and
@@ -78,13 +77,15 @@ class MachineStageProfile:
 
     COUNTERS = ("visits", "passes", "remote_in", "scanned", "emitted")
 
-    def __init__(self, machine_id, num_stages):
-        self.machine_id = machine_id
-        self.visits = [0] * num_stages
-        self.passes = [0] * num_stages
-        self.remote_in = [0] * num_stages
-        self.scanned = [0] * num_stages
-        self.emitted = [0] * num_stages
+    def __init__(self, rt):
+        """Snapshot the stage counters of the finished runtime *rt*."""
+        self.machine_id = rt.machine_id
+        self.visits = list(rt.stage_visits)
+        self.passes = list(rt.stage_passes)
+        self.remote_in = list(rt.stage_remote_in)
+        self.scanned = list(rt.stage_scanned)
+        # The output stage's emissions are the machine's result rows.
+        self.emitted = rt.stage_emitted[:-1] + [rt.metrics.results_emitted]
 
     def total_load(self):
         """Work proxy for straggler detection: visits + scans."""
@@ -98,38 +99,24 @@ class MachineStageProfile:
 
 
 class StageProfiler:
-    """Collects actual stage cardinalities across the cluster.
+    """The cluster's actual stage cardinalities for one query run.
 
-    Created by :meth:`ExecutionContext.from_options` when
-    ``PlannerOptions(profile=True)`` (or ``--explain-analyze``) is set.
-    Each :class:`~repro.runtime.machine.QueryMachine` holds its own
-    :class:`MachineStageProfile` view (or ``None`` — the zero-cost-off
-    default), and :meth:`absorb` copies the runtime's unconditional
-    counters (visits/passes/remote_in) in at finalize time.
+    A finalize-time reader: ``finalize_execution`` builds one when
+    ``PlannerOptions(profile=True)`` (or ``--explain-analyze``) is set
+    and :meth:`absorb` copies every
+    :class:`~repro.runtime.machine.QueryMachine`'s stage counters into a
+    :class:`MachineStageProfile` view.
     """
 
     def __init__(self):
         self.num_stages = 0
         self.machines = {}
 
-    def machine(self, machine_id, num_stages):
-        """The per-machine view, created on first use."""
-        if num_stages > self.num_stages:
-            self.num_stages = num_stages
-        view = self.machines.get(machine_id)
-        if view is None:
-            view = MachineStageProfile(machine_id, num_stages)
-            self.machines[machine_id] = view
-        return view
-
     def absorb(self, machines):
-        """Copy each runtime's unconditional stage counters into its
-        view (the guarded sites only collect ``scanned``/``emitted``)."""
+        """Copy each runtime's stage counters into its view."""
         for rt in machines:
-            view = self.machine(rt.machine_id, rt.plan.num_stages)
-            view.visits = list(rt.stage_visits)
-            view.passes = list(rt.stage_passes)
-            view.remote_in = list(rt.stage_remote_in)
+            self.num_stages = max(self.num_stages, rt.plan.num_stages)
+            self.machines[rt.machine_id] = MachineStageProfile(rt)
 
     def views(self):
         """Machine views in deterministic (machine id) order."""

@@ -56,9 +56,8 @@ class PlannerOptions:
     timeout_ticks: int = None
     #: Collect per-stage actual cardinalities (a ``StageProfiler`` from
     #: ``repro.obs.feedback``), joined against the cost model's
-    #: estimates as ``QueryResult.execution_profile()``.  Off by
-    #: default: the runtime then holds None and the hot paths pay one
-    #: pointer comparison per site (zero-cost-off, RPR002).
+    #: estimates as ``QueryResult.execution_profile()``.  The runtime
+    #: counts either way; this only attaches the finalize-time reader.
     profile: bool = False
     #: A ``repro.obs.feedback.FeedbackStore`` of recorded execution
     #: profiles.  Consumed only under ``SchedulingPolicy.COST``, where

@@ -44,7 +44,7 @@ class QueryResult:
         #: time series) of this execution, or None when live telemetry
         #: was off (the default).
         self.telemetry = telemetry
-        #: The :class:`repro.obs.feedback.StageProfiler` that collected
+        #: The :class:`repro.obs.feedback.StageProfiler` holding the
         #: per-machine actual stage cardinalities, or None when profile
         #: collection was off (the default).
         self.profiler = profiler
@@ -235,17 +235,20 @@ class PgxdAsyncEngine(Engine):
             self._service = QueryService(self, service_config)
         return self._service
 
-    def execute_plan(self, plan, context=None, tracer=None, deadline=None,
-                     telemetry=None):
+    def execute_plan(self, plan, context=None):
         """Step iv: run a compiled plan on the simulated cluster.
 
         *context* carries the cross-cutting execution state (tracer,
         telemetry, deadline, query_id); see :class:`~repro.context.
-        ExecutionContext`.  The ``tracer=`` / ``deadline=`` /
-        ``telemetry=`` keywords are deprecated shims folded into the
-        context for existing call sites.
+        ExecutionContext`.
         """
-        context = _coerce_context(context, tracer, deadline, telemetry)
+        if context is None:
+            context = ExecutionContext()
+        elif not isinstance(context, ExecutionContext):
+            raise TypeError(
+                "execute_plan expects an ExecutionContext, got %r"
+                % (context,)
+            )
         simulator, machines = self.prepare_execution(plan, context)
         metrics = simulator.run()
         return self.finalize_execution(plan, machines, metrics, context)
@@ -274,12 +277,8 @@ class PgxdAsyncEngine(Engine):
         simulator.query_id = context.query_id
         if context.deadline is not None:
             simulator.deadline = context.deadline
-        profiler = context.profiler
         machines = []
         for machine_id in range(config.num_machines):
-            profile_view = None
-            if profiler is not None:
-                profile_view = profiler.machine(machine_id, plan.num_stages)
             machines.append(QueryMachine(
                 plan,
                 self.dist_graph,
@@ -289,7 +288,6 @@ class PgxdAsyncEngine(Engine):
                 debug_checks=self.debug_checks,
                 tracer=tracer,
                 telemetry=telemetry,
-                profiler=profile_view,
             ))
         simulator.attach(machines)
         return simulator, machines
@@ -320,15 +318,17 @@ class PgxdAsyncEngine(Engine):
                 plan.query.vertex_vars(),
                 plan.query.edge_vars(),
             )
-        profiler = context.profiler
-        if profiler is not None:
+        profiler = None
+        if context.profile:
+            from repro.obs.feedback import (
+                StageProfiler,
+                build_execution_profile,
+                publish_drift,
+            )
+
+            profiler = StageProfiler()
             profiler.absorb(machines)
             if context.telemetry is not None:
-                from repro.obs.feedback import (
-                    build_execution_profile,
-                    publish_drift,
-                )
-
                 publish_drift(context.telemetry,
                               build_execution_profile(plan, profiler))
         return QueryResult(result_set, metrics, plan,
@@ -336,25 +336,6 @@ class PgxdAsyncEngine(Engine):
                            trace=context.tracer,
                            telemetry=context.telemetry,
                            profiler=profiler)
-
-
-def _coerce_context(context, tracer, deadline, telemetry):
-    """Fold the deprecated per-kwarg threading into one context."""
-    if context is not None and not isinstance(context, ExecutionContext):
-        raise TypeError(
-            "execute_plan expects an ExecutionContext, got %r — pass "
-            "tracer=/deadline=/telemetry= by keyword (deprecated) or "
-            "build an ExecutionContext" % (context,)
-        )
-    if context is None:
-        context = ExecutionContext()
-    if tracer is not None:
-        context = context.replace(tracer=tracer)
-    if deadline is not None:
-        context = context.replace(deadline=deadline)
-    if telemetry is not None:
-        context = context.replace(telemetry=telemetry)
-    return context
 
 
 def execute_union(query, options, run_one):

@@ -111,14 +111,6 @@ class FlowControl:
     def reserved(self, stage, dest):
         return self._reserved[stage][dest]
 
-    def on_ack(self, stage, count):
-        """An ack from *some* destination; the wire carries the stage only.
-
-        The receiver acks each message exactly once, so attributing the
-        decrement requires the destination; see :meth:`on_ack_from`.
-        """
-        raise NotImplementedError("use on_ack_from")
-
     def on_ack_from(self, stage, src, count):
         self._inflight[stage][src] -= count
         if self._inflight[stage][src] < 0:

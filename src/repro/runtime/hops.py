@@ -127,8 +127,7 @@ class _NeighborCursor:
         target = int(self._neighbors[self._pos])
         eid = int(self._edge_ids[self._pos])
         self._pos += 1
-        if rt.profiler is not None:
-            rt.profiler.scanned[frame.stage_index] += 1
+        rt.stage_scanned[frame.stage_index] += 1
         if not _edge_accepted(hop, frame.ctx, frame.vertex, eid, rt):
             return Advance.PROGRESS
         out_ctx = _extend(
@@ -184,8 +183,7 @@ class _VertexCursor:
             return Advance.EXHAUSTED
         eid = self._edge_ids[self._pos]
         self._pos += 1
-        if rt.profiler is not None:
-            rt.profiler.scanned[frame.stage_index] += 1
+        rt.stage_scanned[frame.stage_index] += 1
         if not _edge_accepted(hop, frame.ctx, frame.vertex, eid, rt):
             return Advance.PROGRESS
         out_ctx = _extend(hop, frame.ctx, eid)
@@ -241,8 +239,7 @@ class _CNCollectCursor:
             target = int(self._neighbors[self._pos])
             eid = int(self._edge_ids[self._pos])
             self._pos += 1
-            if rt.profiler is not None:
-                rt.profiler.scanned[frame.stage_index] += 1
+            rt.stage_scanned[frame.stage_index] += 1
             if _edge_accepted(hop, frame.ctx, frame.vertex, eid, rt):
                 appendix = tuple(
                     capture(eid) for capture in hop.edge_captures
@@ -293,8 +290,7 @@ class _CNProbeCursor:
                 continue
             eid = self._edge_ids[self._edge_pos]
             self._edge_pos += 1
-            if rt.profiler is not None:
-                rt.profiler.scanned[frame.stage_index] += 1
+            rt.stage_scanned[frame.stage_index] += 1
             base_ctx = frame.ctx + self._appendix
             if not _edge_accepted(hop, base_ctx, frame.vertex, eid, rt):
                 return Advance.PROGRESS

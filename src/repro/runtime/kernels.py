@@ -118,32 +118,24 @@ class PlanKernels:
         return run_bulk(rt, comp, budget, self.stage_kernels)
 
 
-def compile_plan_kernels(plan, profiled=False):
+def compile_plan_kernels(plan):
     """Build one kernel per stage of *plan* (at plan-finalize time).
 
-    NEIGHBOR and OUTPUT stages — the hot path — get textually generated
-    specialized kernels; the remaining hop kinds run their existing
-    cursors through a generic batched driver with identical semantics.
-
-    With ``profiled=True`` the generated kernels additionally maintain
-    the per-machine ``scanned``/``emitted`` profile counters
-    (``repro.obs.feedback``) at exactly the points the hop cursors do.
-    The default variant contains literally no profiling instructions, so
-    profiling off costs nothing on the kernel fast path; machines pick
-    the variant from whether a profiler view is attached.
+    NEIGHBOR, VERTEX and OUTPUT stages — the hot path — get textually
+    generated specialized kernels; the remaining hop kinds run their
+    existing cursors through a generic batched driver with identical
+    semantics.
     """
     kernels = []
     for stage in plan.stages:
         kind = stage.hop.kind
         if kind is HopKind.NEIGHBOR:
-            kernels.append(_compile_neighbor_kernel(plan, stage, profiled))
+            kernels.append(_compile_neighbor_kernel(plan, stage))
         elif kind is HopKind.VERTEX:
-            kernels.append(_compile_vertex_kernel(plan, stage, profiled))
+            kernels.append(_compile_vertex_kernel(plan, stage))
         elif kind is HopKind.OUTPUT:
-            kernels.append(_compile_output_kernel(plan, stage, profiled))
+            kernels.append(_compile_output_kernel(plan, stage))
         else:
-            # Cursor-driven stages carry their own (guarded)
-            # instrumentation; one generic kernel serves both variants.
             kernels.append(_generic_kernel(stage))
     return PlanKernels(kernels)
 
@@ -385,13 +377,15 @@ def _finish_kernel(lines, ns, stage):
     return kernel
 
 
-def _compile_neighbor_kernel(plan, stage, profiled=False):
+def _compile_neighbor_kernel(plan, stage):
     """Generate the specialized NEIGHBOR kernel for *stage*.
 
     The adjacency run is walked over the graph's flat python-list CSR
     (converted once per graph) between absolute ``pos``/``end`` bounds;
     remote continuations go through batch reservations with a
     ``rt.route`` fallback whose refusal point matches the cursor path.
+    ``scanned``/``emitted`` are tallied in locals and charged to the
+    machine's stage counters once per kernel exit.
     """
     graph = plan.graph
     hop = stage.hop
@@ -415,6 +409,17 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
         ns["OFF"], ns["DST"], ns["EIDS"] = in_off, in_src, in_eid
 
     w = []
+
+    def leave(ind, signal):
+        # Every exit of the adjacency loop: charge the neighbors this
+        # invocation inspected (a blocked attempt counts, as on the
+        # cursor path) and the continuations it produced, then hand any
+        # leftover reservation back to the window.
+        w.append(ind + "rt.stage_scanned[%d] += pos - pos0" % s)
+        w.append(ind + "rt.stage_emitted[%d] += emitted" % s)
+        w.append(ind + "if resv: rt.end_batch(%d, resv)" % s_next)
+        w.append(ind + "return ops, %s" % signal)
+
     w.append("def kernel(rt, comp, frame, ops, budget):")
     w.append("    ctx = frame.ctx")
     w.append("    M = rt.metrics")
@@ -435,7 +440,7 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append("            return ops, K_BUDGET")
     w.append("    else:")
     w.append("        vertex = frame.vertex")
-    w.append("    pos = state.pos")
+    w.append("    pos = pos0 = state.pos")
     w.append("    end = state.end")
     w.append("    if pos >= end:")
     w.append("        comp.stack.pop()")
@@ -458,27 +463,18 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     # Flushed buffers are emptied in place, never replaced, so a list
     # looked up once stays the live (stage, dest) buffer all run long.
     w.append("    bufs = {}")
-    if profiled:
-        # Profiled variant only: the machine installs these kernels iff
-        # a profiler view is attached, so no None guard is needed here.
-        w.append("    PSC = rt.profiler.scanned")
-        w.append("    PEM = rt.profiler.emitted")
+    w.append("    emitted = 0")
     w.append("    while True:")
     w.append("        if pos >= end:")
     w.append("            ops += %d" % wc_h)
     w.append("            comp.stack.pop()")
     w.append("            SL[%d] -= 1" % s)
     w.append("            M.cur_live_frames -= 1")
-    w.append("            if resv: rt.end_batch(%d, resv)" % s_next)
-    w.append("            return ops, K_CONTINUE")
+    leave("            ", "K_CONTINUE")
     w.append("        target = DST[pos]")
     w.append("        eid = EIDS[pos]")
     w.append("        pos += 1")
     w.append("        ops += %d" % wc_h)
-    if profiled:
-        # Same counting point as _NeighborCursor.advance: every neighbor
-        # inspected, blocked-then-replayed attempts included.
-        w.append("        PSC[%d] += 1" % s)
     cond = _edge_accept_condition(hop, ns)
     if cond:
         w.append("        if %s:" % cond)
@@ -489,9 +485,8 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append(body_ind + "out_ctx = %s" % out_ctx)
     w.append(body_ind + "dest = owners[target]")
     w.append(body_ind + "if dest == mid:")
-    if profiled:
-        # route() counts an emission on either local delivery form.
-        w.append(body_ind + "    PEM[%d] += 1" % s)
+    # route() counts an emission on either local delivery form.
+    w.append(body_ind + "    emitted += 1")
     w.append(body_ind + "    if len(local_q) < cap:")
     w.append(body_ind + "        local_q.append(out_ctx)")
     w.append(body_ind + "        SL[%d] += 1" % s_next)
@@ -502,7 +497,6 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append(body_ind + "            M.peak_buffered_contexts = cbc")
     w.append(body_ind + "    else:")
     w.append(body_ind + "        state.pos = pos")
-    w.append(body_ind + "        if resv: rt.end_batch(%d, resv)" % s_next)
     # Inline push_frame (a positive frames delta can move the peak).
     w.append(body_ind + "        comp.stack.append(StageFrame("
              "%d, out_ctx, target))" % s_next)
@@ -511,7 +505,7 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append(body_ind + "        M.cur_live_frames = clf")
     w.append(body_ind + "        if clf > M.peak_live_frames:")
     w.append(body_ind + "            M.peak_live_frames = clf")
-    w.append(body_ind + "        return ops, K_CONTINUE")
+    leave(body_ind + "        ", "K_CONTINUE")
     if hop.appends_target_id:
         # Ghost-node pre-filter, evaluated only when ghosts exist (the
         # cursor path's call is a no-op without them).
@@ -535,26 +529,28 @@ def _compile_neighbor_kernel(plan, stage, profiled=False):
     w.append(body_ind + "        if cbc > M.peak_buffered_contexts:")
     w.append(body_ind + "            M.peak_buffered_contexts = cbc")
     w.append(body_ind + "        remote_in[%d] += 1" % s_next)
-    if profiled:
-        w.append(body_ind + "        PEM[%d] += 1" % s)
+    w.append(body_ind + "        emitted += 1")
     w.append(body_ind + "        if len(buf) >= bulk:")
     w.append(body_ind + "            flush(%d, dest, buf)" % s_next)
-    w.append(body_ind + "    elif rt.route(comp, %d, dest, out_ctx):"
-             % s_next)
-    w.append(body_ind + "        remote_in[%d] += 1" % s_next)
     w.append(body_ind + "    else:")
+    # A zero grant means the buffer is full and the window is shut, so
+    # route() can only refuse: it is called for the refusal's side
+    # effects (last_refused, flow_control_blocks, the FlowBlock event).
+    w.append(body_ind + "        if rt.route(comp, %d, dest, out_ctx):"
+             % s_next)
+    w.append(body_ind + "            raise RuntimeFault("
+             "'stage %d: route admitted an item after a refused "
+             "reservation')" % s)
     w.append(body_ind + "        state.pos = pos - 1"
              "  # replay this neighbor on resume")
-    w.append(body_ind + "        if resv: rt.end_batch(%d, resv)" % s_next)
-    w.append(body_ind + "        return ops, K_BLOCKED")
+    leave(body_ind + "        ", "K_BLOCKED")
     w.append("        if ops >= budget:")
     w.append("            state.pos = pos")
-    w.append("            if resv: rt.end_batch(%d, resv)" % s_next)
-    w.append("            return ops, K_BUDGET")
+    leave("            ", "K_BUDGET")
     return _finish_kernel(w, ns, stage)
 
 
-def _compile_vertex_kernel(plan, stage, profiled=False):
+def _compile_vertex_kernel(plan, stage):
     """Generate the specialized VERTEX kernel for *stage*.
 
     Mirrors ``_VertexCursor``: without an edge requirement the hop is
@@ -614,25 +610,23 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
         return _finish_kernel(w, ns, stage)
     w.append("    state = frame.cursor")
     w.append("    eids = state.eids")
-    w.append("    pos = state.pos")
+    w.append("    pos = pos0 = state.pos")
     w.append("    end = state.end")
     w.append("    dest = rt.owner_list[ctx[%d]]" % hop.target_slot)
-    if profiled:
-        w.append("    PSC = rt.profiler.scanned")
+    # Charged once per exit, like the NEIGHBOR kernel (the
+    # pure-inspection form above scans nothing on either path).
+    scanned = "rt.stage_scanned[%d] += pos - pos0" % stage.index
     w.append("    while True:")
     w.append("        if pos >= end:")
     w.append("            ops += %d" % wc_h)
     w.append("            stack.pop()")
     w.append("            SL[%d] -= 1" % stage.index)
     w.append("            M.cur_live_frames -= 1")
+    w.append("            " + scanned)
     w.append("            return ops, K_CONTINUE")
     w.append("        eid = eids[pos]")
     w.append("        pos += 1")
     w.append("        ops += %d" % wc_h)
-    if profiled:
-        # Same counting point as _VertexCursor.advance (edge-checked
-        # form); the pure-inspection form scans nothing on either path.
-        w.append("        PSC[%d] += 1" % stage.index)
     cond = _edge_accept_condition(hop, ns)
     if cond:
         w.append("        if %s:" % cond)
@@ -643,19 +637,22 @@ def _compile_vertex_kernel(plan, stage, profiled=False):
     w.append(body_ind + "if not rt.route(comp, %d, dest, out_ctx):" % s_next)
     w.append(body_ind + "    state.pos = pos - 1"
              "  # replay this edge on resume")
+    w.append(body_ind + "    " + scanned)
     w.append(body_ind + "    return ops, K_BLOCKED")
     w.append(body_ind + "if stack[-1] is not frame:")
     w.append(body_ind + "    state.pos = pos")
+    w.append(body_ind + "    " + scanned)
     w.append(body_ind + "    if ops >= budget:")
     w.append(body_ind + "        return ops, K_BUDGET")
     w.append(body_ind + "    return ops, K_CONTINUE")
     w.append("        if ops >= budget:")
     w.append("            state.pos = pos")
+    w.append("            " + scanned)
     w.append("            return ops, K_BUDGET")
     return _finish_kernel(w, ns, stage)
 
 
-def _compile_output_kernel(plan, stage, profiled=False):
+def _compile_output_kernel(plan, stage):
     """Generate the specialized OUTPUT kernel for *stage*.
 
     Two charged steps after the vertex function — emit, then the
@@ -685,8 +682,6 @@ def _compile_output_kernel(plan, stage, profiled=False):
     # Inline emit_result (machine.py): collector, counter, trace event.
     w.append("        rt.collector.add(ctx)")
     w.append("        M.results_emitted += 1")
-    if profiled:
-        w.append("        rt.profiler.emitted[-1] += 1")
     w.append("        trace = rt.trace")
     w.append("        if trace is not None:")
     w.append("            trace.emit(ResultEmitted(rt.api.now, "

@@ -15,7 +15,6 @@ It owns:
 from collections import deque
 
 from repro.cluster.metrics import MachineMetrics
-from repro.cluster.tasks import CallbackTask, TaskQueue
 from repro.errors import RuntimeFault
 from repro.obs.events import (
     FlowBlock,
@@ -43,12 +42,18 @@ def _item_weight(item):
     return len(item) if isinstance(item, CNItem) else 1
 
 
+# The two PGX.D tasks (paper §3.3) as phases of ``worker_step``: workers
+# drive the same DOWORK loop in both; the bootstrap task ends once stage
+# 0 is seeded, the await-completion task once every stage is globally
+# complete.
+_BOOTSTRAP, _AWAIT_COMPLETION, _DONE = range(3)
+
+
 class QueryMachine:
     """One simulated machine executing its share of a query."""
 
     def __init__(self, plan, dist_graph, machine_id, api, config,
-                 debug_checks=False, tracer=None, telemetry=None,
-                 profiler=None):
+                 debug_checks=False, tracer=None, telemetry=None):
         self.plan = plan
         self.graph = plan.graph
         self.local = dist_graph.local(machine_id)
@@ -77,10 +82,6 @@ class QueryMachine:
         #: Optional repro.obs.Telemetry shared by every machine; None
         #: (the default) costs the same single pointer comparison.
         self.telemetry = telemetry
-        #: Optional per-machine MachineStageProfile view (plan-vs-actual
-        #: profiling, ``repro.obs.feedback``); None keeps every counting
-        #: site behind the same single pointer comparison.
-        self.profiler = profiler
 
         num_stages = plan.num_stages
         num_machines = config.num_machines
@@ -112,10 +113,16 @@ class QueryMachine:
         self.stage_load = [0] * num_stages
         #: Per-stage profile counters (EXPLAIN ANALYZE): contexts that
         #: entered each stage's vertex function, how many passed its
-        #: checks, and how many contexts were shipped remotely to it.
+        #: checks, how many contexts were shipped remotely to it, how
+        #: many neighbor candidates / edge ids its hop inspected, and the
+        #: continuation weight it produced.  The output stage's
+        #: ``stage_emitted`` entry stays 0: its emissions are
+        #: ``metrics.results_emitted``.
         self.stage_visits = [0] * num_stages
         self.stage_passes = [0] * num_stages
         self.stage_remote_in = [0] * num_stages
+        self.stage_scanned = [0] * num_stages
+        self.stage_emitted = [0] * num_stages
         #: Intra-machine work sharing (paper §1/§3.3: computations
         #: "submitted internally to facilitate work-sharing"): a bounded
         #: per-stage queue of local continuations that idle workers pick
@@ -137,7 +144,7 @@ class QueryMachine:
         #: run the micro-stepped cursor path.  Blocking mode always uses
         #: cursors: ABL4 is precisely about per-message synchrony.
         if config.bulk_kernels and not config.blocking_remote:
-            self.kernels = plan.bulk_kernels(profiled=profiler is not None)
+            self.kernels = plan.bulk_kernels()
         else:
             self.kernels = None
 
@@ -159,11 +166,7 @@ class QueryMachine:
         self._sync_wait = None
         self._acked_seqs = set()
         self._quota_rr = 0
-
-        # The two PGX.D tasks (paper §3.3): bootstrap, then await-completion.
-        self.tasks = TaskQueue()
-        self.tasks.push(CallbackTask("bootstrap", self._poll_bootstrap_task))
-        self.tasks.push(CallbackTask("await-completion", self._poll_await_task))
+        self._phase = _BOOTSTRAP
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -196,28 +199,24 @@ class QueryMachine:
         return not self._bootstrap_chunks
 
     # ------------------------------------------------------------------
-    # PGX.D task plumbing (structural; workers drive the same DOWORK)
-    # ------------------------------------------------------------------
-    def _poll_bootstrap_task(self, worker, budget):
-        ops = worker.step(budget)
-        return ops, self.bootstrap_done
-
-    def _poll_await_task(self, worker, budget):
-        ops = worker.step(budget)
-        return ops, self.is_finished()
-
-    # ------------------------------------------------------------------
     # Simulator interface
     # ------------------------------------------------------------------
     def worker_step(self, worker_index, budget):
-        worker = self._workers[worker_index]
-        task = self.tasks.head()
-        if task is None:
+        phase = self._phase
+        if phase == _DONE:
             self.metrics.idle_ticks += 1
             return 0
+        worker = self._workers[worker_index]
         # Worker.step accounts real ops into the metrics itself; the
         # returned value is the time slice consumed (for idleness).
-        used = task.poll(worker, budget)
+        used = worker.step(budget)
+        # A phase ends on the slice that observes its condition, before
+        # this slice's completion attempt below can change it.
+        if phase == _BOOTSTRAP:
+            if not self._bootstrap_chunks:
+                self._phase = _AWAIT_COMPLETION
+        elif self.termination.all_complete():
+            self._phase = _DONE
         if self._sync_wait is not None:
             worker.waiting_for_seq = self._sync_wait
             self._sync_wait = None
@@ -347,8 +346,6 @@ class QueryMachine:
     def emit_result(self, ctx):
         self.collector.add(ctx)
         self.metrics.results_emitted += 1
-        if self.profiler is not None:
-            self.profiler.emitted[-1] += 1
         if self.trace is not None:
             self.trace.emit(ResultEmitted(self.api.now, self.machine_id))
 
@@ -413,22 +410,16 @@ class QueryMachine:
                 self.metrics.buffered_delta(_item_weight(item))
             else:
                 self.push_frame(comp, frame_for_item(self, stage_index, item))
-            if self.profiler is not None:
-                self.profiler.emitted[stage_index - 1] += _item_weight(item)
+            self.stage_emitted[stage_index - 1] += _item_weight(item)
             return True
         if self.config.blocking_remote:
-            if self._route_blocking(stage_index, dest, item):
-                self.stage_remote_in[stage_index] += _item_weight(item)
-                if self.profiler is not None:
-                    self.profiler.emitted[stage_index - 1] += (
-                        _item_weight(item)
-                    )
-                return True
-            return False
-        if self._enqueue(stage_index, dest, item):
-            self.stage_remote_in[stage_index] += _item_weight(item)
-            if self.profiler is not None:
-                self.profiler.emitted[stage_index - 1] += _item_weight(item)
+            admitted = self._route_blocking(stage_index, dest, item)
+        else:
+            admitted = self._enqueue(stage_index, dest, item)
+        if admitted:
+            weight = _item_weight(item)
+            self.stage_remote_in[stage_index] += weight
+            self.stage_emitted[stage_index - 1] += weight
             return True
         self.last_refused = (stage_index, dest)
         self.metrics.flow_control_blocks += 1
@@ -441,13 +432,7 @@ class QueryMachine:
     def _route_blocking(self, stage_index, dest, item):
         """ABL4 mode: one message per context, synchronous ack wait."""
         if not self.flow.can_send(stage_index, dest):
-            self.last_refused = (stage_index, dest)
-            self.metrics.flow_control_blocks += 1
-            if self.trace is not None:
-                self.trace.emit(FlowBlock(
-                    self.api.now, self.machine_id, stage_index, dest
-                ))
-            return False
+            return False  # route() records the refusal
         message = WorkMessage(stage_index, (item,))
         self.flow.on_send(stage_index, dest)
         self.api.send(dest, message, size=_item_weight(item))

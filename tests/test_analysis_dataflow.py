@@ -4,7 +4,7 @@ Split from ``test_analysis.py``: everything here exercises behavior
 that only exists because guard/type/reservation facts flow over a real
 control-flow graph — domination through try/finally, while/else, early
 returns, nested scopes — plus the RPR006/RPR007/RPR009 rule packs, the
-RPR008 handler cross-check, and the v2 runner surface (``--diff``,
+RPR008 generated-source audit, and the v2 runner surface (``--diff``,
 ``--select``, ``--severity``, SARIF, ``--prune-baseline``).  The
 mutation tests follow the house style: copy a real source verbatim,
 break one invariant, and require the analyzer to flip non-zero.
@@ -582,48 +582,56 @@ class TestCrossScopeIsolationRule:
 
 
 # ----------------------------------------------------------------------
-# RPR008 — the handler cross-check half (pure AST, no engine import)
+# RPR008 — guarded trace calls and reservation release in generated source
 # ----------------------------------------------------------------------
 
-class TestKernelAuditCrossCheck:
-    def test_unmodeled_handler_counter_is_drift(self, tmp_path):
-        # A scanned machine.py whose route() grows a counter family the
-        # audit table does not model must fail the audit itself.
-        root = write_package(tmp_path, {
-            "repro/runtime/kernels.py": "KERNEL_VERSION = 2\n",
-            "repro/runtime/machine.py": """\
-                class Machine:
-                    def route(self, comp, stage, dest, ctx):
-                        if self.profiler is not None:
-                            self.profiler.rerouted[stage] += 1
-                        return True
-                """,
-        })
-        result = analyze([root])
-        drift = [f for f in result.findings
-                 if f.rule == "RPR008" and "audit-drift" in f.pattern]
-        assert drift
-        assert "rerouted" in drift[0].message
+class TestKernelAudit:
+    @staticmethod
+    def kernel_sources():
+        """``{hop kind: generated source}`` of one real two-hop plan."""
+        from repro import ClusterConfig, uniform_random_graph
+        from repro.runtime import PgxdAsyncEngine
 
-    def test_modeled_handlers_no_drift(self, tmp_path):
-        root = write_package(tmp_path, {
-            "repro/runtime/kernels.py": "KERNEL_VERSION = 2\n",
-            "repro/runtime/machine.py": """\
-                class Machine:
-                    def route(self, comp, stage, dest, ctx):
-                        if self.profiler is not None:
-                            self.profiler.emitted[stage] += 1
-                        return True
-                """,
-        })
-        result = analyze([root])
-        assert not any("audit-drift" in f.pattern
-                       for f in result.findings)
+        graph = uniform_random_graph(40, 160, seed=1, num_types=2)
+        engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
+        plan = engine.plan("SELECT a, b WHERE (a)-[]->(b)")
+        return {
+            stage.hop.kind.value: kernel.__source__
+            for stage, kernel in zip(plan.stages,
+                                     plan.bulk_kernels().stage_kernels)
+        }
+
+    @staticmethod
+    def audit(source):
+        from repro.analysis.kernel_audit import _audit_kernel_source
+
+        return [pattern for _message, pattern in
+                _audit_kernel_source("fixture", "fixture", 0, source)]
+
+    def test_generated_sources_are_clean(self):
+        for source in self.kernel_sources().values():
+            assert self.audit(source) == []
+
+    def test_unguarded_trace_emit_is_flagged(self):
+        source = self.kernel_sources()["output"]
+        guard = "if trace is not None:"
+        assert source.count(guard) == 1
+        mutated = source.replace(guard, "if True:")
+        assert self.audit(mutated) == ["kernel-audit:fixture:0:trace-guard"]
+
+    def test_leaked_reservation_is_flagged(self):
+        source = self.kernel_sources()["neighbor"]
+        lines = source.splitlines()
+        releases = [index for index, line in enumerate(lines)
+                    if "rt.end_batch(" in line]
+        # Drop the release on the budget exit (the last one emitted).
+        del lines[releases[-1]]
+        assert self.audit("\n".join(lines) + "\n") \
+            == ["kernel-audit:fixture:0:reserve-leak"]
 
     def test_real_tree_audit_is_clean(self):
-        # The full self-host including the dynamic compile-audit runs in
-        # CI over src/repro; here just pin the real handler modules
-        # against the cross-check table.
+        # The self-host over the runtime package, including the
+        # compile-audit of the whole bench plan matrix.
         root = SRC_REPRO
         result = analyze(
             [str(root / "runtime"), str(root / "bench.py")],

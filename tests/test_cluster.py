@@ -3,14 +3,11 @@
 import pytest
 
 from repro.cluster import (
-    CallbackTask,
     ClusterConfig,
     MachineMetrics,
     Network,
     QueryMetrics,
     Simulator,
-    TaskQueue,
-    TaskState,
 )
 from repro.errors import ClusterConfigError, RuntimeFault
 
@@ -133,18 +130,36 @@ class TestNetwork:
         assert [envelope.payload for envelope in due] == ["late"]
 
 
-class TestTaskQueue:
-    def test_head_skips_done(self):
-        queue = TaskQueue()
-        first = CallbackTask("a", lambda worker, budget: (0, True))
-        second = CallbackTask("b", lambda worker, budget: (1, False))
-        queue.push(first)
-        queue.push(second)
-        assert queue.head() is first
-        first.poll(None, 10)
-        assert first.state is TaskState.DONE
-        assert queue.head() is second
-        assert len(queue) == 1
+class TestWorkerStepPhases:
+    def test_finished_machine_idles_without_entering_worker(
+            self, monkeypatch):
+        """Bootstrap and await-completion are phases of worker_step;
+        past them a slice is one idle tick and no DOWORK scan."""
+        from repro import uniform_random_graph
+        from repro.context import ExecutionContext
+        from repro.runtime import PgxdAsyncEngine
+        from repro.runtime.worker import Worker
+
+        graph = uniform_random_graph(60, 240, seed=3)
+        engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
+        plan = engine.plan("SELECT a, b WHERE (a)-[]->(b)")
+        simulator, machines = engine.prepare_execution(
+            plan, ExecutionContext()
+        )
+        simulator.run()
+        machine = machines[0]
+        assert machine.is_finished()
+        # The await-completion phase ends on the first slice that sees
+        # every stage globally complete; that slice still polls DOWORK.
+        machine.worker_step(0, 100)
+
+        def entered(self, budget):
+            raise AssertionError("Worker.step entered after completion")
+
+        monkeypatch.setattr(Worker, "step", entered)
+        idle_before = machine.metrics.idle_ticks
+        assert machine.worker_step(0, 100) == 0
+        assert machine.metrics.idle_ticks == idle_before + 1
 
 
 class _CountdownMachine:

@@ -4,8 +4,9 @@ The compiled kernels (:mod:`repro.runtime.kernels`) are a pure
 performance layer: every deterministic quantity — result rows, ticks,
 total micro-ops, visits/passes, the stage profile — must be bit-identical
 to the micro-stepped reference path.  These tests run the full benchmark
-matrix (and a chaos-injected run) both ways and diff everything, then
-property-test the batch reservation API that lets kernels pre-admit
+matrix (and chaos-injected and window-starved runs) both ways and diff
+everything, per-machine ``scanned``/``emitted`` profile views included,
+then property-test the batch reservation API that lets kernels pre-admit
 whole remote batches without breaking the flow-control memory bound.
 """
 
@@ -13,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, run_query, uniform_random_graph
-from repro.bench import WORKLOADS, run_workload
+from repro import ClusterConfig, PlannerOptions, run_query, \
+    uniform_random_graph
+from repro.bench import WORKLOADS, run_workload, workload_setup
 from repro.chaos import profile
+from repro.errors import RuntimeFault
 from repro.runtime.flow_control import FlowControl
+from repro.runtime.machine import QueryMachine
 
 #: Per-run measurements that legitimately differ between the two paths.
 _NONDETERMINISTIC = ("wall_time_seconds", "throughput_ops_per_sec")
@@ -30,6 +34,31 @@ def _deterministic(record):
     }
 
 
+def _views(result):
+    return [view.to_dict() for view in result.profiler.views()]
+
+
+def _both_ways(graph, query, **config):
+    """*query* with profiling on, kernels on and off."""
+    return [
+        run_query(
+            graph, query,
+            ClusterConfig(num_machines=4, bulk_kernels=bulk_kernels,
+                          **config),
+            options=PlannerOptions(profile=True),
+        )
+        for bulk_kernels in (True, False)
+    ]
+
+
+def _assert_identical(on, off):
+    assert on.rows == off.rows
+    assert on.metrics.ticks == off.metrics.ticks
+    assert on.metrics.total_ops == off.metrics.total_ops
+    assert on.stage_profile == off.stage_profile
+    assert _views(on) == _views(off)
+
+
 class TestDifferentialParity:
     """Kernels on vs. off over every benchmark workload."""
 
@@ -41,20 +70,26 @@ class TestDifferentialParity:
         micro = _deterministic(run_workload(key, spec, bulk_kernels=False))
         assert bulk == micro
 
+    @pytest.mark.parametrize(
+        "key,spec", WORKLOADS, ids=[key for key, _ in WORKLOADS]
+    )
+    def test_workload_profiles_identical(self, key, spec):
+        """Every stage counter, per machine, on every matrix plan."""
+        views = []
+        for bulk_kernels in (True, False):
+            engine, queries, options = workload_setup(
+                spec, bulk_kernels=bulk_kernels
+            )
+            options.profile = True
+            views.append([
+                _views(engine.query(query, options)) for query in queries
+            ])
+        assert views[0] == views[1]
+
     def test_result_rows_identical(self):
         graph = uniform_random_graph(200, 1_000, seed=13, num_types=4)
         query = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c), a.type = 1"
-        results = {}
-        for bulk_kernels in (True, False):
-            config = ClusterConfig(num_machines=4, bulk_kernels=bulk_kernels)
-            results[bulk_kernels] = run_query(graph, query, config)
-        assert results[True].rows == results[False].rows
-        assert results[True].metrics.ticks == results[False].metrics.ticks
-        assert (
-            results[True].metrics.total_ops
-            == results[False].metrics.total_ops
-        )
-        assert results[True].stage_profile == results[False].stage_profile
+        _assert_identical(*_both_ways(graph, query))
 
     def test_fast_path_actually_engaged(self):
         graph = uniform_random_graph(100, 500, seed=5, num_types=3)
@@ -72,20 +107,37 @@ class TestDifferentialParity:
         """Fault injection + reliability, kernels on vs. off."""
         graph = uniform_random_graph(200, 1_200, seed=21, num_types=4)
         query = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c), a.type = 1"
-        results = {}
-        for bulk_kernels in (True, False):
-            config = ClusterConfig(
-                num_machines=4,
-                chaos=profile("soak", seed=7),
-                reliability=True,
-                bulk_kernels=bulk_kernels,
-            )
-            results[bulk_kernels] = run_query(graph, query, config)
-        on, off = results[True], results[False]
-        assert on.rows == off.rows
-        assert on.metrics.ticks == off.metrics.ticks
-        assert on.metrics.total_ops == off.metrics.total_ops
-        assert on.stage_profile == off.stage_profile
+        _assert_identical(*_both_ways(
+            graph, query, chaos=profile("soak", seed=7), reliability=True,
+        ))
+
+    def test_window_starved_run_identical(self):
+        """Refused reservations: the kernels' route fallback parks at
+        the same item the cursor path does."""
+        graph = uniform_random_graph(200, 1_200, seed=21, num_types=4)
+        query = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c)"
+        on, off = _both_ways(
+            graph, query, flow_control_window=1, bulk_message_size=4,
+        )
+        assert on.metrics.flow_control_blocks > 0
+        assert (
+            on.metrics.flow_control_blocks == off.metrics.flow_control_blocks
+        )
+        _assert_identical(on, off)
+
+    def test_route_fallback_never_admits(self, monkeypatch):
+        """After a zero grant the NEIGHBOR kernel calls ``route`` only
+        for the refusal's side effects and then replays the item; an
+        admission there would ship it twice.  Zero grants forced while
+        the window is open must fault instead."""
+        monkeypatch.setattr(
+            QueryMachine, "reserve_items",
+            lambda self, stage, dest, want: 0,
+        )
+        graph = uniform_random_graph(100, 500, seed=5, num_types=3)
+        with pytest.raises(RuntimeFault, match="route admitted"):
+            run_query(graph, "SELECT a, b WHERE (a)-[]->(b)",
+                      ClusterConfig(num_machines=2))
 
 
 # ----------------------------------------------------------------------

@@ -394,16 +394,6 @@ class TestEngineIntegration:
 
 
 class TestExecutionContext:
-    def test_legacy_kwargs_match_context(self, random_graph):
-        engine = _engine(random_graph)
-        plan = engine.plan(QUERIES[0])
-        via_kwargs = engine.execute_plan(plan, deadline=10**9)
-        via_context = engine.execute_plan(
-            plan, ExecutionContext(deadline=10**9)
-        )
-        assert via_kwargs.rows == via_context.rows
-        assert via_kwargs.metrics.ticks == via_context.metrics.ticks
-
     def test_rejects_non_context(self, random_graph):
         engine = _engine(random_graph)
         plan = engine.plan(QUERIES[0])
