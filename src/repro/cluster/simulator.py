@@ -401,6 +401,7 @@ class Simulator:
                 candidates.append(deadline)
             if candidates:
                 self.now = max(self.now + 1, min(candidates))
+                self._check_max_ticks()
                 return False
             if all(machine.is_finished() for machine in machines):
                 return True
@@ -409,9 +410,12 @@ class Simulator:
                 "no messages in flight, not finished" % self.now
             )
         self.now += 1
-        if self.now > config.max_ticks:
-            raise RuntimeFault("simulation exceeded max_ticks")
+        self._check_max_ticks()
         return False
+
+    def _check_max_ticks(self):
+        if self.now > self._config.max_ticks:
+            raise RuntimeFault("simulation exceeded max_ticks")
 
     def finish(self, wall_time_seconds=0.0):
         """Seal a completed run; returns its :class:`QueryMetrics`."""

@@ -66,7 +66,10 @@ class FlowControl:
         Identical to :meth:`can_send` whenever no reservation is held,
         i.e. everywhere outside an in-progress bulk kernel.
         """
-        return self._reserved[stage][dest] > 0 or self.can_send(stage, dest)
+        reserved = self._reserved[stage][dest]
+        return reserved > 0 or (
+            self._inflight[stage][dest] + reserved < self._limit[stage][dest]
+        )
 
     def on_send(self, stage, dest):
         reserved = self._reserved[stage]

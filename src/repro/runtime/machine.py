@@ -167,6 +167,13 @@ class QueryMachine:
         self._acked_seqs = set()
         self._quota_rr = 0
         self._phase = _BOOTSTRAP
+        #: Quiescence latch: one bit per worker that has not yet had a
+        #: pure-idle slice since the machine's state last changed.  At
+        #: zero the state is a fixed point of ``worker_step`` (every
+        #: worker scanned it and found nothing to do, send or complete),
+        #: so slices stay idle until ``on_message`` sets the bits again.
+        self._all_workers = (1 << config.workers_per_machine) - 1
+        self._awake = self._all_workers
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -203,10 +210,14 @@ class QueryMachine:
     # ------------------------------------------------------------------
     def worker_step(self, worker_index, budget):
         phase = self._phase
-        if phase == _DONE:
+        if not self._awake or phase == _DONE:
             self.metrics.idle_ticks += 1
             return 0
         worker = self._workers[worker_index]
+        metrics = self.metrics
+        sent = metrics.work_messages_sent + metrics.control_messages_sent
+        completions_from = self._completions_from
+        waiting_for_seq = worker.waiting_for_seq
         # Worker.step accounts real ops into the metrics itself; the
         # returned value is the time slice consumed (for idleness).
         used = worker.step(budget)
@@ -221,11 +232,28 @@ class QueryMachine:
             worker.waiting_for_seq = self._sync_wait
             self._sync_wait = None
         if used == 0:
-            self.metrics.idle_ticks += 1
+            metrics.idle_ticks += 1
         self._attempt_completions()
+        # Pure-idle slice: nothing ran, nothing was sent (every send a
+        # slice can make bumps one of the two message counters) and no
+        # protocol state moved, so repeating it on this state would be
+        # the same no-op.  Anything else re-arms every worker.
+        if (
+            used == 0
+            and not worker.ran_computation
+            and self._phase == phase
+            and self._completions_from == completions_from
+            and worker.waiting_for_seq == waiting_for_seq
+            and metrics.work_messages_sent
+            + metrics.control_messages_sent == sent
+        ):
+            self._awake &= ~(1 << worker_index)
+        else:
+            self._awake = self._all_workers
         return used
 
     def on_message(self, src, payload):
+        self._awake = self._all_workers
         if self._reliable:
             # The transport dedups/reorders; only in-order application
             # payloads (possibly several, when a frame fills a gap)
@@ -555,9 +583,16 @@ class QueryMachine:
         stable sort over ``self._outgoing`` produced.
         """
         ops = 0
+        can_flush = self.flow.can_flush
         for stage in range(self.plan.num_stages - 1, -1, -1):
             for dest, buffer in self._outgoing_by_stage[stage]:
-                if buffer and self._flush_buffer(stage, dest, buffer):
+                # Window check first: idle scans mostly meet full
+                # buffers whose window is still closed.
+                if (
+                    buffer
+                    and can_flush(stage, dest)
+                    and self._flush_buffer(stage, dest, buffer)
+                ):
                     ops += self.config.message_send_cost
         return ops
 
@@ -605,7 +640,7 @@ class QueryMachine:
             if not outbuf_empty:
                 # Try to push the stragglers out right now.
                 for dest, buffer in self._outgoing_by_stage[stage + 1]:
-                    if buffer:
+                    if buffer and self.flow.can_flush(stage + 1, dest):
                         self._flush_buffer(stage + 1, dest, buffer)
                 outbuf_empty = self._outbuf_empty_for(stage + 1)
             if not self.termination.newly_completable(

@@ -30,20 +30,28 @@ class TerminationTracker:
         #: completed[n] = set of machines known to have completed stage n.
         self._completed = [set() for _ in range(num_stages)]
         self._sent = [False] * num_stages
-        #: Latched true by :meth:`all_complete`; completion sets only
-        #: ever grow, so once everything is complete it stays complete.
-        self._all_complete = False
+        #: Number of stages whose completion set is full.  Sets only
+        #: ever grow, so this only counts up and :meth:`all_complete`
+        #: is one compare however often it is polled.
+        self._stages_complete = 0
 
     # ------------------------------------------------------------------
     def on_completed(self, stage, machine):
-        self._completed[stage].add(machine)
+        self._record(stage, machine)
+
+    def _record(self, stage, machine):
+        done = self._completed[stage]
+        if machine not in done:  # reliability may replay a COMPLETED
+            done.add(machine)
+            if len(done) == self._num_machines:
+                self._stages_complete += 1
 
     def sent(self, stage):
         return self._sent[stage]
 
     def mark_sent(self, stage):
         self._sent[stage] = True
-        self._completed[stage].add(self._machine_id)
+        self._record(stage, self._machine_id)
 
     def stage_globally_complete(self, stage):
         return len(self._completed[stage]) == self._num_machines
@@ -55,14 +63,7 @@ class TerminationTracker:
         return self.stage_globally_complete(stage - 1)
 
     def all_complete(self):
-        if self._all_complete:
-            return True
-        if all(
-            len(done) == self._num_machines for done in self._completed
-        ):
-            self._all_complete = True
-            return True
-        return False
+        return self._stages_complete == self._num_stages
 
     def progress_summary(self):
         """Compact per-stage completion snapshot, e.g. ``"stages

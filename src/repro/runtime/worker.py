@@ -222,7 +222,8 @@ class Worker:
     """One simulated worker thread: per-root-stage computation slots plus
     the descending-stage DOWORK loop of paper Figure 4."""
 
-    __slots__ = ("rt", "index", "slots", "waiting_for_seq", "debt")
+    __slots__ = ("rt", "index", "slots", "waiting_for_seq", "debt",
+                 "ran_computation")
 
     def __init__(self, rt, index):
         self.rt = rt
@@ -235,6 +236,10 @@ class Worker:
         #: indivisible operation may overshoot); repaid before new work so
         #: the long-run rate never exceeds ``ops_per_tick``.
         self.debt = 0
+        #: Whether the latest :meth:`step` entered ``run_computation`` —
+        #: a zero-op run can still retire a slot or unpark a
+        #: computation, so the machine's quiescence latch needs to know.
+        self.ran_computation = False
 
     def step(self, budget):
         """Run up to *budget* micro-op time units; returns time consumed.
@@ -243,6 +248,7 @@ class Worker:
         value is the slice of the tick spent (0 = fully idle).
         """
         rt = self.rt
+        self.ran_computation = False
         if self.debt >= budget:
             self.debt -= budget
             return budget  # the whole slice repays earlier overshoot
@@ -313,6 +319,7 @@ class Worker:
                         rt.api.now, rt.machine_id, stage, dest
                     ))
 
+            self.ran_computation = True
             ops, status = run_computation(rt, comp, budget)
             if status is RunStatus.DONE:
                 self.slots[stage_index] = None

@@ -71,6 +71,22 @@ class _StuckMachine:
         return False  # never
 
 
+class _TimerOnlyMachine(_StuckMachine):
+    """Idle forever, but always with a timer pending 1000 ticks out."""
+
+    uses_tick_hook = True
+
+    def __init__(self, api):
+        super().__init__(api)
+        self.api = api
+
+    def on_tick(self, now):
+        pass
+
+    def next_timer_tick(self):
+        return self.api.now + 1000
+
+
 class TestDeadlockDetection:
     def test_idle_unfinished_raises(self):
         config = ClusterConfig(num_machines=1)
@@ -78,6 +94,18 @@ class TestDeadlockDetection:
         simulator.attach([_StuckMachine(simulator.api_for(0))])
         with pytest.raises(RuntimeFault):
             simulator.run()
+
+    def test_fast_forward_respects_max_ticks(self):
+        """An idle run that always has a timer to jump to must still
+        trip the safety valve instead of fast-forwarding for ever."""
+        config = ClusterConfig(num_machines=1, max_ticks=10_000)
+        simulator = Simulator(config)
+        simulator.attach([_TimerOnlyMachine(simulator.api_for(0))])
+        simulator.start()
+        with pytest.raises(RuntimeFault, match="max_ticks"):
+            for _ in range(50):
+                simulator.step()
+        assert simulator.now <= 10_000 + 1000
 
 
 class _BusyMachine:
