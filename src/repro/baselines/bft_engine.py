@@ -25,11 +25,11 @@ from repro.cluster.metrics import QueryMetrics
 from repro.engine_api import Engine
 from repro.errors import PlanError
 from repro.graph.distributed import DistributedGraph
-from repro.graph.types import Direction
-from repro.plan import PlannerOptions, plan_query
+from repro.plan import plan_query
 from repro.plan.distributed import HopKind
 from repro.runtime.aggregation import finalize
 from repro.runtime.engine import QueryResult
+from repro.runtime.hops import RESULT, AllScanItem, hop_steps, vertex_function
 
 #: Fixed cost (ticks) of a global barrier, covering the synchronization
 #: round-trips of a bulk-synchronous step.
@@ -41,29 +41,24 @@ class BftEngine(Engine):
 
     def __init__(self, graph, config=None, partitioner=None):
         self.config = config or ClusterConfig()
-        if isinstance(graph, DistributedGraph):
-            self.dist_graph = graph
-        else:
-            self.dist_graph = DistributedGraph.create(
-                graph, self.config.num_machines, partitioner=partitioner
-            )
+        self.dist_graph = DistributedGraph.for_cluster(
+            graph, self.config.num_machines, partitioner=partitioner
+        )
         self.graph = self.dist_graph.graph
 
-    def query(self, query, options=None):
-        if isinstance(query, str):
-            from repro.pgql import parse_and_validate
-
-            query = parse_and_validate(query)
-        from repro.plan.paths import has_quantified_paths
-
-        if has_quantified_paths(query):
-            from repro.runtime.engine import execute_union
-
-            return execute_union(query, options, self.query)
-        plan = plan_query(query, self.graph, options or PlannerOptions())
-        return self.execute_plan(plan)
+    def _run(self, query, options, context):
+        return self.execute_plan(plan_query(query, self.graph, options))
 
     def execute_plan(self, plan):
+        for stage in plan.stages:
+            if stage.hop.kind in (HopKind.CN_COLLECT, HopKind.CN_PROBE):
+                raise PlanError(
+                    "the BFT baseline does not support hop kind %r "
+                    "(plan with use_common_neighbors=False)"
+                    % (stage.hop.kind,)
+                )
+        graph = self.graph
+        dist_graph = self.dist_graph
         num_machines = self.config.num_machines
         workers = self.config.workers_per_machine
         ops_per_tick = self.config.ops_per_tick
@@ -73,13 +68,13 @@ class BftEngine(Engine):
         root = plan.root
         if root.single_vertex_id is not None:
             origin = root.single_vertex_id
-            if 0 <= origin < self.graph.num_vertices:
-                frontier[self.dist_graph.owner(origin)].append((origin,))
+            if 0 <= origin < graph.num_vertices:
+                frontier[dist_graph.owner(origin)].append((origin,))
         else:
             for machine in range(num_machines):
-                local = self.dist_graph.local(machine)
                 frontier[machine] = [
-                    (int(vertex),) for vertex in local.local_vertices()
+                    (vertex,) for vertex in
+                    dist_graph.local(machine).local_vertices().tolist()
                 ]
 
         ticks = 0
@@ -88,23 +83,46 @@ class BftEngine(Engine):
         rows_out = []
 
         for stage in plan.stages:
+            # One superstep: every machine runs the stage on its whole
+            # frontier; continuations wait at the barrier in the owner's
+            # next frontier.
+            hop = stage.hop
             next_frontier = defaultdict(list)
             machine_ops = [0] * num_machines
-            exchanged = 0
             for machine in range(num_machines):
-                local = self.dist_graph.local(machine)
+                local = dist_graph.local(machine)
+                ops = 0
                 for ctx in frontier[machine]:
-                    machine_ops[machine] += self._expand(
-                        plan, stage, ctx, local, next_frontier, rows_out
-                    )
+                    vertex = ctx[stage.vertex_slot]
+                    ops += stage.work_cost
+                    ctx = vertex_function(graph, local, stage, ctx, vertex)
+                    if ctx is None:
+                        continue
+                    for _scanned, target, item in hop_steps(
+                        graph, local, hop, ctx, vertex, num_machines
+                    ):
+                        ops += hop.work_cost
+                        if item is None:
+                            continue
+                        if item is RESULT:
+                            rows_out.append(ctx)
+                        elif item.__class__ is AllScanItem:
+                            peer = dist_graph.local(item.dest)
+                            for target in peer.local_vertices().tolist():
+                                ops += 1
+                                next_frontier[item.dest].append(
+                                    item.ctx + (target,)
+                                )
+                        else:
+                            next_frontier[local.owner(target)].append(item)
+                machine_ops[machine] = ops
             total_ops += sum(machine_ops)
             compute_ticks = -(-max(machine_ops, default=0)
                               // (workers * ops_per_tick))
             ticks += compute_ticks + BARRIER_TICKS
-            if stage.hop.kind is not HopKind.OUTPUT and num_machines > 1:
+            if hop.kind is not HopKind.OUTPUT and num_machines > 1:
                 exchanged = sum(
-                    len(rows)
-                    for machine, rows in next_frontier.items()
+                    len(rows) for rows in next_frontier.values()
                 )
                 ticks += self.config.network_latency
                 if self.config.network_bandwidth:
@@ -127,91 +145,3 @@ class BftEngine(Engine):
             peak_buffered_contexts=peak_intermediate,
         )
         return QueryResult(result_set, metrics, plan)
-
-    # ------------------------------------------------------------------
-    def _expand(self, plan, stage, ctx, local, next_frontier, rows_out):
-        """Run one stage on one context; returns micro-ops performed."""
-        graph = self.graph
-        vertex = ctx[stage.vertex_slot]
-        ops = stage.work_cost
-
-        if stage.label_id is not None and \
-                graph.vertex_label(vertex) != stage.label_id:
-            return ops
-        for slot in stage.iso_vertex_slots:
-            if ctx[slot] == vertex:
-                return ops
-        if stage.filter is not None and not stage.filter(ctx, vertex, -1):
-            return ops
-        for slot in stage.forbidden_slots:
-            if graph.edges_between(vertex, ctx[slot]):
-                return ops
-        if stage.captures:
-            ctx = ctx + tuple(capture(vertex) for capture in stage.captures)
-
-        hop = stage.hop
-        kind = hop.kind
-        if kind is HopKind.OUTPUT:
-            rows_out.append(ctx)
-            return ops + 1
-        if kind is HopKind.NEIGHBOR:
-            if hop.direction is Direction.OUT:
-                neighbors, edge_ids = local.out_edges(vertex)
-            else:
-                neighbors, edge_ids = local.in_edges(vertex)
-            for target, eid in zip(neighbors, edge_ids):
-                ops += hop.work_cost
-                target = int(target)
-                eid = int(eid)
-                if not self._edge_ok(hop, ctx, vertex, eid):
-                    continue
-                out_ctx = self._extend(hop, ctx, eid, target)
-                next_frontier[local.owner(target)].append(out_ctx)
-            return ops
-        if kind is HopKind.VERTEX:
-            target = ctx[hop.target_slot]
-            if hop.edge_req_orientation is None:
-                next_frontier[local.owner(target)].append(ctx)
-                return ops + 1
-            if hop.edge_req_orientation == "current_to_target":
-                edge_ids = local.edges_between(vertex, target)
-            else:
-                edge_ids = local.in_edges_from(vertex, target)
-            for eid in edge_ids:
-                ops += hop.work_cost
-                if not self._edge_ok(hop, ctx, vertex, eid):
-                    continue
-                out_ctx = self._extend(hop, ctx, eid, None)
-                next_frontier[local.owner(target)].append(out_ctx)
-            return ops
-        if kind is HopKind.ALL_VERTICES:
-            # Cartesian restart: the context fans out to every vertex.
-            for machine in range(self.config.num_machines):
-                peer = self.dist_graph.local(machine)
-                for target in peer.local_vertices():
-                    ops += 1
-                    next_frontier[machine].append(ctx + (int(target),))
-            return ops
-        raise PlanError(
-            "the BFT baseline does not support hop kind %r "
-            "(plan with use_common_neighbors=False)" % (kind,)
-        )
-
-    def _edge_ok(self, hop, ctx, vertex, eid):
-        if hop.edge_label_id is not None and \
-                self.graph.edge_label(eid) != hop.edge_label_id:
-            return False
-        for slot in hop.iso_edge_slots:
-            if ctx[slot] == eid:
-                return False
-        if hop.edge_filter is not None and \
-                not hop.edge_filter(ctx, vertex, eid):
-            return False
-        return True
-
-    def _extend(self, hop, ctx, eid, target):
-        if hop.edge_captures:
-            ctx = ctx + tuple(capture(eid) for capture in hop.edge_captures)
-        if target is not None and hop.appends_target_id:
-            ctx = ctx + (target,)
-        return ctx

@@ -21,10 +21,7 @@ from repro.cluster.metrics import QueryMetrics
 from repro.engine_api import Engine
 from repro.errors import PlanError
 from repro.graph.types import Direction
-from repro.pgql import parse_and_validate
-from repro.pgql.ast import Query
 from repro.pgql.expressions import EvalEnv, evaluate
-from repro.plan import PlannerOptions
 from repro.plan.logical import (
     CartesianRootMatch,
     CommonNeighborMatch,
@@ -85,18 +82,7 @@ class JoinEngine(Engine):
             self._by_src[src].append((eid, dst))
             self._by_dst[dst].append((eid, src))
 
-    def query(self, query, options=None):
-        options = options or PlannerOptions()
-        if isinstance(query, str):
-            query = parse_and_validate(query)
-        elif not isinstance(query, Query):
-            raise TypeError("expected PGQL text or a parsed Query")
-        from repro.plan.paths import has_quantified_paths
-
-        if has_quantified_paths(query):
-            from repro.runtime.engine import execute_union
-
-            return execute_union(query, options, self.query)
+    def _run(self, query, options, context):
         if options.semantics is not MatchSemantics.HOMOMORPHISM:
             raise PlanError("the join baseline implements homomorphism only")
         from repro.pgql.expressions import contains_aggregate

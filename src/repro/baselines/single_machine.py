@@ -1,12 +1,13 @@
 """Shared-memory single-machine matcher (the paper's "PGX" baseline).
 
 Figure 5 of the paper normalizes PGX.D/Async runtimes to single-machine
-PGX.  This engine plays that role: it executes the same compiled
-execution plan with a plain depth-first traversal over the whole graph —
-no partitioning, no messages, no flow control, no termination protocol —
-and models time as ``ops / (workers * ops_per_tick)`` (perfect intra-
-machine parallelism, which flatters the baseline exactly like a mature
-shared-memory engine would).
+PGX.  This engine plays that role: it schedules the same stage
+semantics (``runtime.hops``) over the same compiled execution plan as a
+plain depth-first recursion over the whole graph — no partitioning, no
+messages, no flow control, no termination protocol — and models time as
+``ops / (workers * ops_per_tick)`` (perfect intra-machine parallelism,
+which flatters the baseline exactly like a mature shared-memory engine
+would).
 
 It is also the correctness oracle for the distributed engine's tests:
 both engines must produce identical result multisets.
@@ -15,25 +16,16 @@ both engines must produce identical result multisets.
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import QueryMetrics
 from repro.engine_api import Engine
-from repro.plan import PlannerOptions, plan_query
-from repro.plan.distributed import HopKind
+from repro.plan import plan_query
 from repro.runtime.aggregation import finalize
 from repro.runtime.engine import QueryResult
-
-
-class _Stats:
-    __slots__ = ("ops", "live_frames", "peak_frames", "results")
-
-    def __init__(self):
-        self.ops = 0
-        self.live_frames = 0
-        self.peak_frames = 0
-        self.results = 0
-
-    def frame(self, delta):
-        self.live_frames += delta
-        if self.live_frames > self.peak_frames:
-            self.peak_frames = self.live_frames
+from repro.runtime.hops import (
+    RESULT,
+    AllScanItem,
+    CNItem,
+    hop_steps,
+    vertex_function,
+)
 
 
 class SharedMemoryEngine(Engine):
@@ -43,181 +35,71 @@ class SharedMemoryEngine(Engine):
         self.graph = graph
         self.config = config or ClusterConfig(num_machines=1)
 
-    def query(self, query, options=None):
-        if isinstance(query, str):
-            from repro.pgql import parse_and_validate
-
-            query = parse_and_validate(query)
-        from repro.plan.paths import has_quantified_paths
-
-        if has_quantified_paths(query):
-            from repro.runtime.engine import execute_union
-
-            return execute_union(query, options, self.query)
-        plan = plan_query(query, self.graph, options or PlannerOptions())
-        return self.execute_plan(plan)
+    def _run(self, query, options, context):
+        return self.execute_plan(plan_query(query, self.graph, options))
 
     def execute_plan(self, plan):
-        stats = _Stats()
+        graph = self.graph
+        stages = plan.stages
         rows = []
-        roots = self._root_vertices(plan)
+        ops = live_frames = peak_frames = 0
+
+        def visit(index, ctx, vertex, candidates=()):
+            """One stage at one vertex, then depth-first into every
+            continuation its hop produces.
+
+            Reaching a vertex is paid for by the step that produced it,
+            so the vertex function is charged ``work_cost - 1``.
+            """
+            nonlocal ops, live_frames, peak_frames
+            stage = stages[index]
+            hop = stage.hop
+            live_frames += 1
+            if live_frames > peak_frames:
+                peak_frames = live_frames
+            ops += stage.work_cost - 1
+            ctx = vertex_function(graph, graph, stage, ctx, vertex)
+            if ctx is not None:
+                for _scanned, target, item in hop_steps(
+                    graph, graph, hop, ctx, vertex, candidates=candidates
+                ):
+                    ops += hop.work_cost
+                    if item is None:
+                        continue
+                    if item is RESULT:
+                        rows.append(ctx)
+                    elif item.__class__ is AllScanItem:
+                        for target in graph.vertices():
+                            ops += 1
+                            visit(index + 1, item.ctx + (target,), target)
+                    elif item.__class__ is CNItem:
+                        visit(index + 1, item.ctx, target, item.candidates)
+                    else:
+                        visit(index + 1, item, target)
+            live_frames -= 1
+
+        root = plan.root.single_vertex_id
+        if root is None:
+            roots = graph.vertices()
+        else:
+            roots = [root] if 0 <= root < graph.num_vertices else []
         for vertex in roots:
-            stats.ops += 1
-            self._run_vertex(plan, 0, (vertex,), vertex, rows, stats)
+            ops += 1
+            visit(0, (vertex,), vertex)
         result_set = finalize(
             plan.output,
             rows,
             plan.query.vertex_vars(),
             plan.query.edge_vars(),
         )
-        ticks = -(-stats.ops // (
+        ticks = -(-ops // (
             self.config.workers_per_machine * self.config.ops_per_tick
         ))
         metrics = QueryMetrics(
             ticks=ticks,
             num_machines=1,
-            total_ops=stats.ops,
-            num_results=stats.results,
-            peak_live_frames=stats.peak_frames,
+            total_ops=ops,
+            num_results=len(rows),
+            peak_live_frames=peak_frames,
         )
         return QueryResult(result_set, metrics, plan)
-
-    # ------------------------------------------------------------------
-    def _root_vertices(self, plan):
-        root = plan.root
-        if root.single_vertex_id is not None:
-            if 0 <= root.single_vertex_id < self.graph.num_vertices:
-                return [root.single_vertex_id]
-            return []
-        return self.graph.vertices()
-
-    def _run_vertex(self, plan, stage_index, ctx, vertex, rows, stats):
-        """Vertex function + hop of one stage, recursing depth-first."""
-        graph = self.graph
-        stage = plan.stages[stage_index]
-        stats.frame(1)
-        stats.ops += stage.work_cost - 1
-        try:
-            if stage.label_id is not None and \
-                    graph.vertex_label(vertex) != stage.label_id:
-                return
-            for slot in stage.iso_vertex_slots:
-                if ctx[slot] == vertex:
-                    return
-            if stage.filter is not None and not stage.filter(ctx, vertex, -1):
-                return
-            for slot in stage.forbidden_slots:
-                if graph.edges_between(vertex, ctx[slot]):
-                    return
-            if stage.captures:
-                ctx = ctx + tuple(
-                    capture(vertex) for capture in stage.captures
-                )
-            self._run_hop(plan, stage, ctx, vertex, rows, stats)
-        finally:
-            stats.frame(-1)
-
-    def _run_hop(self, plan, stage, ctx, vertex, rows, stats):
-        graph = self.graph
-        hop = stage.hop
-        kind = hop.kind
-        next_index = stage.index + 1
-
-        if kind is HopKind.OUTPUT:
-            stats.ops += 1
-            stats.results += 1
-            rows.append(ctx)
-            return
-
-        if kind is HopKind.NEIGHBOR:
-            from repro.graph.types import Direction
-
-            if hop.direction is Direction.OUT:
-                neighbors, edge_ids = graph.out_edges(vertex)
-            else:
-                neighbors, edge_ids = graph.in_edges(vertex)
-            for target, eid in zip(neighbors, edge_ids):
-                stats.ops += hop.work_cost
-                target = int(target)
-                eid = int(eid)
-                if not self._edge_ok(hop, ctx, vertex, eid):
-                    continue
-                out_ctx = self._extend(hop, ctx, eid, target)
-                self._run_vertex(plan, next_index, out_ctx, target, rows,
-                                 stats)
-            return
-
-        if kind is HopKind.VERTEX:
-            target = ctx[hop.target_slot]
-            if hop.edge_req_orientation is None:
-                stats.ops += 1
-                self._run_vertex(plan, next_index, ctx, target, rows, stats)
-                return
-            if hop.edge_req_orientation == "current_to_target":
-                edge_ids = graph.edges_between(vertex, target)
-            else:
-                edge_ids = graph.in_edges_from(vertex, target)
-            for eid in edge_ids:
-                stats.ops += hop.work_cost
-                if not self._edge_ok(hop, ctx, vertex, eid):
-                    continue
-                out_ctx = self._extend(hop, ctx, eid, None)
-                self._run_vertex(plan, next_index, out_ctx, target, rows,
-                                 stats)
-            return
-
-        if kind is HopKind.ALL_VERTICES:
-            for target in graph.vertices():
-                stats.ops += 1
-                self._run_vertex(plan, next_index, ctx + (target,), target,
-                                 rows, stats)
-            return
-
-        if kind is HopKind.CN_COLLECT:
-            # Shared memory: run collect + probe inline.
-            probe_stage = plan.stages[next_index]
-            probe_vertex = ctx[probe_stage.vertex_slot]
-            probe_hop = probe_stage.hop
-            neighbors, edge_ids = graph.out_edges(vertex)
-            for target, eid in zip(neighbors, edge_ids):
-                stats.ops += 1
-                target = int(target)
-                eid = int(eid)
-                if not self._edge_ok(hop, ctx, vertex, eid):
-                    continue
-                appendix = tuple(
-                    capture(eid) for capture in hop.edge_captures
-                )
-                for probe_eid in graph.edges_between(probe_vertex, target):
-                    stats.ops += 1
-                    base_ctx = ctx + appendix
-                    if not self._edge_ok(probe_hop, base_ctx, probe_vertex,
-                                         probe_eid):
-                        continue
-                    out_ctx = self._extend(probe_hop, base_ctx, probe_eid,
-                                           target)
-                    self._run_vertex(plan, next_index + 1, out_ctx, target,
-                                     rows, stats)
-            return
-
-        raise AssertionError("unexpected hop in shared-memory engine: %r"
-                             % (kind,))
-
-    def _edge_ok(self, hop, ctx, vertex, eid):
-        if hop.edge_label_id is not None and \
-                self.graph.edge_label(eid) != hop.edge_label_id:
-            return False
-        for slot in hop.iso_edge_slots:
-            if ctx[slot] == eid:
-                return False
-        if hop.edge_filter is not None and \
-                not hop.edge_filter(ctx, vertex, eid):
-            return False
-        return True
-
-    def _extend(self, hop, ctx, eid, target):
-        if hop.edge_captures:
-            ctx = ctx + tuple(capture(eid) for capture in hop.edge_captures)
-        if target is not None and hop.appends_target_id:
-            ctx = ctx + (target,)
-        return ctx

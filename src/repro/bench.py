@@ -2,25 +2,24 @@
 
 Runs a fixed, seeded workload matrix through the engine and writes one
 ``BENCH_<tag>.json`` document (schema ``repro-bench/1``) recording, per
-workload: wall time, simulated ticks, total micro-ops, result rows, the
-peak buffered-context high-water mark against the flow-control budget,
-and the per-stage profile.  ``--compare`` diffs two documents over their
+workload: simulated ticks, total micro-ops, result rows, the peak
+buffered-context high-water mark against the flow-control budget, and
+the per-stage profile.  ``--compare`` diffs two documents over their
 common workloads and fails (exit code :data:`EXIT_REGRESSION`) when a
-*deterministic* metric regressed by more than the threshold.
+gated metric regressed by more than the threshold.
 
 Two design rules keep comparisons honest:
 
 * the ``--quick`` matrix is a strict subset of the full matrix — same
   graphs, same queries, same cluster shape — so a quick CI run compares
   validly against a full baseline on the common keys;
-* the gate judges only deterministic quantities (``ticks``,
-  ``total_ops``) that are pure functions of the seed.  Wall time is
-  recorded for humans but never gates, so a loaded CI box cannot flake
-  the build.
+* every recorded quantity is a pure function of the seed, so two runs
+  of the same matrix write byte-identical documents and a loaded CI box
+  cannot flake the build.  Host time is the ledger's business
+  (``ledger/``, ``BENCHMARK.json``), not this module's.
 """
 
 import json
-import time
 
 from repro.cluster.config import ClusterConfig
 from repro.plan import PlannerOptions, SchedulingPolicy
@@ -58,8 +57,7 @@ WORKLOADS = (
           likes=600, machines=4, quick=True)),
 )
 
-#: Metrics the regression gate inspects (deterministic under a fixed
-#: seed).  ``wall_time_seconds`` is intentionally absent.
+#: Metrics the regression gate inspects.
 GATED_METRICS = ("ticks", "total_ops")
 
 
@@ -71,7 +69,6 @@ def _blank_record(num_queries):
         "work_messages": 0,
         "peak_buffered_contexts": 0,
         "budget": 0,
-        "wall_time_seconds": 0.0,
         "queries": num_queries,
         "stage_profile": [],
     }
@@ -99,15 +96,6 @@ def _merge_result(record, result, senders, config):
         for slot, counters in zip(profile, result.stage_profile):
             for name, value in counters.items():
                 slot[name] = slot.get(name, 0) + value
-
-
-def _finish_record(record, wall):
-    record["wall_time_seconds"] = round(wall, 4)
-    # Informational like wall time (never gated): simulated micro-ops
-    # retired per real second — the number the bulk kernels move.
-    record["throughput_ops_per_sec"] = (
-        round(record["total_ops"] / wall, 1) if wall > 0 else 0.0
-    )
 
 
 def workload_setup(spec, seed=0, bulk_kernels=True):
@@ -155,11 +143,9 @@ def run_workload(key, spec, seed=0, bulk_kernels=True):
     config = engine.config
     senders = config.num_machines - 1
     record = _blank_record(len(queries))
-    started = time.perf_counter()
     for query in queries:
         result = engine.query(query, options)
         _merge_result(record, result, senders, config)
-    _finish_record(record, time.perf_counter() - started)
     return record
 
 
@@ -186,7 +172,6 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
     naive_options = PlannerOptions()
     senders = config.num_machines - 1
     record = _blank_record(len(queries))
-    started = time.perf_counter()
     cost_rows = []
     store = FeedbackStore()
     q_errors = []
@@ -202,7 +187,6 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
             )
             store.record(result.plan.query, result.plan.graph,
                          result.plan.choice, profile)
-    _finish_record(record, time.perf_counter() - started)
     if q_errors:
         product = 1.0
         for error in q_errors:
@@ -254,16 +238,9 @@ def run_bench(tag="run", quick=False, seed=0, progress=None,
         workloads[key] = run_workload(
             key, spec, seed=seed, bulk_kernels=bulk_kernels
         )
-    total_wall = sum(w["wall_time_seconds"] for w in workloads.values())
-    total_ops = sum(w["total_ops"] for w in workloads.values())
     totals = {
-        "ticks": sum(w["ticks"] for w in workloads.values()),
-        "total_ops": total_ops,
-        "rows": sum(w["rows"] for w in workloads.values()),
-        "wall_time_seconds": round(total_wall, 4),
-        "throughput_ops_per_sec": (
-            round(total_ops / total_wall, 1) if total_wall > 0 else 0.0
-        ),
+        name: sum(record[name] for record in workloads.values())
+        for name in ("ticks", "total_ops", "rows")
     }
     return {
         "schema": SCHEMA,
@@ -281,8 +258,7 @@ def run_bench(tag="run", quick=False, seed=0, progress=None,
 _REQUIRED_TOP = ("schema", "tag", "quick", "seed", "workloads", "totals")
 _REQUIRED_WORKLOAD = (
     "ticks", "total_ops", "rows", "work_messages",
-    "peak_buffered_contexts", "budget", "wall_time_seconds", "queries",
-    "stage_profile",
+    "peak_buffered_contexts", "budget", "queries", "stage_profile",
 )
 
 
@@ -379,16 +355,6 @@ def compare(current, baseline, threshold=25.0):
                 "%-28s %-10s %10s -> %-10s %+7.1f%%%s"
                 % (key, metric, before, after, change, marker)
             )
-        wall_before = base.get("wall_time_seconds", 0.0)
-        wall_after = cur.get("wall_time_seconds", 0.0)
-        if wall_before > 0 and wall_after > 0:
-            speedup = "  x%.2f vs baseline" % (wall_before / wall_after)
-        else:
-            speedup = ""
-        lines.append(
-            "%-28s %-10s %10.3f -> %-10.3f (informational)%s"
-            % (key, "wall_s", wall_before, wall_after, speedup)
-        )
     return regressions, lines
 
 

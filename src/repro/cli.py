@@ -167,9 +167,6 @@ def build_parser():
                             "past the threshold" % EXIT_REGRESSION)
     bench.add_argument("--threshold", type=float, default=25.0,
                        help="regression threshold in percent (default 25)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run the matrix under cProfile and print the "
-                            "top 20 functions by cumulative time")
     bench.add_argument("--no-bulk-kernels", action="store_true",
                        help="disable the compiled bulk-kernel fast path "
                             "(micro-stepped reference execution; all "
@@ -349,15 +346,13 @@ def _add_query_args(sub):
     sub.add_argument("pgql", help="the PGQL query text")
     sub.add_argument("--semantics", default="homomorphism",
                      choices=[s.value for s in MatchSemantics])
-    sub.add_argument("--plan", default=None,
+    sub.add_argument("--plan", default=SchedulingPolicy.APPEARANCE.value,
                      choices=[p.value for p in SchedulingPolicy],
                      help="vertex-ordering policy: appearance (query "
-                          "text order), selectivity (greedy heuristic), "
-                          "or cost (statistics-backed cost model; also "
-                          "decides the common-neighbor operator)")
-    sub.add_argument("--schedule", action="store_true",
-                     help="alias for --plan selectivity (kept for "
-                          "compatibility)")
+                          "text order, the default), selectivity (greedy "
+                          "heuristic), or cost (statistics-backed cost "
+                          "model; also decides the common-neighbor "
+                          "operator)")
     sub.add_argument("--common-neighbors",
                      action=argparse.BooleanOptionalAction, default=None,
                      help="force the specialized common-neighbor hop "
@@ -408,15 +403,9 @@ def _build_engine(args, trace=False, **config_overrides):
                            workers_per_machine=args.workers,
                            seed=args.seed,
                            **config_overrides)
-    if args.plan is not None:
-        scheduling = SchedulingPolicy(args.plan)
-    elif args.schedule:
-        scheduling = SchedulingPolicy.SELECTIVITY
-    else:
-        scheduling = SchedulingPolicy.APPEARANCE
     options = PlannerOptions(
         semantics=MatchSemantics(args.semantics),
-        scheduling=scheduling,
+        scheduling=SchedulingPolicy(args.plan),
         use_common_neighbors=args.common_neighbors,
         timeout_ticks=getattr(args, "timeout", None),
         trace=trace,
@@ -661,35 +650,15 @@ def cmd_monitor(args):
 def cmd_bench(args):
     from repro import bench
 
-    bulk_kernels = not args.no_bulk_kernels
-    if args.profile:
-        # Profiling lives here (not in repro.bench): the bench module is
-        # inside the RPR001 determinism scope, where wall-clock-adjacent
-        # imports are off limits.
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        doc = bench.run_bench(tag=args.tag, quick=args.quick,
-                              seed=args.seed, progress=print,
-                              bulk_kernels=bulk_kernels)
-        profiler.disable()
-        print()
-        print("profile (top 20 by cumulative time):")
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative").print_stats(20)
-    else:
-        doc = bench.run_bench(tag=args.tag, quick=args.quick,
-                              seed=args.seed, progress=print,
-                              bulk_kernels=bulk_kernels)
+    doc = bench.run_bench(tag=args.tag, quick=args.quick,
+                          seed=args.seed, progress=print,
+                          bulk_kernels=not args.no_bulk_kernels)
     out = args.out or ("BENCH_%s.json" % args.tag)
     bench.write_bench(doc, out)
     print("wrote", out)
     for key, record in sorted(doc["workloads"].items()):
         print(
-            "  %-28s ticks=%-7d ops=%-9d rows=%-6d peak_buf=%d/%d "
-            "wall=%.3fs tput=%.0f ops/s"
+            "  %-28s ticks=%-7d ops=%-9d rows=%-6d peak_buf=%d/%d"
             % (
                 key,
                 record["ticks"],
@@ -697,8 +666,6 @@ def cmd_bench(args):
                 record["rows"],
                 record["peak_buffered_contexts"],
                 record["budget"],
-                record["wall_time_seconds"],
-                record.get("throughput_ops_per_sec", 0.0),
             )
         )
     if args.compare:

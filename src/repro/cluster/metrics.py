@@ -102,14 +102,12 @@ class QueryMetrics:
     messages_dropped: int = 0
     messages_duplicated: int = 0
     messages_delayed: int = 0
-    wall_time_seconds: float = 0.0
     per_machine: list = field(default_factory=list)
 
     @classmethod
-    def collect(cls, ticks, machine_metrics, wall_time_seconds=0.0):
+    def collect(cls, ticks, machine_metrics):
         """Fold per-machine counters into one record."""
-        metrics = cls(ticks=ticks, num_machines=len(machine_metrics),
-                      wall_time_seconds=wall_time_seconds)
+        metrics = cls(ticks=ticks, num_machines=len(machine_metrics))
         for machine in machine_metrics:
             metrics.total_ops += machine.ops
             metrics.total_idle_ticks += machine.idle_ticks

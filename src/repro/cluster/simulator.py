@@ -31,8 +31,6 @@ A hard machine crash or an exceeded query deadline raises a structured
 trace — the simulator never hangs on an unrecoverable fault.
 """
 
-import time
-
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.network import Network
 from repro.errors import QueryAborted, RuntimeFault
@@ -417,7 +415,7 @@ class Simulator:
         if self.now > self._config.max_ticks:
             raise RuntimeFault("simulation exceeded max_ticks")
 
-    def finish(self, wall_time_seconds=0.0):
+    def finish(self):
         """Seal a completed run; returns its :class:`QueryMetrics`."""
         if self.tracer is not None:
             self.tracer.meta["ticks"] = self.now
@@ -425,11 +423,8 @@ class Simulator:
             self._sampler.flush(self.now)
         if self.telemetry is not None:
             self.telemetry.meta["ticks"] = self.now
-            self.telemetry.meta["wall_time_seconds"] = wall_time_seconds
         metrics = QueryMetrics.collect(
-            self.now,
-            [machine.metrics for machine in self._machines],
-            wall_time_seconds=wall_time_seconds,
+            self.now, [machine.metrics for machine in self._machines]
         )
         self._attach_fault_counters(metrics)
         return metrics
@@ -440,8 +435,7 @@ class Simulator:
         Raises :class:`~repro.errors.QueryAborted` when a chaos-scripted
         machine crash fires or the query deadline passes.
         """
-        started = time.perf_counter()
         self.start()
         while not self.step():
             pass
-        return self.finish(time.perf_counter() - started)
+        return self.finish()

@@ -45,6 +45,22 @@ class ExecutionContext:
         """Return a copy with *changes* applied."""
         return replace(self, **changes)
 
+    def with_fresh_recorders(self):
+        """A copy recording into new, empty recorders shaped like this
+        context's (one run per recorder: each starts at tick 0)."""
+        changes = {}
+        if self.tracer is not None:
+            from repro.obs import Tracer
+
+            changes["tracer"] = Tracer(max_events=self.tracer.max_events)
+        if self.telemetry is not None:
+            from repro.obs import Telemetry
+
+            changes["telemetry"] = Telemetry(
+                interval=self.telemetry.sampler.interval
+            )
+        return self.replace(**changes)
+
     @classmethod
     def from_options(cls, options, engine=None, **overrides):
         """Build a context from :class:`~repro.plan.options.PlannerOptions`.

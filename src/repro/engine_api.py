@@ -10,10 +10,13 @@ baselines.SharedMemoryEngine`, :class:`~repro.baselines.BftEngine`,
   distributed engines, a pre-partitioned :class:`~repro.graph.
   distributed.DistributedGraph`) and *config* a :class:`~repro.cluster.
   config.ClusterConfig`;
-* ``query(query, options=None)`` accepts PGQL text or a parsed
-  :class:`~repro.pgql.ast.Query` plus optional :class:`~repro.plan.
-  options.PlannerOptions` and returns a :class:`~repro.runtime.engine.
-  QueryResult` with populated ``metrics``;
+* ``query(query, options=None, context=None)`` accepts PGQL text or a
+  parsed :class:`~repro.pgql.ast.Query` plus optional :class:`~repro.
+  plan.options.PlannerOptions` and :class:`~repro.context.
+  ExecutionContext`, and returns a :class:`~repro.runtime.engine.
+  QueryResult` with populated ``metrics``.  :meth:`Engine.query` is the
+  one front door — parse, then either the engine's own ``_run`` or, for
+  a quantified path, the union of its fixed-length expansions;
 * ``submit(query, options=None)`` is the non-blocking surface: it
   returns a :class:`QueryHandle` immediately, and the work happens no
   later than the first ``handle.result()`` call.  The base class ships
@@ -30,6 +33,12 @@ conformance suite every engine must pass.
 
 import abc
 import enum
+
+from repro.context import ExecutionContext
+from repro.pgql import parse_and_validate
+from repro.pgql.ast import Query
+from repro.plan.options import PlannerOptions
+from repro.plan.paths import has_quantified_paths
 
 
 class QueryStatus(enum.Enum):
@@ -164,13 +173,38 @@ class Engine(abc.ABC):
     #: The ClusterConfig the engine executes under.
     config = None
 
-    @abc.abstractmethod
-    def query(self, query, options=None):
+    def query(self, query, options=None, context=None):
         """Execute *query* (PGQL text or parsed Query) end to end.
 
         Returns a :class:`~repro.runtime.engine.QueryResult`; *options*
         is a :class:`~repro.plan.options.PlannerOptions` or None.
+        *context* is an optional :class:`~repro.context.
+        ExecutionContext`; when omitted one is derived from *options*
+        and the cluster config (trace/telemetry flags, ``timeout_ticks``).
+        A quantified path runs as the union of its fixed-length
+        expansions, each under the same context.
         """
+        if isinstance(query, str):
+            query = parse_and_validate(query)
+        elif not isinstance(query, Query):
+            raise TypeError("expected PGQL text or a parsed Query")
+        options = options or PlannerOptions()
+        if context is None:
+            context = ExecutionContext.from_options(options, engine=self)
+        if has_quantified_paths(query):
+            from repro.runtime.engine import execute_union
+
+            return execute_union(
+                query, context,
+                lambda expansion, scoped: self._run(expansion, options,
+                                                    scoped),
+            )
+        return self._run(query, options, context)
+
+    @abc.abstractmethod
+    def _run(self, query, options, context):
+        """Plan and execute one fixed-length :class:`~repro.pgql.ast.
+        Query` — the engine-specific part of :meth:`query`."""
 
     def submit(self, query, options=None, priority=1, deadline=None):
         """Submit *query* without blocking; returns a :class:`QueryHandle`.
@@ -191,8 +225,6 @@ class Engine(abc.ABC):
         """Fold a submit-time deadline into the planner options."""
         if deadline is None:
             return options
-        from repro.plan import PlannerOptions
-
         options = options or PlannerOptions()
         if options.timeout_ticks is None:
             from dataclasses import replace

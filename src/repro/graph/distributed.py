@@ -22,7 +22,7 @@ which lets the runtime pre-filter remote hops to hub vertices before
 paying for a message.
 """
 
-from repro.errors import RemoteAccessError
+from repro.errors import ClusterConfigError, RemoteAccessError
 from repro.graph.partition import EdgeBalancedRandomPartitioner
 
 
@@ -58,6 +58,21 @@ class DistributedGraph:
             partitioner.partition(graph, num_machines),
             ghost_threshold=ghost_threshold,
         )
+
+    @classmethod
+    def for_cluster(cls, graph, num_machines, partitioner=None):
+        """The distributed graph an engine over *num_machines* machines
+        runs on: *graph* itself when it is already partitioned (which
+        must be over exactly that many machines), else a fresh
+        partitioning of it."""
+        if not isinstance(graph, cls):
+            return cls.create(graph, num_machines, partitioner=partitioner)
+        if graph.num_machines != num_machines:
+            raise ClusterConfigError(
+                "distributed graph has %d machines but config asks for %d"
+                % (graph.num_machines, num_machines)
+            )
+        return graph
 
     @property
     def num_ghosts(self):

@@ -508,7 +508,7 @@ def candidate_orders(query, graph, limit=ORDER_ENUM_LIMIT, scores=None):
 
     orders = [tuple(variables), tuple(selectivity_order(query, graph))]
     if scores:
-        orders.append(tuple(_greedy_order(variables, adjacency, scores)))
+        orders.append(tuple(selectivity_order(query, graph, scores)))
     seen = set()
     unique = []
     for order in orders:
@@ -616,27 +616,6 @@ def _has_cn_opportunity(query):
             if src != dst:
                 sources.setdefault(dst, set()).add(src)
     return any(len(srcs) >= 2 for srcs in sources.values())
-
-
-def _greedy_order(variables, adjacency, scores):
-    remaining = list(variables)
-    order = []
-    while remaining:
-        if order:
-            connected = [
-                var
-                for var in remaining
-                if any(peer in order for peer in adjacency.get(var, ()))
-            ]
-            pool = connected or remaining
-        else:
-            pool = remaining
-        best = min(
-            pool, key=lambda var: (scores[var], remaining.index(var))
-        )
-        order.append(best)
-        remaining.remove(best)
-    return order
 
 
 def _combine_selectivities(selectivities):

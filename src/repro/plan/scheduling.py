@@ -78,14 +78,17 @@ def _conjunct_selectivity(conjunct, var, graph):
     return 1.0
 
 
-def selectivity_order(query, graph):
+def selectivity_order(query, graph, scores=None):
     """A vertex matching order that starts from the most selective vertex.
 
     Greedy: root = argmin score; then repeatedly append the lowest-score
     vertex adjacent (via any pattern edge) to the ordered prefix, falling
-    back to the global minimum if the pattern is disconnected.
+    back to the global minimum if the pattern is disconnected.  *scores*
+    (per-variable, lower = rarer) default to the property-table
+    estimates of :func:`estimate_selectivities`.
     """
-    scores = estimate_selectivities(query, graph)
+    if scores is None:
+        scores = estimate_selectivities(query, graph)
     adjacency = _pattern_adjacency(query)
     remaining = list(query.vertex_vars())
     order = []

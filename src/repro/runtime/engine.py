@@ -11,7 +11,7 @@ from repro.cluster.metrics import QueryMetrics
 from repro.cluster.simulator import Simulator
 from repro.context import ExecutionContext
 from repro.engine_api import Engine
-from repro.errors import ClusterConfigError, QueryAborted
+from repro.errors import QueryAborted
 from repro.graph.distributed import DistributedGraph
 from repro.pgql import parse_and_validate
 from repro.pgql.ast import Query, SelectItem
@@ -165,17 +165,9 @@ class PgxdAsyncEngine(Engine):
     def __init__(self, graph, config=None, partitioner=None,
                  debug_checks=False):
         self.config = config or ClusterConfig()
-        if isinstance(graph, DistributedGraph):
-            if graph.num_machines != self.config.num_machines:
-                raise ClusterConfigError(
-                    "distributed graph has %d machines but config asks for %d"
-                    % (graph.num_machines, self.config.num_machines)
-                )
-            self.dist_graph = graph
-        else:
-            self.dist_graph = DistributedGraph.create(
-                graph, self.config.num_machines, partitioner=partitioner
-            )
+        self.dist_graph = DistributedGraph.for_cluster(
+            graph, self.config.num_machines, partitioner=partitioner
+        )
         self.graph = self.dist_graph.graph
         self.debug_checks = debug_checks
 
@@ -183,21 +175,8 @@ class PgxdAsyncEngine(Engine):
         """Compile *query* (steps i-iii) without executing it."""
         return plan_query(query, self.graph, options or PlannerOptions())
 
-    def query(self, query, options=None, context=None):
-        """Plan and execute *query*; returns a :class:`QueryResult`.
-
-        *context* is an optional :class:`~repro.context.ExecutionContext`;
-        when omitted one is derived from *options* and the cluster
-        config (trace/telemetry flags, ``timeout_ticks``).
-        """
-        if isinstance(query, str):
-            query = parse_and_validate(query)
-        if has_quantified_paths(query):
-            return execute_union(query, options, self.query)
-        plan = self.plan(query, options)
-        if context is None:
-            context = ExecutionContext.from_options(options, engine=self)
-        return self.execute_plan(plan, context)
+    def _run(self, query, options, context):
+        return self.execute_plan(self.plan(query, options), context)
 
     def submit(self, query, options=None, priority=1, deadline=None):
         """Non-blocking submission through the multi-query service.
@@ -209,11 +188,9 @@ class PgxdAsyncEngine(Engine):
         handle — they run as several plans and are not (yet) a single
         service scope.
         """
-        from repro.plan.paths import has_quantified_paths as _has_qp
-
         parsed = parse_and_validate(query) if isinstance(query, str) \
             else query
-        if _has_qp(parsed):
+        if has_quantified_paths(parsed):
             return super().submit(parsed, options)
         return self.service().submit(
             parsed, options, priority=priority, deadline=deadline
@@ -338,14 +315,19 @@ class PgxdAsyncEngine(Engine):
                            profiler=profiler)
 
 
-def execute_union(query, options, run_one):
+def execute_union(query, context, run_one):
     """Execute a variable-length-path query as a union of expansions.
 
-    *run_one* executes a single fixed-length Query (e.g. an engine's
-    ``query`` method).  Each expansion runs with ORDER BY / LIMIT /
-    DISTINCT stripped and the ORDER BY expressions appended as hidden
-    projection columns, so the union can be globally sorted, deduped,
-    and truncated here.
+    *run_one(query, context)* executes a single fixed-length Query (an
+    engine's ``_run`` under fixed options).  Each expansion runs with
+    ORDER BY / LIMIT / DISTINCT stripped and the ORDER BY expressions
+    appended as hidden projection columns, so the union can be globally
+    sorted, deduped, and truncated here.
+
+    Every expansion runs under the caller's *context* — its full
+    deadline, profile flag and query id — recording from tick 0 into
+    recorders of its own, which are laid out end to end in
+    ``context.tracer`` / ``context.telemetry``.
     """
     expansions = expand_quantified_paths(query)
     visible = len(query.select_items)
@@ -356,6 +338,8 @@ def execute_union(query, options, run_one):
     combined = QueryMetrics()
     plan = None
     profiles = []  # (plan, stage_profile) of expansions that computed one
+    tracer = context.tracer
+    telemetry = context.telemetry
     merged_trace = None
     merged_telemetry = None
     for expansion in expansions:
@@ -366,7 +350,7 @@ def execute_union(query, options, run_one):
             expansion.constraints,
         )
         try:
-            result = run_one(stripped, options)
+            result = run_one(stripped, context.with_fresh_recorders())
         except QueryAborted as aborted:
             # Fold the finished expansions' metrics into the abort so
             # the caller sees the whole union's partial progress.
@@ -380,21 +364,14 @@ def execute_union(query, options, run_one):
         all_rows.extend(result.rows)
         if result.stage_profile is not None:
             profiles.append((result.plan, result.stage_profile))
-        if result.trace is not None:
-            # Expansions run back to back: lay their traces out end to
-            # end by offsetting each by the ticks accumulated so far.
-            if merged_trace is None:
-                from repro.obs import Tracer
-
-                merged_trace = Tracer(max_events=result.trace.max_events)
-            merged_trace.extend(result.trace, tick_offset=combined.ticks)
-        if result.telemetry is not None:
-            # Same end-to-end layout for the telemetry time series.
-            if merged_telemetry is None:
-                from repro.obs import Telemetry
-
-                merged_telemetry = Telemetry()
-            merged_telemetry.extend(
+        # Expansions run back to back: offset each one's recordings by
+        # the ticks accumulated so far.
+        if tracer is not None and result.trace is not None:
+            merged_trace = tracer.extend(
+                result.trace, tick_offset=combined.ticks
+            )
+        if telemetry is not None and result.telemetry is not None:
+            merged_telemetry = telemetry.extend(
                 result.telemetry, tick_offset=combined.ticks
             )
         combined.merge(result.metrics)

@@ -1,19 +1,34 @@
-"""Hop engine execution (paper §3.2).
+"""Stage semantics (paper §3.1–3.2): the vertex function and hop engines.
 
-Each stage transitions to the next through a *hop engine*.  At runtime a
-hop is an incremental cursor attached to a traversal frame: every
-``advance`` call performs one micro-operation (inspecting one neighbor,
-emitting one continuation) so the simulator can charge costs precisely
-and a worker can suspend mid-hop when flow control blocks a send.
+A stage is a *vertex function* (label check, distinctness, filters,
+induced check, captures) followed by a *hop engine* that produces the
+continuations for the next stage.  This module states both once, as a
+reference interpreter over the plan's ``CompiledStage``/``CompiledHop``:
 
-The ``rt`` parameter is the per-machine runtime facade
-(:class:`repro.runtime.machine.QueryMachine`), providing ``route`` for
-continuations, the local partition, and ownership lookups.
+* :func:`vertex_function` (with :func:`vertex_admissible` as its
+  adjacency-free prefix, which the ghost pre-filter runs on the sending
+  machine);
+* :func:`hop_steps`, a generator yielding one ``(scanned, target,
+  item)`` per micro-operation of the hop.
+
+Everything that executes a plan without generated code is a *scheduler*
+over these two functions: :class:`HopCursor` (the distributed runtime's
+micro-stepped executor — one step per ``advance`` so the simulator can
+charge costs precisely and a worker can suspend mid-hop when flow
+control blocks a send), the depth-first shared-memory baseline and the
+level-synchronous BFT baseline.  The only other statement of the
+semantics is the code generator in ``runtime.kernels``.
+
+*graph* supplies labels (global knowledge); *adjacency* supplies
+``out_edges``/``in_edges``/``edges_between``/``in_edges_from`` — a
+machine's ownership-checking ``LocalPartition`` on a cluster, the graph
+itself in shared memory.
 """
 
 import enum
 
 from repro.errors import RuntimeFault
+from repro.graph.types import Direction
 from repro.plan.distributed import HopKind
 
 
@@ -23,13 +38,20 @@ class Advance(enum.Enum):
     BLOCKED = "blocked"        # a send was refused; computation must park
 
 
+#: The ``item`` of an OUTPUT hop's single producing step: the context
+#: the hop ran on is a completed match.
+RESULT = object()
+
+
 class AllScanItem:
-    """Work item for an ALL_VERTICES broadcast: scan local vertices."""
+    """Work item for an ALL_VERTICES broadcast: scan the local vertices
+    of machine ``dest`` (every machine gets one per context)."""
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "dest")
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, dest=None):
         self.ctx = ctx
+        self.dest = dest
 
 
 class CNItem:
@@ -49,30 +71,44 @@ class CNItem:
         return 1 + len(self.candidates)
 
 
-def make_cursor(stage, frame, rt):
-    """Instantiate the hop cursor for *frame* at *stage*."""
-    hop = stage.hop
-    kind = hop.kind
-    if kind is HopKind.OUTPUT:
-        return _OutputCursor()
-    if kind is HopKind.NEIGHBOR:
-        return _NeighborCursor(stage, frame, rt)
-    if kind is HopKind.VERTEX:
-        return _VertexCursor(stage, frame, rt)
-    if kind is HopKind.ALL_VERTICES:
-        return _AllVerticesCursor(rt)
-    if kind is HopKind.CN_COLLECT:
-        return _CNCollectCursor(stage, frame, rt)
-    if kind is HopKind.CN_PROBE:
-        return _CNProbeCursor(stage, frame)
-    raise RuntimeFault("unknown hop kind: %r" % (kind,))
-
-
-def _edge_accepted(hop, ctx, vertex, eid, rt):
-    """Shared edge admission test: label, isomorphism, filter."""
-    if hop.edge_label_id is not None:
-        if rt.graph.edge_label(eid) != hop.edge_label_id:
+# ----------------------------------------------------------------------
+# The vertex function
+# ----------------------------------------------------------------------
+def vertex_admissible(graph, stage, ctx, vertex):
+    """The adjacency-free part of the vertex function: label check,
+    vertex-distinctness, compiled filters."""
+    if stage.label_id is not None and \
+            graph.vertex_label(vertex) != stage.label_id:
+        return False
+    for slot in stage.iso_vertex_slots:
+        if ctx[slot] == vertex:
             return False
+    if stage.filter is not None and not stage.filter(ctx, vertex, -1):
+        return False
+    return True
+
+
+def vertex_function(graph, adjacency, stage, ctx, vertex):
+    """Run *stage*'s checks on *vertex*; returns the context extended
+    with the stage's captures, or None when the vertex fails."""
+    if not vertex_admissible(graph, stage, ctx, vertex):
+        return None
+    for slot in stage.forbidden_slots:
+        if adjacency.edges_between(vertex, ctx[slot]):
+            return None
+    if stage.captures:
+        ctx = ctx + tuple(capture(vertex) for capture in stage.captures)
+    return ctx
+
+
+# ----------------------------------------------------------------------
+# The hop engines
+# ----------------------------------------------------------------------
+def _edge_accepted(graph, hop, ctx, vertex, eid):
+    """Edge admission test: label, edge-distinctness, filter."""
+    if hop.edge_label_id is not None and \
+            graph.edge_label(eid) != hop.edge_label_id:
+        return False
     for slot in hop.iso_edge_slots:
         if ctx[slot] == eid:
             return False
@@ -81,222 +117,143 @@ def _edge_accepted(hop, ctx, vertex, eid, rt):
     return True
 
 
-def _extend(hop, ctx, eid, target=None):
-    """Append the hop's edge captures (and optionally the target id)."""
+def _extend(hop, ctx, eid, target):
+    """The continuation past edge *eid*: the hop's edge captures, then
+    the target id when the next stage matches a new vertex."""
     if hop.edge_captures:
         ctx = ctx + tuple(capture(eid) for capture in hop.edge_captures)
-    if target is not None:
+    if hop.appends_target_id:
         ctx = ctx + (target,)
     return ctx
 
 
-class _OutputCursor:
-    """Deliver the completed context to the machine-local collector."""
-
-    __slots__ = ("_done",)
-
-    def __init__(self):
-        self._done = False
-
-    def advance(self, rt, comp, frame):
-        if self._done:
-            return Advance.EXHAUSTED
-        self._done = True
-        rt.emit_result(frame.ctx)
-        return Advance.PROGRESS
+def _edge_step(graph, hop, ctx, vertex, eid, target):
+    """Inspect one edge towards *target*: a continuation, or nothing."""
+    if _edge_accepted(graph, hop, ctx, vertex, eid):
+        return 1, target, _extend(hop, ctx, eid, target)
+    return 1, target, None
 
 
-class _NeighborCursor:
-    """Out- or in-neighbor hop over the current vertex's adjacency."""
+def hop_steps(graph, adjacency, hop, ctx, vertex, num_machines=1,
+              candidates=()):
+    """The micro-operations of *hop* leaving *vertex* with context *ctx*
+    (the vertex function's result), one ``(scanned, target, item)`` each.
 
-    __slots__ = ("_neighbors", "_edge_ids", "_pos")
-
-    def __init__(self, stage, frame, rt):
-        from repro.graph.types import Direction
-
-        if stage.hop.direction is Direction.OUT:
-            self._neighbors, self._edge_ids = rt.local.out_edges(frame.vertex)
+    ``scanned`` is the number of adjacency entries the step inspected (0
+    or 1); ``item`` is what it produced for the next stage at vertex
+    ``target``: a continuation context, a :class:`CNItem`, an
+    :class:`AllScanItem` (which names its destination machine instead),
+    :data:`RESULT` for a completed match, or None for a step that
+    produced nothing.  A scheduler charges ``hop.work_cost`` per step;
+    the distributed runtime charges once more for the pull that finds
+    the generator exhausted.  *candidates* is the ``CNItem`` payload a
+    CN_PROBE stage was entered with.
+    """
+    kind = hop.kind
+    if kind is HopKind.OUTPUT:
+        yield 0, vertex, RESULT
+    elif kind is HopKind.NEIGHBOR:
+        if hop.direction is Direction.OUT:
+            neighbors, edge_ids = adjacency.out_edges(vertex)
         else:
-            self._neighbors, self._edge_ids = rt.local.in_edges(frame.vertex)
-        self._pos = 0
+            neighbors, edge_ids = adjacency.in_edges(vertex)
+        for target, eid in zip(neighbors.tolist(), edge_ids.tolist()):
+            yield _edge_step(graph, hop, ctx, vertex, eid, target)
+    elif kind is HopKind.VERTEX:
+        # Hop to one bound vertex.  Without an edge requirement this is
+        # a pure inspection step; with one, each matching parallel edge
+        # produces its own continuation so that a bound edge variable
+        # enumerates them all.
+        target = ctx[hop.target_slot]
+        if hop.edge_req_orientation is None:
+            yield 0, target, ctx
+            return
+        if hop.edge_req_orientation == "current_to_target":
+            edge_ids = adjacency.edges_between(vertex, target)
+        else:  # target_to_current: scan the current vertex's in-adjacency
+            edge_ids = adjacency.in_edges_from(vertex, target)
+        for eid in edge_ids:
+            yield _edge_step(graph, hop, ctx, vertex, eid, target)
+    elif kind is HopKind.ALL_VERTICES:
+        # Cartesian restart: broadcast the context to every machine.
+        for machine in range(num_machines):
+            yield 0, None, AllScanItem(ctx, machine)
+    elif kind is HopKind.CN_COLLECT:
+        # Phase one of the specialized common-neighbor hop (paper §5):
+        # collect the current vertex's qualifying out-neighbors, then
+        # ship (context, candidates) to the *other* bound source vertex,
+        # which probes them against its own out-adjacency — "exchanging
+        # the edges of one another" instead of one message per neighbor.
+        neighbors, edge_ids = adjacency.out_edges(vertex)
+        collected = []
+        for target, eid in zip(neighbors.tolist(), edge_ids.tolist()):
+            if _edge_accepted(graph, hop, ctx, vertex, eid):
+                collected.append((target, tuple(
+                    capture(eid) for capture in hop.edge_captures
+                )))
+            yield 1, target, None
+        if collected:
+            yield 0, ctx[hop.target_slot], CNItem(ctx, tuple(collected))
+    elif kind is HopKind.CN_PROBE:
+        # Phase two: intersect the candidates with this vertex's edges.
+        for target, appendix in candidates or ():
+            edge_ids = adjacency.edges_between(vertex, target)
+            yield 0, target, None
+            base_ctx = ctx + appendix
+            for eid in edge_ids:
+                yield _edge_step(graph, hop, base_ctx, vertex, eid, target)
+    else:
+        raise RuntimeFault("unknown hop kind: %r" % (kind,))
 
-    def advance(self, rt, comp, frame):
-        if self._pos >= len(self._neighbors):
-            return Advance.EXHAUSTED
-        hop = rt.plan.stages[frame.stage_index].hop
-        target = int(self._neighbors[self._pos])
-        eid = int(self._edge_ids[self._pos])
-        self._pos += 1
-        rt.stage_scanned[frame.stage_index] += 1
-        if not _edge_accepted(hop, frame.ctx, frame.vertex, eid, rt):
-            return Advance.PROGRESS
-        out_ctx = _extend(
-            hop, frame.ctx, eid,
-            target=target if hop.appends_target_id else None,
-        )
-        dest = rt.owner(target)
-        if dest != rt.machine_id and hop.appends_target_id and \
-                not rt.ghost_admits(frame.stage_index + 1, out_ctx, target):
-            # Ghost-node pre-filter: the target's replicated data already
-            # fails the next stage — skip the message entirely.
-            return Advance.PROGRESS
-        if rt.route(comp, frame.stage_index + 1, dest, out_ctx):
-            return Advance.PROGRESS
-        self._pos -= 1  # replay this neighbor when the send resumes
-        return Advance.BLOCKED
 
+class HopCursor:
+    """The distributed runtime's scheduler over :func:`hop_steps`.
 
-class _VertexCursor:
-    """Hop to one bound vertex, optionally checking an edge to/from it.
-
-    Without an edge requirement this is a pure inspection step (one
-    continuation).  With one, each matching parallel edge produces its
-    own continuation so that a bound edge variable enumerates them all.
+    Each :meth:`advance` pulls one step, counts what it scanned and
+    routes what it produced through the per-machine runtime facade *rt*
+    (:class:`repro.runtime.machine.QueryMachine`).  A step whose send is
+    refused is kept and replayed on the next advance, counting its
+    ``scanned`` again — the blocked attempt is real work.
     """
 
-    __slots__ = ("_target", "_edge_ids", "_pos")
+    __slots__ = ("_steps", "_refused", "_ghost_filtered")
 
     def __init__(self, stage, frame, rt):
         hop = stage.hop
-        self._target = frame.ctx[hop.target_slot]
-        if hop.edge_req_orientation is None:
-            self._edge_ids = None
-            self._pos = 0
-        elif hop.edge_req_orientation == "current_to_target":
-            self._edge_ids = rt.local.edges_between(frame.vertex, self._target)
-            self._pos = 0
-        else:  # target_to_current: scan the current vertex's in-adjacency
-            self._edge_ids = rt.local.in_edges_from(frame.vertex, self._target)
-            self._pos = 0
+        self._steps = hop_steps(
+            rt.graph, rt.local, hop, frame.ctx, frame.vertex,
+            rt.num_machines, frame.cn_payload,
+        )
+        self._refused = None
+        self._ghost_filtered = \
+            hop.kind is HopKind.NEIGHBOR and hop.appends_target_id
 
     def advance(self, rt, comp, frame):
-        hop = rt.plan.stages[frame.stage_index].hop
-        if self._edge_ids is None:
-            # Pure inspection: a single unconditional continuation.
-            self._edge_ids = []
-            if rt.route(comp, frame.stage_index + 1, rt.owner(self._target),
-                        frame.ctx):
+        step = self._refused
+        if step is None:
+            step = next(self._steps, None)
+            if step is None:
+                return Advance.EXHAUSTED
+        else:
+            self._refused = None
+        scanned, target, item = step
+        rt.stage_scanned[frame.stage_index] += scanned
+        if item is None:
+            return Advance.PROGRESS
+        if item is RESULT:
+            rt.emit_result(frame.ctx)
+            return Advance.PROGRESS
+        next_stage = frame.stage_index + 1
+        if item.__class__ is AllScanItem:
+            dest = item.dest
+        else:
+            dest = rt.owner(target)
+            if self._ghost_filtered and dest != rt.machine_id and \
+                    not rt.ghost_admits(next_stage, item, target):
+                # Ghost-node pre-filter: the target's replicated data
+                # already fails the next stage — skip the message.
                 return Advance.PROGRESS
-            self._edge_ids = None  # replay on resume
-            return Advance.BLOCKED
-        if self._pos >= len(self._edge_ids):
-            return Advance.EXHAUSTED
-        eid = self._edge_ids[self._pos]
-        self._pos += 1
-        rt.stage_scanned[frame.stage_index] += 1
-        if not _edge_accepted(hop, frame.ctx, frame.vertex, eid, rt):
+        if rt.route(comp, next_stage, dest, item):
             return Advance.PROGRESS
-        out_ctx = _extend(hop, frame.ctx, eid)
-        if rt.route(comp, frame.stage_index + 1, rt.owner(self._target),
-                    out_ctx):
-            return Advance.PROGRESS
-        self._pos -= 1
+        self._refused = step
         return Advance.BLOCKED
-
-
-class _AllVerticesCursor:
-    """Cartesian restart: broadcast the context to every machine."""
-
-    __slots__ = ("_machines", "_pos")
-
-    def __init__(self, rt):
-        self._machines = rt.num_machines
-        self._pos = 0
-
-    def advance(self, rt, comp, frame):
-        if self._pos >= self._machines:
-            return Advance.EXHAUSTED
-        dest = self._pos
-        self._pos += 1
-        item = AllScanItem(frame.ctx)
-        if rt.route(comp, frame.stage_index + 1, dest, item):
-            return Advance.PROGRESS
-        self._pos -= 1
-        return Advance.BLOCKED
-
-
-class _CNCollectCursor:
-    """Phase one of the specialized common-neighbor hop (paper §5).
-
-    Collects the current vertex's qualifying out-neighbors into a
-    candidate list, then ships (context, candidates) to the machine of
-    the *other* bound source vertex, which probes them against its own
-    out-adjacency.  This "exchanges the edges of one another" instead of
-    routing one message per neighbor.
-    """
-
-    __slots__ = ("_neighbors", "_edge_ids", "_pos", "_candidates", "_sentout")
-
-    def __init__(self, stage, frame, rt):
-        self._neighbors, self._edge_ids = rt.local.out_edges(frame.vertex)
-        self._pos = 0
-        self._candidates = []
-        self._sentout = False
-
-    def advance(self, rt, comp, frame):
-        hop = rt.plan.stages[frame.stage_index].hop
-        if self._pos < len(self._neighbors):
-            target = int(self._neighbors[self._pos])
-            eid = int(self._edge_ids[self._pos])
-            self._pos += 1
-            rt.stage_scanned[frame.stage_index] += 1
-            if _edge_accepted(hop, frame.ctx, frame.vertex, eid, rt):
-                appendix = tuple(
-                    capture(eid) for capture in hop.edge_captures
-                )
-                self._candidates.append((target, appendix))
-            return Advance.PROGRESS
-        if self._sentout:
-            return Advance.EXHAUSTED
-        if not self._candidates:
-            return Advance.EXHAUSTED
-        other = frame.ctx[hop.target_slot]
-        item = CNItem(frame.ctx, tuple(self._candidates))
-        if rt.route(comp, frame.stage_index + 1, rt.owner(other), item):
-            self._sentout = True
-            return Advance.PROGRESS
-        return Advance.BLOCKED
-
-
-class _CNProbeCursor:
-    """Phase two: intersect candidates with the probing vertex's edges."""
-
-    __slots__ = ("_candidates", "_pos", "_edge_ids", "_edge_pos", "_appendix",
-                 "_target")
-
-    def __init__(self, stage, frame):
-        self._candidates = frame.cn_payload or ()
-        self._pos = 0
-        self._edge_ids = None
-        self._edge_pos = 0
-        self._appendix = None
-        self._target = None
-
-    def advance(self, rt, comp, frame):
-        hop = rt.plan.stages[frame.stage_index].hop
-        while True:
-            if self._edge_ids is None:
-                if self._pos >= len(self._candidates):
-                    return Advance.EXHAUSTED
-                self._target, self._appendix = self._candidates[self._pos]
-                self._pos += 1
-                self._edge_ids = rt.local.edges_between(
-                    frame.vertex, self._target
-                )
-                self._edge_pos = 0
-                return Advance.PROGRESS
-            if self._edge_pos >= len(self._edge_ids):
-                self._edge_ids = None
-                continue
-            eid = self._edge_ids[self._edge_pos]
-            self._edge_pos += 1
-            rt.stage_scanned[frame.stage_index] += 1
-            base_ctx = frame.ctx + self._appendix
-            if not _edge_accepted(hop, base_ctx, frame.vertex, eid, rt):
-                return Advance.PROGRESS
-            out_ctx = _extend(hop, base_ctx, eid, target=self._target)
-            if rt.route(comp, frame.stage_index + 1, rt.owner(self._target),
-                        out_ctx):
-                return Advance.PROGRESS
-            self._edge_pos -= 1
-            return Advance.BLOCKED

@@ -1,11 +1,11 @@
 """Compiled bulk hop kernels — the non-blocking fast path.
 
 ``run_computation`` (runtime.worker) advances a traversal one micro-op
-per loop iteration: an isinstance check, a budget compare, a virtual
-``cursor.advance`` dispatch, and a re-read of ``stage.hop`` for every
-single neighbor.  That precision is what lets the simulator charge
-costs exactly, but nearly all of the interpreter work is identical from
-one neighbor to the next.
+per loop iteration: an isinstance check, a budget compare, a
+``HopCursor.advance`` call and a generator resume (``hops.hop_steps``)
+for every single neighbor.  That precision is what lets the simulator
+charge costs exactly, but nearly all of the interpreter work is
+identical from one neighbor to the next.
 
 This module removes the per-neighbor overhead without changing a single
 observable number.  At plan-finalize time each stage gets a *kernel*: a
@@ -32,8 +32,8 @@ micro-stepped engine's.
 
 Cost-parity contract (see docs/performance.md):
 
-* every neighbor inspected charges ``hop.work_cost``, including the
-  extra charge that discovers exhaustion and the charge of a BLOCKED
+* every step ``hops.hop_steps`` would yield charges ``hop.work_cost``,
+  and so do the extra pull that discovers exhaustion and a BLOCKED
   attempt (which rolls the position back for replay);
 * the vertex function charges ``stage.work_cost`` exactly once;
 * a kernel only runs while ``ops < budget`` and re-checks the budget
@@ -41,15 +41,18 @@ Cost-parity contract (see docs/performance.md):
 
 Kernels are disabled in ``blocking_remote`` mode (the ABL4 ablation is
 precisely about per-message synchronous behavior) and by
-``ClusterConfig(bulk_kernels=False)``, which runs today's cursor path
-unchanged.
+``ClusterConfig(bulk_kernels=False)``, which runs the micro-stepped
+cursor path.  The generated source is the second, independent statement
+of the stage semantics (the first is ``runtime.hops``); it is not
+derived from the interpreter, so the kernels-on/off differential
+compares two implementations.
 """
 
 from repro.errors import RuntimeFault
 from repro.graph.types import Direction, NO_LABEL
 from repro.obs.events import ResultEmitted
 from repro.plan.distributed import HopKind
-from repro.runtime.hops import Advance, make_cursor
+from repro.runtime.hops import Advance, HopCursor
 from repro.runtime.worker import (
     RunStatus,
     ScanFrame,
@@ -122,9 +125,8 @@ def compile_plan_kernels(plan):
     """Build one kernel per stage of *plan* (at plan-finalize time).
 
     NEIGHBOR, VERTEX and OUTPUT stages — the hot path — get textually
-    generated specialized kernels; the remaining hop kinds run their
-    existing cursors through a generic batched driver with identical
-    semantics.
+    generated specialized kernels; the remaining hop kinds run the
+    reference ``HopCursor`` through a generic batched driver.
     """
     kernels = []
     for stage in plan.stages:
@@ -233,12 +235,12 @@ def run_bulk(rt, comp, budget, kernels):
 
 
 # ----------------------------------------------------------------------
-# Generic kernel: batched driver over the existing hop cursors
+# Generic kernel: batched driver over the reference HopCursor
 # ----------------------------------------------------------------------
 def _generic_kernel(stage):
-    """Kernel for VERTEX/ALL_VERTICES/CN_* stages.
+    """Kernel for ALL_VERTICES/CN_* stages.
 
-    Runs the stage's existing cursor, batching only the dispatch: the
+    Runs the reference ``HopCursor``, batching only the dispatch: the
     stage and its costs are bound once instead of re-read per micro-op.
     Every advance charges and budget-checks exactly like the micro loop.
     """
@@ -254,7 +256,7 @@ def _generic_kernel(stage):
                 rt.pop_frame(comp)
                 return ops, K_CONTINUE
             frame.phase = 1
-            frame.cursor = make_cursor(stage, frame, rt)
+            frame.cursor = HopCursor(stage, frame, rt)
             if ops >= budget:
                 return ops, K_BUDGET
         advance = frame.cursor.advance
@@ -295,8 +297,9 @@ def _emit_vertex_function(stage, graph, ns, lines, ind):
     Expects ``vertex``, ``ctx``, ``M`` (metrics) and ``SL``
     (stage_load) bound; on failure pops the frame inline — the exact
     body of ``QueryMachine.pop_frame`` (a negative frames delta can
-    never move the peak) — and returns.  Mirrors
-    ``worker._vertex_function`` check for check.
+    never move the peak) — and returns.  The compile-time form of
+    ``worker._vertex_function`` (counters, debug fault) around
+    ``hops.vertex_function``, check for check.
     """
     fail = (ind + "    comp.stack.pop()",
             ind + "    SL[%d] -= 1" % stage.index,
@@ -553,12 +556,13 @@ def _compile_neighbor_kernel(plan, stage):
 def _compile_vertex_kernel(plan, stage):
     """Generate the specialized VERTEX kernel for *stage*.
 
-    Mirrors ``_VertexCursor``: without an edge requirement the hop is
-    one unconditional continuation plus the exhaustion charge; with one,
-    each matching parallel edge is charged and routed individually.
-    Parallel-edge runs are tiny, so emission goes through ``rt.route``
-    (identical refusal points by construction) — the saving here is the
-    cursor object, the enum compares, and the per-advance re-reads.
+    The steps of ``hops.hop_steps`` for a VERTEX hop: without an edge
+    requirement, one unconditional continuation plus the exhaustion
+    charge; with one, each matching parallel edge is charged and routed
+    individually.  Parallel-edge runs are tiny, so emission goes through
+    ``rt.route`` (identical refusal points by construction) — the saving
+    here is the cursor object, the generator resumes and the enum
+    compares.
     """
     hop = stage.hop
     s_next = stage.index + 1
@@ -655,9 +659,10 @@ def _compile_vertex_kernel(plan, stage):
 def _compile_output_kernel(plan, stage):
     """Generate the specialized OUTPUT kernel for *stage*.
 
-    Two charged steps after the vertex function — emit, then the
-    exhaustion discovery — matching ``_OutputCursor`` advance for
-    advance.  ``frame.cursor`` doubles as the emitted flag.
+    Two charges after the vertex function — the ``RESULT`` step of
+    ``hops.hop_steps``, then the exhaustion discovery — matching
+    ``HopCursor`` advance for advance.  ``frame.cursor`` doubles as the
+    emitted flag.
     """
     wc_h = stage.hop.work_cost
     ns = {

@@ -25,7 +25,7 @@ from repro.obs.events import (
     StageCompleted,
 )
 from repro.runtime.flow_control import FlowControl
-from repro.runtime.hops import CNItem
+from repro.runtime.hops import CNItem, vertex_admissible
 from repro.runtime.messages import (
     Ack,
     Completed,
@@ -411,9 +411,7 @@ class QueryMachine:
         stage = self.plan.stages[stage_index]
         if stage.forbidden_slots:
             return True
-        from repro.runtime.worker import vertex_admissible
-
-        if vertex_admissible(self, stage, ctx, target):
+        if vertex_admissible(self.graph, stage, ctx, target):
             return True
         self.metrics.ghost_prunes += 1
         if self.trace is not None:

@@ -13,7 +13,13 @@ import enum
 
 from repro.errors import RuntimeFault
 from repro.obs.events import FlowUnblock, WorkerSpan
-from repro.runtime.hops import Advance, AllScanItem, CNItem, make_cursor
+from repro.runtime.hops import (
+    Advance,
+    AllScanItem,
+    CNItem,
+    HopCursor,
+    vertex_function,
+)
 
 
 class StageFrame:
@@ -160,7 +166,7 @@ def run_computation(rt, comp, budget):
                 rt.pop_frame(comp)
                 continue
             frame.phase = 1
-            frame.cursor = make_cursor(stage, frame, rt)
+            frame.cursor = HopCursor(stage, frame, rt)
             continue
 
         result = frame.cursor.advance(rt, comp, frame)
@@ -172,49 +178,21 @@ def run_computation(rt, comp, budget):
         # PROGRESS: loop
 
 
-def vertex_admissible(rt, stage, ctx, vertex):
-    """The adjacency-free part of the vertex function: label check,
-    vertex-distinctness, compiled filters.
-
-    Shared between the vertex function proper (on the owner machine) and
-    the ghost-node pre-filter, which runs these same checks on the
-    *sending* machine when the target's data is replicated there.
-    """
-    if stage.label_id is not None and \
-            rt.graph.vertex_label(vertex) != stage.label_id:
-        return False
-    for slot in stage.iso_vertex_slots:
-        if ctx[slot] == vertex:
-            return False
-    if stage.filter is not None and not stage.filter(ctx, vertex, -1):
-        return False
-    return True
-
-
 def _vertex_function(rt, stage, frame):
-    """Label check, isomorphism check, filters, induced check, captures.
-
-    Returns False when the vertex fails; True after extending the
-    context with this stage's captures.
-    """
+    """Run the stage's vertex function on *frame* under the machine's
+    visit/pass counters; on success ``frame.ctx`` carries the captures."""
     vertex = frame.vertex
-    ctx = frame.ctx
-
     if rt.debug_checks and not rt.local.is_local(vertex):
         raise RuntimeFault(
             "stage %d executed on machine %d for remote vertex %d"
             % (stage.index, rt.machine_id, vertex)
         )
-
     rt.stage_visits[stage.index] += 1
-    if not vertex_admissible(rt, stage, ctx, vertex):
+    ctx = vertex_function(rt.graph, rt.local, stage, frame.ctx, vertex)
+    if ctx is None:
         return False
-    for slot in stage.forbidden_slots:
-        if rt.local.edges_between(vertex, ctx[slot]):
-            return False
     rt.stage_passes[stage.index] += 1
-    if stage.captures:
-        frame.ctx = ctx + tuple(capture(vertex) for capture in stage.captures)
+    frame.ctx = ctx
     return True
 
 

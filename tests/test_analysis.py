@@ -30,7 +30,6 @@ from repro.errors import AnalysisError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 RUNTIME = SRC_REPRO / "runtime"
 
 
@@ -633,23 +632,12 @@ class TestMutations:
 
 class TestSelfHosting:
     def test_src_repro_has_zero_unbaselined_findings(self):
-        result = analyze([str(SRC_REPRO)], baseline_path=str(BASELINE))
-        assert result.findings == []
-        assert result.stale_baseline == []
-        # The only whitelisted findings are the reviewed wall-clock
-        # sites (simulator run bracket + bench harness + planner
-        # pillar).
-        assert result.baselined == 6
-
-    def test_checked_in_baseline_entries_are_commented(self):
-        for entry in load_baseline(str(BASELINE)):
-            assert len(entry.comment) > 40, entry.describe()
+        # No baseline is checked in: the tree is clean on its own.
+        assert analyze([str(SRC_REPRO)]).findings == []
 
     def test_cli_gate_exits_zero(self, capsys):
         code = main([
-            "lint", str(SRC_REPRO),
-            "--baseline", str(BASELINE),
-            "--fail-on", "warning",
+            "lint", str(SRC_REPRO), "--no-baseline", "--fail-on", "warning",
         ])
         assert code == 0
         assert "0 findings" in capsys.readouterr().out

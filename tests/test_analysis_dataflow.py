@@ -633,10 +633,7 @@ class TestKernelAudit:
         # The self-host over the runtime package, including the
         # compile-audit of the whole bench plan matrix.
         root = SRC_REPRO
-        result = analyze(
-            [str(root / "runtime"), str(root / "bench.py")],
-            baseline_path=str(REPO_ROOT / "lint-baseline.json"),
-        )
+        result = analyze([str(root / "runtime"), str(root / "bench.py")])
         assert not any(f.rule == "RPR008" for f in result.findings)
 
 

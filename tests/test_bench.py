@@ -7,7 +7,6 @@ import pytest
 
 from repro.bench import (
     EXIT_REGRESSION,
-    GATED_METRICS,
     SCHEMA,
     WORKLOADS,
     compare,
@@ -48,7 +47,6 @@ class TestRunBench:
             assert record["budget"] > 0
             assert 0 < record["peak_buffered_contexts"] <= record["budget"]
             assert record["stage_profile"], "per-stage profile missing"
-            assert record["wall_time_seconds"] >= 0
 
     def test_totals_sum_the_workloads(self, quick_doc):
         assert quick_doc["totals"]["ticks"] == sum(
@@ -56,11 +54,10 @@ class TestRunBench:
         )
 
     def test_deterministic_under_fixed_seed(self, quick_doc):
+        # Nothing in a document depends on the host: a rerun differs in
+        # its tag only.
         again = run_bench(tag="other-tag", quick=True, seed=0)
-        for key, record in quick_doc["workloads"].items():
-            for metric in GATED_METRICS + ("rows", "work_messages",
-                                           "peak_buffered_contexts"):
-                assert again["workloads"][key][metric] == record[metric]
+        assert dict(again, tag=quick_doc["tag"]) == quick_doc
 
 
 class TestValidate:
@@ -116,13 +113,6 @@ class TestCompare:
         caught, _ = compare(slowed, quick_doc, threshold=10.0)
         assert clean == []
         assert caught
-
-    def test_wall_time_never_gates(self, quick_doc):
-        slowed = copy.deepcopy(quick_doc)
-        for record in slowed["workloads"].values():
-            record["wall_time_seconds"] *= 100
-        regressions, _ = compare(slowed, quick_doc, threshold=25.0)
-        assert regressions == []
 
     def test_quick_run_compares_against_full_baseline(self, quick_doc):
         # A full doc has extra workloads; only the common quick rows gate.

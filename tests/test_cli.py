@@ -123,7 +123,7 @@ class TestEndToEnd:
 
     def test_query_with_options(self, capsys):
         code = main(
-            ["query", "--random", "60x240", "--schedule",
+            ["query", "--random", "60x240", "--plan", "selectivity",
              "--semantics", "isomorphism",
              "SELECT a, b WHERE (a)-[]->(b WITH type = 1)"]
         )

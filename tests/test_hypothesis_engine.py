@@ -1,12 +1,15 @@
-"""Property-based tests: the distributed engine vs the brute-force oracle
-on randomly generated graphs, queries, and cluster configurations."""
+"""Property-based tests: every executor vs the brute-force oracle on
+randomly generated graphs, queries, and cluster configurations."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, PlannerOptions, run_query
+from repro.baselines import BftEngine, SharedMemoryEngine
+from repro.errors import PlanError
 from repro.graph import GraphBuilder
-from repro.plan import MatchSemantics
+from repro.plan import HopKind, MatchSemantics, SchedulingPolicy
 
 from .oracle import brute_force_rows
 
@@ -43,6 +46,10 @@ QUERY_POOL = [
     "SELECT a, b, c WHERE (a)-[]->(b), (a)-[]->(c), b != c",
     "SELECT a, e.w WHERE (a)-[e]->(b), e.w > 2",
     "SELECT a WHERE (a WITH t = 1)-[]->(b WITH v > 4)",
+    # A common-neighbor opportunity (CN_COLLECT/CN_PROBE when enabled)
+    # and a cartesian restart (ALL_VERTICES).
+    "SELECT a, b, c WHERE (a)-[e1]->(c)<-[e2]-(b), e1.w <= e2.w",
+    "SELECT a, b WHERE (a WITH t = 0), (b WITH v > 6)",
 ]
 
 
@@ -101,3 +108,36 @@ class TestEngineMatchesOracle:
             ).rows
         )
         assert got == expected
+
+    @given(
+        graph=small_graphs(),
+        query=st.sampled_from(QUERY_POOL),
+        semantics=st.sampled_from(list(MatchSemantics)),
+        common_neighbors=st.booleans(),
+        scheduling=st.sampled_from(list(SchedulingPolicy)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_executor(self, graph, query, semantics, common_neighbors,
+                            scheduling):
+        """Generated kernels, the micro-stepped cursor and both
+        plan-driven baselines — four schedulers, two statements of the
+        stage semantics — against an oracle that shares neither."""
+        expected = sorted(brute_force_rows(graph, query, semantics))
+        options = PlannerOptions(
+            semantics=semantics, scheduling=scheduling,
+            use_common_neighbors=common_neighbors,
+        )
+        for bulk_kernels in (True, False):
+            config = ClusterConfig(num_machines=3, bulk_kernels=bulk_kernels)
+            result = run_query(graph, query, config, options=options,
+                               debug_checks=True)
+            assert sorted(result.rows) == expected, bulk_kernels
+        shared = SharedMemoryEngine(graph).query(query, options)
+        assert sorted(shared.rows) == expected
+        bft = BftEngine(graph, ClusterConfig(num_machines=3))
+        if any(stage.hop.kind in (HopKind.CN_COLLECT, HopKind.CN_PROBE)
+               for stage in shared.plan.stages):
+            with pytest.raises(PlanError):
+                bft.query(query, options)
+        else:
+            assert sorted(bft.query(query, options).rows) == expected

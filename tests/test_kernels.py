@@ -22,18 +22,6 @@ from repro.errors import RuntimeFault
 from repro.runtime.flow_control import FlowControl
 from repro.runtime.machine import QueryMachine
 
-#: Per-run measurements that legitimately differ between the two paths.
-_NONDETERMINISTIC = ("wall_time_seconds", "throughput_ops_per_sec")
-
-
-def _deterministic(record):
-    return {
-        key: value
-        for key, value in record.items()
-        if key not in _NONDETERMINISTIC
-    }
-
-
 def _views(result):
     return [view.to_dict() for view in result.profiler.views()]
 
@@ -66,8 +54,8 @@ class TestDifferentialParity:
         "key,spec", WORKLOADS, ids=[key for key, _ in WORKLOADS]
     )
     def test_workload_metrics_identical(self, key, spec):
-        bulk = _deterministic(run_workload(key, spec, bulk_kernels=True))
-        micro = _deterministic(run_workload(key, spec, bulk_kernels=False))
+        bulk = run_workload(key, spec, bulk_kernels=True)
+        micro = run_workload(key, spec, bulk_kernels=False)
         assert bulk == micro
 
     @pytest.mark.parametrize(

@@ -7,8 +7,11 @@ ANALYZE output are stitched back together.
 
 import pytest
 
-from repro import ClusterConfig, PlannerOptions, QueryMetrics
+from repro import ClusterConfig, ExecutionContext, PlannerOptions, \
+    QueryMetrics
 from repro.cluster.metrics import MachineMetrics
+from repro.errors import QueryAborted
+from repro.obs import Telemetry, Tracer
 from repro.runtime import PgxdAsyncEngine
 
 
@@ -45,7 +48,7 @@ class TestQueryMetricsMerge:
         ones = {
             spec.name: 1
             for spec in QueryMetrics.__dataclass_fields__.values()
-            if spec.name not in ("per_machine", "wall_time_seconds")
+            if spec.name != "per_machine"
         }
         merged = QueryMetrics(**ones).merge(QueryMetrics(**ones))
         for name, value in ones.items():
@@ -106,6 +109,41 @@ class TestUnionExecution:
         single = engine.query("SELECT a, b WHERE (a)-[]->(b)").stage_profile
         # Stage 0 aggregates the root visits of all three expansions.
         assert profile[0]["visits"] == 3 * single[0]["visits"]
+
+
+class TestUnionContext:
+    """A caller's ExecutionContext reaches every expansion."""
+
+    QUERY = "SELECT DISTINCT a, b WHERE (a)-/{1,2}/->(b)"
+
+    def test_deadline_applies_to_each_expansion(self, engine):
+        with pytest.raises(QueryAborted) as info:
+            engine.query(self.QUERY, context=ExecutionContext(deadline=1))
+        assert info.value.tick == 1
+        # Each expansion gets the full deadline: one that fits them all
+        # individually lets the union finish.
+        longest = engine.query("SELECT a, b WHERE (a)-/{2,2}/->(b)")
+        whole = engine.query(self.QUERY, context=ExecutionContext(
+            deadline=longest.metrics.ticks + 1
+        ))
+        assert whole.metrics.ticks > longest.metrics.ticks
+
+    def test_context_recorders_collect_the_merged_run(self, engine):
+        tracer, telemetry = Tracer(), Telemetry()
+        result = engine.query(self.QUERY, context=ExecutionContext(
+            tracer=tracer, telemetry=telemetry, query_id="tenant-7",
+        ))
+        assert result.trace is tracer and result.telemetry is telemetry
+        by_options = engine.query(
+            self.QUERY, PlannerOptions(trace=True, telemetry=True)
+        )
+        assert result.rows == by_options.rows
+        assert [event.to_dict() for event in tracer] == \
+            [event.to_dict() for event in by_options.trace]
+        assert tracer.meta == by_options.trace.meta
+        assert tracer.meta["ticks"] == result.metrics.ticks
+        assert telemetry.meta["ticks"] == result.metrics.ticks
+        assert telemetry.sampler.ticks == by_options.telemetry.sampler.ticks
 
 
 class TestExplainAnalyze:
