@@ -10,6 +10,12 @@ compares its ``exact`` block — ``sim.ticks``, ``sim.total_ops``,
 ``service_mix``, the ``service.*`` tick counts — with the one recorded in
 ``ledger/baseline_seed0.json``, exiting non-zero if any workload differs.
 
+The traced pass is the third one on its engines, so on the workloads
+that repeat their query texts (``PREPARED``) it must find every plan
+prepared: a non-zero ``pgql.calls`` or ``plan.calls`` there means the
+engine's prepared-plan lookup has silently stopped hitting, and fails
+the run too.
+
 Usage (from the repo root)::
 
     python scripts/ledger_exact.py [workload ...]
@@ -24,6 +30,9 @@ sys.path.insert(0, ROOT)
 
 from ledger.__main__ import run_child  # noqa: E402  (needs ROOT on the path)
 
+#: Workloads whose every pass runs the same texts on the same engines.
+PREPARED = ("short_queries", "service_mix")
+
 
 def main(argv):
     with open(os.path.join(ROOT, "ledger", "baseline_seed0.json")) as handle:
@@ -32,7 +41,15 @@ def main(argv):
     failed = False
     for workload in argv[1:] or sorted(baseline["workloads"]):
         expected = baseline["workloads"][workload]["exact"]
-        measured = run_child(workload, seed, 2, 1, False)["exact"]
+        child = run_child(workload, seed, 2, 1, False)
+        measured = child["exact"]
+        if workload in PREPARED:
+            for name in ("pgql.calls", "plan.calls"):
+                calls = child["per_layer"][name]["value"]
+                if calls:
+                    failed = True
+                    print("%s: %s is %d in a warm pass, expected 0 (every "
+                          "query prepared)" % (workload, name, calls))
         if measured == expected:
             print("%s: %d exact counts equal" % (workload, len(expected)))
             continue

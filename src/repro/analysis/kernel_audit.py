@@ -95,15 +95,12 @@ def _cached_audit():
 
 def _audit_plan_matrix():
     from repro.bench import WORKLOADS, workload_setup
-    from repro.pgql import parse_and_validate
     from repro.runtime.kernels import compile_plan_kernels
 
     problems = []
     for key, spec in WORKLOADS:
         engine, queries, options = workload_setup(spec)
         for index, query in enumerate(queries):
-            if isinstance(query, str):
-                query = parse_and_validate(query)
             plan = engine.plan(query, options)
             kernels = compile_plan_kernels(plan)
             for stage, kernel in zip(plan.stages, kernels.stage_kernels):

@@ -597,11 +597,10 @@ def cmd_monitor(args):
     from repro.obs.dashboard import Dashboard
     from repro.obs.exporters import prometheus_text, series_csv, \
         series_jsonl
-    from repro.pgql import parse_and_validate
     from repro.plan.paths import has_quantified_paths
 
     engine, options = _build_engine(args)
-    query = parse_and_validate(args.pgql)
+    query = engine.parsed(args.pgql)
     dashboard = Dashboard(
         width=args.width,
         interactive=False if args.snapshots else None,

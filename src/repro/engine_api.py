@@ -35,8 +35,7 @@ import abc
 import enum
 
 from repro.context import ExecutionContext
-from repro.pgql import parse_and_validate
-from repro.pgql.ast import Query
+from repro.pgql import as_query
 from repro.plan.options import PlannerOptions
 from repro.plan.paths import has_quantified_paths
 
@@ -184,10 +183,7 @@ class Engine(abc.ABC):
         A quantified path runs as the union of its fixed-length
         expansions, each under the same context.
         """
-        if isinstance(query, str):
-            query = parse_and_validate(query)
-        elif not isinstance(query, Query):
-            raise TypeError("expected PGQL text or a parsed Query")
+        query = self.parsed(query)
         options = options or PlannerOptions()
         if context is None:
             context = ExecutionContext.from_options(options, engine=self)
@@ -200,6 +196,14 @@ class Engine(abc.ABC):
                                                     scoped),
             )
         return self._run(query, options, context)
+
+    def parsed(self, query):
+        """*query* (PGQL text or a parsed Query) as a validated Query.
+
+        The seam every entry point of an engine resolves its query
+        argument through, so anything else is one ``TypeError``.
+        """
+        return as_query(query)
 
     @abc.abstractmethod
     def _run(self, query, options, context):

@@ -38,12 +38,26 @@ def parse_and_validate(text):
     return validate(parse(text))
 
 
+def as_query(query):
+    """*query* — PGQL text or an already parsed Query — as a Query.
+
+    The text-or-Query rule of every entry point that takes a query
+    (``plan_query`` and the engines' ``query``/``plan``/``submit``).
+    """
+    if isinstance(query, str):
+        return parse_and_validate(query)
+    if isinstance(query, Query):
+        return query
+    raise TypeError("expected PGQL text or a parsed Query")
+
+
 __all__ = [
     "parse",
     "to_pgql",
     "expr_to_pgql",
     "validate",
     "parse_and_validate",
+    "as_query",
     "tokenize",
     "Token",
     "TokenType",

@@ -3,9 +3,10 @@
 Expressions are evaluated against an :class:`EvalEnv`, which resolves
 variable references to matched entities and property reads to values.
 The distributed runtime does not use this tree-walking evaluator on hot
-paths — ``repro.plan.execution`` compiles filters into closures bound to
-context offsets — but the same semantics are defined here once and the
-compiled closures defer to the operator functions below.
+paths — ``repro.plan.execution`` generates each filter as one flat
+function over context offsets — but the semantics are defined here once:
+a generated filter is ``evaluate_predicate`` unrolled, and the Python
+operator it emits for each PGQL one is tested against ``_BINARY_OPS``.
 
 Semantics notes:
 
@@ -154,14 +155,6 @@ def apply_binary(op, lhs, rhs):
     if func is None:
         raise PgqlValidationError("unknown binary operator %r" % op)
     return func(lhs, rhs)
-
-
-def binary_op_func(op):
-    """The raw Python callable for *op* (used by the filter compiler)."""
-    func = _BINARY_OPS.get(op)
-    if func is None:
-        raise PgqlValidationError("unknown binary operator %r" % op)
-    return func
 
 
 def referenced_vars(expr):

@@ -5,8 +5,7 @@ engine performs step iv (binding the compiled plan to machines and
 launching the computation).
 """
 
-from repro.pgql import parse_and_validate
-from repro.pgql.ast import Query
+from repro.pgql import as_query
 from repro.plan.distributed import (
     DistributedPlan,
     Hop,
@@ -57,10 +56,7 @@ def plan_query(query, graph, options=None):
     :class:`ExecutionPlan` shared by every simulated machine.
     """
     options = options or PlannerOptions()
-    if isinstance(query, str):
-        query = parse_and_validate(query)
-    elif not isinstance(query, Query):
-        raise TypeError("expected PGQL text or a parsed Query")
+    query = as_query(query)
 
     vertex_order = options.vertex_order
     use_common_neighbors = options.use_common_neighbors
@@ -70,7 +66,7 @@ def plan_query(query, graph, options=None):
             choice = choose_plan(
                 query, graph,
                 force_common_neighbors=use_common_neighbors,
-                feedback=getattr(options, "feedback", None),
+                feedback=options.feedback,
             )
             vertex_order = list(choice.order)
             use_common_neighbors = choice.use_common_neighbors

@@ -16,11 +16,13 @@ Concretely:
 * **Dependency analysis** walks every expression together with its
   evaluation point (which variables are *directly* accessible there) and
   schedules a capture for each value that some later point needs.
-* Filters are **compiled to closures** ``fn(ctx, vertex, eid)`` over the
-  graph's property columns, so the hot path performs no name resolution.
+* Filters are **generated as flat source** — one ``fn(ctx, vertex, eid)``
+  per stage or hop over the graph's property columns (``fn.__source__``
+  shows it) — so the hot path pays one call per filter and performs no
+  name resolution.
 """
 
-from repro.errors import PlanError, UnknownPropertyError
+from repro.errors import PgqlValidationError, PlanError, UnknownPropertyError
 from repro.graph.types import Direction
 from repro.pgql.ast import (
     Aggregate,
@@ -33,13 +35,21 @@ from repro.pgql.ast import (
     Unary,
     VarRef,
 )
-from repro.pgql.expressions import EvalEnv, binary_op_func
+from repro.pgql.expressions import EvalEnv
 from repro.plan.distributed import Hop, HopKind, Visit, VisitKind
 from repro.plan.options import MatchSemantics, PlannerOptions
 
 #: Label requirement that can never be satisfied (the queried label does
 #: not occur in the graph).  Distinct from NO_LABEL (-1).
 IMPOSSIBLE_LABEL = -2
+
+#: How generated predicates spell each PGQL binary operator whose meaning
+#: ``pgql.expressions._BINARY_OPS`` defines (tested against it operator
+#: by operator; AND/OR are emitted as ``bool(..) and/or bool(..)``).
+PYTHON_OPERATORS = {
+    "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
+}
 
 
 class ContextLayout:
@@ -510,8 +520,15 @@ def _default_name(expr):
 # ----------------------------------------------------------------------
 # Expression compilation
 # ----------------------------------------------------------------------
+def _bound(ns, value):
+    """The fresh name *value* is bound to in the exec namespace *ns*."""
+    name = "V%d" % len(ns)
+    ns[name] = value
+    return name
+
+
 class _Compiler:
-    """Compiles expressions to ``fn(ctx, vertex, eid)`` closures."""
+    """Compiles captures and filters to ``fn(ctx, vertex, eid)`` form."""
 
     def __init__(self, graph, layout, vertex_vars, edge_vars):
         self._graph = graph
@@ -536,89 +553,78 @@ class _Compiler:
 
     # -- predicates ----------------------------------------------------
     def predicate(self, conjuncts, direct_vertex=None, direct_edge=None):
-        """Compile a conjunction into one guarded boolean closure."""
-        compiled = [
-            self.compile(conjunct, direct_vertex, direct_edge)
+        """Compile a conjunction into one generated boolean function.
+
+        ``evaluate_predicate``'s semantics, emitted as flat source:
+        every conjunct's truth value, short-circuiting left to right,
+        with a type mismatch or a division by zero anywhere counting as
+        a non-match.  Values (literals, column getters, label lookups)
+        are bound by name in the function's namespace, never inlined.
+        """
+        ns = {}
+        source = (
+            "def predicate(ctx, vertex, eid):\n"
+            "    try:\n"
+            "        return %s\n"
+            "    except (TypeError, ZeroDivisionError):\n"
+            "        return False\n"
+        ) % " and ".join(
+            "bool(%s)" % self._emit(conjunct, direct_vertex, direct_edge, ns)
             for conjunct in conjuncts
-        ]
-        if len(compiled) == 1:
-            single = compiled[0]
-
-            def predicate(ctx, vertex, eid):
-                try:
-                    return bool(single(ctx, vertex, eid))
-                except (TypeError, ZeroDivisionError):
-                    return False
-
-            return predicate
-
-        def predicate(ctx, vertex, eid):
-            try:
-                return all(fn(ctx, vertex, eid) for fn in compiled)
-            except (TypeError, ZeroDivisionError):
-                return False
-
+        )
+        exec(compile(source, "<repro-predicate>", "exec"), ns)
+        predicate = ns["predicate"]
+        predicate.__source__ = source  # introspection / debugging aid
         return predicate
 
     # -- expression nodes ----------------------------------------------
-    def compile(self, expr, direct_vertex=None, direct_edge=None):
-        graph = self._graph
+    def _emit(self, expr, direct_vertex, direct_edge, ns):
+        """The Python source of *expr*, parenthesized; the values it
+        needs are bound in *ns* under fresh names."""
         if isinstance(expr, Literal):
-            value = expr.value
-            return lambda ctx, vertex, eid: value
+            return _bound(ns, expr.value)
         if isinstance(expr, (VarRef, IdCall)):
             var = expr.name if isinstance(expr, VarRef) else expr.var
             if var == direct_vertex:
-                return lambda ctx, vertex, eid: vertex
+                return "vertex"
             if var == direct_edge:
-                return lambda ctx, vertex, eid: eid
+                return "eid"
             symbol = ("v", var) if var in self._vertex_vars else ("e", var)
-            slot = self._layout.slot(symbol)
-            return lambda ctx, vertex, eid: ctx[slot]
+            return "ctx[%d]" % self._layout.slot(symbol)
         if isinstance(expr, PropRef):
             if expr.var == direct_vertex:
-                getter = self._vertex_column(expr.prop).get
-                return lambda ctx, vertex, eid: getter(vertex)
+                column = self._vertex_column(expr.prop)
+                return "%s(vertex)" % _bound(ns, column.get)
             if expr.var == direct_edge:
-                getter = self._edge_column(expr.prop).get
-                return lambda ctx, vertex, eid: getter(eid)
+                column = self._edge_column(expr.prop)
+                return "%s(eid)" % _bound(ns, column.get)
             tag = "vp" if expr.var in self._vertex_vars else "ep"
-            slot = self._layout.slot((tag, expr.var, expr.prop))
-            return lambda ctx, vertex, eid: ctx[slot]
+            return "ctx[%d]" % self._layout.slot((tag, expr.var, expr.prop))
         if isinstance(expr, LabelCall):
             if expr.var == direct_vertex:
-                return lambda ctx, vertex, eid: graph.vertex_label_name(vertex)
+                return "%s(vertex)" % _bound(ns, self._graph.vertex_label_name)
             if expr.var == direct_edge:
-                return lambda ctx, vertex, eid: graph.edge_label_name(eid)
+                return "%s(eid)" % _bound(ns, self._graph.edge_label_name)
             tag = "vl" if expr.var in self._vertex_vars else "el"
-            slot = self._layout.slot((tag, expr.var))
-            return lambda ctx, vertex, eid: ctx[slot]
+            return "ctx[%d]" % self._layout.slot((tag, expr.var))
         if isinstance(expr, HasPropCall):
             if expr.var in self._vertex_vars:
-                value = graph.has_vertex_prop(expr.prop)
-            else:
-                value = graph.has_edge_prop(expr.prop)
-            return lambda ctx, vertex, eid: value
+                return _bound(ns, self._graph.has_vertex_prop(expr.prop))
+            return _bound(ns, self._graph.has_edge_prop(expr.prop))
         if isinstance(expr, Unary):
-            inner = self.compile(expr.operand, direct_vertex, direct_edge)
-            if expr.op == "NOT":
-                return lambda ctx, vertex, eid: not inner(ctx, vertex, eid)
-            return lambda ctx, vertex, eid: -inner(ctx, vertex, eid)
+            inner = self._emit(expr.operand, direct_vertex, direct_edge, ns)
+            return "(%s %s)" % ("not" if expr.op == "NOT" else "-", inner)
         if isinstance(expr, Binary):
-            lhs = self.compile(expr.lhs, direct_vertex, direct_edge)
-            rhs = self.compile(expr.rhs, direct_vertex, direct_edge)
-            if expr.op == "AND":
-                return lambda ctx, vertex, eid: (
-                    bool(lhs(ctx, vertex, eid)) and bool(rhs(ctx, vertex, eid))
+            lhs = self._emit(expr.lhs, direct_vertex, direct_edge, ns)
+            rhs = self._emit(expr.rhs, direct_vertex, direct_edge, ns)
+            if expr.op in ("AND", "OR"):
+                return "(bool(%s) %s bool(%s))" % (lhs, expr.op.lower(), rhs)
+            symbol = PYTHON_OPERATORS.get(expr.op)
+            if symbol is None:
+                raise PgqlValidationError(
+                    "unknown binary operator %r" % expr.op
                 )
-            if expr.op == "OR":
-                return lambda ctx, vertex, eid: (
-                    bool(lhs(ctx, vertex, eid)) or bool(rhs(ctx, vertex, eid))
-                )
-            op = binary_op_func(expr.op)
-            return lambda ctx, vertex, eid: op(
-                lhs(ctx, vertex, eid), rhs(ctx, vertex, eid)
-            )
+            return "(%s %s %s)" % (lhs, symbol, rhs)
         if isinstance(expr, Aggregate):
             raise PlanError("aggregates cannot appear in compiled filters")
         raise PlanError("cannot compile expression: %r" % (expr,))

@@ -1,10 +1,14 @@
 """The PGX.D/Async engine façade (paper step iv).
 
 ``PgxdAsyncEngine`` binds a distributed graph to a cluster configuration
-and executes PGQL queries end to end: plan (steps i-iii), instantiate
-one :class:`QueryMachine` per simulated machine, run the simulator to
+and executes PGQL queries end to end: plan (steps i-iii, once per
+distinct query — the engine keeps the compiled plan), instantiate one
+:class:`QueryMachine` per simulated machine, run the simulator to
 completion, and finalize the merged results.
 """
+
+import copy
+from collections import OrderedDict
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import QueryMetrics
@@ -13,14 +17,31 @@ from repro.context import ExecutionContext
 from repro.engine_api import Engine
 from repro.errors import QueryAborted
 from repro.graph.distributed import DistributedGraph
-from repro.pgql import parse_and_validate
+from repro.pgql import as_query, parse_and_validate, to_pgql
 from repro.pgql.ast import Query, SelectItem
-from repro.plan import PlannerOptions, plan_query
+from repro.plan import PlannerOptions, SchedulingPolicy, plan_query
 from repro.plan.paths import expand_quantified_paths, has_quantified_paths
 from repro.runtime.aggregation import _sort_decorated, finalize, \
     finalize_grouped
 from repro.runtime.machine import QueryMachine
 from repro.runtime.results import ResultSet
+
+#: Entries an engine keeps in each of its prepared-query tables
+#: (validated texts, compiled plans); least recently used goes first.
+PREPARED_LIMIT = 64
+
+
+def _recall(table, key, build):
+    """``table[key]``, made by ``build()`` on a miss; *table* keeps its
+    :data:`PREPARED_LIMIT` most recently used entries."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build()
+        if len(table) > PREPARED_LIMIT:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(key)
+    return value
 
 
 class QueryResult:
@@ -170,10 +191,60 @@ class PgxdAsyncEngine(Engine):
         )
         self.graph = self.dist_graph.graph
         self.debug_checks = debug_checks
+        #: Prepared queries (paper Figure 2: steps i-iii happen once per
+        #: distinct query, only step iv per run): validated ASTs by
+        #: text, compiled plans by everything ``plan_query`` reads.
+        self._queries = OrderedDict()
+        self._plans = OrderedDict()
+        #: The statistics object the cached COST plans were priced under.
+        self._priced_under = None
+
+    def parsed(self, query):
+        """As :meth:`Engine.parsed`, parsing each distinct text once
+        (the Query of a text is shared — treat it as read-only)."""
+        if isinstance(query, str):
+            return _recall(self._queries, query,
+                           lambda: parse_and_validate(query))
+        return as_query(query)
 
     def plan(self, query, options=None):
-        """Compile *query* (steps i-iii) without executing it."""
-        return plan_query(query, self.graph, options or PlannerOptions())
+        """The compiled plan of *query* (steps i-iii), without executing
+        it — compiled once per distinct query while that stays among the
+        :data:`PREPARED_LIMIT` most recently used.
+
+        The key is everything :func:`~repro.plan.plan_query` reads and
+        nothing else: the canonical text of the AST (never its identity
+        — ASTs are mutable and caller-owned, so the plan compiles a
+        private copy) and the four options that shape a plan;
+        ``trace``/``telemetry``/``timeout_ticks``/``profile`` shape a
+        *run* and are read from the caller's options on every call.
+        Where the COST policy prices candidates two more inputs exist:
+        the graph's statistics object (plans priced under one the graph
+        no longer holds are dropped) and this query's feedback
+        corrections, by content.  The returned plan is shared — treat it
+        as read-only; ``plan_query`` compiles a private one.
+        """
+        query = self.parsed(query)
+        options = options or PlannerOptions()
+        order = options.vertex_order
+        corrections = ()
+        if order is None and options.scheduling is SchedulingPolicy.COST:
+            stats = self.graph.statistics()
+            if stats is not self._priced_under:
+                self._plans.clear()
+                self._priced_under = stats
+            if options.feedback is not None:
+                corrections = tuple(sorted(
+                    options.feedback.corrections(query, self.graph).items()
+                ))
+        key = (
+            to_pgql(query), options.semantics, options.scheduling,
+            options.use_common_neighbors,
+            None if order is None else tuple(order), corrections,
+        )
+        return _recall(self._plans, key, lambda: plan_query(
+            copy.deepcopy(query), self.graph, options
+        ))
 
     def _run(self, query, options, context):
         return self.execute_plan(self.plan(query, options), context)
@@ -188,8 +259,7 @@ class PgxdAsyncEngine(Engine):
         handle — they run as several plans and are not (yet) a single
         service scope.
         """
-        parsed = parse_and_validate(query) if isinstance(query, str) \
-            else query
+        parsed = self.parsed(query)
         if has_quantified_paths(parsed):
             return super().submit(parsed, options)
         return self.service().submit(

@@ -45,7 +45,6 @@ from repro.context import ExecutionContext
 from repro.engine_api import QueryHandle, QueryStatus
 from repro.errors import ClusterConfigError, PlanError, QueryAborted, \
     RuntimeFault
-from repro.pgql import parse_and_validate
 from repro.plan.paths import has_quantified_paths
 
 #: Stride numerator: divisible by every priority 1..8, so integer
@@ -103,6 +102,7 @@ class QueryScope:
         self.pass_value = 0
         self.simulator = None
         self.machines = None
+        self._final_ticks = 0
         self.result = None
         self.aborted = None
         self._cancel_requested = False
@@ -141,9 +141,18 @@ class QueryScope:
         self.status = QueryStatus.DONE
         return True
 
+    def release(self):
+        """Drop a terminal scope's runtime partition — its simulator and
+        machines are the bulk of a deployment's per-query memory — and
+        keep the virtual tick it stopped at."""
+        self._final_ticks = self.simulator.now
+        self.simulator = self.machines = None
+
     @property
     def virtual_ticks(self):
-        return self.simulator.now if self.simulator is not None else 0
+        if self.simulator is not None:
+            return self.simulator.now
+        return self._final_ticks
 
     def buffered_contexts(self):
         """Scope-wide buffered contexts across its machine partitions."""
@@ -299,8 +308,7 @@ class QueryService:
         the scope's own simulator through the existing
         :class:`~repro.errors.QueryAborted` machinery.
         """
-        parsed = parse_and_validate(query) if isinstance(query, str) \
-            else query
+        parsed = self.engine.parsed(query)
         if has_quantified_paths(parsed):
             raise PlanError(
                 "quantified-path queries execute as a union of "
@@ -374,6 +382,7 @@ class QueryService:
 
     def _retire(self, scope):
         scope.finished_at = self.now
+        scope.release()
         self._active.remove(scope)
         if self._registry is not None:
             self._m_queries.labels(scope.status.value).inc()

@@ -113,6 +113,41 @@ class TestLifecycle:
         assert all(r["rows"] is not None for r in records)
         assert all(r["latency"] > 0 for r in records)
 
+    def test_retired_scope_releases_its_machines(self, random_graph):
+        """DONE, ABORTED and CANCELLED scopes drop their simulator and
+        machines on retirement; the stats table still reports the
+        virtual tick each one stopped at."""
+        service = QueryService(
+            _engine(random_graph), ServiceConfig(max_concurrent=3)
+        )
+        handles = [
+            service.submit(QUERIES[0]),
+            service.submit(QUERIES[2], deadline=10),
+            service.submit(QUERIES[2]),
+            service.submit(QUERIES[1]),     # queued behind three slots
+        ]
+        live = {}
+        for _ in range(25):
+            service.step()
+            for scope in service.active_scopes:
+                assert scope.machines is not None
+                live[scope.query_id] = scope.virtual_ticks
+        handles[2].cancel()
+        handles[3].cancel()
+        service.drain()
+        assert [h.status for h in handles] == [
+            QueryStatus.DONE, QueryStatus.ABORTED,
+            QueryStatus.CANCELLED, QueryStatus.CANCELLED,
+        ]
+        for handle in handles:
+            scope = service.scope(handle.query_id)
+            assert scope.simulator is None and scope.machines is None
+            assert scope.buffered_contexts() == 0
+        ticks = [record["virtual_ticks"] for record in service.stats()]
+        assert ticks[:3] == [h.metrics.ticks for h in handles[:3]]
+        assert ticks[1] == 10 and ticks[3] == 0
+        assert all(ticks[i] >= live["q%d" % i] > 0 for i in range(3))
+
 
 class TestDeterminism:
     """Concurrent execution must equal serial, row for row, tick for tick."""
