@@ -13,7 +13,8 @@ interleaved to cancel out thermal/allocator drift, and asserts:
 
 import time
 
-from repro.plan import PlannerOptions
+from repro.context import ExecutionContext
+from repro.obs import Tracer
 from repro.runtime import PgxdAsyncEngine
 
 from .conftest import bench_config, print_table
@@ -25,11 +26,13 @@ def run_trace_overhead_experiment(random_workload):
     graph, queries = random_workload
     query = queries[0]
     engine = PgxdAsyncEngine(graph, bench_config(8))
-    traced_options = PlannerOptions(trace=True)
+
+    def tracing():
+        return ExecutionContext(tracer=Tracer())
 
     # Warm up caches/lazy imports before timing anything.
     baseline = engine.query(query)
-    traced = engine.query(query, options=traced_options)
+    traced = engine.query(query, context=tracing())
 
     # Tracing must not perturb the simulation.
     assert traced.metrics.ticks == baseline.metrics.ticks
@@ -44,7 +47,7 @@ def run_trace_overhead_experiment(random_workload):
         disabled_times.append(time.perf_counter() - start)  # repro: allow(RPR001) wall-clock overhead measurement is the experiment
 
         start = time.perf_counter()  # repro: allow(RPR001) wall-clock overhead measurement is the experiment
-        engine.query(query, options=traced_options)
+        engine.query(query, context=tracing())
         enabled_times.append(time.perf_counter() - start)  # repro: allow(RPR001) wall-clock overhead measurement is the experiment
 
     disabled = sorted(disabled_times)[ROUNDS // 2]

@@ -16,7 +16,8 @@ telemetry off and on, interleaved, and asserts:
 
 import time
 
-from repro.plan import PlannerOptions
+from repro.context import ExecutionContext
+from repro.obs import Telemetry
 from repro.runtime import PgxdAsyncEngine
 
 from .conftest import bench_config, print_table
@@ -28,11 +29,13 @@ def run_telemetry_overhead_experiment(random_workload):
     graph, queries = random_workload
     query = queries[0]
     engine = PgxdAsyncEngine(graph, bench_config(8))
-    telemetry_options = PlannerOptions(telemetry=True)
+
+    def sampling():
+        return ExecutionContext(telemetry=Telemetry())
 
     # Warm up caches/lazy imports before timing anything.
     baseline = engine.query(query)
-    sampled = engine.query(query, options=telemetry_options)
+    sampled = engine.query(query, context=sampling())
 
     # Telemetry must not perturb the simulation.
     assert sampled.metrics.ticks == baseline.metrics.ticks
@@ -48,7 +51,7 @@ def run_telemetry_overhead_experiment(random_workload):
         disabled_times.append(time.perf_counter() - start)  # repro: allow(RPR001) wall-clock overhead measurement is the experiment
 
         start = time.perf_counter()  # repro: allow(RPR001) wall-clock overhead measurement is the experiment
-        engine.query(query, options=telemetry_options)
+        engine.query(query, context=sampling())
         enabled_times.append(time.perf_counter() - start)  # repro: allow(RPR001) wall-clock overhead measurement is the experiment
 
     disabled = sorted(disabled_times)[ROUNDS // 2]

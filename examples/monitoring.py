@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Live telemetry end to end: registry, time series, exporters, bench.
 
-Runs one query with telemetry enabled and walks through everything the
+Runs one query under a context that carries a ``Telemetry`` recorder —
+the caller builds it and keeps it — and walks through everything the
 subsystem records:
 
 * the one-line summary and the Prometheus text exposition of the
@@ -20,7 +21,8 @@ Run with::
     python examples/monitoring.py
 """
 
-from repro import ClusterConfig, PgxdAsyncEngine, uniform_random_graph
+from repro import ClusterConfig, ExecutionContext, PgxdAsyncEngine, \
+    Telemetry, uniform_random_graph
 from repro.bench import compare, run_bench, validate
 from repro.obs.dashboard import render_frame
 from repro.obs.exporters import parse_series_jsonl, series_jsonl
@@ -32,13 +34,12 @@ def main():
         "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c), "
         "a.type = 1, c.value > 2000"
     )
-    config = ClusterConfig(num_machines=4, seed=5, telemetry=True)
-    engine = PgxdAsyncEngine(graph, config)
+    engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=4, seed=5))
 
     print("graph:", graph)
     print("query:", query)
-    result = engine.query(query)
-    telemetry = result.telemetry
+    telemetry = Telemetry()
+    result = engine.query(query, context=ExecutionContext(telemetry=telemetry))
 
     print("\n--- summary " + "-" * 48)
     print("metrics  :", result.metrics.summary())

@@ -16,37 +16,22 @@ Programmatic use::
 
     from repro.analysis import analyze
 
-    result = analyze(["src/repro"], baseline_path="lint-baseline.json")
+    result = analyze(["src/repro"])
     for finding in result.findings:
         print(finding.rule, finding.path, finding.line, finding.message)
 """
 
-from repro.analysis.baseline import (
-    BaselineEntry,
-    SCHEMA as BASELINE_SCHEMA,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
 from repro.analysis.catalog import explain, render_catalog
 from repro.analysis.cfg import CFG, Block, build_cfg
 from repro.analysis.core import Finding, Rule, SEVERITIES, SourceModule
 from repro.analysis.dataflow import ForwardDataflow, iter_scopes
 from repro.analysis.report import json_report, summary_line, text_report
 from repro.analysis.rules import RULE_CLASSES, default_rules, rule_by_id
-from repro.analysis.runner import (
-    AnalysisResult,
-    BASELINE_FILENAME,
-    analyze,
-    discover_baseline,
-)
+from repro.analysis.runner import AnalysisResult, analyze
 from repro.analysis.sarif import sarif_report
 
 __all__ = [
     "AnalysisResult",
-    "BASELINE_FILENAME",
-    "BASELINE_SCHEMA",
-    "BaselineEntry",
     "Block",
     "CFG",
     "Finding",
@@ -58,16 +43,12 @@ __all__ = [
     "analyze",
     "build_cfg",
     "default_rules",
-    "discover_baseline",
     "explain",
     "iter_scopes",
     "json_report",
-    "load_baseline",
-    "prune_baseline",
     "render_catalog",
     "rule_by_id",
     "sarif_report",
     "summary_line",
     "text_report",
-    "write_baseline",
 ]

@@ -32,9 +32,8 @@ def explain(rule_id):
         lines.append("    " + code_line if code_line else "")
     lines.append("")
     lines.append(
-        "Suppress one site with `# repro: allow(%s)` on (or directly "
-        "above) the offending line; whitelist a reviewed site with a "
-        "commented entry in lint-baseline.json." % rule.id
+        "Suppress one reviewed site with `# repro: allow(%s)` on (or "
+        "directly above) the offending line." % rule.id
     )
     return "\n".join(lines)
 

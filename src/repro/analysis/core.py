@@ -8,7 +8,8 @@ executed.  Three ideas organize the package:
 * a :class:`Finding` is one violation at one source location, carrying a
   *fingerprint* — ``(rule, path, symbol, pattern, snippet_hash)`` — that
   is stable across line-number churn (the snippet hash normalizes
-  whitespace before hashing), so baselines don't rot on unrelated edits;
+  whitespace before hashing), so SARIF consumers can dedup across
+  unrelated edits;
 * a :class:`SourceModule` is one parsed file plus the metadata rules
   need: its dotted module name (for scope checks), its per-line
   ``# repro: allow(...)`` suppressions, and its parse tree;
@@ -61,11 +62,11 @@ class Finding:
         self.snippet_hash = snippet_hash
 
     def fingerprint(self):
-        """Line-number-independent identity used for baseline matching.
+        """Line-number-independent identity (SARIF ``partialFingerprints``).
 
         Built from the rule, path, enclosing qualname, pattern, and the
-        normalized-snippet hash — never from line numbers, so baselines
-        survive unrelated edits that merely shift code around.
+        normalized-snippet hash — never from line numbers, so it
+        survives unrelated edits that merely shift code around.
         """
         return (self.rule, self.path, self.symbol, self.pattern,
                 self.snippet_hash)
@@ -98,7 +99,7 @@ class SourceModule:
 
     def __init__(self, abspath, path, name, source, tree, suppressions):
         self.abspath = abspath
-        #: Display/baseline path: package-root relative, posix separators.
+        #: Display path: package-root relative, posix separators.
         self.path = path
         #: Dotted module name, e.g. ``repro.cluster.simulator``.
         self.name = name

@@ -158,18 +158,21 @@ class GuardAnalysis(ForwardDataflow):
         return fact
 
 
-class UnguardedCallScanner:
-    """Collect attribute calls on matching bases without a dominating
-    ``is not None`` guard.
+#: Chain segment names (leading underscores aside) that denote an
+#: optional observability handle.
+TRACERISH = frozenset({"trace", "tracer", "telemetry"})
 
-    *base_matches* is a predicate over one chain segment name (e.g.
-    ``"tracer"``); a call qualifies when any proper prefix of its access
-    chain ends in a matching segment, and is satisfied when any such
-    prefix — or a longer prefix of the chain — is guarded.
+
+class UnguardedCallScanner:
+    """Collect attribute calls on observability handles without a
+    dominating ``is not None`` guard.
+
+    A call qualifies when any proper prefix of its access chain ends in
+    a :data:`TRACERISH` segment (e.g. ``"tracer"``), and is satisfied
+    when any such prefix — or a longer prefix of the chain — is guarded.
     """
 
-    def __init__(self, base_matches):
-        self.base_matches = base_matches
+    def __init__(self):
         #: Violations: (call node, full dotted chain tuple).
         self.found = []
         self._reported = set()
@@ -310,7 +313,7 @@ class UnguardedCallScanner:
         base = chain[:-1]
         matching = [
             length for length in range(1, len(base) + 1)
-            if self.base_matches(base[length - 1])
+            if base[length - 1].lstrip("_") in TRACERISH
         ]
         if not matching:
             return

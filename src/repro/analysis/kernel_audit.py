@@ -28,9 +28,6 @@ from repro.analysis.core import Rule, enclosing_symbols
 from repro.analysis.flows import ReservationAnalysis, call_aliases
 from repro.analysis.guards import UnguardedCallScanner
 
-#: Tracer-ish handles that must stay guarded inside generated source.
-_KERNEL_TRACERISH = frozenset({"trace", "tracer", "telemetry"})
-
 #: Process-wide cache of the (expensive, deterministic) audit: raw
 #: ``(message, pattern)`` problem tuples, or None before first run.
 _AUDIT_CACHE = None
@@ -131,9 +128,7 @@ def _audit_kernel_source(where, workload, stage_index, source):
         yield problem("parse", "generated source does not parse: %s" % exc)
         return
 
-    scanner = UnguardedCallScanner(
-        lambda segment: segment.lstrip("_") in _KERNEL_TRACERISH
-    )
+    scanner = UnguardedCallScanner()
     scanner.scan_module(tree)
     for _node, chain in scanner.found:
         yield problem("trace-guard", (

@@ -20,8 +20,6 @@ def summary_line(result):
     ]
     if result.suppressed:
         parts.append("— %d suppressed inline" % result.suppressed)
-    if result.baselined:
-        parts.append("— %d baselined" % result.baselined)
     return " ".join(parts)
 
 
@@ -40,11 +38,6 @@ def text_report(result):
     if lines:
         lines.append("")
     lines.append(summary_line(result))
-    for entry in result.stale_baseline:
-        lines.append(
-            "stale baseline entry (matched nothing — delete it): %s"
-            % entry.describe()
-        )
     return "\n".join(lines)
 
 
@@ -58,10 +51,6 @@ def json_report(result):
             "errors": result.count("error"),
             "warnings": result.count("warning"),
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
-            "stale_baseline": [
-                entry.describe() for entry in result.stale_baseline
-            ],
         },
     }
     return json.dumps(document, indent=2, sort_keys=True)

@@ -93,7 +93,7 @@ class DeterminismRule(Rule):
         "runtime makes results, tick counts, and the regression gates "
         "unreproducible. Randomness must flow from an explicit "
         "`random.Random(seed)` threaded from the config; wall-clock reads "
-        "are allowed only at explicitly baselined sites that never feed "
+        "are allowed only at explicitly suppressed sites that never feed "
         "back into control flow (benchmark wall-time reporting)."
     )
     example = (
@@ -147,10 +147,6 @@ class DeterminismRule(Rule):
 # RPR002 — zero-cost-off instrumentation
 # ----------------------------------------------------------------------
 
-#: Segment names that denote an optional observability handle.
-_TRACERISH = frozenset({"trace", "tracer", "telemetry", "sampler"})
-
-
 class ZeroCostOffRule(Rule):
     """RPR002: tracer/telemetry calls must be dominated by an
     ``is not None`` guard on the handle."""
@@ -181,12 +177,8 @@ class ZeroCostOffRule(Rule):
         "    self.trace.emit(FlowBlock(now, self.machine_id, stage, dest))"
     )
 
-    @staticmethod
-    def _matches(segment):
-        return segment.lstrip("_") in _TRACERISH
-
     def check(self, module):
-        scanner = UnguardedCallScanner(self._matches)
+        scanner = UnguardedCallScanner()
         scanner.scan_module(module.tree)
         symbols = enclosing_symbols(module.tree)
         for node, chain in scanner.found:

@@ -1,32 +1,23 @@
-"""Collect files, run the rule pack, apply suppressions and baseline."""
+"""Collect files, run the rule pack, apply inline suppressions."""
 
 import os
 
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.core import load_module, package_root
 from repro.analysis.rules import default_rules
 from repro.errors import AnalysisError
-
-#: Name of the auto-discovered baseline file (searched upward from the
-#: first scanned path).
-BASELINE_FILENAME = "lint-baseline.json"
 
 
 class AnalysisResult:
     """The outcome of one analysis run."""
 
-    __slots__ = ("findings", "suppressed", "baselined", "stale_baseline",
-                 "files_scanned")
+    __slots__ = ("findings", "suppressed", "files_scanned")
 
-    def __init__(self, findings, suppressed, baselined, stale_baseline,
-                 files_scanned):
-        #: Findings that survived suppression and baseline filtering,
-        #: ordered by (path, line, rule).
+    def __init__(self, findings, suppressed, files_scanned):
+        #: Findings that survived inline suppression, ordered by
+        #: (path, line, rule).
         self.findings = findings
+        #: Findings silenced by a ``# repro: allow(RPR00N)`` comment.
         self.suppressed = suppressed
-        self.baselined = baselined
-        #: Baseline entries that matched nothing (candidates to delete).
-        self.stale_baseline = stale_baseline
         self.files_scanned = files_scanned
 
     def count(self, severity):
@@ -72,44 +63,19 @@ def load_modules(paths):
     return modules
 
 
-def discover_baseline(paths):
-    """Find a ``lint-baseline.json`` above the first scanned path.
-
-    Walks up from the first path (and from the current directory as a
-    fallback) so running from the repo root or from a subdirectory both
-    pick up the checked-in baseline.  Returns a path or None.
-    """
-    starts = []
-    if paths:
-        starts.append(os.path.abspath(paths[0]))
-    starts.append(os.getcwd())
-    for start in starts:
-        directory = start if os.path.isdir(start) else os.path.dirname(start)
-        while True:
-            candidate = os.path.join(directory, BASELINE_FILENAME)
-            if os.path.isfile(candidate):
-                return candidate
-            parent = os.path.dirname(directory)
-            if parent == directory:
-                break
-            directory = parent
-    return None
-
-
-def analyze(paths, rules=None, baseline_path=None, severities=None,
-            only=None):
+def analyze(paths, rules=None, severities=None, only=None):
     """Run *rules* (default: the full pack) over *paths*.
 
-    Suppression comments are applied first, then the baseline; the
-    returned :class:`AnalysisResult` carries only live findings plus the
-    bookkeeping counts.
+    Inline ``# repro: allow(RPR00N)`` comments are the one suppression
+    mechanism; the returned :class:`AnalysisResult` carries only live
+    findings plus the count of suppressed ones.
 
     *severities* optionally maps rule ids to severity overrides
     (``{"RPR006": "warning"}``) applied before the fail gate.  *only*
     optionally restricts *reported* findings to a set of absolute file
     paths (``--diff``): the full module set is still loaded so
     project-wide rules see complete context, but findings outside the
-    set are dropped before suppression/baseline bookkeeping.
+    set are dropped before suppression bookkeeping.
     """
     modules = load_modules(paths)
     if rules is None:
@@ -148,14 +114,5 @@ def analyze(paths, rules=None, baseline_path=None, severities=None,
         else:
             findings.append(finding)
 
-    baselined, stale = 0, []
-    if baseline_path is not None:
-        entries = load_baseline(baseline_path)
-        findings, baselined, stale = apply_baseline(findings, entries)
-        if only is not None:
-            # A partial (--diff) scan can't tell stale from out-of-diff.
-            stale = []
-
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return AnalysisResult(findings, suppressed, baselined, stale,
-                          len(modules))
+    return AnalysisResult(findings, suppressed, len(modules))

@@ -7,7 +7,7 @@ deliberately minimal — one run, one tool, one result per finding — but
 schema-valid: ``version``/``$schema``, a driver with the full rule
 catalogue (id, short description, full rationale, default level), and
 per-result locations plus the stable repro fingerprint so downstream
-dedup survives line churn exactly like the baseline does.
+dedup survives line churn.
 """
 
 import json

@@ -153,8 +153,8 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
     """The cost-based-planner pillar: skewed workload, three plan runs.
 
     The gated metrics (``ticks``, ``total_ops``) measure the cost-based
-    runs, now executed with stage profiling on so the record also
-    carries the aggregate estimate-error metrics
+    runs, whose stage profiles also give the record the aggregate
+    estimate-error metrics
     (``estimate_q_error_max`` / ``estimate_q_error_geomean``).  The same
     queries are then re-run under the naive appearance order (``naive_*``
     fields, ``planner_rows_match``), and a third time under the cost
@@ -168,7 +168,6 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
 
     engine, queries, cost_options = workload_setup(spec, seed, bulk_kernels)
     config = engine.config
-    cost_options.profile = True
     naive_options = PlannerOptions()
     senders = config.num_machines - 1
     record = _blank_record(len(queries))

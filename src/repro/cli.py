@@ -40,8 +40,10 @@ import sys
 from repro.bench import EXIT_REGRESSION
 from repro.chaos import PROFILES, profile
 from repro.cluster.config import ClusterConfig
+from repro.context import ExecutionContext
 from repro.errors import QueryAborted
 from repro.graph import load_edge_list, load_json, uniform_random_graph
+from repro.obs import Telemetry, Tracer
 from repro.plan import MatchSemantics, PlannerOptions, SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
 
@@ -205,23 +207,10 @@ def build_parser():
                       action="append", default=[],
                       help="override a rule's severity (warning|error); "
                            "repeatable")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="baseline file of reviewed allowed findings "
-                           "(default: discover lint-baseline.json "
-                           "upward from the scanned path)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file")
     lint.add_argument("--fail-on", choices=["warning", "error"],
                       default="error",
                       help="exit %d when findings at or above this "
                            "severity remain (default: error)" % EXIT_LINT)
-    lint.add_argument("--write-baseline", metavar="PATH",
-                      help="write the current findings as a baseline "
-                           "(placeholder comments; review before "
-                           "checking in) and exit 0")
-    lint.add_argument("--prune-baseline", action="store_true",
-                      help="rewrite the baseline file dropping entries "
-                           "that no longer match any finding, then exit")
     lint.add_argument("--explain", metavar="RPR00N",
                       help="print the rule's rationale and an example "
                            "fix, then exit")
@@ -396,28 +385,16 @@ def load_graph(args):
     return generate_bsbm(args.bsbm, seed=args.seed).graph
 
 
-def _build_engine(args, trace=False, **config_overrides):
-    """Shared setup of the query/trace subcommands."""
-    graph = load_graph(args)
-    config = ClusterConfig(num_machines=args.machines,
-                           workers_per_machine=args.workers,
-                           seed=args.seed,
-                           **config_overrides)
+def _build_engine(args, **config_overrides):
+    """Shared setup of the query/trace subcommands: the engine (the
+    cluster) and the planner options (the plan); each command builds
+    its own :class:`ExecutionContext` (the run)."""
     options = PlannerOptions(
         semantics=MatchSemantics(args.semantics),
         scheduling=SchedulingPolicy(args.plan),
         use_common_neighbors=args.common_neighbors,
-        timeout_ticks=getattr(args, "timeout", None),
-        trace=trace,
     )
-    if args.ghost_threshold is not None:
-        from repro.graph import DistributedGraph
-
-        graph = DistributedGraph.create(
-            graph, config.num_machines,
-            ghost_threshold=args.ghost_threshold,
-        )
-    return PgxdAsyncEngine(graph, config), options
+    return _build_cluster_engine(args, **config_overrides), options
 
 
 def _print_abort(aborted):
@@ -465,21 +442,22 @@ def _print_abort(aborted):
 
 
 def cmd_query(args):
-    engine, options = _build_engine(args, trace=args.explain_analyze)
-    options.profile = args.explain_analyze
+    engine, options = _build_engine(args)
     store = None
     if args.feedback_store:
         from repro.obs.feedback import FeedbackStore
 
         store = FeedbackStore(args.feedback_store)
         options.feedback = store
-        options.profile = True  # record this run's actuals back
     if args.explain:
         plan = engine.plan(args.pgql, options)
         print(plan.describe())
         return 0
     try:
-        result = engine.query(args.pgql, options)
+        result = engine.query(args.pgql, options, ExecutionContext(
+            tracer=Tracer() if args.explain_analyze else None,
+            deadline=args.timeout,
+        ))
     except QueryAborted as aborted:
         return _print_abort(aborted)
     print(result.result_set.pretty(limit=args.limit_print))
@@ -542,7 +520,8 @@ def cmd_chaos(args):
         args, chaos=chaos_config, reliability=True
     )
     try:
-        result = engine.query(args.pgql, options)
+        result = engine.query(args.pgql, options,
+                              ExecutionContext(deadline=args.timeout))
     except QueryAborted as aborted:
         return _print_abort(aborted)
 
@@ -555,7 +534,8 @@ def cmd_chaos(args):
 
     if args.verify:
         clean_engine, clean_options = _build_engine(args)
-        clean = clean_engine.query(args.pgql, clean_options)
+        clean = clean_engine.query(args.pgql, clean_options,
+                                   ExecutionContext(deadline=args.timeout))
         if sorted(result.rows) == sorted(clean.rows):
             print("verify   : OK (results identical to fault-free run)")
         else:
@@ -566,14 +546,14 @@ def cmd_chaos(args):
 
 
 def cmd_trace(args):
-    engine, options = _build_engine(
-        args, trace=True, trace_max_events=args.max_events
-    )
+    engine, options = _build_engine(args)
+    trace = Tracer(max_events=args.max_events)
     try:
-        result = engine.query(args.pgql, options)
+        result = engine.query(args.pgql, options, ExecutionContext(
+            tracer=trace, deadline=args.timeout
+        ))
     except QueryAborted as aborted:
         return _print_abort(aborted)
-    trace = result.trace
     print("rows     :", len(result.rows))
     print("metrics  :", result.metrics.summary())
     print(trace.summary())
@@ -592,8 +572,6 @@ def cmd_trace(args):
 
 
 def cmd_monitor(args):
-    from repro.context import ExecutionContext
-    from repro.obs import Telemetry
     from repro.obs.dashboard import Dashboard
     from repro.obs.exporters import prometheus_text, series_csv, \
         series_jsonl
@@ -609,19 +587,14 @@ def cmd_monitor(args):
         8 if dashboard.interactive else 32
     )
     telemetry = Telemetry(interval=args.interval)
+    if not has_quantified_paths(query):
+        # Union expansions each sample into a recorder of their own;
+        # their merged series is rendered once at the end, not live.
+        dashboard.attach(telemetry.sampler)
     try:
-        if has_quantified_paths(query):
-            # Union expansions each carry their own sampler; render the
-            # merged series once at the end instead of live.
-            options.telemetry = True
-            result = engine.query(query, options)
-            telemetry = result.telemetry
-        else:
-            dashboard.attach(telemetry.sampler)
-            plan = engine.plan(query, options)
-            result = engine.execute_plan(plan, ExecutionContext(
-                telemetry=telemetry, deadline=options.timeout_ticks
-            ))
+        result = engine.query(query, options, ExecutionContext(
+            telemetry=telemetry, deadline=args.timeout
+        ))
     except QueryAborted as aborted:
         code = _print_abort(aborted)
         if telemetry.sampler.num_samples:
@@ -745,13 +718,10 @@ def _diff_paths(ref):
 def cmd_lint(args):
     from repro.analysis import (
         analyze,
-        discover_baseline,
         explain,
         json_report,
-        prune_baseline,
         sarif_report,
         text_report,
-        write_baseline,
     )
 
     if args.explain:
@@ -774,49 +744,13 @@ def cmd_lint(args):
     rules = _lint_rules(args)
     severities = _lint_severities(args)
     only = _diff_paths(args.diff) if args.diff else None
-
-    if args.write_baseline:
-        result = analyze(paths, rules=rules, severities=severities)
-        count = write_baseline(result.findings, args.write_baseline)
-        print("wrote %d baseline entr%s to %s — review each one and "
-              "replace the placeholder comment before checking it in"
-              % (count, "y" if count == 1 else "ies", args.write_baseline))
-        return 0
-
-    baseline_path = None
-    if not args.no_baseline:
-        baseline_path = args.baseline or discover_baseline(paths)
-    result = analyze(paths, rules=rules, baseline_path=baseline_path,
-                     severities=severities, only=only)
-    if args.select:
-        # A partial rule selection can't tell stale entries (for rules
-        # that didn't run) from genuinely dead ones.
-        result.stale_baseline = []
-
-    if args.prune_baseline:
-        if baseline_path is None:
-            raise SystemExit("repro lint: --prune-baseline needs a "
-                             "baseline file (none found)")
-        if only is not None or args.select:
-            raise SystemExit("repro lint: --prune-baseline needs a "
-                             "full scan (no --diff / --select): a "
-                             "partial scan cannot tell stale entries "
-                             "from unscanned ones")
-        dropped = prune_baseline(baseline_path, result.stale_baseline)
-        print("pruned %d stale entr%s from %s"
-              % (len(dropped), "y" if len(dropped) == 1 else "ies",
-                 baseline_path))
-        for entry in dropped:
-            print("  dropped: %s" % entry.describe())
-        return 0
+    result = analyze(paths, rules=rules, severities=severities, only=only)
 
     if args.format == "json":
         print(json_report(result))
     elif args.format == "sarif":
         print(sarif_report(result))
     else:
-        if baseline_path is not None:
-            print("baseline : %s" % baseline_path)
         if only is not None:
             print("diff     : %d changed file%s vs %s"
                   % (len(only), "" if len(only) == 1 else "s", args.diff))
@@ -833,7 +767,8 @@ def cmd_lint(args):
 
 
 def _build_cluster_engine(args, **config_overrides):
-    """Engine setup for the service subcommands (no planner options)."""
+    """Engine setup of every query-running subcommand: graph, cluster
+    config, optional ghost replication."""
     graph = load_graph(args)
     config = ClusterConfig(num_machines=args.machines,
                            workers_per_machine=args.workers,

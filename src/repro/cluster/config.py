@@ -62,10 +62,6 @@ class ClusterConfig:
     reliability: bool = False
     #: Retransmission timeout in ticks (0 = auto: one round trip + slack).
     retransmit_timeout: int = 0
-    #: Abort any query still running after this many ticks with a
-    #: structured ``QueryAborted`` carrying partial metrics (None = no
-    #: deadline).  Per-query override: ``PlannerOptions.timeout_ticks``.
-    query_deadline_ticks: int = None
 
     # ------------------------------------------------------------------
     # Flow control (paper §3.3)
@@ -98,28 +94,6 @@ class ClusterConfig:
     #: the intra-machine workload balancing capabilities").
     work_sharing: bool = True
 
-    # ------------------------------------------------------------------
-    # Observability (repro.obs)
-    # ------------------------------------------------------------------
-    #: Record a structured event trace for every query run on this
-    #: cluster (``QueryResult.trace``).  Off by default: the runtime then
-    #: carries no tracer and instrumentation sites reduce to a single
-    #: ``is not None`` check.  Per-query tracing is also available via
-    #: ``PlannerOptions(trace=True)``.
-    trace: bool = False
-    #: Cap on recorded trace events per query (excess events are counted
-    #: in ``trace.dropped`` instead of stored).
-    trace_max_events: int = 1_000_000
-    #: Record live telemetry for every query on this cluster: a metrics
-    #: registry (counters/gauges/histograms) plus a per-tick time series
-    #: of each machine's flow-control and memory state, returned as
-    #: ``QueryResult.telemetry``.  Off by default — the runtime then
-    #: holds ``None`` and each instrumentation site is one pointer
-    #: comparison.  Per-query: ``PlannerOptions(telemetry=True)``.
-    telemetry: bool = False
-    #: Sample the time series every N processed simulator ticks.
-    telemetry_interval: int = 1
-
     #: Hard cap on ticks before the simulator declares a hang (guards
     #: against runtime bugs during development; never hit by the tests).
     max_ticks: int = 50_000_000
@@ -144,11 +118,6 @@ class ClusterConfig:
             raise ClusterConfigError("flow_control_window must be >= 1")
         if self.retransmit_timeout < 0:
             raise ClusterConfigError("retransmit_timeout must be >= 0")
-        if self.telemetry_interval < 1:
-            raise ClusterConfigError("telemetry_interval must be >= 1")
-        if self.query_deadline_ticks is not None \
-                and self.query_deadline_ticks < 1:
-            raise ClusterConfigError("query_deadline_ticks must be >= 1")
         if self.chaos is not None and self.chaos.has_message_faults \
                 and not self.reliability:
             raise ClusterConfigError(

@@ -33,6 +33,7 @@ trace — the simulator never hangs on an unrecoverable fault.
 
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.network import Network
+from repro.context import ExecutionContext
 from repro.errors import QueryAborted, RuntimeFault
 
 
@@ -92,8 +93,10 @@ class MachineAPI:
 class Simulator:
     """Drives machines tick by tick until global completion."""
 
-    def __init__(self, config, tracer=None, telemetry=None):
+    def __init__(self, config, context=None):
         self._config = config
+        context = context or ExecutionContext()
+        tracer = context.tracer
         chaos_config = config.chaos
         if chaos_config is not None:
             from repro.chaos import ChaosController, ChaosNetwork, FaultPlan
@@ -118,20 +121,18 @@ class Simulator:
             self.chaos = None
         self.now = 0
         self._machines = []
-        #: Optional repro.obs.Tracer; None keeps every hot path untraced.
+        #: The run's recorders, deadline and tenant identity, read off
+        #: its ExecutionContext.  A None tracer / telemetry keeps every
+        #: hot path bare; the run aborts once ``now`` reaches a non-None
+        #: deadline; ``query_id`` (None for a plain single-query run) is
+        #: stamped into flow-state snapshots so abort diagnostics can
+        #: name the tenant.
         self.tracer = tracer
-        #: Optional repro.obs.Telemetry; None keeps every hot path bare.
-        self.telemetry = telemetry
-        #: Abort the run at this tick; the engine may override per query.
-        self.deadline = config.query_deadline_ticks
-        #: Identity of the query this simulator executes, when it runs
-        #: as one scope of a multi-query service (repro.service); None
-        #: for a plain single-query run.  Stamped into flow-state
-        #: snapshots so abort diagnostics can name the tenant.
-        self.query_id = None
+        self.telemetry = context.telemetry
+        self.deadline = context.deadline
+        self.query_id = context.query_id
         self._started = False
         self._timer_machines = []
-        self._sampler = None
         self._last_ops = None
 
     @property
@@ -292,13 +293,11 @@ class Simulator:
             for index, machine in enumerate(machines)
             if getattr(machine, "uses_tick_hook", False)
         ]
-        telemetry = self.telemetry
-        self._sampler = telemetry.sampler if telemetry is not None else None
-        if self._sampler is not None:
+        if self.telemetry is not None:
             num_stages = getattr(
                 getattr(machines[0], "plan", None), "num_stages", 0
             )
-            self._sampler.bind(machines, self._config, num_stages)
+            self.telemetry.sampler.bind(machines, self._config, num_stages)
         if self.tracer is not None:
             self._last_ops = [machine.metrics.ops for machine in machines]
         self._started = True
@@ -318,7 +317,6 @@ class Simulator:
         budget = config.ops_per_tick
         tracer = self.tracer
         telemetry = self.telemetry
-        sampler = self._sampler
         chaos = self.chaos
         deadline = self.deadline
         if tracer is not None:
@@ -371,10 +369,10 @@ class Simulator:
                 ))
                 last_ops[index] = metrics.ops
             tracer.emit(TickSample(self.now, tuple(samples)))
-        if sampler is not None:
+        if telemetry is not None:
             # End-of-tick sample: the same uses_tick_hook contract
             # as the timers above, after all workers ran.
-            sampler.on_tick(self.now)
+            telemetry.sampler.on_tick(self.now)
 
         if all(machine.is_finished() for machine in machines):
             if len(self.network) == 0:
@@ -419,9 +417,8 @@ class Simulator:
         """Seal a completed run; returns its :class:`QueryMetrics`."""
         if self.tracer is not None:
             self.tracer.meta["ticks"] = self.now
-        if self._sampler is not None:
-            self._sampler.flush(self.now)
         if self.telemetry is not None:
+            self.telemetry.sampler.flush(self.now)
             self.telemetry.meta["ticks"] = self.now
         metrics = QueryMetrics.collect(
             self.now, [machine.metrics for machine in self._machines]

@@ -17,9 +17,10 @@ baselines.SharedMemoryEngine`, :class:`~repro.baselines.BftEngine`,
   QueryResult` with populated ``metrics``.  :meth:`Engine.query` is the
   one front door — parse, then either the engine's own ``_run`` or, for
   a quantified path, the union of its fixed-length expansions;
-* ``submit(query, options=None)`` is the non-blocking surface: it
-  returns a :class:`QueryHandle` immediately, and the work happens no
-  later than the first ``handle.result()`` call.  The base class ships
+* ``submit(query, options=None, priority=None, deadline=None,
+  context=None)`` is the non-blocking surface: it returns a
+  :class:`QueryHandle` immediately, and the work happens no later than
+  the first ``handle.result()`` call.  The base class ships
   a default :class:`SyncQueryHandle` that wraps the engine's own
   synchronous ``query()``, so every engine conforms for free;
   :class:`~repro.runtime.engine.PgxdAsyncEngine` overrides it to route
@@ -112,14 +113,15 @@ class SyncQueryHandle(QueryHandle):
     first ``result()`` genuinely prevents execution.
     """
 
-    def __init__(self, engine, query, options=None, query_id=None):
+    def __init__(self, engine, query, options, context):
         self._engine = engine
         self._query = query
         self._options = options
+        self._context = context
         self._result = None
         self._aborted = None
         self._status = QueryStatus.QUEUED
-        self.query_id = query_id
+        self.query_id = context.query_id
 
     @property
     def status(self):
@@ -136,7 +138,8 @@ class SyncQueryHandle(QueryHandle):
             return self._result
         self._status = QueryStatus.RUNNING
         try:
-            self._result = self._engine.query(self._query, self._options)
+            self._result = self._engine.query(self._query, self._options,
+                                              self._context)
         except QueryAborted as aborted:
             self._status = QueryStatus.ABORTED
             self._aborted = aborted
@@ -177,16 +180,16 @@ class Engine(abc.ABC):
 
         Returns a :class:`~repro.runtime.engine.QueryResult`; *options*
         is a :class:`~repro.plan.options.PlannerOptions` or None.
-        *context* is an optional :class:`~repro.context.
-        ExecutionContext`; when omitted one is derived from *options*
-        and the cluster config (trace/telemetry flags, ``timeout_ticks``).
-        A quantified path runs as the union of its fixed-length
+        *context* is the :class:`~repro.context.ExecutionContext` the
+        run is observed and bounded by (the caller's recorders and
+        deadline); when omitted the run gets a fresh empty one.  A
+        quantified path runs as the union of its fixed-length
         expansions, each under the same context.
         """
         query = self.parsed(query)
         options = options or PlannerOptions()
         if context is None:
-            context = ExecutionContext.from_options(options, engine=self)
+            context = ExecutionContext()
         if has_quantified_paths(query):
             from repro.runtime.engine import execute_union
 
@@ -210,31 +213,22 @@ class Engine(abc.ABC):
         """Plan and execute one fixed-length :class:`~repro.pgql.ast.
         Query` — the engine-specific part of :meth:`query`."""
 
-    def submit(self, query, options=None, priority=1, deadline=None):
+    def submit(self, query, options=None, priority=None, deadline=None,
+               context=None):
         """Submit *query* without blocking; returns a :class:`QueryHandle`.
 
-        The default implementation wraps the engine's synchronous
-        :meth:`query` in a lazy :class:`SyncQueryHandle` (*priority* and
-        *deadline* are accepted for signature compatibility; priority is
-        meaningless without a concurrent scheduler, and a deadline is
-        honored only by engines whose ``query`` enforces one).
+        *context* brings caller-owned recorders; *priority* and
+        *deadline* are the plain spelling of its two most used fields
+        and win over it when given.  The default implementation wraps
+        the engine's synchronous :meth:`query` in a lazy
+        :class:`SyncQueryHandle` (priority is meaningless without a
+        concurrent scheduler, and a deadline is honored only by engines
+        whose ``query`` enforces one).
         """
-        return SyncQueryHandle(
-            self, query,
-            options=self._deadline_options(options, deadline),
-            query_id=self._next_query_id(),
-        )
-
-    def _deadline_options(self, options, deadline):
-        """Fold a submit-time deadline into the planner options."""
-        if deadline is None:
-            return options
-        options = options or PlannerOptions()
-        if options.timeout_ticks is None:
-            from dataclasses import replace
-
-            options = replace(options, timeout_ticks=deadline)
-        return options
+        return SyncQueryHandle(self, query, options, (
+            context or ExecutionContext()
+        ).given(priority=priority, deadline=deadline,
+                query_id=self._next_query_id()))
 
     def _next_query_id(self):
         seq = getattr(self, "_submit_seq", 0)

@@ -80,8 +80,9 @@ class QueryAborted(ReproError):
     * ``tick`` — the simulated tick the abort happened on;
     * ``metrics`` — partial :class:`~repro.cluster.metrics.QueryMetrics`
       collected from the machines at abort time (may be ``None``);
-    * ``trace`` — the :class:`~repro.obs.Tracer` recording the run, when
-      tracing was enabled;
+    * ``trace`` — the :class:`~repro.obs.Tracer` of the run's context,
+      when the caller brought one (its telemetry, like the tracer, is
+      the caller's own object and holds the run up to the abort);
     * ``detail`` — optional termination/flow-control progress snapshot;
     * ``flow_state`` — per-machine flow-control/memory snapshot at abort
       time (deadline aborts included): a list of dicts with ``machine``,
@@ -99,13 +100,18 @@ class QueryAborted(ReproError):
         self.trace = trace
         self.detail = detail
         self.flow_state = flow_state
+        super().__init__(reason)
+
+    def __str__(self):
+        # Rendered on demand: the union executor and the service amend
+        # ``tick`` / ``detail`` after the simulator raised.
         message = "query aborted"
-        if tick is not None:
-            message += " at tick %d" % tick
-        message += ": %s" % reason
-        if detail:
-            message += " (%s)" % detail
-        super().__init__(message)
+        if self.tick is not None:
+            message += " at tick %d" % self.tick
+        message += ": %s" % self.reason
+        if self.detail:
+            message += " (%s)" % self.detail
+        return message
 
 
 class FlowControlError(RuntimeFault):

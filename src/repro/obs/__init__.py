@@ -1,35 +1,39 @@
 """Observability: structured tracing and profiling for query executions.
 
-Enable tracing per query (``PlannerOptions(trace=True)``) or per cluster
-(``ClusterConfig(trace=True)``); the engine then threads a
-:class:`Tracer` through the simulator, network, machines, workers, flow
-control, and the termination protocol, and returns it as
+A recording is asked for on the run's :class:`~repro.context.
+ExecutionContext`: the caller builds a :class:`Tracer`, hands it over,
+and keeps it.  The engine threads the context through the simulator,
+the (chaos) network, the machines with their workers and generated
+kernels, and the reliable transport, and returns the tracer as
 ``QueryResult.trace``::
 
-    result = engine.query(pgql, options=PlannerOptions(trace=True))
+    tracer = Tracer()
+    result = engine.query(pgql, context=ExecutionContext(tracer=tracer))
     result.trace.kinds()                  # distinct event types seen
     result.trace.profile().summary()      # per-stage / per-machine stats
     result.trace.to_chrome_json("trace.json")   # open in chrome://tracing
     print(result.trace.timeline())        # plain-text utilization rows
 
-When tracing is off (the default) the runtime holds ``None`` instead of
-a tracer and every instrumentation site reduces to one ``is not None``
-check — see ``benchmarks/test_txt2_trace_overhead.py``.
+Without a tracer (the default) the runtime holds ``None`` and every
+instrumentation site reduces to one ``is not None`` check — see
+``benchmarks/test_txt2_trace_overhead.py``.
 
 Live telemetry is the second pillar: a label-aware
 :class:`MetricsRegistry` (counters, gauges, histograms) plus a
 :class:`TimeSeriesSampler` recording per-machine series every simulator
-tick.  Enable it per query (``PlannerOptions(telemetry=True)``) or per
-cluster (``ClusterConfig(telemetry=True)``); the engine returns the
-:class:`Telemetry` handle as ``QueryResult.telemetry``::
+tick, asked for the same way and returned as ``QueryResult.telemetry``::
 
-    result = engine.query(pgql, options=PlannerOptions(telemetry=True))
+    telemetry = Telemetry()
+    result = engine.query(
+        pgql, context=ExecutionContext(telemetry=telemetry)
+    )
     print(result.telemetry.summary())
     print(result.telemetry.prometheus())       # text exposition format
     series = result.telemetry.sampler.series(0)   # machine 0's curves
 
 Telemetry-off follows the same zero-cost contract as tracing
-(``benchmarks/test_txt3_telemetry_overhead.py``).
+(``benchmarks/test_txt3_telemetry_overhead.py``).  Being the caller's,
+both recorders still hold the run up to its last tick after an abort.
 """
 
 from repro.obs.events import (
@@ -73,8 +77,6 @@ from repro.obs.exporters import (
     parse_series_csv,
     parse_series_jsonl,
     prometheus_text,
-    registry_csv,
-    registry_jsonl,
     series_csv,
     series_jsonl,
 )
@@ -111,8 +113,6 @@ __all__ = [
     "query_fingerprint",
     "prometheus_text",
     "parse_prometheus",
-    "registry_jsonl",
-    "registry_csv",
     "series_jsonl",
     "series_csv",
     "parse_series_jsonl",

@@ -3,14 +3,13 @@
 Two shapes of data come out of ``repro.obs``:
 
 * a **registry snapshot** — the current value of every counter, gauge,
-  and histogram (:func:`prometheus_text`, :func:`registry_jsonl`,
-  :func:`registry_csv`);
+  and histogram (:func:`prometheus_text`);
 * a **time series** — the per-tick per-machine samples recorded by the
   :class:`~repro.obs.sampler.TimeSeriesSampler` (:func:`series_jsonl`,
   :func:`series_csv`).
 
 Each writer has a matching reader (``parse_*``) so round trips are
-testable and ``repro bench --compare`` can consume its own output.
+testable; ``repro monitor --prom-out / --series-out`` is the caller.
 """
 
 import csv
@@ -185,28 +184,6 @@ def _split_labels(text):
     if current:
         parts.append("".join(current))
     return parts
-
-
-def registry_jsonl(registry):
-    """One JSON object per sample row: ``{"name", "labels", "value"}``."""
-    lines = [
-        json.dumps(
-            {"name": name, "labels": labels, "value": value},
-            sort_keys=True,
-        )
-        for name, labels, value in registry.samples()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def registry_csv(registry):
-    """CSV with columns ``name, labels, value`` (labels JSON-encoded)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("name", "labels", "value"))
-    for name, labels, value in registry.samples():
-        writer.writerow((name, json.dumps(labels, sort_keys=True), value))
-    return buffer.getvalue()
 
 
 # ----------------------------------------------------------------------

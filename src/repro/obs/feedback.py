@@ -101,9 +101,8 @@ class MachineStageProfile:
 class StageProfiler:
     """The cluster's actual stage cardinalities for one query run.
 
-    A finalize-time reader: ``finalize_execution`` builds one when
-    ``PlannerOptions(profile=True)`` (or ``--explain-analyze``) is set
-    and :meth:`absorb` copies every
+    A finalize-time reader: ``finalize_execution`` builds one for every
+    run and :meth:`absorb` copies every
     :class:`~repro.runtime.machine.QueryMachine`'s stage counters into a
     :class:`MachineStageProfile` view.
     """
@@ -240,10 +239,7 @@ def build_execution_profile(plan, profiler):
 
     Works for any plan: without a cost-chosen estimate the operator
     drift rows are empty but stage totals and skew still report.
-    Returns None when no profiler was attached (profiling off).
     """
-    if profiler is None:
-        return None
     stages = profiler.stage_totals()
     per_machine = profiler.views()
     operators = _join_operators(plan, stages)
@@ -328,9 +324,9 @@ def publish_drift(telemetry, profile):
 
     The families are declared up-front by ``Telemetry.__init__`` so the
     Prometheus export has a stable family set whether or not a profile
-    was collected.  No-op when telemetry (or the profile) is off.
+    was collected.  No-op without telemetry.
     """
-    if telemetry is None or profile is None:
+    if telemetry is None:
         return
     for row in profile.operators:
         operator = str(row["op_index"])

@@ -368,11 +368,12 @@ DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 class Telemetry:
     """Everything live telemetry for one query run: registry + sampler.
 
-    Created by the engine when ``ClusterConfig(telemetry=True)`` or
-    ``PlannerOptions(telemetry=True)`` is set, threaded through the
+    Built by the caller and handed over on the run's
+    :class:`~repro.context.ExecutionContext`, threaded through the
     simulator and machines the same way the tracer is, and returned as
-    ``QueryResult.telemetry``.  Off (the default) the runtime holds
-    ``None`` and pays one pointer comparison per instrumentation site.
+    ``QueryResult.telemetry``.  Without one (the default) the runtime
+    holds ``None`` and pays one pointer comparison per instrumentation
+    site.
     """
 
     def __init__(self, interval=1):

@@ -33,6 +33,10 @@ class SchedulingPolicy(enum.Enum):
 
 @dataclass
 class PlannerOptions:
+    """What shapes a compiled plan — and nothing else: every field is
+    prepared-plan key material (``PgxdAsyncEngine.plan``).  How a run is
+    observed and bounded is :class:`~repro.context.ExecutionContext`'s."""
+
     semantics: MatchSemantics = MatchSemantics.HOMOMORPHISM
     scheduling: SchedulingPolicy = SchedulingPolicy.APPEARANCE
     #: Tri-state switch for the specialized common-neighbor hop engine
@@ -42,23 +46,6 @@ class PlannerOptions:
     use_common_neighbors: bool = None
     #: Explicit vertex matching order; overrides *scheduling* when set.
     vertex_order: list = None
-    #: Record a structured event trace for this query (see ``repro.obs``);
-    #: the trace is returned as ``QueryResult.trace``.
-    trace: bool = False
-    #: Record live telemetry for this query (metrics registry + per-tick
-    #: time series, see ``repro.obs.telemetry``); returned as
-    #: ``QueryResult.telemetry``.
-    telemetry: bool = False
-    #: Per-query deadline in simulated ticks: the run aborts with a
-    #: structured ``QueryAborted`` (partial metrics + trace) once the
-    #: clock passes it.  Overrides ``ClusterConfig.query_deadline_ticks``;
-    #: for union-executed queries each expansion gets the full budget.
-    timeout_ticks: int = None
-    #: Collect per-stage actual cardinalities (a ``StageProfiler`` from
-    #: ``repro.obs.feedback``), joined against the cost model's
-    #: estimates as ``QueryResult.execution_profile()``.  The runtime
-    #: counts either way; this only attaches the finalize-time reader.
-    profile: bool = False
     #: A ``repro.obs.feedback.FeedbackStore`` of recorded execution
     #: profiles.  Consumed only under ``SchedulingPolicy.COST``, where
     #: recorded actuals correct the model's selectivities on

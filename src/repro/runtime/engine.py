@@ -17,6 +17,8 @@ from repro.context import ExecutionContext
 from repro.engine_api import Engine
 from repro.errors import QueryAborted
 from repro.graph.distributed import DistributedGraph
+from repro.obs.feedback import StageProfiler, build_execution_profile, \
+    publish_drift
 from repro.pgql import as_query, parse_and_validate, to_pgql
 from repro.pgql.ast import Query, SelectItem
 from repro.plan import PlannerOptions, SchedulingPolicy, plan_query
@@ -58,28 +60,26 @@ class QueryResult:
         #: shipped to the stage over the network).  None for results that
         #: did not run on the distributed runtime (e.g. baselines).
         self.stage_profile = stage_profile
-        #: The :class:`repro.obs.Tracer` that recorded this execution, or
-        #: None when tracing was off (the default).
+        #: The run context's :class:`repro.obs.Tracer`, or None when the
+        #: caller brought none (the default).
         self.trace = trace
-        #: The :class:`repro.obs.Telemetry` (metrics registry + per-tick
-        #: time series) of this execution, or None when live telemetry
-        #: was off (the default).
+        #: The run context's :class:`repro.obs.Telemetry` (metrics
+        #: registry + per-tick time series), or None (the default).
         self.telemetry = telemetry
         #: The :class:`repro.obs.feedback.StageProfiler` holding the
-        #: per-machine actual stage cardinalities, or None when profile
-        #: collection was off (the default).
+        #: per-machine actual stage cardinalities; None for results that
+        #: did not run as one plan on the distributed runtime
+        #: (baselines, unions).
         self.profiler = profiler
         self._execution_profile = None
 
     def execution_profile(self):
         """The plan-vs-actual :class:`~repro.obs.feedback.
         ExecutionProfile` (built once, on first use), or None when the
-        run collected no profile."""
+        result carries no profiler."""
         if self.profiler is None or self.plan is None:
             return None
         if self._execution_profile is None:
-            from repro.obs.feedback import build_execution_profile
-
             self._execution_profile = build_execution_profile(
                 self.plan, self.profiler
             )
@@ -88,7 +88,7 @@ class QueryResult:
     def explain_analyze(self):
         """Stage plan annotated with runtime counters, as text.
 
-        With tracing enabled the report folds in the event stream:
+        With a tracer on the run the report folds in the event stream:
         time to first result, distinct ticks each stage spent refused by
         flow control, quota-borrowing traffic, and the tick each stage
         became globally complete.
@@ -215,14 +215,13 @@ class PgxdAsyncEngine(Engine):
         The key is everything :func:`~repro.plan.plan_query` reads and
         nothing else: the canonical text of the AST (never its identity
         — ASTs are mutable and caller-owned, so the plan compiles a
-        private copy) and the four options that shape a plan;
-        ``trace``/``telemetry``/``timeout_ticks``/``profile`` shape a
-        *run* and are read from the caller's options on every call.
-        Where the COST policy prices candidates two more inputs exist:
-        the graph's statistics object (plans priced under one the graph
-        no longer holds are dropped) and this query's feedback
-        corrections, by content.  The returned plan is shared — treat it
-        as read-only; ``plan_query`` compiles a private one.
+        private copy) and every field of *options* — ``feedback`` by the
+        content of this query's corrections, and only where it is read,
+        which is where the COST policy prices candidates.  There the
+        graph's statistics object is one more input: plans priced under
+        one the graph no longer holds are dropped.  The returned plan is
+        shared — treat it as read-only; ``plan_query`` compiles a
+        private one.
         """
         query = self.parsed(query)
         options = options or PlannerOptions()
@@ -249,7 +248,8 @@ class PgxdAsyncEngine(Engine):
     def _run(self, query, options, context):
         return self.execute_plan(self.plan(query, options), context)
 
-    def submit(self, query, options=None, priority=1, deadline=None):
+    def submit(self, query, options=None, priority=None, deadline=None,
+               context=None):
         """Non-blocking submission through the multi-query service.
 
         Returns a :class:`~repro.engine_api.QueryHandle` scheduled on
@@ -260,11 +260,10 @@ class PgxdAsyncEngine(Engine):
         service scope.
         """
         parsed = self.parsed(query)
-        if has_quantified_paths(parsed):
-            return super().submit(parsed, options)
-        return self.service().submit(
-            parsed, options, priority=priority, deadline=deadline
-        )
+        submit = (super().submit if has_quantified_paths(parsed)
+                  else self.service().submit)
+        return submit(parsed, options, priority=priority,
+                      deadline=deadline, context=context)
 
     def service(self, service_config=None):
         """This engine's lazily created default query service.
@@ -311,19 +310,14 @@ class PgxdAsyncEngine(Engine):
         """
         if config is None:
             config = self.config
-        tracer = context.tracer
-        telemetry = context.telemetry
-        if tracer is not None:
-            tracer.meta.update(
+        if context.tracer is not None:
+            context.tracer.meta.update(
                 num_machines=config.num_machines,
                 num_stages=plan.num_stages,
                 workers_per_machine=config.workers_per_machine,
                 ops_per_tick=config.ops_per_tick,
             )
-        simulator = Simulator(config, tracer=tracer, telemetry=telemetry)
-        simulator.query_id = context.query_id
-        if context.deadline is not None:
-            simulator.deadline = context.deadline
+        simulator = Simulator(config, context)
         machines = []
         for machine_id in range(config.num_machines):
             machines.append(QueryMachine(
@@ -332,22 +326,20 @@ class PgxdAsyncEngine(Engine):
                 machine_id,
                 simulator.api_for(machine_id),
                 config,
+                context,
                 debug_checks=self.debug_checks,
-                tracer=tracer,
-                telemetry=telemetry,
             ))
         simulator.attach(machines)
         return simulator, machines
 
     def finalize_execution(self, plan, machines, metrics, context):
         """Merge per-machine state into the :class:`QueryResult`."""
+        profiler = StageProfiler()
+        profiler.absorb(machines)
         stage_profile = [
-            {
-                "visits": sum(m.stage_visits[i] for m in machines),
-                "passes": sum(m.stage_passes[i] for m in machines),
-                "remote_in": sum(m.stage_remote_in[i] for m in machines),
-            }
-            for i in range(plan.num_stages)
+            {name: totals[name]
+             for name in ("visits", "passes", "remote_in")}
+            for totals in profiler.stage_totals()
         ]
         if plan.output.has_aggregates:
             # Merge the machines' partial aggregation states.
@@ -365,19 +357,9 @@ class PgxdAsyncEngine(Engine):
                 plan.query.vertex_vars(),
                 plan.query.edge_vars(),
             )
-        profiler = None
-        if context.profile:
-            from repro.obs.feedback import (
-                StageProfiler,
-                build_execution_profile,
-                publish_drift,
-            )
-
-            profiler = StageProfiler()
-            profiler.absorb(machines)
-            if context.telemetry is not None:
-                publish_drift(context.telemetry,
-                              build_execution_profile(plan, profiler))
+        if context.telemetry is not None:
+            publish_drift(context.telemetry,
+                          build_execution_profile(plan, profiler))
         return QueryResult(result_set, metrics, plan,
                            stage_profile=stage_profile,
                            trace=context.tracer,
@@ -395,9 +377,9 @@ def execute_union(query, context, run_one):
     sorted, deduped, and truncated here.
 
     Every expansion runs under the caller's *context* — its full
-    deadline, profile flag and query id — recording from tick 0 into
-    recorders of its own, which are laid out end to end in
-    ``context.tracer`` / ``context.telemetry``.
+    deadline and query id — recording from tick 0 into recorders of its
+    own, which are laid out end to end in ``context.tracer`` /
+    ``context.telemetry`` (an aborting expansion's included).
     """
     expansions = expand_quantified_paths(query)
     visible = len(query.select_items)
@@ -410,8 +392,15 @@ def execute_union(query, context, run_one):
     profiles = []  # (plan, stage_profile) of expansions that computed one
     tracer = context.tracer
     telemetry = context.telemetry
-    merged_trace = None
-    merged_telemetry = None
+
+    def lay_out(scoped):
+        # Expansions run back to back: offset each one's recordings by
+        # the ticks accumulated so far.
+        if tracer is not None:
+            tracer.extend(scoped.tracer, tick_offset=combined.ticks)
+        if telemetry is not None:
+            telemetry.extend(scoped.telemetry, tick_offset=combined.ticks)
+
     for expansion in expansions:
         stripped = Query(
             list(expansion.select_items)
@@ -419,11 +408,17 @@ def execute_union(query, context, run_one):
             expansion.paths,
             expansion.constraints,
         )
+        scoped = context.with_fresh_recorders()
         try:
-            result = run_one(stripped, context.with_fresh_recorders())
+            result = run_one(stripped, scoped)
         except QueryAborted as aborted:
-            # Fold the finished expansions' metrics into the abort so
-            # the caller sees the whole union's partial progress.
+            # The caller sees the whole union's partial progress: the
+            # finished expansions' metrics and recordings plus this
+            # one's, on the union's timeline.
+            lay_out(scoped)
+            aborted.trace = tracer
+            if aborted.tick is not None:
+                aborted.tick += combined.ticks
             if aborted.metrics is not None:
                 combined.merge(aborted.metrics)
             aborted.metrics = combined
@@ -434,16 +429,7 @@ def execute_union(query, context, run_one):
         all_rows.extend(result.rows)
         if result.stage_profile is not None:
             profiles.append((result.plan, result.stage_profile))
-        # Expansions run back to back: offset each one's recordings by
-        # the ticks accumulated so far.
-        if tracer is not None and result.trace is not None:
-            merged_trace = tracer.extend(
-                result.trace, tick_offset=combined.ticks
-            )
-        if telemetry is not None and result.telemetry is not None:
-            merged_telemetry = telemetry.extend(
-                result.telemetry, tick_offset=combined.ticks
-            )
+        lay_out(scoped)
         combined.merge(result.metrics)
 
     stage_profile = None
@@ -477,8 +463,8 @@ def execute_union(query, context, run_one):
     if query.limit is not None:
         rows = rows[: query.limit]
     return QueryResult(ResultSet(columns, rows), combined, plan,
-                       stage_profile=stage_profile, trace=merged_trace,
-                       telemetry=merged_telemetry)
+                       stage_profile=stage_profile, trace=tracer,
+                       telemetry=telemetry)
 
 
 def run_query(graph, query, config=None, options=None, debug_checks=False,

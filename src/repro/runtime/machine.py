@@ -15,6 +15,7 @@ It owns:
 from collections import deque
 
 from repro.cluster.metrics import MachineMetrics
+from repro.context import ExecutionContext
 from repro.errors import RuntimeFault
 from repro.obs.events import (
     FlowBlock,
@@ -53,7 +54,8 @@ class QueryMachine:
     """One simulated machine executing its share of a query."""
 
     def __init__(self, plan, dist_graph, machine_id, api, config,
-                 debug_checks=False, tracer=None, telemetry=None):
+                 context=None, debug_checks=False):
+        context = context or ExecutionContext()
         self.plan = plan
         self.graph = plan.graph
         self.local = dist_graph.local(machine_id)
@@ -69,19 +71,16 @@ class QueryMachine:
         if self._reliable:
             from repro.runtime.reliability import ReliableTransport
 
-            api = ReliableTransport(api, config, self.metrics,
-                                    tracer=tracer, telemetry=telemetry)
+            api = ReliableTransport(api, config, self.metrics, context)
         self.api = api
         #: Simulator hook: reliability retransmission timers need a
         #: per-tick callback and participate in idle fast-forwarding.
         self.uses_tick_hook = self._reliable
-        #: Optional repro.obs.Tracer shared by every machine of the run;
-        #: None (the default) keeps all instrumentation sites to a single
-        #: pointer comparison.
-        self.trace = tracer
-        #: Optional repro.obs.Telemetry shared by every machine; None
-        #: (the default) costs the same single pointer comparison.
-        self.telemetry = telemetry
+        #: The run context's repro.obs.Tracer / repro.obs.Telemetry,
+        #: shared by every machine of the run; None (the default) keeps
+        #: each instrumentation site to a single pointer comparison.
+        self.trace = context.tracer
+        self.telemetry = context.telemetry
 
         num_stages = plan.num_stages
         num_machines = config.num_machines

@@ -53,11 +53,11 @@ class _ChannelReceiver:
 class ReliableTransport:
     """Per-machine reliable channel layer wrapping a ``MachineAPI``."""
 
-    def __init__(self, api, config, metrics, tracer=None, telemetry=None):
+    def __init__(self, api, config, metrics, context):
         self._api = api
         self._metrics = metrics
-        self._trace = tracer
-        self._telemetry = telemetry
+        self._trace = context.tracer
+        self._telemetry = context.telemetry
         self.machine_id = api.machine_id
         rto = config.retransmit_timeout
         if not rto:

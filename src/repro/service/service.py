@@ -298,15 +298,19 @@ class QueryService:
         return not self._active and not self._queue
 
     # -- submission -----------------------------------------------------
-    def submit(self, query, options=None, priority=1, deadline=None,
-               query_id=None):
+    def submit(self, query, options=None, priority=None, deadline=None,
+               query_id=None, context=None):
         """Admit *query*; returns a :class:`ServiceHandle` immediately.
 
-        *priority* weights the fair-share scheduler (a priority-2 scope
-        receives twice the scheduling grants of a priority-1 one);
-        *deadline* is a per-query budget in virtual ticks, enforced by
-        the scope's own simulator through the existing
-        :class:`~repro.errors.QueryAborted` machinery.
+        *context* is the caller's :class:`~repro.context.
+        ExecutionContext` (its recorders end up on the result or, being
+        the caller's, survive an abort); *priority* and *deadline* are
+        the plain spelling of two of its fields and win over it when
+        given.  *priority* weights the fair-share scheduler (a
+        priority-2 scope receives twice the scheduling grants of a
+        priority-1 one); *deadline* is a per-query budget in virtual
+        ticks, enforced by the scope's own simulator through the
+        existing :class:`~repro.errors.QueryAborted` machinery.
         """
         parsed = self.engine.parsed(query)
         if has_quantified_paths(parsed):
@@ -320,11 +324,9 @@ class QueryService:
             query_id = "q%d" % self._seq
         if query_id in self._scopes:
             raise RuntimeFault("duplicate query_id %r" % query_id)
-        context = ExecutionContext.from_options(
-            options, engine=self.engine
-        ).replace(query_id=query_id, priority=priority)
-        if deadline is not None and context.deadline is None:
-            context = context.replace(deadline=deadline)
+        context = (context or ExecutionContext()).given(
+            priority=priority, deadline=deadline, query_id=query_id
+        )
         scope = QueryScope(self, self._seq, plan, context,
                            submitted_at=self.now)
         self._seq += 1

@@ -16,17 +16,13 @@ import pytest
 
 from repro.analysis import (
     analyze,
-    discover_baseline,
     explain,
     json_report,
-    load_baseline,
     render_catalog,
     rule_by_id,
     text_report,
-    write_baseline,
 )
 from repro.cli import EXIT_LINT, build_parser, main
-from repro.errors import AnalysisError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -289,12 +285,12 @@ class TestZeroCostOffRule:
 
     def test_sibling_guard_is_not_enough(self, tmp_path):
         # The guard must cover the handle actually called: guarding
-        # `telemetry` says nothing about a bare `sampler` local.
+        # `telemetry` says nothing about the `tracer` beside it.
         root = write_package(tmp_path, {
             "repro/runtime/hot.py": """\
-                def run(telemetry, sampler):
+                def run(telemetry, tracer):
                     if telemetry is not None:
-                        sampler.flush(1)
+                        tracer.emit(1)
                 """,
         })
         assert rules_of(analyze([root])) == ["RPR002"]
@@ -514,73 +510,6 @@ class TestHygieneRules:
 
 
 # ----------------------------------------------------------------------
-# Baseline workflow
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    def _dirty_tree(self, tmp_path):
-        return write_package(tmp_path, {
-            "repro/runtime/clock.py": """\
-                import time
-
-                def stamp():
-                    return time.time()
-                """,
-        })
-
-    def test_round_trip(self, tmp_path):
-        root = self._dirty_tree(tmp_path)
-        first = analyze([root])
-        assert len(first.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        assert write_baseline(first.findings, str(baseline_path)) == 1
-        second = analyze([root], baseline_path=str(baseline_path))
-        assert second.findings == []
-        assert second.baselined == 1
-        assert second.stale_baseline == []
-
-    def test_stale_entry_reported(self, tmp_path):
-        root = self._dirty_tree(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(analyze([root]).findings, str(baseline_path))
-        (tmp_path / "repro" / "runtime" / "clock.py").write_text(
-            "def stamp():\n    return 0\n"
-        )
-        result = analyze([root], baseline_path=str(baseline_path))
-        assert result.findings == []
-        assert result.baselined == 0
-        assert len(result.stale_baseline) == 1
-        assert "time.time" in result.stale_baseline[0].describe()
-
-    def test_entries_require_comments(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps({
-            "schema": "repro-lint-baseline/1",
-            "entries": [{
-                "rule": "RPR001",
-                "path": "repro/runtime/clock.py",
-                "pattern": "time.time",
-            }],
-        }))
-        with pytest.raises(AnalysisError):
-            load_baseline(str(baseline_path))
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps({"schema": "nope"}))
-        with pytest.raises(AnalysisError):
-            load_baseline(str(baseline_path))
-
-    def test_discovery_walks_upward(self, tmp_path):
-        root = self._dirty_tree(tmp_path)
-        (tmp_path / "lint-baseline.json").write_text(json.dumps({
-            "schema": "repro-lint-baseline/1", "entries": [],
-        }))
-        found = discover_baseline([str(root / "repro" / "runtime")])
-        assert found == str(tmp_path / "lint-baseline.json")
-
-
-# ----------------------------------------------------------------------
 # Mutation tests on the real sources (acceptance criteria)
 # ----------------------------------------------------------------------
 
@@ -632,12 +561,13 @@ class TestMutations:
 
 class TestSelfHosting:
     def test_src_repro_has_zero_unbaselined_findings(self):
-        # No baseline is checked in: the tree is clean on its own.
+        # Nothing is whitelisted out of band: the tree is clean on its
+        # own, inline suppressions aside.
         assert analyze([str(SRC_REPRO)]).findings == []
 
     def test_cli_gate_exits_zero(self, capsys):
         code = main([
-            "lint", str(SRC_REPRO), "--no-baseline", "--fail-on", "warning",
+            "lint", str(SRC_REPRO), "--fail-on", "warning",
         ])
         assert code == 0
         assert "0 findings" in capsys.readouterr().out
@@ -664,8 +594,7 @@ class TestLintCli:
                     return time.time()
                 """,
         })
-        code = main(["lint", str(root), "--format", "json",
-                     "--no-baseline"])
+        code = main(["lint", str(root), "--format", "json"])
         assert code == EXIT_LINT
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == "repro-lint/1"
@@ -677,8 +606,7 @@ class TestLintCli:
             "repro/runtime/clock.py": "def stamp():\n    return 0\n",
         })
         out = tmp_path / "report.json"
-        code = main(["lint", str(root), "--json-out", str(out),
-                     "--no-baseline"])
+        code = main(["lint", str(root), "--json-out", str(out)])
         assert code == 0
         document = json.loads(out.read_text())
         assert document["summary"]["errors"] == 0
@@ -695,26 +623,10 @@ class TestLintCli:
             "repro/runtime/machine.py": machine,
         })
         # Only a warning-level finding: fail-on error passes ...
-        assert main(["lint", str(root), "--no-baseline"]) == 0
+        assert main(["lint", str(root)]) == 0
         # ... fail-on warning does not.
-        assert main(["lint", str(root), "--no-baseline",
+        assert main(["lint", str(root),
                      "--fail-on", "warning"]) == EXIT_LINT
-        capsys.readouterr()
-
-    def test_write_baseline_workflow(self, tmp_path, capsys):
-        root = write_package(tmp_path, {
-            "repro/runtime/clock.py": """\
-                import time
-
-                def stamp():
-                    return time.time()
-                """,
-        })
-        baseline_path = tmp_path / "generated-baseline.json"
-        assert main(["lint", str(root),
-                     "--write-baseline", str(baseline_path)]) == 0
-        assert main(["lint", str(root),
-                     "--baseline", str(baseline_path)]) == 0
         capsys.readouterr()
 
     def test_explain_known_rule(self, capsys):

@@ -5,7 +5,7 @@ that only exists because guard/type/reservation facts flow over a real
 control-flow graph — domination through try/finally, while/else, early
 returns, nested scopes — plus the RPR006/RPR007/RPR009 rule packs, the
 RPR008 generated-source audit, and the v2 runner surface (``--diff``,
-``--select``, ``--severity``, SARIF, ``--prune-baseline``).  The
+``--select``, ``--severity``, SARIF).  The
 mutation tests follow the house style: copy a real source verbatim,
 break one invariant, and require the analyzer to flip non-zero.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze, load_baseline, write_baseline
+from repro.analysis import analyze
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import iter_scopes
 from repro.cli import main
@@ -655,23 +655,21 @@ class TestSnippetFingerprints:
         root = write_package(tmp_path, self.FIXTURE)
         result = analyze([root])
         assert rules_of(result) == ["RPR001"]
-        baseline = tmp_path / "baseline.json"
-        write_baseline(result.findings, str(baseline))
-        entries = load_baseline(str(baseline))
-        assert entries[0].snippet_hash is not None
+        original = result.findings[0]
+        assert original.snippet_hash is not None
 
-        # Shift the flagged call down: fingerprint must still match.
+        # Shift the flagged call down: the fingerprint must not move.
         target = tmp_path / "repro/runtime/leaky.py"
         target.write_text("import time\n\n\n# shifted\n\n" +
                           "def stamp():\n    return time.time()\n")
-        shifted = analyze([root], baseline_path=str(baseline))
-        assert shifted.findings == []
-        assert shifted.baselined == 1
+        shifted = analyze([root]).findings[0]
+        assert shifted.line != original.line
+        assert shifted.fingerprint() == original.fingerprint()
 
     def test_editing_flagged_code_resurfaces(self, tmp_path):
         # RPR006 anchors at the For node, so the snippet hash covers the
-        # whole loop: editing the body invalidates the baseline entry
-        # even though rule/path/symbol/pattern all still match.
+        # whole loop: editing the body changes the fingerprint even
+        # though rule/path/symbol/pattern all still match.
         root = write_package(tmp_path, {
             "repro/runtime/fanout.py": """\
                 class Stage:
@@ -683,24 +681,21 @@ class TestSnippetFingerprints:
         })
         result = analyze([root])
         assert rules_of(result) == ["RPR006"]
-        baseline = tmp_path / "baseline.json"
-        write_baseline(result.findings, str(baseline))
-        assert analyze([root],
-                       baseline_path=str(baseline)).findings == []
+        original = result.findings[0].fingerprint()
 
         target = tmp_path / "repro/runtime/fanout.py"
         target.write_text(target.read_text().replace(
             "ctx.send(target, payload)",
             "ctx.send(target, (payload, target))",
         ))
-        edited = analyze([root], baseline_path=str(baseline))
+        edited = analyze([root])
         assert rules_of(edited) == ["RPR006"]
-        assert edited.baselined == 0
-        assert len(edited.stale_baseline) == 1
+        assert edited.findings[0].fingerprint()[:4] == original[:4]
+        assert edited.findings[0].fingerprint() != original
 
 
 # ----------------------------------------------------------------------
-# Runner surface: --select / --severity / --diff / SARIF / prune
+# Runner surface: --select / --severity / --diff / SARIF
 # ----------------------------------------------------------------------
 
 LEAKY = {
@@ -724,7 +719,7 @@ class TestRunnerSurface:
     def test_select_restricts_rules(self, tmp_path, capsys):
         root = write_package(tmp_path, LEAKY)
         assert main(["lint", str(root), "--select", "RPR006",
-                     "--no-baseline", "--format", "json"]) == 1
+                     "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in report["findings"]} == {"RPR006"}
 
@@ -736,11 +731,11 @@ class TestRunnerSurface:
     def test_severity_override_changes_gate(self, tmp_path, capsys):
         root = write_package(tmp_path, LEAKY)
         # Downgraded to warning, the default --fail-on error passes...
-        assert main(["lint", str(root), "--no-baseline",
+        assert main(["lint", str(root),
                      "--severity", "RPR001=warning",
                      "--severity", "RPR006=warning"]) == 0
         # ... and --fail-on warning still gates.
-        assert main(["lint", str(root), "--no-baseline",
+        assert main(["lint", str(root),
                      "--severity", "RPR001=warning",
                      "--severity", "RPR006=warning",
                      "--fail-on", "warning"]) == 1
@@ -760,16 +755,15 @@ class TestRunnerSurface:
                     return time.time()
                 """,
         })
+        assert main(["lint", str(root), "--select", "RPR001"]) == 0
         assert main(["lint", str(root), "--select", "RPR001",
-                     "--no-baseline"]) == 0
-        assert main(["lint", str(root), "--select", "RPR001",
-                     "--all-scopes", "--no-baseline"]) == 1
+                     "--all-scopes"]) == 1
         capsys.readouterr()
 
     def test_sarif_report_shape(self, tmp_path, capsys):
         root = write_package(tmp_path, LEAKY)
         sarif_path = tmp_path / "report.sarif"
-        assert main(["lint", str(root), "--no-baseline",
+        assert main(["lint", str(root),
                      "--format", "sarif",
                      "--sarif-out", str(sarif_path)]) == 1
         document = json.loads(capsys.readouterr().out)
@@ -788,34 +782,6 @@ class TestRunnerSurface:
             assert entry["partialFingerprints"]["reproLint/v1"]
         assert json.loads(sarif_path.read_text()) == document
 
-    def test_prune_baseline_drops_stale(self, tmp_path, capsys):
-        root = write_package(tmp_path, LEAKY)
-        baseline = tmp_path / "lint-baseline.json"
-        assert main(["lint", str(root),
-                     "--write-baseline", str(baseline)]) == 0
-        assert len(load_baseline(str(baseline))) == 2
-
-        # Fix one of the two findings, then prune: exactly one entry
-        # must drop and the other must survive verbatim.
-        (tmp_path / "repro/runtime/leaky.py").write_text(
-            "def stamp(tick):\n    return tick\n")
-        assert main(["lint", str(root), "--baseline", str(baseline),
-                     "--prune-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 stale entry" in out
-        remaining = load_baseline(str(baseline))
-        assert len(remaining) == 1
-        assert remaining[0].rule == "RPR006"
-
-    def test_prune_baseline_requires_full_scan(self, tmp_path):
-        root = write_package(tmp_path, LEAKY)
-        baseline = tmp_path / "lint-baseline.json"
-        assert main(["lint", str(root),
-                     "--write-baseline", str(baseline)]) == 0
-        with pytest.raises(SystemExit):
-            main(["lint", str(root), "--baseline", str(baseline),
-                  "--prune-baseline", "--select", "RPR001"])
-
     def test_diff_reports_changed_files_only(self, tmp_path, capsys,
                                              monkeypatch):
         root = write_package(tmp_path, LEAKY)
@@ -828,7 +794,7 @@ class TestRunnerSurface:
         fanout = tmp_path / "repro/runtime/fanout.py"
         fanout.write_text(fanout.read_text() + "\nEXTRA = 1\n")
         monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(root), "--no-baseline",
+        assert main(["lint", str(root),
                      "--diff", "HEAD", "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in report["findings"]} == {"RPR006"}
@@ -839,5 +805,4 @@ class TestRunnerSurface:
     def test_diff_bad_ref_rejected(self, tmp_path):
         root = write_package(tmp_path, LEAKY)
         with pytest.raises(SystemExit):
-            main(["lint", str(root), "--diff",
-                  "no-such-ref-xyzzy", "--no-baseline"])
+            main(["lint", str(root), "--diff", "no-such-ref-xyzzy"])

@@ -10,10 +10,11 @@ deadlines are unrecoverable by design and abort with a structured
 
 import pytest
 
-from repro import ClusterConfig, run_query, uniform_random_graph
+from repro import ClusterConfig, ExecutionContext, PgxdAsyncEngine, \
+    run_query, uniform_random_graph
 from repro.chaos import ChaosConfig, FaultPlan, PROFILES, profile
 from repro.errors import ClusterConfigError, QueryAborted
-from repro.plan import PlannerOptions
+from repro.obs import Tracer
 
 QUERY = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c), a.type = 1"
 
@@ -29,10 +30,10 @@ def clean_rows(chaos_graph):
     return sorted(result.rows)
 
 
-def chaos_run(graph, chaos, query=QUERY, options=None, **config_kwargs):
+def chaos_run(graph, chaos, query=QUERY, context=None, **config_kwargs):
     config = ClusterConfig(num_machines=4, chaos=chaos, reliability=True,
                            **config_kwargs)
-    return run_query(graph, query, config, options=options)
+    return run_query(graph, query, config, context=context)
 
 
 class TestChaosParity:
@@ -78,9 +79,8 @@ class TestChaosParity:
         assert result.metrics.peak_buffered_contexts <= bound
 
     def test_chaos_emits_trace_events(self, chaos_graph):
-        options = PlannerOptions(trace=True)
         result = chaos_run(chaos_graph, profile("soak", seed=7),
-                           options=options)
+                           context=ExecutionContext(tracer=Tracer()))
         kinds = {event.kind for event in result.trace.events}
         assert "chaos_drop" in kinds
         assert "chaos_duplicate" in kinds
@@ -108,7 +108,7 @@ class TestStalls:
     def test_stall_emits_trace_events(self, chaos_graph):
         chaos = ChaosConfig(stalls=((1, 5, 20),))
         result = chaos_run(chaos_graph, chaos,
-                           options=PlannerOptions(trace=True))
+                           context=ExecutionContext(tracer=Tracer()))
         kinds = {event.kind for event in result.trace.events}
         assert "chaos_stall" in kinds
         assert "chaos_resume" in kinds
@@ -141,35 +141,40 @@ class TestAborts:
 
     def test_crash_emits_abort_trace_event(self, chaos_graph):
         chaos = ChaosConfig(crashes=((0, 10),))
+        tracer = Tracer()
         with pytest.raises(QueryAborted) as info:
             chaos_run(chaos_graph, chaos,
-                      options=PlannerOptions(trace=True))
+                      context=ExecutionContext(tracer=tracer))
         trace = info.value.trace
-        assert trace is not None
+        assert trace is tracer
         kinds = [event.kind for event in trace.events]
         assert "chaos_crash" in kinds
         assert "aborted" in kinds
         assert trace.meta.get("aborted")
 
     def test_deadline_aborts(self, chaos_graph):
-        config = ClusterConfig(num_machines=4, query_deadline_ticks=3)
         with pytest.raises(QueryAborted) as info:
-            run_query(chaos_graph, QUERY, config)
+            run_query(chaos_graph, QUERY, ClusterConfig(num_machines=4),
+                      context=ExecutionContext(deadline=3))
         aborted = info.value
         assert "deadline" in aborted.reason
         assert aborted.tick == 3
         assert aborted.metrics is not None
 
     def test_timeout_option_overrides_config(self, chaos_graph):
-        options = PlannerOptions(timeout_ticks=4)
+        # The one precedence rule left: submit's plain ``deadline=``
+        # wins over the deadline its ``context=`` already carries.
+        engine = PgxdAsyncEngine(chaos_graph, ClusterConfig(num_machines=4))
+        handle = engine.submit(
+            QUERY, deadline=4, context=ExecutionContext(deadline=100_000)
+        )
         with pytest.raises(QueryAborted) as info:
-            run_query(chaos_graph, QUERY, ClusterConfig(num_machines=4),
-                      options=options)
+            handle.result()
         assert info.value.tick == 4
 
     def test_generous_deadline_does_not_fire(self, chaos_graph, clean_rows):
-        config = ClusterConfig(num_machines=4, query_deadline_ticks=100_000)
-        result = run_query(chaos_graph, QUERY, config)
+        result = run_query(chaos_graph, QUERY, ClusterConfig(num_machines=4),
+                           context=ExecutionContext(deadline=100_000))
         assert sorted(result.rows) == clean_rows
 
 
@@ -221,9 +226,12 @@ class TestConfigValidation:
         with pytest.raises(ClusterConfigError):
             profile("tsunami")
 
-    def test_bad_deadline_rejected(self):
-        with pytest.raises(ClusterConfigError):
-            ClusterConfig(query_deadline_ticks=0)
+    def test_bad_deadline_rejected(self, chaos_graph):
+        # A run setting, so a run outcome: typed, at tick 0, not a hang.
+        with pytest.raises(QueryAborted) as info:
+            run_query(chaos_graph, QUERY, ClusterConfig(num_machines=4),
+                      context=ExecutionContext(deadline=0))
+        assert info.value.tick == 0
 
     def test_chaos_machine_out_of_range_rejected(self, chaos_graph):
         chaos = ChaosConfig(crashes=((99, 5),))

@@ -152,6 +152,19 @@ class TestSubmit:
             handle.result()
             assert handle.status is QueryStatus.DONE
 
+    def test_submit_deadline_aborts_a_quantified_path(self, random_graph):
+        # The union fallback carries the same context the service
+        # branch does: deadline, priority and the caller's recorders.
+        engine = _make(PgxdAsyncEngine, random_graph)
+        fixed = engine.submit("SELECT a, b WHERE (a)-[]->(b)", deadline=3)
+        union = engine.submit("SELECT a, b WHERE (a)-/{1,3}/->(b)",
+                              deadline=3, priority=2)
+        for handle in (fixed, union):
+            with pytest.raises(QueryAborted) as info:
+                handle.result()
+            assert info.value.tick == 3
+            assert handle.status is QueryStatus.ABORTED
+
     def test_async_submit_routes_through_service(self, random_graph):
         engine = _make(PgxdAsyncEngine, random_graph)
         handle = engine.submit(QUERY)

@@ -18,10 +18,11 @@ from dataclasses import asdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, PgxdAsyncEngine, PlannerOptions, \
-    run_query, uniform_random_graph
+from repro import ClusterConfig, PgxdAsyncEngine, run_query, \
+    uniform_random_graph
 from repro.chaos import ChaosConfig
 from repro.context import ExecutionContext
+from repro.obs import Tracer
 from repro.runtime.machine import QueryMachine
 from repro.runtime.messages import Ack, Completed
 from repro.runtime.termination import TerminationTracker
@@ -112,12 +113,15 @@ class TestExactness:
         graph = uniform_random_graph(
             vertices, vertices * density, seed=graph_seed, num_types=3
         )
-        options = PlannerOptions(profile=True, trace=True)
-        latched = _observation(run_query(graph, query, config, options))
+        def traced():
+            return _observation(run_query(
+                graph, query, config,
+                context=ExecutionContext(tracer=Tracer()),
+            ))
+
+        latched = traced()
         with never_quiet_reference():
-            reference = _observation(
-                run_query(graph, query, config, options)
-            )
+            reference = traced()
         assert latched == reference
 
     @staticmethod

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, PlannerOptions, run_query, \
-    uniform_random_graph
+from repro import ClusterConfig, run_query, uniform_random_graph
 from repro.bench import WORKLOADS, run_workload, workload_setup
 from repro.chaos import profile
 from repro.errors import RuntimeFault
@@ -27,13 +26,12 @@ def _views(result):
 
 
 def _both_ways(graph, query, **config):
-    """*query* with profiling on, kernels on and off."""
+    """*query* with kernels on and off."""
     return [
         run_query(
             graph, query,
             ClusterConfig(num_machines=4, bulk_kernels=bulk_kernels,
                           **config),
-            options=PlannerOptions(profile=True),
         )
         for bulk_kernels in (True, False)
     ]
@@ -68,7 +66,6 @@ class TestDifferentialParity:
             engine, queries, options = workload_setup(
                 spec, bulk_kernels=bulk_kernels
             )
-            options.profile = True
             views.append([
                 _views(engine.query(query, options)) for query in queries
             ])

@@ -4,12 +4,17 @@ import json
 
 import pytest
 
-from repro import ClusterConfig, PlannerOptions, uniform_random_graph
+from repro import ClusterConfig, ExecutionContext, uniform_random_graph
 from repro.graph import DistributedGraph, power_law_graph
 from repro.obs import EVENT_KINDS, Tracer
 from repro.runtime import PgxdAsyncEngine
 
 QUERY = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c), a.value > 2000"
+
+
+def traced(**tracer_settings):
+    """A run context recording into a tracer of its own."""
+    return ExecutionContext(tracer=Tracer(**tracer_settings))
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +25,7 @@ def traced_result():
         ClusterConfig(num_machines=4, flow_control_window=1,
                       bulk_message_size=4),
     )
-    return engine.query(QUERY, options=PlannerOptions(trace=True))
+    return engine.query(QUERY, context=traced())
 
 
 class TestTracerBasics:
@@ -38,24 +43,16 @@ class TestTracerBasics:
                          "message_deliver", "stage_completed", "result"):
             assert expected in kinds
 
-    def test_cluster_config_flag_also_enables(self, random_graph):
-        engine = PgxdAsyncEngine(
-            random_graph, ClusterConfig(num_machines=2, trace=True)
-        )
-        result = engine.query("SELECT a WHERE (a)-[]->(b)")
-        assert result.trace is not None
-        assert len(result.trace) > 0
-
     def test_tracing_does_not_perturb_execution(self, random_graph):
         config = ClusterConfig(num_machines=3)
         query = "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"
         plain = PgxdAsyncEngine(random_graph, config).query(query)
-        traced = PgxdAsyncEngine(random_graph, config).query(
-            query, options=PlannerOptions(trace=True)
+        recorded = PgxdAsyncEngine(random_graph, config).query(
+            query, context=traced()
         )
-        assert traced.metrics.ticks == plain.metrics.ticks
-        assert traced.metrics.total_ops == plain.metrics.total_ops
-        assert sorted(traced.rows) == sorted(plain.rows)
+        assert recorded.metrics.ticks == plain.metrics.ticks
+        assert recorded.metrics.total_ops == plain.metrics.total_ops
+        assert sorted(recorded.rows) == sorted(plain.rows)
 
     def test_event_ticks_nondecreasing(self, traced_result):
         ticks = [event.tick for event in traced_result.trace]
@@ -76,11 +73,9 @@ class TestTracerBasics:
         assert "WorkerSpan" in repr(event)
 
     def test_max_events_cap(self, random_graph):
-        engine = PgxdAsyncEngine(
-            random_graph,
-            ClusterConfig(num_machines=2, trace=True, trace_max_events=50),
-        )
-        result = engine.query("SELECT a, b WHERE (a)-[]->(b)")
+        engine = PgxdAsyncEngine(random_graph, ClusterConfig(num_machines=2))
+        result = engine.query("SELECT a, b WHERE (a)-[]->(b)",
+                              context=traced(max_events=50))
         assert len(result.trace) == 50
         assert result.trace.dropped > 0
 
@@ -104,7 +99,7 @@ class TestTracerBasics:
         engine = PgxdAsyncEngine(dist, ClusterConfig(num_machines=3))
         result = engine.query(
             "SELECT a, b WHERE (a)-[]->(b WITH type = 1)",
-            options=PlannerOptions(trace=True),
+            context=traced(),
         )
         prunes = result.trace.events_of("ghost_prune")
         assert len(prunes) == result.metrics.ghost_prunes
@@ -190,7 +185,7 @@ class TestUnionTrace:
         engine = PgxdAsyncEngine(random_graph, ClusterConfig(num_machines=2))
         result = engine.query(
             "SELECT a, b WHERE (a)-/{1,3}/->(b)",
-            options=PlannerOptions(trace=True),
+            context=traced(),
         )
         trace = result.trace
         assert trace is not None

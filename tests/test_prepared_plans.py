@@ -7,7 +7,7 @@ from the same query on an engine that has never seen it.
 """
 
 import collections
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -17,6 +17,7 @@ import repro.runtime.engine
 import repro.runtime.kernels
 from repro import (
     ClusterConfig,
+    ExecutionContext,
     MatchSemantics,
     PgxdAsyncEngine,
     PlannerOptions,
@@ -28,6 +29,7 @@ from repro import (
 from repro.bench import WORKLOADS
 from repro.engine_api import QueryStatus
 from repro.graph.distributed import DistributedGraph
+from repro.obs import Telemetry, Tracer
 from repro.obs.feedback import FeedbackStore
 from repro.service import QueryService, ServiceConfig
 from repro.stats import collect_statistics
@@ -104,7 +106,6 @@ def _corpora():
 
 def _observation(result):
     """Everything one run reports."""
-    profile = result.execution_profile()
     return {
         "columns": result.columns,
         "rows": result.rows,
@@ -113,32 +114,24 @@ def _observation(result):
         "stage_profile": result.stage_profile,
         "explain_analyze": result.explain_analyze(),
         "describe": result.plan.describe(),
-        "profile": None if profile is None else profile.to_dict(),
+        "profile": result.execution_profile().to_dict(),
     }
 
 
 def _three_runs(engine_for_run, query, options, feedback):
     """Three runs of *query*; with *feedback*, each run's profile is
     recorded into the store the next run plans from (the bench planner
-    pillar's record-then-rerun loop; unprofiled runs plan from one
-    profile recorded beforehand)."""
-    def record(result):
-        options.feedback.record(result.plan.query, result.plan.graph,
-                                result.plan.choice,
-                                result.execution_profile())
-
+    pillar's record-then-rerun loop)."""
     if feedback:
         options = replace(options, feedback=FeedbackStore())
-        if not options.profile:
-            record(engine_for_run(0).query(
-                query, replace(options, profile=True)
-            ))
     observations = []
     for run in range(3):
         result = engine_for_run(run).query(query, options)
         observations.append(_observation(result))
-        if feedback and options.profile:
-            record(result)
+        if feedback:
+            options.feedback.record(result.plan.query, result.plan.graph,
+                                    result.plan.choice,
+                                    result.execution_profile())
     return observations
 
 
@@ -148,20 +141,18 @@ class TestDifferential:
         replans = 0
         for config, deployment, queries in _corpora():
             for feedback in (False, True):
-                for profile in (False, True):
-                    options = PlannerOptions(scheduling=scheduling,
-                                             profile=profile)
-                    kept = PgxdAsyncEngine(deployment, config)
-                    for query in queries:
-                        fresh = _three_runs(
-                            lambda run: PgxdAsyncEngine(deployment, config),
-                            query, options, feedback,
-                        )
-                        assert _three_runs(
-                            lambda run: kept, query, options, feedback
-                        ) == fresh
-                        replans += (fresh[0]["describe"]
-                                    != fresh[-1]["describe"])
+                options = PlannerOptions(scheduling=scheduling)
+                kept = PgxdAsyncEngine(deployment, config)
+                for query in queries:
+                    fresh = _three_runs(
+                        lambda run: PgxdAsyncEngine(deployment, config),
+                        query, options, feedback,
+                    )
+                    assert _three_runs(
+                        lambda run: kept, query, options, feedback
+                    ) == fresh
+                    replans += (fresh[0]["describe"]
+                                != fresh[-1]["describe"])
         # The feedback loop did change plans under COST (so the kept
         # engine had to notice), and only there.
         assert (replans > 0) == (scheduling is SchedulingPolicy.COST)
@@ -228,51 +219,109 @@ class TestZeroWorkHit:
 
 
 # ----------------------------------------------------------------------
-# (3) the key is everything plan_query reads, and nothing else
+# (3) one home per setting: the cluster, the plan, the run
 # ----------------------------------------------------------------------
 class TestKeySensitivity:
-    @pytest.mark.parametrize("changed", [
-        dict(semantics=MatchSemantics.ISOMORPHISM),
-        dict(scheduling=SchedulingPolicy.SELECTIVITY),
-        dict(use_common_neighbors=True),
-        dict(vertex_order=["b", "a"]),
-    ], ids=lambda changed: next(iter(changed)))
+    """``ClusterConfig`` describes the cluster, ``PlannerOptions`` the
+    plan — so every field of it is prepared-plan key material — and
+    ``ExecutionContext`` the run."""
+
+    #: For each PlannerOptions field, a value other than its default.  A
+    #: new plan-shaping option needs an entry here, and then fails
+    #: below unless ``PgxdAsyncEngine.plan`` also keys on it.
+    OTHER_VALUE = {
+        "semantics": MatchSemantics.ISOMORPHISM,
+        "scheduling": SchedulingPolicy.SELECTIVITY,
+        "use_common_neighbors": True,
+        "vertex_order": ["b", "a"],
+    }
+
+    def test_no_setting_has_two_homes(self):
+        homes = [
+            {spec.name for spec in fields(settings)}
+            for settings in (ClusterConfig, PlannerOptions,
+                             ExecutionContext)
+        ]
+        assert [len(names) for names in homes] == [18, 5, 5]
+        for index, names in enumerate(homes):
+            for other in homes[index + 1:]:
+                assert not names & other
+
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in fields(PlannerOptions)]
+    )
     def test_plan_shaping_option_is_part_of_the_key(self, random_graph,
-                                                    changed):
+                                                    name):
         engine = _engine(random_graph)
-        base = engine.plan(PATH, PlannerOptions())
-        other = engine.plan(PATH, PlannerOptions(**changed))
+        base_options = PlannerOptions()
+        if name == "feedback":
+            # Read only where COST prices candidates, and by content:
+            # a store holding this query's recorded actuals.
+            base_options = COST
+            first = engine.query(PATH, COST)
+            value = FeedbackStore()
+            value.record(first.plan.query, first.plan.graph,
+                         first.plan.choice, first.execution_profile())
+        else:
+            value = self.OTHER_VALUE[name]
+        changed = replace(base_options, **{name: value})
+        base = engine.plan(PATH, base_options)
+        other = engine.plan(PATH, changed)
         assert other is not base
-        assert engine.plan(PATH, PlannerOptions(**changed)) is other
-        assert engine.plan(PATH) is base
+        assert engine.plan(PATH, replace(changed)) is other
+        assert engine.plan(PATH, replace(base_options)) is base
 
     def test_run_shaping_options_share_the_plan(self, random_graph):
         engine = _engine(random_graph)
         plain = engine.query(PATH)
-        assert (plain.trace, plain.telemetry, plain.profiler) \
-            == (None, None, None)
+        assert (plain.trace, plain.telemetry) == (None, None)
 
-        traced = engine.query(PATH, PlannerOptions(trace=True))
-        assert traced.plan is plain.plan
-        assert len(traced.trace) > 0
-
-        monitored = engine.query(PATH, PlannerOptions(telemetry=True))
-        assert monitored.plan is plain.plan
-        assert monitored.telemetry.sampler.num_samples > 0
-
-        profiled = engine.query(PATH, PlannerOptions(profile=True))
-        assert profiled.plan is plain.plan
-        assert profiled.profiler is not None
+        tracer, telemetry = Tracer(), Telemetry()
+        recorded = engine.query(PATH, context=ExecutionContext(
+            tracer=tracer, telemetry=telemetry
+        ))
+        assert recorded.plan is plain.plan
+        assert recorded.trace is tracer and len(tracer) > 0
+        assert recorded.telemetry is telemetry
+        assert telemetry.sampler.num_samples > 0
 
         # A deadline on a hit still aborts; and the next call does not
         # inherit it.
         with pytest.raises(QueryAborted) as excinfo:
-            engine.query(PATH, PlannerOptions(timeout_ticks=3))
+            engine.query(PATH, context=ExecutionContext(deadline=3))
         assert excinfo.value.tick == 3
         again = engine.query(PATH)
         assert again.plan is plain.plan
-        assert again.trace is None and again.profiler is None
+        assert again.trace is None
         assert asdict(again.metrics) == asdict(plain.metrics)
+
+    @pytest.mark.parametrize("route", [
+        lambda engine, *run: engine.query(*run),
+        lambda engine, *run: engine.submit(*run[:2], context=run[2]).result(),
+        lambda engine, *run: QueryService(engine).submit(
+            *run[:2], context=run[2]).result(),
+    ], ids=["engine.query", "engine.submit", "service.submit"])
+    def test_the_context_bounds_and_observes_the_run(self, random_graph,
+                                                     route):
+        """The Motivation probe of ISSUE 21: whatever the options say,
+        the caller's deadline aborts the run and the caller's recorders
+        are the ones that recorded it."""
+        engine = _engine(random_graph)
+        tracer, telemetry = Tracer(), Telemetry()
+        with pytest.raises(QueryAborted) as excinfo:
+            route(engine, PATH, COST, ExecutionContext(
+                tracer=tracer, telemetry=telemetry, deadline=3
+            ))
+        assert excinfo.value.tick == 3
+        assert excinfo.value.trace is tracer
+        assert tracer.meta["ticks"] == telemetry.meta["ticks"] == 3
+
+        tracer, telemetry = Tracer(), Telemetry()
+        result = route(engine, PATH, COST, ExecutionContext(
+            tracer=tracer, telemetry=telemetry
+        ))
+        assert result.trace is tracer and result.telemetry is telemetry
+        assert tracer.meta["ticks"] == result.metrics.ticks
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +333,7 @@ class TestInvalidation:
         engine = _engine(random_graph)
         store = FeedbackStore()
         options = PlannerOptions(scheduling=SchedulingPolicy.COST,
-                                 profile=True, feedback=store)
+                                 feedback=store)
         first = engine.query(TWO_HOP, options)
         other = engine.query(PATH, options)
         assert first.plan.choice.feedback_ops == 0

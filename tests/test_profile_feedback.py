@@ -2,10 +2,10 @@
 profile (drift + skew), the planner feedback store, and the Prometheus
 round-trip for hostile label payloads.
 
-The load-bearing property: the profiler's guarded counters
-(``scanned`` / ``emitted``) and the absorbed unconditional counters
-(``visits`` / ``passes`` / ``remote_in``) must sum across machines to
-the same totals whichever execution path ran — compiled bulk kernels,
+The load-bearing property: the five per-stage counters the profiler
+absorbs (``visits`` / ``passes`` / ``remote_in`` / ``scanned`` /
+``emitted``) must sum across machines to the same totals whichever
+execution path ran — compiled bulk kernels,
 micro-stepped cursors, or a chaotic network behind the reliability
 layer.
 """
@@ -13,12 +13,14 @@ layer.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, PlannerOptions, run_query
+from repro import ClusterConfig, ExecutionContext, PlannerOptions, \
+    run_query
 from repro.chaos import profile as chaos_profile
 from repro.graph import uniform_random_graph
 from repro.obs import (
     FeedbackStore,
     MetricsRegistry,
+    Telemetry,
     parse_prometheus,
     prometheus_text,
     q_error,
@@ -36,8 +38,6 @@ QUERY_POOL = [
     "SELECT a, COUNT(*) WHERE (a)-[]->(b) GROUP BY a",
 ]
 
-PROFILE = PlannerOptions(profile=True)
-
 
 def profiled_run(query, machines=3, seed=2, bulk_kernels=True, chaos=None):
     graph = uniform_random_graph(80, 360, seed=seed, num_types=4)
@@ -47,7 +47,7 @@ def profiled_run(query, machines=3, seed=2, bulk_kernels=True, chaos=None):
         chaos=chaos,
         reliability=chaos is not None,
     )
-    return run_query(graph, query, config, options=PROFILE)
+    return run_query(graph, query, config)
 
 
 def rows_exact(query):
@@ -68,8 +68,7 @@ def check_invariants(result):
     """The cross-machine sums must agree with the engine's own books."""
     totals = result.profiler.stage_totals()
     assert len(totals) == result.plan.num_stages
-    # visits/passes/remote_in are absorbed from the unconditional stage
-    # counters, so the profiler must reproduce stage_profile exactly.
+    # stage_profile is the public three-counter cut of these totals.
     for entry, expected in zip(totals, result.stage_profile):
         assert entry["visits"] == expected["visits"]
         assert entry["passes"] == expected["passes"]
@@ -126,26 +125,6 @@ class TestStageProfilerProperties:
         totals = check_invariants(chaotic)
         assert totals[-1]["emitted"] == len(clean.rows)
 
-    def test_profiling_off_by_default(self):
-        graph = uniform_random_graph(60, 240, seed=3, num_types=4)
-        result = run_query(graph, QUERY_POOL[0],
-                           ClusterConfig(num_machines=2))
-        assert result.profiler is None
-        assert result.execution_profile() is None
-        # The public stage_profile shape is pinned: profiling extras
-        # (scanned/emitted) live on the profiler only.
-        for entry in result.stage_profile:
-            assert set(entry) == {"visits", "passes", "remote_in"}
-
-    def test_profiling_never_perturbs_the_simulation(self):
-        graph = uniform_random_graph(80, 360, seed=4, num_types=4)
-        config = ClusterConfig(num_machines=3)
-        baseline = run_query(graph, QUERY_POOL[2], config)
-        profiled = run_query(graph, QUERY_POOL[2], config, options=PROFILE)
-        assert profiled.metrics.ticks == baseline.metrics.ticks
-        assert profiled.metrics.total_ops == baseline.metrics.total_ops
-        assert sorted(profiled.rows) == sorted(baseline.rows)
-
 
 class TestExecutionProfile:
     def cost_run(self, options=None):
@@ -156,7 +135,7 @@ class TestExecutionProfile:
         )
         engine = PgxdAsyncEngine(graph, config)
         options = options or PlannerOptions(
-            scheduling=SchedulingPolicy.COST, profile=True
+            scheduling=SchedulingPolicy.COST
         )
         return graph, queries, [
             engine.query(query, options) for query in queries
@@ -195,8 +174,8 @@ class TestExecutionProfile:
         engine = PgxdAsyncEngine(graph, config)
         result = engine.query(
             queries[0],
-            PlannerOptions(scheduling=SchedulingPolicy.COST, profile=True,
-                           telemetry=True),
+            PlannerOptions(scheduling=SchedulingPolicy.COST),
+            ExecutionContext(telemetry=Telemetry()),
         )
         text = result.telemetry.prometheus()
         assert "repro_plan_q_error_max" in text
@@ -218,8 +197,7 @@ class TestFeedbackStore:
         )
         engine = PgxdAsyncEngine(graph, config)
         store = FeedbackStore()
-        options = PlannerOptions(scheduling=SchedulingPolicy.COST,
-                                 profile=True)
+        options = PlannerOptions(scheduling=SchedulingPolicy.COST)
         results = []
         for query in queries:
             result = engine.query(query, options)

@@ -7,6 +7,7 @@ down without a simulator in the loop.
 """
 
 from repro.cluster import ClusterConfig, MachineMetrics
+from repro.context import ExecutionContext
 from repro.runtime import RelAck, RelFrame, ReliableTransport
 
 
@@ -27,7 +28,8 @@ def make(rto=10, **config_kwargs):
     api = FakeApi()
     config = ClusterConfig(retransmit_timeout=rto, **config_kwargs)
     metrics = MachineMetrics()
-    return ReliableTransport(api, config, metrics), api, metrics
+    return ReliableTransport(api, config, metrics,
+                             ExecutionContext()), api, metrics
 
 
 def frames_sent(api, dst=None):
@@ -168,7 +170,8 @@ class TestRetransmission:
     def test_auto_rto_from_latency(self):
         api = FakeApi()
         config = ClusterConfig(network_latency=6, retransmit_timeout=0)
-        transport = ReliableTransport(api, config, MachineMetrics())
+        transport = ReliableTransport(api, config, MachineMetrics(),
+                                      ExecutionContext())
         transport.send(1, "a")
         assert transport.next_timer_tick() == 2 * 6 + 8
 

@@ -435,15 +435,11 @@ class TestExecutionContext:
         with pytest.raises(TypeError):
             engine.execute_plan(plan, object())
 
-    def test_from_options_maps_timeout(self):
-        from repro.plan import PlannerOptions
-
-        context = ExecutionContext.from_options(
-            PlannerOptions(timeout_ticks=42)
-        )
-        assert context.deadline == 42
-        assert context.tracer is None
-        assert context.telemetry is None
+    def test_given_applies_only_what_is_said(self):
+        context = ExecutionContext(deadline=42, priority=3)
+        said = context.given(priority=None, deadline=7, query_id="q9")
+        assert (said.deadline, said.priority, said.query_id) == (7, 3, "q9")
+        assert context.deadline == 42 and context.query_id is None
 
     def test_replace_is_functional(self):
         context = ExecutionContext()

@@ -19,12 +19,11 @@ from repro.obs.exporters import (
     parse_series_csv,
     parse_series_jsonl,
     prometheus_text,
-    registry_csv,
-    registry_jsonl,
     series_csv,
     series_jsonl,
 )
-from repro.plan import PlannerOptions
+from repro.context import ExecutionContext
+from repro.obs import Tracer
 from repro.runtime import PgxdAsyncEngine
 
 QUERY = "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"
@@ -34,10 +33,11 @@ def run_telemetry_query(machines=4, seed=0, interval=1, query=QUERY,
                         vertices=150, edges=600, **config_kwargs):
     graph = uniform_random_graph(vertices, edges, seed=seed)
     config = ClusterConfig(num_machines=machines, seed=seed,
-                           telemetry=True, telemetry_interval=interval,
                            **config_kwargs)
     engine = PgxdAsyncEngine(graph, config)
-    return engine.query(query)
+    return engine.query(query, context=ExecutionContext(
+        telemetry=Telemetry(interval=interval)
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -217,13 +217,6 @@ class TestExporters:
         assert "# TYPE repro_latency_ticks histogram" in text
         assert "# HELP repro_budget budget" in text
 
-    def test_registry_jsonl_and_csv_agree(self):
-        registry = self.build_registry()
-        jsonl_lines = registry_jsonl(registry).strip().splitlines()
-        csv_lines = registry_csv(registry).strip().splitlines()
-        assert len(jsonl_lines) == len(registry.samples())
-        assert len(csv_lines) == len(registry.samples()) + 1  # header
-
     def test_series_round_trip(self):
         result = run_telemetry_query()
         sampler = result.telemetry.sampler
@@ -253,11 +246,12 @@ class TestEndToEnd:
     def test_per_query_opt_in(self):
         graph = uniform_random_graph(60, 240, seed=0)
         engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
+        telemetry = Telemetry()
         result = engine.query(
-            QUERY, options=PlannerOptions(telemetry=True)
+            QUERY, context=ExecutionContext(telemetry=telemetry)
         )
-        assert result.telemetry is not None
-        assert result.telemetry.sampler.num_samples > 0
+        assert result.telemetry is telemetry
+        assert telemetry.sampler.num_samples > 0
 
     def test_peak_matches_series_and_stays_under_budget(self):
         result = run_telemetry_query()
@@ -289,14 +283,13 @@ class TestEndToEnd:
 
     def test_telemetry_does_not_perturb_the_run(self):
         graph = uniform_random_graph(150, 600, seed=1)
-        plain_engine = PgxdAsyncEngine(
+        engine = PgxdAsyncEngine(
             graph, ClusterConfig(num_machines=4, seed=1)
         )
-        telemetry_engine = PgxdAsyncEngine(
-            graph, ClusterConfig(num_machines=4, seed=1, telemetry=True)
+        plain = engine.query(QUERY)
+        sampled = engine.query(
+            QUERY, context=ExecutionContext(telemetry=Telemetry())
         )
-        plain = plain_engine.query(QUERY)
-        sampled = telemetry_engine.query(QUERY)
         assert plain.metrics.ticks == sampled.metrics.ticks
         assert plain.metrics.total_ops == sampled.metrics.total_ops
         assert sorted(plain.rows) == sorted(sampled.rows)
@@ -360,7 +353,7 @@ class TestAbortDiagnostics:
             graph, ClusterConfig(num_machines=4, seed=0)
         )
         with pytest.raises(QueryAborted) as aborted:
-            engine.query(QUERY, options=PlannerOptions(timeout_ticks=3))
+            engine.query(QUERY, context=ExecutionContext(deadline=3))
         state = aborted.value.flow_state
         assert state is not None and len(state) == 4
         for machine_id, entry in enumerate(state):
@@ -378,33 +371,38 @@ class TestAbortDiagnostics:
     def test_abort_flushes_partial_series(self):
         graph = uniform_random_graph(200, 800, seed=0)
         engine = PgxdAsyncEngine(
-            graph,
-            ClusterConfig(num_machines=4, seed=0, telemetry=True),
+            graph, ClusterConfig(num_machines=4, seed=0)
         )
-        options = PlannerOptions(timeout_ticks=5)
+        telemetry = Telemetry()
         with pytest.raises(QueryAborted):
-            engine.query(QUERY, options=options)
+            engine.query(QUERY, context=ExecutionContext(
+                telemetry=telemetry, deadline=5
+            ))
+        # The caller owns the recorder, so the samples up to the abort —
+        # the ones a timeout investigation wants — survive it.
+        assert telemetry.sampler.ticks[-1] == telemetry.meta["ticks"] == 5
+        assert "deadline" in telemetry.meta["aborted"]
 
 
 class TestTraceDroppedWarning:
     def test_explain_analyze_and_profile_warn_on_truncation(self):
         graph = uniform_random_graph(150, 600, seed=0)
         engine = PgxdAsyncEngine(
-            graph,
-            ClusterConfig(num_machines=4, seed=0, trace=True,
-                          trace_max_events=50),
+            graph, ClusterConfig(num_machines=4, seed=0)
         )
-        result = engine.query(QUERY)
+        result = engine.query(QUERY, context=ExecutionContext(
+            tracer=Tracer(max_events=50)
+        ))
         assert result.trace.dropped > 0
         assert "WARNING: trace truncated" in result.explain_analyze()
         assert "WARNING: trace truncated" in result.trace.profile().summary()
 
     def test_no_warning_when_nothing_dropped(self):
         graph = uniform_random_graph(60, 240, seed=0)
-        engine = PgxdAsyncEngine(
-            graph, ClusterConfig(num_machines=2, trace=True)
+        engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
+        result = engine.query(
+            QUERY, context=ExecutionContext(tracer=Tracer())
         )
-        result = engine.query(QUERY)
         assert result.trace.dropped == 0
         assert "WARNING" not in result.explain_analyze()
         assert "WARNING" not in result.trace.profile().summary()

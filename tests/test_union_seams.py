@@ -7,8 +7,7 @@ ANALYZE output are stitched back together.
 
 import pytest
 
-from repro import ClusterConfig, ExecutionContext, PlannerOptions, \
-    QueryMetrics
+from repro import ClusterConfig, ExecutionContext, QueryMetrics
 from repro.cluster.metrics import MachineMetrics
 from repro.errors import QueryAborted
 from repro.obs import Telemetry, Tracer
@@ -134,16 +133,36 @@ class TestUnionContext:
             tracer=tracer, telemetry=telemetry, query_id="tenant-7",
         ))
         assert result.trace is tracer and result.telemetry is telemetry
-        by_options = engine.query(
-            self.QUERY, PlannerOptions(trace=True, telemetry=True)
-        )
-        assert result.rows == by_options.rows
+        again = engine.query(self.QUERY, context=ExecutionContext(
+            tracer=Tracer(), telemetry=Telemetry(),
+        ))
+        assert result.rows == again.rows
         assert [event.to_dict() for event in tracer] == \
-            [event.to_dict() for event in by_options.trace]
-        assert tracer.meta == by_options.trace.meta
+            [event.to_dict() for event in again.trace]
+        assert tracer.meta == again.trace.meta
         assert tracer.meta["ticks"] == result.metrics.ticks
         assert telemetry.meta["ticks"] == result.metrics.ticks
-        assert telemetry.sampler.ticks == by_options.telemetry.sampler.ticks
+        assert telemetry.sampler.ticks == again.telemetry.sampler.ticks
+
+    def test_abort_keeps_the_aborting_expansions_recording(self, engine):
+        """Expansion 2 of 2 runs out of budget: the caller's recorders
+        hold both expansions on the union's timeline, up to the abort."""
+        first = engine.query("SELECT a, b WHERE (a)-[]->(b)")
+        deadline = first.metrics.ticks + 2  # fits {1}, not {2}
+        tracer, telemetry = Tracer(), Telemetry()
+        with pytest.raises(QueryAborted) as info:
+            engine.query(self.QUERY, context=ExecutionContext(
+                tracer=tracer, telemetry=telemetry, deadline=deadline,
+            ))
+        aborted = info.value
+        end = first.metrics.ticks + deadline
+        assert aborted.trace is tracer
+        assert aborted.tick == aborted.metrics.ticks == end
+        assert tracer.meta["ticks"] == telemetry.meta["ticks"] == end
+        assert tracer.events[-1].kind == "aborted"
+        assert tracer.events[-1].tick == end
+        assert telemetry.sampler.ticks[-1] == end
+        assert "at tick %d" % end in str(aborted)
 
 
 class TestExplainAnalyze:
@@ -167,7 +186,7 @@ class TestExplainAnalyze:
     def test_union_query_with_trace(self, engine):
         result = engine.query(
             "SELECT a, b WHERE (a)-/{1,2}/->(b)",
-            options=PlannerOptions(trace=True),
+            context=ExecutionContext(tracer=Tracer()),
         )
         text = result.explain_analyze()
         assert "total: %d ticks" % result.metrics.ticks in text
