@@ -92,16 +92,3 @@ def iter_scopes(tree):
         if isinstance(node,
                       (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node, node.body
-
-
-def assigned_names(target):
-    """Names (re)bound by an assignment target — facts to invalidate."""
-    names = []
-    for node in ast.walk(target):
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute) or isinstance(node, ast.Subscript):
-            # ``self.x = ...`` rebinds the attribute chain, handled by
-            # clients via dotted keys; the base name itself is untouched.
-            pass
-    return names

@@ -23,13 +23,6 @@ class AnalysisResult:
     def count(self, severity):
         return sum(1 for f in self.findings if f.severity == severity)
 
-    def worst_severity(self):
-        if self.count("error"):
-            return "error"
-        if self.findings:
-            return "warning"
-        return None
-
     def fails(self, fail_on):
         """True when the run should exit non-zero under *fail_on*."""
         if fail_on == "warning":

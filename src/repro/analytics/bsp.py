@@ -342,9 +342,6 @@ class AnalyticsResult:
         self.metrics = metrics
         self.supersteps = supersteps
 
-    def as_list(self, num_vertices):
-        return [self.values.get(vertex) for vertex in range(num_vertices)]
-
     def __repr__(self):
         return "AnalyticsResult(vertices=%d, supersteps=%d, ticks=%d)" % (
             len(self.values), self.supersteps, self.metrics.ticks,

@@ -285,7 +285,8 @@ def build_parser():
     stats = subparsers.add_parser(
         "stats",
         help="collect and print a graph's statistics (label counts, "
-             "degree histograms, edge fan-out, property sketches)",
+             "degree histograms, edge fan-out, exact per-property "
+             "distinct and top-value counts)",
     )
     _add_graph_args(stats)
     _add_format_args(stats)

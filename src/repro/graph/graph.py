@@ -14,7 +14,7 @@ import bisect
 import numpy as np
 
 from repro.errors import InvalidEdgeError, InvalidVertexError
-from repro.graph.types import NO_LABEL, Direction
+from repro.graph.types import NO_LABEL
 
 
 class PropertyGraph:
@@ -177,9 +177,6 @@ class PropertyGraph:
         index = bisect.bisect_left(run, dst)
         return index < len(run) and run[index] == dst
 
-    def edge_source(self, edge):
-        return int(self._edge_src[edge])
-
     def edge_destination(self, edge):
         return int(self._edge_dst[edge])
 
@@ -253,35 +250,6 @@ class PropertyGraph:
 
     def has_edge_prop(self, name):
         return name in self._edge_props
-
-    # ------------------------------------------------------------------
-    # Misc
-    # ------------------------------------------------------------------
-    def vertex_label_fraction(self, label_id):
-        """Fraction of vertices carrying *label_id* (selectivity input)."""
-        if self._num_vertices == 0:
-            return 0.0
-        if self._vertex_labels is None:
-            return 1.0 if label_id == NO_LABEL else 0.0
-        count = int(np.count_nonzero(self._vertex_labels == label_id))
-        return count / self._num_vertices
-
-    def degree_stats(self, direction=Direction.OUT):
-        """Return ``(min, max, mean)`` of one degree distribution.
-
-        *direction* selects the side: ``Direction.OUT`` (the historical
-        default) summarizes out-degrees, ``Direction.IN`` in-degrees —
-        the cost model needs both to price reverse hops.
-        """
-        if self._num_vertices == 0:
-            return (0, 0, 0.0)
-        offsets = (
-            self._out_offsets
-            if direction is Direction.OUT
-            else self._in_offsets
-        )
-        degrees = np.diff(offsets)
-        return (int(degrees.min()), int(degrees.max()), float(degrees.mean()))
 
     # ------------------------------------------------------------------
     # Statistics (repro.stats collection hooks)

@@ -110,25 +110,6 @@ class PropertyColumn:
             clone._values = self._values[order].copy()
         return clone
 
-    def selectivity(self, value):
-        """Fraction of rows equal to *value* — used by the query scheduler.
-
-        Returns 1.0 for un-coercible values (treated as unknown).
-        """
-        total = len(self)
-        if total == 0:
-            return 1.0
-        try:
-            value = self.ptype.coerce(value)
-        except PropertyTypeError:
-            return 1.0
-        if self.ptype is PropertyType.STRING:
-            code = self._string_ids.get(value)
-            if code is None:
-                return 0.0
-            return float(np.count_nonzero(self._codes == code)) / total
-        return float(np.count_nonzero(self._values == value)) / total
-
 
 class PropertyTable:
     """A named collection of equally sized property columns."""

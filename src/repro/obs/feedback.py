@@ -166,10 +166,6 @@ class ExecutionProfile:
             product *= error
         return product ** (1.0 / len(errors))
 
-    def max_skew(self):
-        ratios = [row["ratio"] for row in self.skew]
-        return max(ratios) if ratios else None
-
     # -- rendering -----------------------------------------------------
     def drift_lines(self):
         """The EXPLAIN ANALYZE estimated-vs-actual (q-error) column."""

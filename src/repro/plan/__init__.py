@@ -43,10 +43,7 @@ from repro.plan.cost import (
 )
 from repro.plan.options import MatchSemantics, PlannerOptions, SchedulingPolicy
 from repro.plan.paths import expand_quantified_paths, has_quantified_paths
-from repro.plan.scheduling import (
-    estimate_selectivities,
-    selectivity_order,
-)
+from repro.plan.scheduling import selectivity_order
 
 
 def plan_query(query, graph, options=None):
@@ -71,12 +68,13 @@ def plan_query(query, graph, options=None):
             vertex_order = list(choice.order)
             use_common_neighbors = choice.use_common_neighbors
         elif options.scheduling is SchedulingPolicy.SELECTIVITY:
-            vertex_order = selectivity_order(query, graph)
+            scores = CostModel(graph).variable_scores(query)
+            vertex_order = selectivity_order(query, scores)
             choice = PlanChoice(
                 policy="selectivity",
                 order=vertex_order,
                 use_common_neighbors=bool(use_common_neighbors),
-                scores=estimate_selectivities(query, graph),
+                scores=scores,
                 forced_common_neighbors=use_common_neighbors,
             )
 
@@ -117,7 +115,6 @@ __all__ = [
     "ContextRowEnv",
     "OutputSpec",
     "IMPOSSIBLE_LABEL",
-    "estimate_selectivities",
     "expand_quantified_paths",
     "has_quantified_paths",
     "selectivity_order",

@@ -15,7 +15,7 @@ cardinality estimate through every operator, charging
   candidate lists the common-neighbor operator forwards.
 
 Estimates come exclusively from :class:`~repro.stats.GraphStatistics`
-(label counts, edge-triple fan-outs, property sketches) — the model
+(label counts, edge-triple fan-outs, property value counts) — the model
 never touches raw graph storage, so planning works the same against a
 deserialized statistics snapshot.
 
@@ -60,7 +60,7 @@ ORDER_ENUM_LIMIT = 6
 MAX_ALTERNATIVES = 3
 
 #: Selectivity assumed for inequality/range conjuncts the statistics
-#: cannot price (mirrors the scheduling module's crude-but-effective 0.5).
+#: cannot price (crude but effective: a range filter halves the rows).
 RANGE_FALLBACK = 0.5
 
 
@@ -235,9 +235,8 @@ class CostModel:
     def variable_scores(self, query):
         """Estimated match fraction per vertex variable (lower = rarer).
 
-        The statistics-backed counterpart of
-        ``scheduling.estimate_selectivities``: labels via collected label
-        fractions, equality conjuncts via the property sketches.
+        Labels via collected label fractions, equality conjuncts via the
+        property value counts, ``id() = const`` as one vertex.
         """
         labels = _vertex_labels(query)
         conjuncts = _all_conjuncts(query)
@@ -247,7 +246,9 @@ class CostModel:
             for conjunct in conjuncts:
                 if referenced_vars(conjunct) != {var}:
                     continue
-                score *= self._vertex_conjunct_selectivity(conjunct, var)
+                score *= self._single_var_selectivity(
+                    conjunct, var, self._stats.vertex_prop_stats
+                )
             scores[var] = score
         return scores
 
@@ -389,29 +390,16 @@ class CostModel:
             vars_used = referenced_vars(conjunct)
             if len(vars_used) == 1:
                 (var,) = vars_used
-                if var in edge_vars:
-                    selectivities.append(
-                        self._edge_conjunct_selectivity(conjunct, var)
-                    )
-                else:
-                    selectivities.append(
-                        self._vertex_conjunct_selectivity(conjunct, var)
-                    )
+                selectivities.append(self._single_var_selectivity(
+                    conjunct, var,
+                    self._stats.edge_prop_stats if var in edge_vars
+                    else self._stats.vertex_prop_stats,
+                ))
             else:
                 selectivities.append(
                     self._cross_var_selectivity(conjunct)
                 )
         return selectivities
-
-    def _vertex_conjunct_selectivity(self, conjunct, var):
-        return self._single_var_selectivity(
-            conjunct, var, self._stats.vertex_prop_stats
-        )
-
-    def _edge_conjunct_selectivity(self, conjunct, var):
-        return self._single_var_selectivity(
-            conjunct, var, self._stats.edge_prop_stats
-        )
 
     def _single_var_selectivity(self, conjunct, var, prop_stats):
         if not isinstance(conjunct, Binary):
@@ -464,22 +452,22 @@ class CostModel:
             stats = self._stats.edge_prop_stats(prop_ref.prop)
         if stats is None:
             return 1
-        return stats.distinct.estimate()
+        return stats.distinct
 
 
 # ----------------------------------------------------------------------
 # Order enumeration and the top-level chooser
 # ----------------------------------------------------------------------
-def candidate_orders(query, graph, limit=ORDER_ENUM_LIMIT, scores=None):
+def candidate_orders(query, scores, limit=ORDER_ENUM_LIMIT):
     """Candidate vertex orders for *query*, deterministically listed.
 
     Patterns with at most *limit* vertex variables get every
     connected-prefix permutation — each next vertex must be adjacent to
     the prefix whenever any adjacent vertex remains, which is exactly
     the set of orders that avoid needless cartesian restarts.  Larger
-    patterns fall back to three heuristics: appearance order, the
-    property-table selectivity order, and a greedy order over the
-    statistics-backed *scores*.
+    patterns fall back to two heuristics: appearance order and the
+    greedy selectivity order over *scores*
+    (:meth:`CostModel.variable_scores`).
     """
     variables = query.vertex_vars()
     if len(variables) <= 1:
@@ -506,16 +494,9 @@ def candidate_orders(query, graph, limit=ORDER_ENUM_LIMIT, scores=None):
         extend([], list(variables))
         return orders
 
-    orders = [tuple(variables), tuple(selectivity_order(query, graph))]
-    if scores:
-        orders.append(tuple(selectivity_order(query, graph, scores)))
-    seen = set()
-    unique = []
-    for order in orders:
-        if order not in seen:
-            seen.add(order)
-            unique.append(order)
-    return unique
+    appearance = tuple(variables)
+    greedy = tuple(selectivity_order(query, scores))
+    return [appearance] if greedy == appearance else [appearance, greedy]
 
 
 def choose_plan(query, graph, stats=None, force_common_neighbors=None,
@@ -537,7 +518,7 @@ def choose_plan(query, graph, stats=None, force_common_neighbors=None,
         if feedback is not None else None
     model = CostModel(graph, stats, corrections=corrections)
     scores = model.variable_scores(query)
-    orders = candidate_orders(query, graph, limit=limit, scores=scores)
+    orders = candidate_orders(query, scores, limit=limit)
 
     if force_common_neighbors is None:
         cn_options = (False, True) if _has_cn_opportunity(query) \
@@ -622,7 +603,7 @@ def _combine_selectivities(selectivities):
     """Combine predicate selectivities with exponential backoff.
 
     The plain independence product severely underestimates when the
-    predicates correlate — typical here, because property sketches span
+    predicates correlate — typical here, because property statistics span
     the whole (multi-label) vertex population, so a label filter and a
     property filter largely select the same rows.  The standard
     compromise: apply the most selective predicate fully, dampen each
@@ -657,14 +638,6 @@ def _all_conjuncts(query):
     for constraint in query.constraints:
         conjuncts.extend(split_conjuncts(constraint))
     return conjuncts
-
-
-def _new_vertex_var(op):
-    if isinstance(op, (RootVertexMatch, CartesianRootMatch)):
-        return op.var
-    if isinstance(op, (NeighborMatch, CommonNeighborMatch)):
-        return op.dst_var
-    return None
 
 
 def _op_edge_vars(op):

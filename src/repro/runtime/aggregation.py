@@ -255,17 +255,21 @@ def finalize_grouped(spec, accumulator, env=None):
         # SELECT DISTINCT with GROUP BY: groups are unique by key, but
         # the projected rows may still collide (e.g. the key is not
         # selected); SQL semantics deduplicate them.
-        seen = set()
-        unique = []
-        for key, row in decorated:
-            if row in seen:
-                continue
-            seen.add(row)
-            unique.append((key, row))
-        decorated = unique
+        decorated = distinct_rows(decorated)
     if spec.order_by:
         _sort_decorated(decorated, spec.order_by)
     return _wrap(spec, [row for _key, row in decorated])
+
+
+def distinct_rows(decorated):
+    """``SELECT DISTINCT``: the first ``(sort key, row)`` of each row."""
+    seen = set()
+    unique = []
+    for key, row in decorated:
+        if row not in seen:
+            seen.add(row)
+            unique.append((key, row))
+    return unique
 
 
 def _finalize_plain(spec, raw_rows, env):
@@ -273,14 +277,7 @@ def _finalize_plain(spec, raw_rows, env):
     order_items = spec.order_by
     decorated = _project_rows(selects, order_items, raw_rows, env)
     if spec.distinct:
-        seen = set()
-        unique = []
-        for key, row in decorated:
-            if row in seen:
-                continue
-            seen.add(row)
-            unique.append((key, row))
-        decorated = unique
+        decorated = distinct_rows(decorated)
     if order_items:
         _sort_decorated(decorated, order_items)
     return [row for _key, row in decorated]

@@ -23,8 +23,8 @@ from repro.pgql import as_query, parse_and_validate, to_pgql
 from repro.pgql.ast import Query, SelectItem
 from repro.plan import PlannerOptions, SchedulingPolicy, plan_query
 from repro.plan.paths import expand_quantified_paths, has_quantified_paths
-from repro.runtime.aggregation import _sort_decorated, finalize, \
-    finalize_grouped
+from repro.runtime.aggregation import _sort_decorated, distinct_rows, \
+    finalize, finalize_grouped
 from repro.runtime.machine import QueryMachine
 from repro.runtime.results import ResultSet
 
@@ -449,14 +449,7 @@ def execute_union(query, context, run_one):
 
     decorated = [(row[visible:], row[:visible]) for row in all_rows]
     if query.distinct:
-        seen = set()
-        unique = []
-        for key, row in decorated:
-            if row in seen:
-                continue
-            seen.add(row)
-            unique.append((key, row))
-        decorated = unique
+        decorated = distinct_rows(decorated)
     if hidden_order:
         _sort_decorated(decorated, hidden_order)
     rows = [row for _key, row in decorated]

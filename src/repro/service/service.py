@@ -285,10 +285,6 @@ class QueryService:
     def active_scopes(self):
         return tuple(self._active)
 
-    @property
-    def queued_scopes(self):
-        return tuple(self._queue)
-
     def scope(self, query_id):
         return self._scopes[query_id]
 

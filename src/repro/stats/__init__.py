@@ -1,28 +1,23 @@
 """Graph statistics subsystem.
 
-Collects per-label counts, degree histograms, edge fan-out, and
-per-property sketches at graph-build time (or on demand for loaded
+Collects per-label counts, degree histograms, edge fan-out, and exact
+per-property value counts at graph-build time (or on demand for loaded
 graphs), serializes them alongside the graph, and feeds the cost-based
 distributed planner (``repro.plan.cost``).
 """
 
 from repro.stats.collect import (
-    DEFAULT_DISTINCT_K,
-    DEFAULT_TOP_K,
+    TOP_VALUES,
     DegreeStats,
     GraphStatistics,
     PropertyStats,
     collect_statistics,
 )
-from repro.stats.sketches import DistinctSketch, TopValuesSketch
 
 __all__ = [
     "GraphStatistics",
     "DegreeStats",
     "PropertyStats",
     "collect_statistics",
-    "DistinctSketch",
-    "TopValuesSketch",
-    "DEFAULT_TOP_K",
-    "DEFAULT_DISTINCT_K",
+    "TOP_VALUES",
 ]

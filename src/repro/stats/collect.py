@@ -11,8 +11,9 @@
   destination label)`` triple, how many edges connect them — from which
   the average neighbors per source vertex and the conditional
   destination-label distribution both derive,
-* per-property distinct-count and top-value sketches (see
-  ``repro.stats.sketches``) plus numeric min/max for range estimates.
+* per property column, the exact distinct count, the
+  :data:`TOP_VALUES` most frequent values with exact counts, and
+  numeric min/max for range estimates.
 
 The object is cheap to recompute (a few numpy passes), serializes to a
 JSON-safe dict so it can be stored alongside the graph
@@ -23,17 +24,15 @@ time and shipped with a partitioned graph.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 
+from repro.errors import GraphError
 from repro.graph.types import NO_LABEL, PropertyType
-from repro.stats.sketches import DistinctSketch, TopValuesSketch
 
-#: Default number of tracked top values per property column.
-DEFAULT_TOP_K = 16
-
-#: Default KMV size for distinct-count estimation.
-DEFAULT_DISTINCT_K = 256
+#: Most frequent values kept, with exact counts, per property column.
+TOP_VALUES = 16
 
 
 class DegreeStats:
@@ -102,7 +101,12 @@ class DegreeStats:
 
 
 class PropertyStats:
-    """Distinct-count and top-value summary of one property column."""
+    """Exact summary of one property column.
+
+    ``top_values`` maps the :data:`TOP_VALUES` most frequent values to
+    their exact counts, most frequent first, ties by ``repr``;
+    ``distinct`` is the exact number of distinct values.
+    """
 
     __slots__ = ("name", "ptype", "count", "distinct", "top_values",
                  "numeric_min", "numeric_max")
@@ -112,53 +116,37 @@ class PropertyStats:
         self.name = name
         self.ptype = ptype
         self.count = count
-        self.distinct = distinct          # DistinctSketch
-        self.top_values = top_values      # TopValuesSketch
+        self.distinct = distinct
+        self.top_values = dict(top_values)
         self.numeric_min = numeric_min
         self.numeric_max = numeric_max
 
     @classmethod
-    def from_column(cls, column, top_k=DEFAULT_TOP_K,
-                    distinct_k=DEFAULT_DISTINCT_K):
+    def from_column(cls, column):
         values = column.values()
-        distinct = DistinctSketch(capacity=distinct_k)
-        top = TopValuesSketch(capacity=top_k)
-        # One pass over exact value counts keeps the Space-Saving sketch
-        # insertion-order independent (columnar data is already in
-        # memory; true streaming ingestion would call ``add`` per row).
-        counts = {}
-        for value in values:
-            counts[value] = counts.get(value, 0) + 1
-        for value in sorted(counts, key=lambda v: (-counts[v], repr(v))):
-            distinct.add(value)
-            top.add(value, counts[value])
+        counts = Counter(values)
+        ranked = sorted(counts.items(),
+                        key=lambda item: (-item[1], repr(item[0])))
         numeric_min = numeric_max = None
         if column.ptype in (PropertyType.LONG, PropertyType.DOUBLE) \
                 and values:
             numeric_min = min(values)
             numeric_max = max(values)
-        return cls(column.name, column.ptype, len(values), distinct, top,
-                   numeric_min, numeric_max)
+        return cls(column.name, column.ptype, len(values), len(counts),
+                   ranked[:TOP_VALUES], numeric_min, numeric_max)
 
     def eq_selectivity(self, value):
         """Estimated fraction of rows equal to *value*."""
         if self.count == 0:
             return 0.0
-        tracked = self.top_values.count(value)
+        tracked = self.top_values.get(value)
         if tracked is not None:
-            return min(1.0, tracked / self.count)
+            return tracked / self.count
         # Untracked: spread the residual mass over the residual distinct
-        # values (uniformity assumption outside the heavy hitters).  The
-        # residual uses the sketch's guaranteed (error-free) mass — raw
-        # tracked counts absorb evicted values' occurrences and would
-        # zero the residual, estimating existing values as impossible.
-        residual = self.count - self.top_values.guaranteed_total
-        residual_distinct = max(
-            1, self.distinct.estimate() - len(self.top_values.top())
-        )
-        if residual <= 0:
-            return 0.0
-        return min(1.0, residual / residual_distinct / self.count)
+        # values (uniformity assumption outside the heavy hitters).
+        residual = self.count - sum(self.top_values.values())
+        residual_distinct = max(1, self.distinct - len(self.top_values))
+        return residual / residual_distinct / self.count
 
     def range_selectivity(self, op, value):
         """Estimated fraction of rows satisfying ``row <op> value``."""
@@ -181,8 +169,10 @@ class PropertyStats:
             "name": self.name,
             "type": self.ptype.value,
             "count": self.count,
-            "distinct": self.distinct.to_dict(),
-            "top_values": self.top_values.to_dict(),
+            "distinct": self.distinct,
+            "top_values": [
+                [value, count] for value, count in self.top_values.items()
+            ],
             "numeric_min": self.numeric_min,
             "numeric_max": self.numeric_max,
         }
@@ -193,8 +183,8 @@ class PropertyStats:
             data["name"],
             PropertyType(data["type"]),
             data["count"],
-            DistinctSketch.from_dict(data["distinct"]),
-            TopValuesSketch.from_dict(data["top_values"]),
+            data["distinct"],
+            data["top_values"],
             data.get("numeric_min"),
             data.get("numeric_max"),
         )
@@ -208,7 +198,7 @@ class GraphStatistics:
     the graph's label-id assignment.
     """
 
-    SCHEMA = "repro-graph-stats/1"
+    SCHEMA = "repro-graph-stats/2"
 
     def __init__(self, num_vertices, num_edges):
         self.num_vertices = num_vertices
@@ -360,13 +350,14 @@ class GraphStatistics:
 
     @classmethod
     def from_dict(cls, data):
+        if data.get("schema") != cls.SCHEMA:
+            raise GraphError(
+                "statistics document has schema %r, expected %r"
+                % (data.get("schema"), cls.SCHEMA)
+            )
         stats = cls(data["num_vertices"], data["num_edges"])
-        stats.vertex_label_counts = _label_map_from_list(
-            data["vertex_label_counts"]
-        )
-        stats.edge_label_counts = _label_map_from_list(
-            data["edge_label_counts"]
-        )
+        stats.vertex_label_counts = dict(data["vertex_label_counts"])
+        stats.edge_label_counts = dict(data["edge_label_counts"])
         stats.out_degrees = _degree_map_from_list(data["out_degrees"])
         stats.in_degrees = _degree_map_from_list(data["in_degrees"])
         stats.out_degrees_all = DegreeStats.from_dict(
@@ -451,18 +442,17 @@ class GraphStatistics:
             lines.append("%s properties:" % kind)
             for name in sorted(props):
                 stats = props[name]
-                summary = "  %-14s %-8s distinct~%-6d" % (
-                    name, stats.ptype.value, stats.distinct.estimate()
+                summary = "  %-14s %-8s distinct=%-6d" % (
+                    name, stats.ptype.value, stats.distinct
                 )
                 if stats.numeric_min is not None:
                     summary += " range=[%s, %s]" % (
                         stats.numeric_min, stats.numeric_max
                     )
                 lines.append(summary)
-                for value, count, error in stats.top_values.top(top):
+                for value, count in list(stats.top_values.items())[:top]:
                     lines.append(
-                        "      %-24r count~%-8d (err<=%d)"
-                        % (value, count, error)
+                        "      %-24r count=%d" % (value, count)
                     )
         return "\n".join(lines)
 
@@ -475,8 +465,7 @@ class GraphStatistics:
         )
 
 
-def collect_statistics(graph, top_k=DEFAULT_TOP_K,
-                       distinct_k=DEFAULT_DISTINCT_K):
+def collect_statistics(graph):
     """One deterministic pass over *graph* -> :class:`GraphStatistics`."""
     stats = GraphStatistics(graph.num_vertices, graph.num_edges)
     label_name = _label_namer(graph)
@@ -529,16 +518,12 @@ def collect_statistics(graph, top_k=DEFAULT_TOP_K,
         for elab_id, count in zip(*np.unique(elab_ids, return_counts=True)):
             stats.edge_label_counts[label_name(int(elab_id))] = int(count)
 
-    for name in sorted(graph.vertex_properties.names()):
-        stats.vertex_properties[name] = PropertyStats.from_column(
-            graph.vertex_properties.column(name),
-            top_k=top_k, distinct_k=distinct_k,
-        )
-    for name in sorted(graph.edge_properties.names()):
-        stats.edge_properties[name] = PropertyStats.from_column(
-            graph.edge_properties.column(name),
-            top_k=top_k, distinct_k=distinct_k,
-        )
+    for table, summaries in (
+        (graph.vertex_properties, stats.vertex_properties),
+        (graph.edge_properties, stats.edge_properties),
+    ):
+        for name in sorted(table.names()):
+            summaries[name] = PropertyStats.from_column(table.column(name))
     return stats
 
 
@@ -562,10 +547,6 @@ def _label_map_to_list(mapping):
             mapping.items(), key=lambda item: (item[0] is None, item[0])
         )
     ]
-
-
-def _label_map_from_list(entries):
-    return {label: count for label, count in entries}
 
 
 def _degree_map_to_list(mapping):

@@ -67,7 +67,8 @@ class TestBuilder:
         graph = GraphBuilder().build()
         assert graph.num_vertices == 0
         assert graph.num_edges == 0
-        assert graph.degree_stats() == (0, 0, 0.0)
+        out = graph.statistics().out_degrees_all
+        assert (out.min, out.max, out.mean) == (0, 0, 0.0)
 
 
 class TestAdjacency:
@@ -184,5 +185,5 @@ class TestLabelsAndProps:
 
     def test_label_fraction(self):
         graph = build_triangle()
-        person = graph.labels.lookup("person")
-        assert graph.vertex_label_fraction(person) == pytest.approx(2 / 3)
+        stats = graph.statistics()
+        assert stats.vertex_label_fraction("person") == pytest.approx(2 / 3)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ClusterConfig, PlannerOptions, run_query
 from repro.graph import GraphBuilder
+from repro.graph.property_table import PropertyColumn, PropertyTable
 from repro.pgql import parse_and_validate
 from repro.plan import (
     CostModel,
@@ -12,7 +13,13 @@ from repro.plan import (
     choose_plan,
     plan_query,
 )
-from repro.workloads.skewed import skewed_music_graph, skewed_query_suite
+from repro.stats import GraphStatistics
+from repro.workloads.bsbm import generate_bsbm, query5_parts
+from repro.workloads.skewed import (
+    skewed_music_graph,
+    skewed_query_suite,
+    skewed_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +68,16 @@ class TestCostModel:
 
 class TestCandidateOrders:
     def test_orders_are_connected_prefixes(self, skewed, chain_query):
-        orders = candidate_orders(chain_query, skewed)
+        scores = CostModel(skewed).variable_scores(chain_query)
+        orders = candidate_orders(chain_query, scores)
         assert ("p", "b", "s") in orders
         assert ("b", "p", "s") in orders
         # A prefix that needs a cartesian restart is never enumerated.
         assert ("p", "s", "b") not in orders
 
     def test_enumeration_covers_all_rotations(self, skewed, cn_query):
-        orders = candidate_orders(cn_query, skewed)
+        scores = CostModel(skewed).variable_scores(cn_query)
+        orders = candidate_orders(cn_query, scores)
         starts = {order[0] for order in orders}
         assert starts == {"a", "s", "b"}
 
@@ -112,6 +121,98 @@ class TestChoosePlan:
         second = choose_plan(chain_query, skewed)
         assert first.order == second.order
         assert first.chosen.estimate.cost == second.chosen.estimate.cost
+
+
+#: Seven vertex variables: past ORDER_ENUM_LIMIT, so the candidates are
+#: the appearance order and the greedy order over the model's scores.
+SEVEN_VAR_QUERY = (
+    "SELECT p, b, s, q, c, s2, b2 WHERE (p:person)-[:fan_of]->(b:band)"
+    "-[:recorded]->(s:song)<-[:likes]-(q:person), "
+    "(c:curator)-[:likes]->(s), "
+    "(c)-[:likes]->(s2:song)<-[:recorded]-(b2:band), "
+    "c.name = 'c3', q.age < 30"
+)
+
+
+def _choices(graph, queries):
+    picked = []
+    for text in queries:
+        choice = choose_plan(parse_and_validate(text), graph)
+        picked.append((choice.order, choice.use_common_neighbors))
+    return picked
+
+
+class TestGoldenChoices:
+    """Orders and CN decisions recorded at eba60bf, when property
+    statistics were sketches and SELECTIVITY scanned the columns: exact
+    statistics and the single estimator must not move a plan."""
+
+    def test_bsbm_query5_parts(self):
+        bsbm = generate_bsbm(num_products=2000, seed=0)
+        parts = query5_parts(bsbm, 11, seed=0)
+        assert _choices(bsbm.graph, parts) == [(("p", "f", "p2"), False)] * 11
+
+    def test_ledger_skewed_music(self):
+        graph, queries = skewed_workload(
+            ClusterConfig(num_machines=4, seed=0), num_persons=3000,
+            num_bands=16, num_songs=200, fan_edges=9000, likes_edges=6000,
+        )
+        assert _choices(graph, queries) == [
+            (("s", "b", "p"), False),
+            (("s", "p"), False),
+            (("s", "b", "p"), False),
+            (("a", "s", "b"), False),
+        ]
+
+    def test_bench_planner_pillar(self, skewed):
+        assert _choices(skewed, skewed_query_suite(seed=0)) == [
+            (("s", "b", "p"), False),
+            (("s", "p"), False),
+            (("s", "b", "p"), False),
+            (("b", "a", "s"), True),
+        ]
+
+    def test_seven_variable_pattern(self, skewed):
+        assert _choices(skewed, [SEVEN_VAR_QUERY]) == [
+            (("c", "s", "b", "s2", "b2", "q", "p"), False),
+        ]
+
+    def test_abl5_selectivity_order(self):
+        from benchmarks.test_abl5_scheduling import (
+            PAPER_QUERY,
+            build_music_graph,
+        )
+
+        plan = plan_query(
+            PAPER_QUERY, build_music_graph(),
+            PlannerOptions(scheduling=SchedulingPolicy.SELECTIVITY),
+        )
+        assert plan.choice.order == ("band", "song", "person")
+
+
+class TestStatisticsOnly:
+    def test_cost_planning_never_reads_property_storage(
+        self, skewed, monkeypatch
+    ):
+        """The model's promise: planning against a statistics snapshot
+        re-attached from JSON touches no property column."""
+        query = parse_and_validate(SEVEN_VAR_QUERY)
+        expected = choose_plan(query, skewed)
+
+        graph = skewed_music_graph(seed=0)
+        graph.attach_statistics(
+            GraphStatistics.from_json(graph.statistics().to_json())
+        )
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("planner read a property column")
+
+        monkeypatch.setattr(PropertyColumn, "values", forbidden)
+        monkeypatch.setattr(PropertyColumn, "get", forbidden)
+        monkeypatch.setattr(PropertyTable, "column", forbidden)
+        choice = choose_plan(query, graph)
+        assert choice.describe() == expected.describe()
+        assert choice.scores == expected.scores
 
 
 class TestEnginePolicyWiring:

@@ -3,11 +3,12 @@
 from repro.graph import GraphBuilder
 from repro.pgql import parse_and_validate
 from repro.plan import (
+    CostModel,
     PlannerOptions,
     SchedulingPolicy,
     plan_query,
 )
-from repro.plan.scheduling import estimate_selectivities, selectivity_order
+from repro.plan.scheduling import selectivity_order
 
 
 def music_graph():
@@ -46,7 +47,7 @@ class TestSelectivityEstimation:
     def test_equality_on_rare_value_scores_low(self):
         graph = music_graph()
         query = parse_and_validate(PAPER_QUERY)
-        scores = estimate_selectivities(query, graph)
+        scores = CostModel(graph).variable_scores(query)
         # band.name = "band1" matches exactly one of 35 vertices.
         assert scores["band"] < scores["song"] < scores["person"]
 
@@ -55,7 +56,7 @@ class TestSelectivityEstimation:
         query = parse_and_validate(
             "SELECT b WHERE (a)-[]->(b:band)"
         )
-        scores = estimate_selectivities(query, graph)
+        scores = CostModel(graph).variable_scores(query)
         assert scores["b"] < scores["a"]
 
     def test_id_equality_is_most_selective(self):
@@ -63,13 +64,13 @@ class TestSelectivityEstimation:
         query = parse_and_validate(
             "SELECT a WHERE (a WITH id() = 3)-[]->(b)"
         )
-        scores = estimate_selectivities(query, graph)
+        scores = CostModel(graph).variable_scores(query)
         assert scores["a"] == 1.0 / graph.num_vertices
 
     def test_range_filter_halves(self):
         graph = music_graph()
         query = parse_and_validate("SELECT a WHERE (a)-[]->(b), a.id() < 5")
-        scores = estimate_selectivities(query, graph)
+        scores = CostModel(graph).variable_scores(query)
         assert scores["a"] == 0.5
 
 
@@ -78,7 +79,9 @@ class TestOrdering:
         """§5: 'we would prefer to start by matching the vertex band'."""
         graph = music_graph()
         query = parse_and_validate(PAPER_QUERY)
-        order = selectivity_order(query, graph)
+        order = selectivity_order(
+            query, CostModel(graph).variable_scores(query)
+        )
         assert order[0] == "band"
         # Connectivity-first growth: song joins before person.
         assert order == ["band", "song", "person"]
@@ -98,7 +101,9 @@ class TestOrdering:
         query = parse_and_validate(
             "SELECT a WHERE (a)-[]->(b)-[]->(c), (d)"
         )
-        order = selectivity_order(query, graph)
+        order = selectivity_order(
+            query, CostModel(graph).variable_scores(query)
+        )
         assert sorted(order) == sorted(query.vertex_vars())
 
     def test_explicit_order_wins_over_policy(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import PropertyTypeError, UnknownPropertyError
 from repro.graph.property_table import PropertyColumn, PropertyTable
 from repro.graph.types import PropertyType
+from repro.stats import PropertyStats
 
 
 class TestPropertyColumn:
@@ -58,18 +59,22 @@ class TestPropertyColumn:
     def test_selectivity(self):
         column = PropertyColumn("t", PropertyType.LONG, 4)
         column.fill([1, 1, 2, 3])
-        assert column.selectivity(1) == 0.5
-        assert column.selectivity(9) == 0.0
+        stats = PropertyStats.from_column(column)
+        assert stats.eq_selectivity(1) == 0.5
+        assert stats.eq_selectivity(9) == 0.0
 
     def test_selectivity_wrong_type_is_unknown(self):
+        # Not an error: priced like any value the column never held.
         column = PropertyColumn("t", PropertyType.LONG, 4)
-        assert column.selectivity("nope") == 1.0
+        stats = PropertyStats.from_column(column)
+        assert stats.eq_selectivity("nope") == stats.eq_selectivity(9) == 0.0
 
     def test_selectivity_string(self):
         column = PropertyColumn("s", PropertyType.STRING, 4)
         column.fill(["x", "x", "y", "x"])
-        assert column.selectivity("x") == 0.75
-        assert column.selectivity("absent") == 0.0
+        stats = PropertyStats.from_column(column)
+        assert stats.eq_selectivity("x") == 0.75
+        assert stats.eq_selectivity("absent") == 0.0
 
 
 class TestPropertyTable:

@@ -1,14 +1,21 @@
-"""The statistics subsystem: sketches, collection, serialization."""
+"""The statistics subsystem: exact counts, collection, serialization."""
 
 import json
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import GraphError
 from repro.graph import GraphBuilder
 from repro.graph.loaders import graph_from_dict, graph_to_dict, load_json, save_json
-from repro.graph.types import Direction
+from repro.graph.property_table import PropertyColumn
+from repro.graph.types import PropertyType
 from repro.stats import (
-    DistinctSketch,
+    TOP_VALUES,
     GraphStatistics,
-    TopValuesSketch,
+    PropertyStats,
     collect_statistics,
 )
 
@@ -34,71 +41,45 @@ def music_graph():
     return builder.build()
 
 
-class TestTopValuesSketch:
-    def test_exact_below_capacity(self):
-        sketch = TopValuesSketch(capacity=4)
-        for value in "aabbbc":
-            sketch.add(value)
-        assert sketch.count("b") == 3
-        assert sketch.guaranteed_count("b") == 3
-        assert sketch.guaranteed_total == sketch.total == 6
-
-    def test_eviction_keeps_error_bounds(self):
-        sketch = TopValuesSketch(capacity=2)
-        for value in ["hot"] * 10 + ["a", "b", "c"]:
-            sketch.add(value)
-        # The heavy hitter survives with a usable lower bound.
-        assert sketch.guaranteed_count("hot") >= 10 - 3
-        # Untracked values report 0 guaranteed, not a made-up count.
-        tracked = {value for value, _count, _err in sketch.top()}
-        for value in {"a", "b", "c"} - tracked:
-            assert sketch.guaranteed_count(value) == 0
-        # The guaranteed mass never exceeds the stream length.
-        assert sketch.guaranteed_total <= sketch.total
-
-    def test_top_order_independent_of_insertion(self):
-        left, right = TopValuesSketch(capacity=8), TopValuesSketch(capacity=8)
-        values = ["x"] * 3 + ["y"] * 3 + ["z"]
-        for value in values:
-            left.add(value)
-        for value in reversed(values):
-            right.add(value)
-        assert left.top() == right.top()
-
-    def test_round_trip(self):
-        sketch = TopValuesSketch(capacity=3)
-        for value in "aabbbcccc":
-            sketch.add(value)
-        clone = TopValuesSketch.from_dict(
-            json.loads(json.dumps(sketch.to_dict()))
+class TestPropertyStats:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just(PropertyType.LONG),
+                      st.lists(st.integers(-20, 20), max_size=120)),
+            st.tuples(st.just(PropertyType.STRING),
+                      st.lists(st.text("abc", max_size=3), max_size=120)),
         )
-        assert clone.top() == sketch.top()
-        assert clone.total == sketch.total
+    )
+    def test_exact_counts_of_random_columns(self, typed_values):
+        ptype, values = typed_values
+        column = PropertyColumn("p", ptype, len(values))
+        column.fill(values)
+        stats = PropertyStats.from_column(column)
+        exact = Counter(values)
 
-
-class TestDistinctSketch:
-    def test_exact_small_stream(self):
-        sketch = DistinctSketch(capacity=64)
-        for value in range(40):
-            sketch.add(value)
-            sketch.add(value)  # duplicates don't count
-        assert sketch.estimate() == 40
-
-    def test_estimate_large_stream(self):
-        sketch = DistinctSketch(capacity=128)
-        for value in range(5000):
-            sketch.add(value)
-        estimate = sketch.estimate()
-        assert 3000 < estimate < 8000  # KMV with k=128 is ~±9% at 1σ
-
-    def test_round_trip(self):
-        sketch = DistinctSketch(capacity=16)
-        for value in range(100):
-            sketch.add(value)
-        clone = DistinctSketch.from_dict(
-            json.loads(json.dumps(sketch.to_dict()))
+        assert stats.distinct == len(set(values))
+        assert len(stats.top_values) == min(TOP_VALUES, len(exact))
+        for value, count in stats.top_values.items():
+            assert count == exact[value]
+            assert stats.eq_selectivity(value) == count / len(values)
+        if stats.top_values:
+            floor = min(stats.top_values.values()) / len(values)
+            for value in set(values) - set(stats.top_values):
+                assert stats.eq_selectivity(value) <= floor
+        clone = PropertyStats.from_dict(
+            json.loads(json.dumps(stats.to_dict()))
         )
-        assert clone.estimate() == sketch.estimate()
+        assert clone.to_dict() == stats.to_dict()
+        assert clone.top_values == stats.top_values
+
+    def test_top_values_rank_by_count_then_repr(self):
+        column = PropertyColumn("p", PropertyType.STRING, 7)
+        column.fill(["y", "x", "z", "x", "y", "z", "z"])
+        stats = PropertyStats.from_column(column)
+        assert list(stats.top_values.items()) == [
+            ("z", 3), ("x", 2), ("y", 2),
+        ]
 
 
 class TestCollect:
@@ -153,13 +134,12 @@ class TestGraphIntegration:
         assert graph.statistics().vertex_label_counts == {"v": 1}
 
     def test_in_degree_stats_counterpart(self):
-        graph = music_graph()
-        out_min, out_max, out_mean = graph.degree_stats()
-        in_min, in_max, in_mean = graph.degree_stats(direction=Direction.IN)
-        assert (out_min, in_min) == (0, 0)
-        assert in_max == 5  # b0's fan_of in-degree
-        assert out_max == 3  # b0 recorded three songs
-        assert out_mean == in_mean  # same edge total on both sides
+        stats = music_graph().statistics()
+        out, in_ = stats.out_degrees_all, stats.in_degrees_all
+        assert (out.min, in_.min) == (0, 0)
+        assert in_.max == 5  # b0's fan_of in-degree
+        assert out.max == 3  # b0 recorded three songs
+        assert out.mean == in_.mean  # same edge total on both sides
 
     def test_json_round_trip_preserves_stats(self, tmp_path):
         graph = music_graph()
@@ -185,3 +165,63 @@ class TestGraphIntegration:
         text = collect_statistics(music_graph()).table(top=2)
         assert "vertex label" in text
         assert "band" in text and "fan_of" in text
+        assert "distinct=8" in text  # 7 names and the unset default
+        assert "'b0'                     count=1" in text
+
+
+def schema_1_document():
+    """A statistics document as written before ``/2``: sketch state."""
+    return {
+        "schema": "repro-graph-stats/1",
+        "num_vertices": 2,
+        "num_edges": 0,
+        "vertex_label_counts": [[None, 2]],
+        "edge_label_counts": [],
+        "out_degrees": [],
+        "in_degrees": [],
+        "out_degrees_all": {"count": 2, "min": 0, "max": 0, "mean": 0.0,
+                            "buckets": [2]},
+        "in_degrees_all": {"count": 2, "min": 0, "max": 0, "mean": 0.0,
+                           "buckets": [2]},
+        "edge_triples": [],
+        "vertex_properties": {
+            "age": {
+                "name": "age", "type": "long", "count": 2,
+                "distinct": {"capacity": 256,
+                             "hashes": [1152921504606846976,
+                                        6917529027641081856]},
+                "top_values": {"capacity": 16, "total": 2,
+                               "entries": [[30, 1, 0], [40, 1, 0]]},
+                "numeric_min": 30, "numeric_max": 40,
+            },
+        },
+        "edge_properties": {},
+    }
+
+
+class TestForeignDocuments:
+    """ROADMAP 6d: a typed failure, never a raw KeyError."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc,
+        lambda doc: doc.pop("schema"),
+        lambda doc: doc.update(schema="somebody-else/9"),
+    ])
+    def test_from_json_rejects_other_schemas(self, mutate):
+        doc = schema_1_document()
+        mutate(doc)
+        with pytest.raises(GraphError) as excinfo:
+            GraphStatistics.from_json(json.dumps(doc))
+        message = str(excinfo.value)
+        assert repr(doc.get("schema")) in message
+        assert "repro-graph-stats/2" in message
+
+    def test_graph_loaders_reject_older_statistics(self, tmp_path):
+        doc = graph_to_dict(music_graph())
+        doc["stats"] = schema_1_document()
+        with pytest.raises(GraphError, match="repro-graph-stats/1"):
+            graph_from_dict(doc)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match="repro-graph-stats/1"):
+            load_json(str(path))
