@@ -48,6 +48,7 @@ from repro.errors import (
     PgqlValidationError,
     PlanError,
     QueryAborted,
+    QueryStalled,
     RemoteAccessError,
     ReproError,
     RuntimeFault,
@@ -143,6 +144,7 @@ __all__ = [
     "PlanError",
     "RuntimeFault",
     "QueryAborted",
+    "QueryStalled",
     # chaos & reliability
     "ChaosConfig",
     "FlowControlError",

@@ -41,7 +41,7 @@ from repro.bench import EXIT_REGRESSION
 from repro.chaos import PROFILES, profile
 from repro.cluster.config import ClusterConfig
 from repro.context import ExecutionContext
-from repro.errors import QueryAborted
+from repro.errors import QueryAborted, QueryStalled
 from repro.graph import load_edge_list, load_json, uniform_random_graph
 from repro.obs import Telemetry, Tracer
 from repro.plan import MatchSemantics, PlannerOptions, SchedulingPolicy
@@ -1042,8 +1042,28 @@ def cmd_analyze(args):
     return 0
 
 
+def _print_stall(stalled):
+    """Report a stalled query the way :func:`_print_abort` reports an
+    aborted one: the diagnosis, no traceback."""
+    print("query stalled:", stalled.reason)
+    if stalled.tick is not None:
+        print("at tick  :", stalled.tick)
+    if stalled.detail:
+        print("detail   :", stalled.detail)
+    for line in stalled.describe_sleep():
+        print("sleep    :", line)
+    return EXIT_ABORTED
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except QueryStalled as stalled:
+        return _print_stall(stalled)
+
+
+def _run_command(args):
     if args.command == "query":
         return cmd_query(args)
     if args.command == "trace":

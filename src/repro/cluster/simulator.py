@@ -34,7 +34,7 @@ trace — the simulator never hangs on an unrecoverable fault.
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.network import Network
 from repro.context import ExecutionContext
-from repro.errors import QueryAborted, RuntimeFault
+from repro.errors import QueryAborted, QueryStalled, RuntimeFault
 
 
 class MachineInterface:
@@ -249,6 +249,19 @@ class Simulator:
             self.telemetry.sampler.flush(self.now)
             self.telemetry.meta["ticks"] = self.now
             self.telemetry.meta["aborted"] = reason
+        detail, flow_state = self._diagnosis()
+        raise QueryAborted(
+            reason,
+            tick=self.now,
+            metrics=self._partial_metrics(),
+            trace=self.tracer,
+            detail=detail,
+            flow_state=flow_state,
+        )
+
+    def _diagnosis(self):
+        """``(detail line or None, flow state)`` of a run that stopped
+        short: termination progress, unacked frames, stuck windows."""
         details = []
         tracker = getattr(self._machines[0], "termination", None)
         if tracker is not None:
@@ -264,13 +277,20 @@ class Simulator:
         flow_line = self._describe_flow_state(flow_state)
         if flow_line:
             details.append(flow_line)
-        raise QueryAborted(
-            reason,
-            tick=self.now,
-            metrics=self._partial_metrics(),
-            trace=self.tracer,
-            detail="; ".join(details) or None,
-            flow_state=flow_state,
+        return "; ".join(details) or None, flow_state
+
+    def stalled(self, reason):
+        """The :class:`QueryStalled` describing this run right now (the
+        caller raises it): nothing in it can move, yet it is not done."""
+        detail, flow_state = self._diagnosis()
+        sleep_state = []
+        for machine_id, machine in enumerate(self._machines):
+            sleep = getattr(machine, "sleep_state", None)
+            if sleep is not None:
+                sleep_state.append(dict(sleep(), machine=machine_id))
+        return QueryStalled(
+            reason, tick=self.now, detail=detail, flow_state=flow_state,
+            sleep_state=sleep_state,
         )
 
     def start(self):
@@ -401,9 +421,9 @@ class Simulator:
                 return False
             if all(machine.is_finished() for machine in machines):
                 return True
-            raise RuntimeFault(
-                "simulation deadlock at tick %d: all machines idle, "
-                "no messages in flight, not finished" % self.now
+            raise self.stalled(
+                "simulation deadlock: all machines idle, no messages in "
+                "flight, not finished"
             )
         self.now += 1
         self._check_max_ticks()

@@ -114,6 +114,72 @@ class QueryAborted(ReproError):
         return message
 
 
+class QueryStalled(RuntimeFault):
+    """Nothing can make progress any more, yet the query is not done.
+
+    The simulator raises it the moment every machine is idle with no
+    message in flight and no timer, chaos event or deadline pending —
+    a lost wake-up, a flow-control or a termination bug — instead of
+    spinning until ``max_ticks``.  A :class:`RuntimeFault` (an engine
+    defect, not a cancelled query), with the state a diagnosis needs:
+
+    * ``reason``, ``tick`` — what stalled and the simulated tick;
+    * ``detail`` — the termination progress summary and a one-line
+      rendering of the stuck windows, as on :class:`QueryAborted`;
+    * ``flow_state`` — the per-machine snapshot of
+      :class:`QueryAborted` ``.flow_state``;
+    * ``sleep_state`` — per machine, ``QueryMachine.sleep_state()``:
+      which workers are awake, whether housekeeping is armed, and which
+      sleeping workers are registered under which ``(stage, dest)``
+      window — so the message names *which* worker slept through
+      *which* window.
+    """
+
+    def __init__(self, reason, tick=None, detail=None, flow_state=None,
+                 sleep_state=None):
+        self.reason = reason
+        self.tick = tick
+        self.detail = detail
+        self.flow_state = flow_state
+        self.sleep_state = sleep_state
+        super().__init__(reason)
+
+    def describe_sleep(self):
+        """One line per machine with anything asleep, or ``[]``."""
+        lines = []
+        for entry in self.sleep_state or ():
+            if not entry["parked"] and len(entry["awake"]) == entry["workers"]:
+                continue
+            windows = ", ".join(
+                "s%d->m%d:%s" % (
+                    stage, dest, "+".join("w%d" % w for w in workers)
+                )
+                for (stage, dest), workers in sorted(entry["parked"].items())
+            )
+            lines.append(
+                "m%d awake=[%s] housekeeping=%s parked=[%s]" % (
+                    entry["machine"],
+                    ",".join("w%d" % w for w in entry["awake"]),
+                    "on" if entry["housekeeping"] else "off",
+                    windows,
+                )
+            )
+        return lines
+
+    def __str__(self):
+        message = "query stalled"
+        if self.tick is not None:
+            message += " at tick %d" % self.tick
+        message += ": %s" % self.reason
+        parts = [self.detail] if self.detail else []
+        sleep = self.describe_sleep()
+        if sleep:
+            parts.append("sleep: " + " | ".join(sleep))
+        if parts:
+            message += " (%s)" % "; ".join(parts)
+        return message
+
+
 class FlowControlError(RuntimeFault):
     """Flow-control invariants were violated (negative counter, ...)."""
 

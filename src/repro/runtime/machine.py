@@ -24,6 +24,7 @@ from repro.obs.events import (
     QuotaRequested,
     ResultEmitted,
     StageCompleted,
+    WorkerSpan,
 )
 from repro.runtime.flow_control import FlowControl
 from repro.runtime.hops import CNItem, vertex_admissible
@@ -163,16 +164,28 @@ class QueryMachine:
         )
         self.last_refused = None
         self._sync_wait = None
+        self._blocking = config.blocking_remote
+        #: Blocking mode (ABL4) only: acknowledged message seqs a
+        #: synchronously waiting worker has not seen yet.
         self._acked_seqs = set()
         self._quota_rr = 0
         self._phase = _BOOTSTRAP
-        #: Quiescence latch: one bit per worker that has not yet had a
-        #: pure-idle slice since the machine's state last changed.  At
-        #: zero the state is a fixed point of ``worker_step`` (every
-        #: worker scanned it and found nothing to do, send or complete),
-        #: so slices stay idle until ``on_message`` sets the bits again.
+        # Sleep state (docs/performance.md, "The idle path").  A slice
+        # of worker w is its own DOWORK scan D(w) plus the machine
+        # housekeeping H every slice performs (idle flush, phase,
+        # completions); each is skipped while provably a no-op and
+        # re-enabled only by the event that can change that verdict.
+        #: Bit w set: D(w) may act.  Cleared by w's fruitless scan.
         self._all_workers = (1 << config.workers_per_machine) - 1
         self._awake = self._all_workers
+        #: H may act.  Cleared by a pure-idle slice.
+        self._housekeeping = True
+        #: ``stage * num_machines + dest`` -> mask of sleeping workers
+        #: holding a computation parked on that window; whatever reopens
+        #: the window wakes them and takes the mask.
+        self._parked = [0] * (num_stages * num_machines)
+        self._num_stages = num_stages
+        self._num_machines = num_machines
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -208,8 +221,10 @@ class QueryMachine:
     # Simulator interface
     # ------------------------------------------------------------------
     def worker_step(self, worker_index, budget):
+        bit = 1 << worker_index
+        scanning = self._awake & bit
         phase = self._phase
-        if not self._awake or phase == _DONE:
+        if phase == _DONE or not (scanning or self._housekeeping):
             self.metrics.idle_ticks += 1
             return 0
         worker = self._workers[worker_index]
@@ -217,9 +232,50 @@ class QueryMachine:
         sent = metrics.work_messages_sent + metrics.control_messages_sent
         completions_from = self._completions_from
         waiting_for_seq = worker.waiting_for_seq
-        # Worker.step accounts real ops into the metrics itself; the
-        # returned value is the time slice consumed (for idleness).
-        used = worker.step(budget)
+        # Real ops are accounted into the metrics; ``used`` is the time
+        # slice consumed (for idleness).  An unscanned worker has no
+        # debt: a debt keeps its bit set.
+        paid = worker.debt
+        if paid >= budget:
+            worker.debt = paid - budget
+            used = budget  # the whole slice repays earlier overshoot
+        else:
+            worker.debt = 0
+            if waiting_for_seq is not None and not self._ack_seen(worker):
+                # Synchronous wait burns the slice; every delivery in
+                # blocking mode wakes everyone.
+                self._awake &= ~bit
+                used = paid
+            else:
+                effective = budget - paid
+                ops = worker.step(effective, paid) if scanning else 0
+                if ops == 0:
+                    if not (paid or self._housekeeping
+                            or self._awake & bit):
+                        # A fruitless scan (a sibling took the
+                        # message, the window shut again, or all it did
+                        # was re-request quota) touched nothing H reads,
+                        # and H was a known no-op: it still is.
+                        metrics.idle_ticks += 1
+                        return 0
+                    # Opportunistic work for an idle worker: flush.
+                    ops = self.idle_progress()
+                    if ops and self.trace is not None:
+                        self.trace.emit(WorkerSpan(
+                            self.api.now, self.machine_id, worker_index,
+                            -1, ops, paid,
+                        ))
+                metrics.ops += ops
+                if ops > effective:
+                    # An indivisible operation overshot: this worker's
+                    # own next slices repay it, so it stays awake (an
+                    # idle flush ran after its bit was cleared).
+                    worker.debt = ops - effective
+                    self._awake |= bit
+                    used = budget
+                else:
+                    used = paid + ops
+        asleep = not (self._awake & bit)
         # A phase ends on the slice that observes its condition, before
         # this slice's completion attempt below can change it.
         if phase == _BOOTSTRAP:
@@ -235,24 +291,77 @@ class QueryMachine:
         self._attempt_completions()
         # Pure-idle slice: nothing ran, nothing was sent (every send a
         # slice can make bumps one of the two message counters) and no
-        # protocol state moved, so repeating it on this state would be
-        # the same no-op.  Anything else re-arms every worker.
+        # protocol state moved, so H would repeat the same no-op.
         if (
             used == 0
-            and not worker.ran_computation
+            and asleep
             and self._phase == phase
             and self._completions_from == completions_from
             and worker.waiting_for_seq == waiting_for_seq
             and metrics.work_messages_sent
             + metrics.control_messages_sent == sent
         ):
-            self._awake &= ~(1 << worker_index)
+            self._housekeeping = False
         else:
-            self._awake = self._all_workers
+            self._housekeeping = True
+            if self._blocking:
+                self.wake_all()
+            elif self._awake != self._all_workers:
+                self._wake_for_sources()
         return used
 
-    def on_message(self, src, payload):
+    def wake_all(self):
+        """Every worker rescans and housekeeping reruns: for the events
+        that can enable anything (a COMPLETED, a window redistribution)
+        and for blocking mode, which does not model who waits on what."""
         self._awake = self._all_workers
+        self._housekeeping = True
+
+    def sleep_state(self):
+        """Diagnostic snapshot for :class:`~repro.errors.QueryStalled`:
+        the awake workers, the housekeeping flag, and per ``(stage,
+        dest)`` window the sleeping workers registered under it."""
+        indices = range(len(self._workers))
+        return {
+            "workers": len(self._workers),
+            "awake": [w for w in indices if self._awake >> w & 1],
+            "housekeeping": self._housekeeping,
+            "parked": {
+                divmod(window, self._num_machines): [
+                    w for w in indices if mask >> w & 1
+                ]
+                for window, mask in enumerate(self._parked) if mask
+            },
+        }
+
+    def _wake_for_sources(self):
+        """Wake each sleeping worker that has a free slot for a stage
+        with work waiting.  Run after a slice that changed something
+        while a sibling sleeps: it covers a kernel's work-shared
+        ``local_q.append``, a slot the slice freed, and a worker that
+        was woken for a message but spent its slice otherwise."""
+        inbox = self._inbox
+        local_inbox = self._local_inbox
+        for stage in range(self._num_stages):
+            if (
+                inbox[stage] or local_inbox[stage]
+                or (stage == 0 and self._bootstrap_chunks)
+            ):
+                for worker in self._workers:
+                    if worker.slots[stage] is None:
+                        self._awake |= worker.bit
+
+    def _ack_seen(self, worker):
+        """Blocking mode: has the message *worker* waits on been acked?
+        Consumes the recorded seq and ends the wait."""
+        seq = worker.waiting_for_seq
+        if seq not in self._acked_seqs:
+            return False
+        self._acked_seqs.discard(seq)
+        worker.waiting_for_seq = None
+        return True
+
+    def on_message(self, src, payload):
         if self._reliable:
             # The transport dedups/reorders; only in-order application
             # payloads (possibly several, when a frame fills a gap)
@@ -271,47 +380,85 @@ class QueryMachine:
         return self.api.next_timer_tick()
 
     def _dispatch(self, src, payload):
+        """Apply one application payload and wake exactly what it can
+        enable (the wake table in docs/performance.md): a sleeping
+        worker or idle housekeeping not named here stays a no-op."""
+        if self._blocking:
+            self.wake_all()
         if isinstance(payload, WorkMessage):
             payload.src = src
             if self.telemetry is not None:
                 payload.arrived_at = self.api.now
-            self._inbox[payload.stage].append(payload)
+            stage = payload.stage
+            self._inbox[stage].append(payload)
             items = payload.items
             weight = len(items)
             for item in items:
                 if isinstance(item, CNItem):
                     weight += len(item) - 1
-            self.stage_load[payload.stage] += len(payload.items)
+            self.stage_load[stage] += len(items)
             self.metrics.buffered_delta(weight)
-            if self.config.blocking_remote:
+            # The first free slot in slice order takes it; if that
+            # worker's slice goes elsewhere, _wake_for_sources passes
+            # the message on within the tick.
+            for worker in self._workers:
+                if worker.slots[stage] is None:
+                    self._awake |= worker.bit
+                    break
+            if self._blocking:
                 # Synchronous-RPC model (ABL4): acknowledge on receipt so
                 # the sender's round trip is 2x latency; a deferred ack
                 # would deadlock once every worker is parked waiting.
-                self.api.send(src, Ack(payload.stage, 1, seqs=(payload.seq,)))
+                self.api.send(src, Ack(stage, 1, seqs=(payload.seq,)))
                 self.metrics.control_messages_sent += 1
         elif isinstance(payload, Ack):
-            self.flow.on_ack_from(payload.stage, src, payload.count)
-            self._acked_seqs.update(payload.seqs)
+            stage = payload.stage
+            self.flow.on_ack_from(stage, src, payload.count)
+            if self._blocking:
+                self._acked_seqs.update(payload.seqs)
+            self._window_opened(stage, src)
         elif isinstance(payload, Completed):
             self.termination.on_completed(payload.stage, src)
             if self.termination.stage_globally_complete(payload.stage):
                 self.flow.redistribute_completed_stage(payload.stage)
+            self.wake_all()
         elif isinstance(payload, QuotaRequest):
+            # Wakes nobody: donating only lowers a limit.
             amount = self.flow.donate_quota(payload.stage, payload.dest)
             self.api.send(src, QuotaGrant(payload.stage, payload.dest, amount))
             self.metrics.control_messages_sent += 1
             if amount:
                 self.metrics.quota_granted += amount
         elif isinstance(payload, QuotaGrant):
-            self.flow.on_quota_grant(payload.stage, payload.dest,
-                                     payload.amount)
+            stage, dest, amount = payload.stage, payload.dest, payload.amount
+            self.flow.on_quota_grant(stage, dest, amount)
             if self.trace is not None:
                 self.trace.emit(QuotaGranted(
-                    self.api.now, self.machine_id, payload.stage,
-                    payload.dest, payload.amount,
+                    self.api.now, self.machine_id, stage, dest, amount,
                 ))
+            if amount:
+                self._window_opened(stage, dest)
+            else:
+                # Nothing opened, but the request is no longer pending:
+                # the parked workers ask the next peer.
+                self._wake_parked(stage * self._num_machines + dest)
         else:
             raise RuntimeFault("unknown payload: %r" % (payload,))
+
+    def _wake_parked(self, window):
+        """Wake the workers registered under *window* (``stage *
+        num_machines + dest``); they re-register if it refuses again."""
+        mask = self._parked[window]
+        if mask:
+            self._awake |= mask
+            self._parked[window] = 0
+
+    def _window_opened(self, stage, dest):
+        """The (stage, dest) window gained a slot: computations parked
+        on it can resume, and a buffer waiting behind it can flush."""
+        self._wake_parked(stage * self._num_machines + dest)
+        if self._outgoing.get((stage, dest)):
+            self._housekeeping = True
 
     def is_finished(self):
         return self.termination.all_complete()
@@ -321,7 +468,7 @@ class QueryMachine:
     # ------------------------------------------------------------------
     @property
     def num_machines(self):
-        return self.config.num_machines
+        return self._num_machines
 
     def owner(self, vertex):
         return self.local.owner(vertex)
@@ -381,15 +528,12 @@ class QueryMachine:
 
         In blocking mode the ack already went out on receipt.
         """
-        if self.config.blocking_remote:
+        if self._blocking:
             return
         self.api.send(
             message.src, Ack(message.stage, 1, seqs=(message.seq,))
         )
         self.metrics.control_messages_sent += 1
-
-    def is_acked(self, seq):
-        return seq in self._acked_seqs
 
     def sync_wait_flagged(self):
         """True while a blocking-mode send awaits worker pickup."""
@@ -437,7 +581,7 @@ class QueryMachine:
                 self.push_frame(comp, frame_for_item(self, stage_index, item))
             self.stage_emitted[stage_index - 1] += _item_weight(item)
             return True
-        if self.config.blocking_remote:
+        if self._blocking:
             admitted = self._route_blocking(stage_index, dest, item)
         else:
             admitted = self._enqueue(stage_index, dest, item)
@@ -558,6 +702,10 @@ class QueryMachine:
             if isinstance(item, CNItem):
                 weight += len(item) - 1
         del buffer[:]
+        # The buffer has room again: can_enqueue turned true.
+        window = stage * self._num_machines + dest
+        if self._parked[window]:
+            self._wake_parked(window)
         self.flow.on_send(stage, dest)
         self.api.send(dest, message, size=weight)
         self.metrics.work_messages_sent += 1
@@ -581,7 +729,7 @@ class QueryMachine:
         """
         ops = 0
         can_flush = self.flow.can_flush
-        for stage in range(self.plan.num_stages - 1, -1, -1):
+        for stage in range(self._num_stages - 1, -1, -1):
             for dest, buffer in self._outgoing_by_stage[stage]:
                 # Window check first: idle scans mostly meet full
                 # buffers whose window is still closed.
@@ -601,7 +749,7 @@ class QueryMachine:
             return
         peers = [
             machine
-            for machine in range(self.num_machines)
+            for machine in range(self._num_machines)
             if machine not in (self.machine_id, dest)
         ]
         if not peers:
@@ -625,7 +773,7 @@ class QueryMachine:
         # stage n-1 globally complete, which includes our own mark.
         # Start at the cached first-unsent stage instead of rescanning
         # (this runs after every worker step).
-        num_stages = self.plan.num_stages
+        num_stages = self._num_stages
         for stage in range(self._completions_from, num_stages):
             if not self.termination.predecessor_complete(stage):
                 break
@@ -651,9 +799,10 @@ class QueryMachine:
                 self.trace.emit(StageCompleted(
                     self.api.now, self.machine_id, stage
                 ))
-            for machine in range(self.num_machines):
+            for machine in range(self._num_machines):
                 if machine != self.machine_id:
                     self.api.send(machine, Completed(stage))
                     self.metrics.control_messages_sent += 1
             if self.termination.stage_globally_complete(stage):
                 self.flow.redistribute_completed_stage(stage)
+                self.wake_all()

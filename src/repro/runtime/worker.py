@@ -115,14 +115,12 @@ def run_computation(rt, comp, budget):
     DONE once its stack is empty and, for message computations, every
     item has been consumed — at which point the ack has been sent.
 
-    With bulk kernels enabled (``ClusterConfig.bulk_kernels``, the
-    default outside blocking mode) execution delegates to the compiled
-    fast path, which charges identical op counts at identical points;
-    the loop below is the reference micro-stepped semantics.
+    This is the reference micro-stepped semantics.  With bulk kernels
+    enabled (``ClusterConfig.bulk_kernels``, the default outside
+    blocking mode) ``Worker.step`` calls the compiled fast path
+    (``PlanKernels.run``) instead, which charges identical op counts at
+    identical points.
     """
-    kernels = rt.kernels
-    if kernels is not None:
-        return kernels.run(rt, comp, budget)
     ops = 0
     while True:
         if not comp.stack:
@@ -200,12 +198,14 @@ class Worker:
     """One simulated worker thread: per-root-stage computation slots plus
     the descending-stage DOWORK loop of paper Figure 4."""
 
-    __slots__ = ("rt", "index", "slots", "waiting_for_seq", "debt",
-                 "ran_computation")
+    __slots__ = ("rt", "index", "bit", "slots", "waiting_for_seq", "debt")
 
     def __init__(self, rt, index):
         self.rt = rt
         self.index = index
+        #: This worker's bit in the machine's ``_awake`` mask and in the
+        #: per-window ``_parked`` masks.
+        self.bit = 1 << index
         self.slots = [None] * rt.plan.num_stages
         #: Blocking mode (ABL4): sequence number of the un-acked message
         #: this worker is synchronously waiting for.
@@ -214,103 +214,88 @@ class Worker:
         #: indivisible operation may overshoot); repaid before new work so
         #: the long-run rate never exceeds ``ops_per_tick``.
         self.debt = 0
-        #: Whether the latest :meth:`step` entered ``run_computation`` —
-        #: a zero-op run can still retire a slot or unpark a
-        #: computation, so the machine's quiescence latch needs to know.
-        self.ran_computation = False
 
-    def step(self, budget):
-        """Run up to *budget* micro-op time units; returns time consumed.
+    def step(self, budget, trace_offset):
+        """The DOWORK loop: scan for runnable work until *budget*
+        micro-ops are used or a scan makes no progress; returns the ops
+        used (``QueryMachine.worker_step`` does the slice accounting).
 
-        Real ops are accounted into the machine metrics here; the return
-        value is the slice of the tick spent (0 = fully idle).
-        """
-        rt = self.rt
-        self.ran_computation = False
-        if self.debt >= budget:
-            self.debt -= budget
-            return budget  # the whole slice repays earlier overshoot
-        effective = budget - self.debt
-        paid = self.debt
-        self.debt = 0
+        One scan prefers the latest stage with runnable work: a free
+        slot takes new work for its stage, a parked computation resumes
+        once its refused ``(stage, dest)`` window admits again.  A scan
+        that visited every stage and entered no computation is
+        *fruitless*: it has registered this worker under each window it
+        is parked on (``rt._parked``) and clears the worker's
+        ``rt._awake`` bit, so the machine stops scanning on its behalf
+        until one of those windows, or a work source of one of its free
+        slots, changes (docs/performance.md, "The idle path").
 
-        if self.waiting_for_seq is not None:
-            if rt.is_acked(self.waiting_for_seq):
-                self.waiting_for_seq = None
-            else:
-                return paid  # synchronous wait burns the slice
-
-        used = 0
-        while used < effective:
-            if rt._sync_wait is not None:
-                break  # blocking mode: stop right after a remote send
-            progressed = self._dowork_once(effective - used, paid + used)
-            if progressed == 0:
-                break
-            used += progressed
-        if used == 0:
-            used += rt.idle_progress()
-            if used and rt.trace is not None:
-                rt.trace.emit(WorkerSpan(
-                    rt.api.now, rt.machine_id, self.index, -1, used, paid
-                ))
-        rt.metrics.ops += used
-        if used > effective:
-            self.debt = used - effective
-            return budget
-        return paid + used
-
-    def _dowork_once(self, budget, trace_offset=0):
-        """One DOWORK scan: prefer the latest stage with runnable work.
-
-        *trace_offset* — micro-ops this worker already consumed earlier
-        in the current tick; only used to place trace spans sub-tick.
+        *trace_offset* — the debt this slice repaid first; only used to
+        place trace spans sub-tick.
         """
         rt = self.rt
         slots = self.slots
         inbox = rt._inbox
         local_inbox = rt._local_inbox
-        for stage_index in range(len(slots) - 1, -1, -1):
-            comp = slots[stage_index]
-            if comp is None:
-                # Cheap pre-check before _acquire: the DOWORK scan visits
-                # every stage per call, and on most visits all three work
-                # sources are empty.
-                if (
-                    not inbox[stage_index]
-                    and not local_inbox[stage_index]
-                    and (stage_index != 0 or not rt._bootstrap_chunks)
-                ):
-                    continue
-                comp = self._acquire(stage_index)
+        kernels = rt.kernels
+        run = run_computation if kernels is None else kernels.run
+        used = 0
+        while used < budget:
+            if rt._sync_wait is not None:
+                break  # blocking mode: stop right after a remote send
+            fruitless = True
+            progressed = 0
+            for stage_index in range(len(slots) - 1, -1, -1):
+                comp = slots[stage_index]
                 if comp is None:
-                    continue
-                self.slots[stage_index] = comp
-            elif comp.blocked_on is not None:
-                stage, dest = comp.blocked_on
-                if not rt.can_enqueue(stage, dest):
-                    rt.maybe_request_quota(stage, dest)
-                    continue  # still blocked; try earlier stages
-                comp.blocked_on = None
-                if rt.trace is not None:
-                    rt.trace.emit(FlowUnblock(
-                        rt.api.now, rt.machine_id, stage, dest
-                    ))
+                    # Cheap pre-check before _acquire: a scan visits
+                    # every stage, and on most visits all three work
+                    # sources are empty.
+                    if (
+                        not inbox[stage_index]
+                        and not local_inbox[stage_index]
+                        and (stage_index != 0 or not rt._bootstrap_chunks)
+                    ):
+                        continue
+                    comp = self._acquire(stage_index)
+                    if comp is None:
+                        continue
+                    slots[stage_index] = comp
+                elif comp.blocked_on is not None:
+                    stage, dest = comp.blocked_on
+                    if not rt.can_enqueue(stage, dest):
+                        rt.maybe_request_quota(stage, dest)
+                        # Still blocked: whatever reopens this window
+                        # wakes us.  Try earlier stages.
+                        rt._parked[stage * rt._num_machines + dest] \
+                            |= self.bit
+                        continue
+                    comp.blocked_on = None
+                    if rt.trace is not None:
+                        rt.trace.emit(FlowUnblock(
+                            rt.api.now, rt.machine_id, stage, dest
+                        ))
 
-            self.ran_computation = True
-            ops, status = run_computation(rt, comp, budget)
-            if status is RunStatus.DONE:
-                self.slots[stage_index] = None
-            elif status is RunStatus.BLOCKED:
-                comp.blocked_on = rt.last_refused
-            if ops:
-                if rt.trace is not None:
-                    rt.trace.emit(WorkerSpan(
-                        rt.api.now, rt.machine_id, self.index,
-                        stage_index, ops, trace_offset,
-                    ))
-                return ops
-        return 0
+                fruitless = False
+                ops, status = run(rt, comp, budget - used)
+                if status is RunStatus.DONE:
+                    slots[stage_index] = None
+                elif status is RunStatus.BLOCKED:
+                    comp.blocked_on = rt.last_refused
+                if ops:
+                    if rt.trace is not None:
+                        rt.trace.emit(WorkerSpan(
+                            rt.api.now, rt.machine_id, self.index,
+                            stage_index, ops, trace_offset + used,
+                        ))
+                    progressed = ops
+                    break
+            if fruitless:
+                rt._awake &= ~self.bit
+            if progressed == 0:
+                break
+            used += progressed
+        return used
 
     def _acquire(self, stage_index):
         """New work for *stage_index*: a remote message, a work-shared

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from repro.context import ExecutionContext
 from repro.engine_api import QueryHandle, QueryStatus
 from repro.errors import ClusterConfigError, PlanError, QueryAborted, \
-    RuntimeFault
+    QueryStalled, RuntimeFault
 from repro.plan.paths import has_quantified_paths
 
 #: Stride numerator: divisible by every priority 1..8, so integer
@@ -414,9 +414,10 @@ class QueryService:
         scope = self._scopes[query_id]
         while not scope.status.terminal:
             if not self.step():
-                raise RuntimeFault(
-                    "service idle but query %r not terminal" % query_id
-                )
+                reason = "service idle but query %r not terminal" % query_id
+                if scope.simulator is not None:
+                    raise scope.simulator.stalled(reason)
+                raise QueryStalled(reason, tick=self.now)
 
     # -- cancellation ---------------------------------------------------
     def cancel(self, query_id):

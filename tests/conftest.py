@@ -1,9 +1,16 @@
 """Shared fixtures for the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import ClusterConfig
 from repro.graph import GraphBuilder, uniform_random_graph
+
+#: ``--hypothesis-profile soak``: the two properties of
+#: ``tests/test_idle_path.py`` take their example count from a selected
+#: profile that asks for more than hypothesis's default (CI runs them so
+#: under ``PYTHONHASHSEED`` 1 and 2; tier-1 covers 0 at its own counts).
+settings.register_profile("soak", max_examples=400)
 
 
 @pytest.fixture

@@ -192,6 +192,24 @@ class TestTimeout:
         assert "partial  :" in out
         assert "ticks=" in out
 
+    def test_stalled_query_prints_its_diagnosis_without_traceback(
+            self, capsys, monkeypatch):
+        from repro.cluster.simulator import Simulator
+
+        def step(self):
+            raise self.stalled("nothing can move")
+
+        monkeypatch.setattr(Simulator, "step", step)
+        code = main(
+            ["query", "--random", "200x800", "--machines", "4",
+             "SELECT a, b WHERE (a)-[]->(b)"]
+        )
+        assert code == EXIT_ABORTED
+        out = capsys.readouterr().out
+        assert "query stalled: nothing can move" in out
+        assert "at tick  : 0" in out
+        assert "detail   : stages complete: 0/4" in out
+
     def test_generous_timeout_completes(self, capsys):
         code = main(
             ["query", "--random", "60x240", "--machines", "2",

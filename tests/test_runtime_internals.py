@@ -58,7 +58,19 @@ class TestMessageHandling:
         m0.flow.on_send(1, 1)
         m0.on_message(1, Ack(1, 1, seqs=(42,)))
         assert m0.flow.inflight(1, 1) == 0
-        assert m0.is_acked(42)
+        # Seqs matter to a synchronous wait only (ABL4).
+        assert not m0._acked_seqs
+
+    def test_ack_seq_recorded_for_a_synchronous_wait_then_consumed(self):
+        _, (m0, _m1) = make_machine(blocking_remote=True)
+        m0.flow.on_send(1, 1)
+        worker = m0._workers[0]
+        worker.waiting_for_seq = 42
+        assert not m0._ack_seen(worker)
+        m0.on_message(1, Ack(1, 1, seqs=(42,)))
+        assert m0._ack_seen(worker)
+        assert worker.waiting_for_seq is None
+        assert not m0._acked_seqs
 
     def test_completed_recorded(self):
         _, (m0, _m1) = make_machine()

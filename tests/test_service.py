@@ -6,7 +6,7 @@ from repro import ClusterConfig, PgxdAsyncEngine
 from repro.context import ExecutionContext
 from repro.engine_api import QueryStatus
 from repro.errors import ClusterConfigError, PlanError, QueryAborted, \
-    RuntimeFault
+    QueryStalled, RuntimeFault
 from repro.service import (
     QueryService,
     ServiceConfig,
@@ -147,6 +147,24 @@ class TestLifecycle:
         assert ticks[:3] == [h.metrics.ticks for h in handles[:3]]
         assert ticks[1] == 10 and ticks[3] == 0
         assert all(ticks[i] >= live["q%d" % i] > 0 for i in range(3))
+
+
+class TestStall:
+    def test_idle_service_with_a_live_scope_is_a_diagnosed_stall(
+            self, random_graph):
+        service = QueryService(_engine(random_graph))
+        handle = service.submit(QUERIES[0])
+        service.step()
+        service._active.clear()  # the scheduler lost the running scope
+        with pytest.raises(QueryStalled) as caught:
+            service.run_until(handle.query_id)
+        stalled = caught.value
+        assert isinstance(stalled, RuntimeFault)
+        assert "not terminal" in stalled.reason
+        assert stalled.tick == 1
+        assert "stages complete" in str(stalled)
+        assert [entry["machine"] for entry in stalled.sleep_state] \
+            == [0, 1, 2]
 
 
 class TestDeterminism:
