@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Live telemetry end to end: registry, time series, exporters, bench.
+"""One recording end to end: events, registry, time series, exporters,
+bench.
 
-Runs one query under a context that carries a ``Telemetry`` recorder —
-the caller builds it and keeps it — and walks through everything the
-subsystem records:
+Runs one query under a context that carries a ``Recording`` — the
+caller builds it and keeps it — and walks through everything it holds:
 
-* the one-line summary and the Prometheus text exposition of the
-  metrics registry (latency histograms, per-machine gauges/counters);
+* the one-line summary, the per-machine profile folded out of the event
+  stream, and the Prometheus text exposition of the metrics registry
+  (latency histograms, per-machine gauges/counters);
 * the per-tick time series — the bounded-memory claim as a curve, with
   ``max(buffered_max) == peak_buffered_contexts <= budget`` checked
   explicitly;
@@ -22,10 +23,10 @@ Run with::
 """
 
 from repro import ClusterConfig, ExecutionContext, PgxdAsyncEngine, \
-    Telemetry, uniform_random_graph
+    Recording, uniform_random_graph
 from repro.bench import compare, run_bench, validate
+from repro.obs import parse_series_jsonl, series_jsonl
 from repro.obs.dashboard import render_frame
-from repro.obs.exporters import parse_series_jsonl, series_jsonl
 
 
 def main():
@@ -38,15 +39,16 @@ def main():
 
     print("graph:", graph)
     print("query:", query)
-    telemetry = Telemetry()
-    result = engine.query(query, context=ExecutionContext(telemetry=telemetry))
+    recording = Recording()
+    result = engine.query(query, context=ExecutionContext(recording=recording))
 
     print("\n--- summary " + "-" * 48)
     print("metrics  :", result.metrics.summary())
-    print(telemetry.summary())
+    print(recording.summary())
+    print(recording.profile().summary())
 
     print("\n--- the bounded-memory claim, as a curve " + "-" * 20)
-    sampler = telemetry.sampler
+    sampler = recording.series
     peak = sampler.peak("buffered_max")
     print("budget (stages * senders * bulk * (window+1)):", sampler.budget)
     print("peak buffered contexts, from the series     :", peak)
@@ -55,11 +57,11 @@ def main():
     assert peak == result.metrics.peak_buffered_contexts <= sampler.budget
 
     print("\n--- dashboard frame (what `repro monitor` animates) " + "-" * 8)
-    for line in render_frame(sampler, telemetry.meta["ticks"]):
+    for line in render_frame(sampler, recording.meta["ticks"]):
         print(line)
 
     print("\n--- Prometheus exposition (first lines) " + "-" * 20)
-    for line in telemetry.prometheus().splitlines()[:12]:
+    for line in recording.prometheus().splitlines()[:12]:
         print(line)
 
     print("\n--- series export round-trip " + "-" * 31)

@@ -76,9 +76,8 @@ from repro.plan import (
 )
 from repro.obs import (
     MetricsRegistry,
-    Telemetry,
+    Recording,
     TimeSeriesSampler,
-    Tracer,
     TraceProfile,
 )
 from repro.runtime import (
@@ -109,9 +108,8 @@ __all__ = [
     "ClusterConfig",
     "QueryMetrics",
     # observability
-    "Tracer",
+    "Recording",
     "TraceProfile",
-    "Telemetry",
     "MetricsRegistry",
     "TimeSeriesSampler",
     # graph

@@ -4,7 +4,7 @@ A self-contained, ``ast``-based rule engine built on a real control-flow
 graph and forward-dataflow framework (:mod:`repro.analysis.cfg`,
 :mod:`repro.analysis.dataflow`) that machine-checks the cross-cutting
 contracts the paper's guarantees rest on — simulator determinism
-(RPR001), zero-cost-off instrumentation (RPR002, the TXT1–TXT3
+(RPR001), zero-cost-off instrumentation (RPR002, the TXT2
 contract), message-protocol exhaustiveness (RPR003), iteration-order
 determinism (RPR006), reservation pairing on every CFG path (RPR007),
 the kernel-codegen audit (RPR008), cross-scope isolation (RPR009), plus

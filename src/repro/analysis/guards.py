@@ -1,8 +1,8 @@
 """Guard-domination analysis for the zero-cost-off contract (RPR002).
 
-The runtime's observability contract (TXT1–TXT3, see ``repro.obs``) is
-that a disabled tracer/telemetry handle costs exactly one pointer
-comparison on every hot path: the handle is ``None`` and every
+The runtime's observability contract (TXT2, see ``repro.obs``) is that
+an absent recording costs exactly one pointer comparison on every hot
+path: the handle is ``None`` and every
 instrumentation site is dominated by an ``is not None`` test on it.
 This module implements the flow-sensitive half of that check as a
 client of the shared CFG + dataflow framework
@@ -21,11 +21,11 @@ Python:
 * ``x is None or x.emit(...)``;
 * early exits — ``if x is None: return`` guards the rest of the block;
 * ``assert x is not None``;
-* guards on a *prefix* of the access chain: ``if self.telemetry is not
-  None: self.telemetry.sampler.flush(...)`` is fine, because a non-None
+* guards on a *prefix* of the access chain: ``if self.recording is not
+  None: self.recording.series.flush(...)`` is fine, because a non-None
   handle owns its sub-objects.
 
-Reassigning a guarded name (``tracer = ...``) invalidates its guard —
+Reassigning a guarded name (``recording = ...``) invalidates its guard —
 including along loop back edges, which the old prefix-walk could not
 see — and nested function/class scopes start with no guards: a closure
 may run long after the guard was checked.
@@ -158,9 +158,9 @@ class GuardAnalysis(ForwardDataflow):
         return fact
 
 
-#: Chain segment names (leading underscores aside) that denote an
+#: The chain segment name (leading underscores aside) that denotes the
 #: optional observability handle.
-TRACERISH = frozenset({"trace", "tracer", "telemetry"})
+TRACERISH = frozenset({"recording"})
 
 
 class UnguardedCallScanner:
@@ -168,7 +168,7 @@ class UnguardedCallScanner:
     dominating ``is not None`` guard.
 
     A call qualifies when any proper prefix of its access chain ends in
-    a :data:`TRACERISH` segment (e.g. ``"tracer"``), and is satisfied
+    a :data:`TRACERISH` segment (``"recording"``), and is satisfied
     when any such prefix — or a longer prefix of the chain — is guarded.
     """
 

@@ -10,7 +10,7 @@ test observes — properties of paths a run may never take:
 
 1. compile every plan of that same matrix;
 2. parse each generated kernel's attached ``__source__``;
-3. verify that generated trace calls are guarded (the zero-cost-off
+3. verify that generated recording calls are guarded (the zero-cost-off
    contract inside generated code, which RPR002 cannot see) and that
    the generated reservation protocol cannot leak
    (:class:`~repro.analysis.flows.ReservationAnalysis` over the kernel
@@ -34,11 +34,11 @@ _AUDIT_CACHE = None
 
 
 class KernelCodegenAuditRule(Rule):
-    """RPR008: generated kernels keep trace calls guarded and release
+    """RPR008: generated kernels keep recording calls guarded and release
     every reservation."""
 
     id = "RPR008"
-    title = ("kernel-codegen audit: generated trace calls guarded, "
+    title = ("kernel-codegen audit: generated recording calls guarded, "
              "reservations released")
     severity = "error"
     project_wide = True
@@ -51,7 +51,7 @@ class KernelCodegenAuditRule(Rule):
         "contracts that differential cannot observe because a run may "
         "never take the offending path: it compiles every plan in the "
         "bench matrix, parses the generated source, and checks that "
-        "generated trace calls stay behind an `is not None` guard and "
+        "generated recording calls stay behind an `is not None` guard and "
         "that the generated reservation protocol releases on every path "
         "to kernel exit."
     )
@@ -131,7 +131,7 @@ def _audit_kernel_source(where, workload, stage_index, source):
     scanner = UnguardedCallScanner()
     scanner.scan_module(tree)
     for _node, chain in scanner.found:
-        yield problem("trace-guard", (
+        yield problem("recording-guard", (
             "generated call %s() is not guarded by `is not None` on its "
             "handle" % ".".join(chain)
         ))

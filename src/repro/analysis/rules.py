@@ -6,7 +6,7 @@ Each rule encodes one cross-cutting contract of this codebase (see
 * **RPR001** — the simulated runtime must be wall-clock- and
   RNG-deterministic;
 * **RPR002** — instrumentation on hot paths must follow the
-  zero-cost-off guard pattern (the TXT1–TXT3 contract);
+  zero-cost-off guard pattern (the TXT2 contract);
 * **RPR003** — the message protocol must be exhaustive: every frame
   type has a dispatch handler and a construction site;
 * **RPR004** — no mutable default arguments;
@@ -16,8 +16,8 @@ Each rule encodes one cross-cutting contract of this codebase (see
   views (hash-seed-dependent order breaks bit-determinism);
 * **RPR007** — flow-control reservations must be paired with a release
   on every CFG path to function exit;
-* **RPR008** — the generated bulk kernels must guard their trace calls
-  and release every reservation (see
+* **RPR008** — the generated bulk kernels must guard their recording
+  calls and release every reservation (see
   :mod:`repro.analysis.kernel_audit`);
 * **RPR009** — no ``QueryScope``-reachable mutable state mutated across
   the service boundary except through the scheduler API.
@@ -148,33 +148,34 @@ class DeterminismRule(Rule):
 # ----------------------------------------------------------------------
 
 class ZeroCostOffRule(Rule):
-    """RPR002: tracer/telemetry calls must be dominated by an
+    """RPR002: calls on the run's recording must be dominated by an
     ``is not None`` guard on the handle."""
 
     id = "RPR002"
-    title = "zero-cost-off: guard tracer/telemetry calls with `is not None`"
+    title = "zero-cost-off: guard recording calls with `is not None`"
     severity = "error"
     scope = ("repro.runtime", "repro.cluster", "repro.service",
              "repro.obs.feedback")
     rationale = (
         "Observability must cost nothing when disabled: the runtime holds "
-        "either a tracer/telemetry object or None, and the TXT1–TXT3 "
-        "overhead benchmarks pin the disabled path to a single pointer "
-        "comparison per site. An instrumentation call not dominated by an "
-        "`is not None` guard on its handle either crashes when "
-        "observability is off (AttributeError on None) or forces the "
-        "handle to become a do-nothing object whose method calls are pure "
-        "overhead on every hot-path operation. The guard on the root "
-        "handle is the contract; sub-objects (`telemetry.sampler`, "
+        "either a Recording or None under the one name `recording`, and "
+        "the TXT2 overhead benchmark pins the unrecorded path to a single "
+        "pointer comparison per site. An instrumentation call not "
+        "dominated by an `is not None` guard on its handle either crashes "
+        "when the run is not recorded (AttributeError on None) or forces "
+        "the handle to become a do-nothing object whose method calls are "
+        "pure overhead on every hot-path operation. The guard on the root "
+        "handle is the contract; sub-objects (`recording.series`, "
         "histogram families) are owned by it."
     )
     example = (
-        "# bad: crashes (or costs a call) when tracing is off\n"
-        "self.trace.emit(FlowBlock(now, self.machine_id, stage, dest))\n"
+        "# bad: crashes (or costs a call) when the run is not recorded\n"
+        "self.recording.emit(FlowBlock(now, self.machine_id, stage, dest))\n"
         "\n"
         "# good: one pointer comparison when disabled\n"
-        "if self.trace is not None:\n"
-        "    self.trace.emit(FlowBlock(now, self.machine_id, stage, dest))"
+        "if self.recording is not None:\n"
+        "    self.recording.emit(\n"
+        "        FlowBlock(now, self.machine_id, stage, dest))"
     )
 
     def check(self, module):
@@ -186,7 +187,7 @@ class ZeroCostOffRule(Rule):
             yield self.finding(
                 module, node,
                 "call %s() is not dominated by an `is not None` guard "
-                "on its tracer/telemetry handle" % dotted,
+                "on its recording handle" % dotted,
                 dotted, symbols,
             )
 
@@ -391,7 +392,7 @@ class ExceptionHygieneRule(Rule):
     severity = "error"
     rationale = (
         "QueryAborted is control flow, not an error: it carries the "
-        "partial metrics, trace, and flow-control snapshot of a "
+        "partial metrics, recording, and flow-control snapshot of a "
         "cancelled query up through the engine, and the termination "
         "protocol relies on it propagating. A bare `except:` or "
         "`except Exception:` (or `except ReproError:`, its base class) "

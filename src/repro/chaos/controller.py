@@ -17,7 +17,7 @@ from repro.obs.events import MachineCrashed, MachineResumed, MachineStalled
 class ChaosController:
     """Applies a fault plan's scripted machine events tick by tick."""
 
-    def __init__(self, plan, num_machines, tracer=None):
+    def __init__(self, plan, num_machines, recording=None):
         config = plan.config
         for machine, _start, _duration in config.stalls:
             if machine >= num_machines:
@@ -29,7 +29,7 @@ class ChaosController:
                 raise ClusterConfigError(
                     "crash targets machine %d of %d" % (machine, num_machines)
                 )
-        self._tracer = tracer
+        self._recording = recording
         #: Pending scripted events, soonest last (popped from the end).
         self._pending_stalls = sorted(
             ((start, machine, duration)
@@ -57,8 +57,8 @@ class ChaosController:
             previous = self._stall_until.get(machine, 0)
             self._stall_until[machine] = max(previous, until)
             self.stalls_applied += 1
-            if self._tracer is not None:
-                self._tracer.emit(MachineStalled(
+            if self._recording is not None:
+                self._recording.emit(MachineStalled(
                     now, machine, self._stall_until[machine]
                 ))
         expired = [
@@ -67,12 +67,12 @@ class ChaosController:
         ]
         for machine in expired:
             del self._stall_until[machine]
-            if self._tracer is not None:
-                self._tracer.emit(MachineResumed(now, machine))
+            if self._recording is not None:
+                self._recording.emit(MachineResumed(now, machine))
         if self._pending_crashes and self._pending_crashes[-1][0] <= now:
             _tick, machine = self._pending_crashes.pop()
-            if self._tracer is not None:
-                self._tracer.emit(MachineCrashed(now, machine))
+            if self._recording is not None:
+                self._recording.emit(MachineCrashed(now, machine))
             return machine
         return None
 

@@ -11,7 +11,7 @@ serialization) but breaks the delivery discipline according to a
 * **delay/reorder** — the original is pushed past the per-channel FIFO
   clock, so later traffic on the same channel can overtake it.
 
-Every injection is counted and, when a tracer is installed, emitted as
+Every injection is counted and, when the run is recorded, emitted as
 a typed ``repro.obs`` event so faults show up on the query timeline.
 """
 
@@ -27,13 +27,13 @@ class ChaosNetwork(Network):
     """Latency/bandwidth network with seeded fault injection."""
 
     def __init__(self, latency=0, bandwidth=0, sender_rate=8, plan=None,
-                 tracer=None):
+                 recording=None):
         super().__init__(latency=latency, bandwidth=bandwidth,
                          sender_rate=sender_rate)
         if plan is None:
             raise ValueError("ChaosNetwork requires a FaultPlan")
         self._plan = plan
-        self.tracer = tracer
+        self.recording = recording
 
     @property
     def plan(self):
@@ -48,30 +48,30 @@ class ChaosNetwork(Network):
         drop, duplicate, delay, dup_delay = self._plan.message_fate(
             now, src, dst
         )
-        tracer = self.tracer
+        recording = self.recording
         if delay:
             # A delayed message escapes the FIFO clamp: that is exactly
             # how it ends up overtaken by later traffic on its channel.
             deliver_at = base + delay
             self.messages_delayed += 1
-            if tracer is not None:
-                tracer.emit(MessageDelayed(
+            if recording is not None:
+                recording.emit(MessageDelayed(
                     now, src, dst, _payload_name(payload), delay
                 ))
         else:
             deliver_at = self._fifo_clamp((src, dst), base)
         if drop:
             self.messages_dropped += 1
-            if tracer is not None:
-                tracer.emit(MessageDropped(
+            if recording is not None:
+                recording.emit(MessageDropped(
                     now, src, dst, _payload_name(payload)
                 ))
         else:
             self._push(src, dst, payload, deliver_at, size, sent_at=now)
         if duplicate:
             self.messages_duplicated += 1
-            if tracer is not None:
-                tracer.emit(MessageDuplicated(
+            if recording is not None:
+                recording.emit(MessageDuplicated(
                     now, src, dst, _payload_name(payload), dup_delay
                 ))
             self._push(src, dst, payload, base + dup_delay, size,

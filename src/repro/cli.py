@@ -43,7 +43,7 @@ from repro.cluster.config import ClusterConfig
 from repro.context import ExecutionContext
 from repro.errors import QueryAborted, QueryStalled
 from repro.graph import load_edge_list, load_json, uniform_random_graph
-from repro.obs import Telemetry, Tracer
+from repro.obs import Recording
 from repro.plan import MatchSemantics, PlannerOptions, SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
 
@@ -127,7 +127,7 @@ def build_parser():
 
     monitor = subparsers.add_parser(
         "monitor",
-        help="run a PGQL query with live telemetry and a terminal "
+        help="run a recorded PGQL query behind a live terminal "
              "dashboard (sparklines per machine + stage wavefront)",
     )
     _add_graph_args(monitor)
@@ -456,7 +456,7 @@ def cmd_query(args):
         return 0
     try:
         result = engine.query(args.pgql, options, ExecutionContext(
-            tracer=Tracer() if args.explain_analyze else None,
+            recording=Recording() if args.explain_analyze else None,
             deadline=args.timeout,
         ))
     except QueryAborted as aborted:
@@ -548,24 +548,24 @@ def cmd_chaos(args):
 
 def cmd_trace(args):
     engine, options = _build_engine(args)
-    trace = Tracer(max_events=args.max_events)
+    recording = Recording(max_events=args.max_events)
     try:
         result = engine.query(args.pgql, options, ExecutionContext(
-            tracer=trace, deadline=args.timeout
+            recording=recording, deadline=args.timeout
         ))
     except QueryAborted as aborted:
         return _print_abort(aborted)
     print("rows     :", len(result.rows))
     print("metrics  :", result.metrics.summary())
-    print(trace.summary())
+    print(recording.summary())
     print()
     print(result.explain_analyze())
     print()
-    print(trace.profile().summary())
+    print(recording.profile().summary())
     print()
-    print(trace.timeline(width=args.width))
+    print(recording.timeline(width=args.width))
     if args.chrome_out:
-        trace.to_chrome_json(args.chrome_out)
+        recording.to_chrome_json(args.chrome_out)
         print()
         print("chrome trace written to %s (open in chrome://tracing)"
               % args.chrome_out)
@@ -574,8 +574,7 @@ def cmd_trace(args):
 
 def cmd_monitor(args):
     from repro.obs.dashboard import Dashboard
-    from repro.obs.exporters import prometheus_text, series_csv, \
-        series_jsonl
+    from repro.obs.export import series_csv, series_jsonl
     from repro.plan.paths import has_quantified_paths
 
     engine, options = _build_engine(args)
@@ -587,35 +586,36 @@ def cmd_monitor(args):
     dashboard.refresh_every = args.refresh or (
         8 if dashboard.interactive else 32
     )
-    telemetry = Telemetry(interval=args.interval)
+    recording = Recording(interval=args.interval)
     if not has_quantified_paths(query):
-        # Union expansions each sample into a recorder of their own;
+        # Union expansions each sample into a recording of their own;
         # their merged series is rendered once at the end, not live.
-        dashboard.attach(telemetry.sampler)
+        dashboard.attach(recording.series)
     try:
         result = engine.query(query, options, ExecutionContext(
-            telemetry=telemetry, deadline=args.timeout
+            recording=recording, deadline=args.timeout
         ))
     except QueryAborted as aborted:
         code = _print_abort(aborted)
-        if telemetry.sampler.num_samples:
-            print(telemetry.summary())
+        if recording.series.num_samples:
+            print(recording.summary())
         return code
-    dashboard.final(telemetry.sampler, telemetry.meta.get("ticks", 0))
+    # One last frame for the run's end state.
+    dashboard.on_sample(recording.series, recording.meta.get("ticks", 0))
     print()
     print("rows     :", len(result.rows))
     print("metrics  :", result.metrics.summary())
-    print(telemetry.summary())
+    print(recording.summary())
     if args.prom_out:
         with open(args.prom_out, "w") as handle:
-            handle.write(prometheus_text(telemetry.registry))
+            handle.write(recording.prometheus())
         print("prometheus text written to", args.prom_out)
     if args.series_out:
         exporter = (
             series_csv if args.series_out.endswith(".csv") else series_jsonl
         )
         with open(args.series_out, "w") as handle:
-            handle.write(exporter(telemetry.sampler))
+            handle.write(exporter(recording.series))
         print("series written to", args.series_out)
     return 0
 

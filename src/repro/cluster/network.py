@@ -28,7 +28,7 @@ class Envelope:
         self.payload = payload
         self.deliver_at = deliver_at
         self.size = size
-        #: Tick the sender handed the payload over (latency telemetry).
+        #: Tick the sender handed the payload over (latency histogram).
         self.sent_at = sent_at
 
 

@@ -19,16 +19,15 @@ Two optional subsystems hook in here:
 * **timers**: machines exposing ``uses_tick_hook`` get an ``on_tick``
   call every tick (the reliability layer's retransmission timers), and
   their ``next_timer_tick`` participates in idle fast-forwarding;
-* **telemetry** (``repro.obs.telemetry``): when installed, its
-  :class:`~repro.obs.sampler.TimeSeriesSampler` rides the same
-  ``on_tick``/``next_timer_tick`` contract — called after every
-  processed tick's workers ran, flushed once more when the run ends —
-  and the simulator observes the message-latency histogram at each
-  delivery.
+* **recording** (``repro.obs.recording``): when the run's context
+  carries one, the simulator binds it at :meth:`Simulator.start`,
+  records each send and delivery (event + message-latency histogram),
+  samples its series after every processed tick's workers ran, and
+  seals it when the run ends or aborts.
 
 A hard machine crash or an exceeded query deadline raises a structured
 :class:`~repro.errors.QueryAborted` carrying partial metrics and the
-trace — the simulator never hangs on an unrecoverable fault.
+recording — the simulator never hangs on an unrecoverable fault.
 """
 
 from repro.cluster.metrics import QueryMetrics
@@ -79,10 +78,11 @@ class MachineAPI:
         deliver_at = simulator.network.send(
             simulator.now, self.machine_id, dst, payload, size
         )
-        if simulator.tracer is not None:
+        recording = simulator.recording
+        if recording is not None:
             from repro.obs.events import MessageSend
 
-            simulator.tracer.emit(MessageSend(
+            recording.emit(MessageSend(
                 simulator.now, self.machine_id, dst,
                 getattr(payload, "trace_name", type(payload).__name__),
                 getattr(payload, "stage", None),
@@ -96,7 +96,7 @@ class Simulator:
     def __init__(self, config, context=None):
         self._config = config
         context = context or ExecutionContext()
-        tracer = context.tracer
+        recording = context.recording
         chaos_config = config.chaos
         if chaos_config is not None:
             from repro.chaos import ChaosController, ChaosNetwork, FaultPlan
@@ -107,10 +107,10 @@ class Simulator:
                 bandwidth=config.network_bandwidth,
                 sender_rate=config.sender_messages_per_tick,
                 plan=plan,
-                tracer=tracer,
+                recording=recording,
             )
             self.chaos = ChaosController(
-                plan, config.num_machines, tracer=tracer
+                plan, config.num_machines, recording=recording
             )
         else:
             self.network = Network(
@@ -121,19 +121,17 @@ class Simulator:
             self.chaos = None
         self.now = 0
         self._machines = []
-        #: The run's recorders, deadline and tenant identity, read off
-        #: its ExecutionContext.  A None tracer / telemetry keeps every
-        #: hot path bare; the run aborts once ``now`` reaches a non-None
+        #: The run's recording, deadline and tenant identity, read off
+        #: its ExecutionContext.  A None recording keeps every hot path
+        #: bare; the run aborts once ``now`` reaches a non-None
         #: deadline; ``query_id`` (None for a plain single-query run) is
         #: stamped into flow-state snapshots so abort diagnostics can
         #: name the tenant.
-        self.tracer = tracer
-        self.telemetry = context.telemetry
+        self.recording = recording
         self.deadline = context.deadline
         self.query_id = context.query_id
         self._started = False
         self._timer_machines = []
-        self._last_ops = None
 
     @property
     def num_machines(self):
@@ -239,22 +237,14 @@ class Simulator:
         self._abort(reason)
 
     def _abort(self, reason):
-        if self.tracer is not None:
-            from repro.obs.events import QueryAbortedEvent
-
-            self.tracer.emit(QueryAbortedEvent(self.now, reason))
-            self.tracer.meta["ticks"] = self.now
-            self.tracer.meta["aborted"] = reason
-        if self.telemetry is not None:
-            self.telemetry.sampler.flush(self.now)
-            self.telemetry.meta["ticks"] = self.now
-            self.telemetry.meta["aborted"] = reason
+        if self.recording is not None:
+            self.recording.seal(self.now, aborted=reason)
         detail, flow_state = self._diagnosis()
         raise QueryAborted(
             reason,
             tick=self.now,
             metrics=self._partial_metrics(),
-            trace=self.tracer,
+            recording=self.recording,
             detail=detail,
             flow_state=flow_state,
         )
@@ -313,13 +303,11 @@ class Simulator:
             for index, machine in enumerate(machines)
             if getattr(machine, "uses_tick_hook", False)
         ]
-        if self.telemetry is not None:
+        if self.recording is not None:
             num_stages = getattr(
                 getattr(machines[0], "plan", None), "num_stages", 0
             )
-            self.telemetry.sampler.bind(machines, self._config, num_stages)
-        if self.tracer is not None:
-            self._last_ops = [machine.metrics.ops for machine in machines]
+            self.recording.bind(machines, self._config, num_stages)
         self._started = True
 
     def step(self):
@@ -335,14 +323,11 @@ class Simulator:
         machines = self._machines
         workers = config.workers_per_machine
         budget = config.ops_per_tick
-        tracer = self.tracer
-        telemetry = self.telemetry
+        recording = self.recording
         chaos = self.chaos
         deadline = self.deadline
-        if tracer is not None:
-            from repro.obs.events import MessageDeliver, TickSample
-
-            last_ops = self._last_ops
+        if recording is not None:
+            from repro.obs.events import MessageDeliver
         if deadline is not None and self.now >= deadline:
             self._abort("deadline of %d ticks exceeded" % deadline)
         if chaos is not None:
@@ -354,15 +339,14 @@ class Simulator:
                 machine.on_tick(self.now)
 
         for envelope in self.network.deliver_due(self.now):
-            if tracer is not None:
-                tracer.emit(MessageDeliver(
+            if recording is not None:
+                recording.emit(MessageDeliver(
                     self.now, envelope.src, envelope.dst,
                     getattr(envelope.payload, "trace_name",
                             type(envelope.payload).__name__),
                     getattr(envelope.payload, "stage", None),
                 ))
-            if telemetry is not None:
-                telemetry.message_latency.observe(
+                recording.message_latency.observe(
                     self.now - envelope.sent_at
                 )
             machines[envelope.dst].on_message(envelope.src, envelope.payload)
@@ -376,23 +360,9 @@ class Simulator:
                 if used:
                     all_idle = False
 
-        if tracer is not None:
-            samples = []
-            for index, machine in enumerate(machines):
-                metrics = machine.metrics
-                flow = getattr(machine, "flow", None)
-                samples.append((
-                    metrics.ops - last_ops[index],
-                    metrics.cur_buffered_contexts,
-                    metrics.cur_live_frames,
-                    flow.inflight_total() if flow is not None else 0,
-                ))
-                last_ops[index] = metrics.ops
-            tracer.emit(TickSample(self.now, tuple(samples)))
-        if telemetry is not None:
-            # End-of-tick sample: the same uses_tick_hook contract
-            # as the timers above, after all workers ran.
-            telemetry.sampler.on_tick(self.now)
+        if recording is not None:
+            # End-of-tick sample, after all workers ran.
+            recording.series.on_tick(self.now)
 
         if all(machine.is_finished() for machine in machines):
             if len(self.network) == 0:
@@ -435,11 +405,8 @@ class Simulator:
 
     def finish(self):
         """Seal a completed run; returns its :class:`QueryMetrics`."""
-        if self.tracer is not None:
-            self.tracer.meta["ticks"] = self.now
-        if self.telemetry is not None:
-            self.telemetry.sampler.flush(self.now)
-            self.telemetry.meta["ticks"] = self.now
+        if self.recording is not None:
+            self.recording.seal(self.now)
         metrics = QueryMetrics.collect(
             self.now, [machine.metrics for machine in self._machines]
         )

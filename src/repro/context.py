@@ -4,11 +4,11 @@ Three settings objects, three jobs: :class:`~repro.cluster.config.
 ClusterConfig` describes the cluster, :class:`~repro.plan.options.
 PlannerOptions` the plan, and an :class:`ExecutionContext` the *run* —
 how one execution is observed and bounded.  The three share no field
-name, and the context is the only place a run's recorders and deadline
+name, and the context is the only place a run's recording and deadline
 can be said:
 
-* ``tracer`` — a :class:`repro.obs.Tracer`, or None (tracing off);
-* ``telemetry`` — a :class:`repro.obs.Telemetry`, or None (off);
+* ``recording`` — a :class:`repro.obs.Recording`, or None (the run is
+  not recorded);
 * ``deadline`` — per-query deadline in simulated ticks (the run aborts
   with :class:`~repro.errors.QueryAborted` once the clock reaches it),
   or None;
@@ -16,12 +16,12 @@ can be said:
   :class:`~repro.service.QueryService` scheduler (higher = more worker
   time per global tick); ignored by direct single-query execution;
 * ``query_id`` — the tenant identity stamped on flow-state snapshots,
-  abort diagnostics, and per-tenant telemetry labels; None for plain
+  abort diagnostics, and per-tenant metric labels; None for plain
   single-query runs.
 
-The caller builds the recorders and keeps them, so a recording survives
-an abort: ``ExecutionContext(tracer=Tracer(), deadline=500)``.  A
-context holds recorders — build one per run, never share a default.
+The caller builds the recording and keeps it, so it survives an abort:
+``ExecutionContext(recording=Recording(), deadline=500)``.  A context
+holds a recorder — build one per run, never share a default.
 """
 
 from dataclasses import dataclass, replace
@@ -31,15 +31,14 @@ from dataclasses import dataclass, replace
 class ExecutionContext:
     """Everything cross-cutting about one query execution."""
 
-    #: Optional repro.obs.Tracer recording this execution.
-    tracer: object = None
-    #: Optional repro.obs.Telemetry (registry + per-tick series).
-    telemetry: object = None
+    #: Optional repro.obs.Recording of this execution (events,
+    #: per-tick series, metrics registry).
+    recording: object = None
     #: Abort the run at this many simulated ticks (None = no deadline).
     deadline: int = None
     #: Fair-share weight under the multi-query service scheduler.
     priority: int = 1
-    #: Tenant identity for scoped diagnostics and telemetry labels.
+    #: Tenant identity for scoped diagnostics and metric labels.
     query_id: str = None
 
     def replace(self, **changes):
@@ -54,19 +53,3 @@ class ExecutionContext:
             name: value for name, value in settings.items()
             if value is not None
         })
-
-    def with_fresh_recorders(self):
-        """A copy recording into new, empty recorders shaped like this
-        context's (one run per recorder: each starts at tick 0)."""
-        changes = {}
-        if self.tracer is not None:
-            from repro.obs import Tracer
-
-            changes["tracer"] = Tracer(max_events=self.tracer.max_events)
-        if self.telemetry is not None:
-            from repro.obs import Telemetry
-
-            changes["telemetry"] = Telemetry(
-                interval=self.telemetry.sampler.interval
-            )
-        return self.replace(**changes)

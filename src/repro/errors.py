@@ -80,9 +80,9 @@ class QueryAborted(ReproError):
     * ``tick`` — the simulated tick the abort happened on;
     * ``metrics`` — partial :class:`~repro.cluster.metrics.QueryMetrics`
       collected from the machines at abort time (may be ``None``);
-    * ``trace`` — the :class:`~repro.obs.Tracer` of the run's context,
-      when the caller brought one (its telemetry, like the tracer, is
-      the caller's own object and holds the run up to the abort);
+    * ``recording`` — the :class:`~repro.obs.Recording` of the run's
+      context, when the caller brought one (the caller's own object,
+      sealed with the run up to the abort);
     * ``detail`` — optional termination/flow-control progress snapshot;
     * ``flow_state`` — per-machine flow-control/memory snapshot at abort
       time (deadline aborts included): a list of dicts with ``machine``,
@@ -92,12 +92,12 @@ class QueryAborted(ReproError):
       debugging.  ``None`` when the simulator had no machines attached.
     """
 
-    def __init__(self, reason, tick=None, metrics=None, trace=None,
+    def __init__(self, reason, tick=None, metrics=None, recording=None,
                  detail=None, flow_state=None):
         self.reason = reason
         self.tick = tick
         self.metrics = metrics
-        self.trace = trace
+        self.recording = recording
         self.detail = detail
         self.flow_state = flow_state
         super().__init__(reason)

@@ -1,6 +1,6 @@
-"""Live terminal dashboard over the telemetry time series.
+"""Live terminal dashboard over a recording's time series.
 
-``repro monitor`` runs a query with telemetry on and renders, while it
+``repro monitor`` runs a recorded query and renders, while it
 executes, one sparkline row per machine (buffered contexts against the
 configured budget, with current ops/inflight/idle readouts) plus the
 stage-completion wavefront — how many machines have declared each stage
@@ -90,7 +90,7 @@ def render_frame(sampler, tick, width=32):
 
 
 class Dashboard:
-    """Renders telemetry frames to a stream as the simulation runs.
+    """Renders series frames to a stream as the simulation runs.
 
     Attach with :meth:`attach`; detach happens implicitly when the run
     ends (the sampler simply stops calling back).  ``interactive=None``
@@ -128,7 +128,3 @@ class Dashboard:
         out.flush()
         self._last_height = len(lines) if self.interactive else 0
         self.frames_rendered += 1
-
-    def final(self, sampler, tick):
-        """Render one last frame for the run's end state."""
-        self.on_sample(sampler, tick)

@@ -2,8 +2,8 @@
 
 Every event is a small ``__slots__`` record with a class-level ``kind``
 string and the simulated ``tick`` it happened on.  Events are only ever
-constructed when a :class:`~repro.obs.tracer.Tracer` is installed, so
-the disabled-tracer fast path allocates nothing (see ``docs/
+constructed when a :class:`~repro.obs.recording.Recording` is installed,
+so the unrecorded fast path allocates nothing (see ``docs/
 observability.md`` for the catalogue and how each kind maps onto the
 paper's mechanisms).
 """
@@ -37,23 +37,6 @@ class TraceEvent:
             for slot in _all_slots(type(self))
         )
         return "%s(%s)" % (type(self).__name__, fields)
-
-
-class TickSample(TraceEvent):
-    """One simulator tick: per-machine gauges sampled after all workers ran.
-
-    ``machines`` is a tuple with one ``(ops, buffered, frames, inflight)``
-    entry per machine: micro-ops executed this tick, buffered contexts
-    (inbox + parked + outgoing), live traversal frames, and the machine's
-    total in-flight flow-control window occupancy.
-    """
-
-    __slots__ = ("machines",)
-    kind = "tick"
-
-    def __init__(self, tick, machines):
-        super().__init__(tick)
-        self.machines = machines
 
 
 class WorkerSpan(TraceEvent):
@@ -326,30 +309,5 @@ class QueryAbortedEvent(TraceEvent):
         self.reason = reason
 
 
-#: Every concrete event kind, for documentation and validation.
-EVENT_KINDS = tuple(
-    cls.kind
-    for cls in (
-        TickSample,
-        WorkerSpan,
-        MessageSend,
-        MessageDeliver,
-        FlowBlock,
-        FlowUnblock,
-        QuotaRequested,
-        QuotaGranted,
-        StageCompleted,
-        GhostPrune,
-        ResultEmitted,
-        MessageDropped,
-        MessageDuplicated,
-        MessageDelayed,
-        MachineStalled,
-        MachineResumed,
-        MachineCrashed,
-        Retransmit,
-        DuplicateFrameDropped,
-        FrameBuffered,
-        QueryAbortedEvent,
-    )
-)
+#: Every concrete event kind, in definition order.
+EVENT_KINDS = tuple(cls.kind for cls in TraceEvent.__subclasses__())

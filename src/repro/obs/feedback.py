@@ -14,7 +14,7 @@ layers:
 * :class:`ExecutionProfile` — the join of estimates against actuals:
   per-operator q-error, per-machine skew/imbalance ratios, and a
   straggler summary.  ``--explain-analyze`` renders it, and
-  :func:`publish_drift` lands the drift gauges in the telemetry
+  :func:`publish_drift` lands the drift gauges in the recording's
   registry (and thus the Prometheus export).
 * :class:`FeedbackStore` — profiles persisted to a deterministic
   on-disk JSON document keyed by query/graph fingerprint;
@@ -315,28 +315,28 @@ def _skew_rows(per_machine, num_stages):
     return skew, straggler
 
 
-def publish_drift(telemetry, profile):
-    """Land the drift/skew gauges in the telemetry registry.
+def publish_drift(recording, profile):
+    """Land the drift/skew gauges in *recording*'s registry.
 
-    The families are declared up-front by ``Telemetry.__init__`` so the
+    The families are declared up-front by ``Recording.__init__`` so the
     Prometheus export has a stable family set whether or not a profile
-    was collected.  No-op without telemetry.
+    was collected.  No-op without a recording.
     """
-    if telemetry is None:
+    if recording is None:
         return
     for row in profile.operators:
         operator = str(row["op_index"])
-        telemetry.plan_estimated_rows.labels(operator).set(
+        recording.plan_estimated_rows.labels(operator).set(
             row["estimated"]
         )
         if row["actual"] is not None:
-            telemetry.plan_actual_rows.labels(operator).set(row["actual"])
-            telemetry.plan_q_error.labels(operator).set(row["q_error"])
+            recording.plan_actual_rows.labels(operator).set(row["actual"])
+            recording.plan_q_error.labels(operator).set(row["q_error"])
     worst = profile.max_q_error()
     if worst is not None:
-        telemetry.plan_q_error_max.set(worst)
+        recording.plan_q_error_max.set(worst)
     for row in profile.skew:
-        telemetry.stage_skew_ratio.labels(str(row["stage"])).set(
+        recording.stage_skew_ratio.labels(str(row["stage"])).set(
             row["ratio"]
         )
 

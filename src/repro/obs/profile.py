@@ -1,13 +1,12 @@
-"""Time-series profile folded out of a raw trace.
+"""Profile folded out of a recording.
 
-The tracer records *events*; this module turns them into the per-stage /
-per-machine series the paper's claims are judged with:
+A recording holds *events* and the sampled *series*; this module turns
+them into the per-stage / per-machine figures the paper's claims are
+judged with:
 
-* **worker utilization** per machine per tick (is a machine idle because
-  of flow control, skew, or lack of work?);
-* **buffered contexts** and **in-flight window occupancy** per machine
-  per tick (the §3.3 bounded-memory claim, as a curve instead of one
-  high-water mark);
+* **worker utilization** per machine (is a machine idle because of flow
+  control, skew, or lack of work?) and its **peak buffered contexts**
+  (the §3.3 bounded-memory claim) — read off the series;
 * **per-stage stall accounting** — distinct ticks on which a stage's
   sends were refused, plus quota-borrowing traffic (§3.3 dynamic memory
   management);
@@ -17,24 +16,19 @@ per-machine series the paper's claims are judged with:
 
 
 class TraceProfile:
-    """Aggregated view of one query's trace."""
+    """Aggregated view of one query's recording."""
 
-    def __init__(self, tracer):
-        self.meta = dict(tracer.meta)
-        #: Events the tracer discarded at its ring limit — every series
-        #: below under-counts when this is nonzero.
-        self.dropped = tracer.dropped
-        self.max_events = tracer.max_events
+    def __init__(self, recording):
+        self.meta = dict(recording.meta)
+        #: Set when the recording discarded events at ``max_events`` —
+        #: every event-derived figure below then under-counts
+        #: (utilization and peak buffered read the series and do not).
+        self.truncation = recording.truncation()
+        #: The recording's per-tick sampler.
+        self.series = recording.series
         num_machines = self.meta.get("num_machines", 0)
         num_stages = self.meta.get("num_stages", 0)
 
-        #: machine -> {"ticks": [...], "ops": [...], "buffered": [...],
-        #: "frames": [...], "inflight": [...]} sampled per simulator tick.
-        self.machine_series = {
-            machine: {"ticks": [], "ops": [], "buffered": [],
-                      "frames": [], "inflight": []}
-            for machine in range(num_machines)
-        }
         #: stage -> distinct ticks with at least one refused send.
         self.stage_blocked_ticks = {}
         #: stage -> {"requests": n, "grants": n, "granted": total_amount}.
@@ -51,22 +45,9 @@ class TraceProfile:
 
         completed_per_stage = {}
         blocked = {}
-        for event in tracer.events:
+        for event in recording.events:
             kind = event.kind
-            if kind == "tick":
-                for machine, sample in enumerate(event.machines):
-                    series = self.machine_series.setdefault(
-                        machine,
-                        {"ticks": [], "ops": [], "buffered": [],
-                         "frames": [], "inflight": []},
-                    )
-                    ops, buffered, frames, inflight = sample
-                    series["ticks"].append(event.tick)
-                    series["ops"].append(ops)
-                    series["buffered"].append(buffered)
-                    series["frames"].append(frames)
-                    series["inflight"].append(inflight)
-            elif kind == "flow_block":
+            if kind == "flow_block":
                 blocked.setdefault(event.stage, set()).add(event.tick)
             elif kind == "quota_request":
                 entry = self.stage_quota.setdefault(
@@ -110,24 +91,29 @@ class TraceProfile:
 
     # ------------------------------------------------------------------
     def worker_utilization(self, machine):
-        """Average busy fraction of *machine*'s workers over the run."""
-        series = self.machine_series.get(machine)
-        if not series or not series["ticks"]:
-            return 0.0
+        """Busy fraction of *machine*'s workers over the run's ticks:
+        each sample's ops (capped at what its elapsed ticks could hold)
+        over the whole duration, so neither the sampling interval nor a
+        fast-forwarded stretch changes the answer."""
+        columns = self.series.machines.get(machine)
         capacity = (
             self.meta.get("workers_per_machine", 1)
             * self.meta.get("ops_per_tick", 1)
         )
-        if capacity <= 0:
+        ticks = self.meta.get("ticks", 0)
+        if not columns or capacity <= 0 or ticks <= 0:
             return 0.0
-        busy = sum(min(ops, capacity) for ops in series["ops"])
-        return busy / (capacity * len(series["ticks"]))
+        busy = sum(
+            min(ops, capacity * span)
+            for ops, span in zip(columns["ops"], self.series.spans)
+        )
+        return busy / (capacity * ticks)
 
     def peak_buffered(self, machine):
-        series = self.machine_series.get(machine)
-        if not series or not series["buffered"]:
+        columns = self.series.machines.get(machine)
+        if not columns or not columns["buffered_max"]:
             return 0
-        return max(series["buffered"])
+        return max(columns["buffered_max"])
 
     def stage_stats(self, stage):
         """Per-stage summary dict used by EXPLAIN ANALYZE and the CLI."""
@@ -145,12 +131,8 @@ class TraceProfile:
     def summary(self):
         """Multi-line human summary of the run's dynamics."""
         lines = []
-        if self.dropped:
-            lines.append(
-                "WARNING: trace truncated — %d events dropped at "
-                "max_events=%d; every figure below under-counts"
-                % (self.dropped, self.max_events)
-            )
+        if self.truncation:
+            lines.append(self.truncation)
         ticks = self.meta.get("ticks")
         if ticks is not None:
             lines.append("duration: %d ticks" % ticks)
@@ -158,7 +140,7 @@ class TraceProfile:
             lines.append(
                 "time to first result: tick %d" % self.first_result_tick
             )
-        for machine in sorted(self.machine_series):
+        for machine in sorted(self.series.machines):
             lines.append(
                 "machine %d: utilization=%.1f%% peak_buffered=%d"
                 % (

@@ -1,12 +1,12 @@
 """Per-tick time-series sampling of the live runtime.
 
-The :class:`TimeSeriesSampler` is driven by the simulator through the
-same ``uses_tick_hook`` contract as the reliability layer's timers: it
-exposes ``on_tick``/``next_timer_tick`` and is called once per processed
-tick (after every worker ran), plus a final flush when the run ends.
-Idle fast-forwarding skips ticks the same way it does for machines —
-nothing changes during skipped ticks, and every sample carries its own
-tick, so the series is simply sparse there.
+The :class:`TimeSeriesSampler` is the one per-tick reader of machine
+state: the simulator calls ``on_tick`` once per processed tick (after
+every worker ran), and the recording flushes it once more when the run
+is sealed.  Idle fast-forwarding skips ticks the same way it does for
+machines — nothing changes during skipped ticks, and every sample
+carries its own tick, so the series is simply sparse there (``spans``
+holds each sample's elapsed ticks).
 
 Each sample records, per machine, the quantities the paper's §3.2/§3.3
 claims are about: the buffered-context gauge against the configured
@@ -37,17 +37,21 @@ MACHINE_COLUMNS = (
 
 
 class TimeSeriesSampler:
-    """Records per-machine series each simulator tick (telemetry on)."""
+    """Records per-machine series each simulator tick of a recorded run."""
 
-    #: Simulator tick-hook contract (same seam as reliability timers).
-    uses_tick_hook = True
-
-    def __init__(self, telemetry, interval=1):
-        self.telemetry = telemetry
+    def __init__(self, inbox_depth, interval=1):
+        #: The per-machine histogram every sample's inbox depth lands in
+        #: (a distribution over ticks; the registry's other per-machine
+        #: state is written once, when the recording is sealed).
+        self._inbox_depth = inbox_depth
         #: Sample every N processed ticks (1 = every tick).
         self.interval = max(1, int(interval))
-        #: Tick of each sample (shared by all machines).
+        #: Tick of each sample (shared by all machines), and the elapsed
+        #: ticks it covers: the distance to the run's previous sample, so
+        #: interval sampling and fast-forwarded stretches weigh what
+        #: they span.
         self.ticks = []
+        self.spans = []
         #: machine -> {column: [values]}, aligned with ``ticks``.
         self.machines = {}
         #: Per-sample tuple of per-stage completed-machine counts — the
@@ -56,11 +60,12 @@ class TimeSeriesSampler:
         #: Receiver-side context budget (0 = unknown/not bound yet).
         self.budget = 0
         self.num_stages = 0
-        self._bound = None
+        #: The run's machines, once bound.
+        self.bound = ()
+        self._depth_of = ()
         self._capacity = 1
-        self._last_counts = {}
+        self._last_ops = {}
         self._prev_peak = {}
-        self._last_tick = None
         #: Optional live hook: called as ``on_sample(sampler, tick)``
         #: every ``callback_every`` samples (the monitor dashboard).
         self.on_sample = None
@@ -71,48 +76,24 @@ class TimeSeriesSampler:
     def num_samples(self):
         return len(self.ticks)
 
-    def bind(self, machines, config, num_stages):
-        """Attach to a run's machines; called by the simulator."""
-        self._bound = list(machines)
+    def bind(self, machines, capacity, num_stages, budget):
+        """Attach to a run's machines (``Recording.bind``)."""
+        self.bound = list(machines)
+        self._depth_of = [
+            self._inbox_depth.labels(machine_id)
+            for machine_id in range(len(self.bound))
+        ]
+        self._capacity = max(1, capacity)
         self.num_stages = num_stages
-        self._capacity = max(
-            1, config.workers_per_machine * config.ops_per_tick
-        )
-        senders = max(0, config.num_machines - 1)
-        # Receiver-side bound: in-flight windows plus one partially
-        # filled bulk buffer per (stage, sender) channel — the same
-        # bound tests/test_engine_flow_memory.py asserts.
-        self.budget = (
-            num_stages * senders * config.bulk_message_size
-            * (config.flow_control_window + 1)
-        )
-        self.telemetry.budget_gauge.set(self.budget)
-        self.telemetry.meta.setdefault("budget", self.budget)
-        self.telemetry.meta.setdefault("num_stages", num_stages)
-        self.telemetry.meta.setdefault(
-            "num_machines", config.num_machines
-        )
+        self.budget = budget
 
-    # ------------------------------------------------------------------
-    # Simulator tick-hook contract
-    # ------------------------------------------------------------------
     def on_tick(self, now):
-        if self._last_tick is not None and now == self._last_tick:
-            return
-        if (
-            self._last_tick is not None
-            and now - self._last_tick < self.interval
-        ):
-            return
-        self._sample(now)
-
-    def next_timer_tick(self):
-        """The sampler never forces the simulator awake."""
-        return None
+        if not self.ticks or now - self.ticks[-1] >= self.interval:
+            self._sample(now)
 
     def flush(self, now):
         """Record the final state of a finished (or aborted) run."""
-        if self._last_tick is None or now != self._last_tick:
+        if not self.ticks or now != self.ticks[-1]:
             self._sample(now)
 
     # ------------------------------------------------------------------
@@ -125,18 +106,17 @@ class TimeSeriesSampler:
         return series
 
     def _sample(self, now):
-        machines = self._bound
-        if machines is None:
+        machines = self.bound
+        if not machines:
             return
-        telemetry = self.telemetry
-        span = 1 if self._last_tick is None else max(1, now - self._last_tick)
+        span = max(1, now - self.ticks[-1]) if self.ticks else 1
         self.ticks.append(now)
-        self._last_tick = now
+        self.spans.append(span)
         stage_done = [0] * self.num_stages
         for machine_id, machine in enumerate(machines):
             metrics = machine.metrics
-            last = self._last_counts.setdefault(machine_id, {})
-            ops_delta = metrics.ops - last.get("ops", 0)
+            ops_delta = metrics.ops - self._last_ops.get(machine_id, 0)
+            self._last_ops[machine_id] = metrics.ops
             buffered = metrics.cur_buffered_contexts
             peak = metrics.peak_buffered_contexts
             prev_peak = self._prev_peak.get(machine_id, 0)
@@ -171,25 +151,7 @@ class TimeSeriesSampler:
             series["quota_granted"].append(metrics.quota_granted)
             series["retransmits"].append(metrics.retransmits)
             series["stages_done"].append(stages_done)
-
-            # Registry sync: gauges take the sampled value, mirrored
-            # counters advance by their delta since the last sample.
-            label = (str(machine_id),)
-            telemetry.buffered_gauge.labels(*label).set(buffered)
-            telemetry.buffered_peak_gauge.labels(*label).set(peak)
-            telemetry.inflight_gauge.labels(*label).set(inflight)
-            telemetry.frames_gauge.labels(*label).set(
-                metrics.cur_live_frames
-            )
-            telemetry.stages_complete_gauge.labels(*label).set(stages_done)
-            telemetry.inbox_depth.labels(*label).observe(depth)
-            for name, family in telemetry.mirrored.items():
-                value = getattr(metrics, name)
-                delta = value - last.get(name, 0)
-                if delta:
-                    family.labels(*label).inc(delta)
-                last[name] = value
-            last["ops"] = metrics.ops
+            self._depth_of[machine_id].observe(depth)
         self.wavefront.append(tuple(stage_done))
 
         if self.on_sample is not None:
@@ -203,9 +165,7 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------
     def series(self, machine_id):
         """``{"ticks": [...], <column>: [...]}`` for one machine."""
-        out = {"ticks": list(self.ticks)}
-        out.update(self._series_for(machine_id))
-        return out
+        return dict(self._series_for(machine_id), ticks=list(self.ticks))
 
     def peak(self, column):
         """Max of *column* across all machines (0 on an empty series)."""
@@ -218,6 +178,7 @@ class TimeSeriesSampler:
     def extend(self, other, tick_offset=0):
         """Append a later run's samples, shifting ticks (union seams)."""
         self.ticks.extend(tick + tick_offset for tick in other.ticks)
+        self.spans.extend(other.spans)
         for machine_id, series in other.machines.items():
             mine = self._series_for(machine_id)
             for column in MACHINE_COLUMNS:
@@ -225,6 +186,4 @@ class TimeSeriesSampler:
         self.wavefront.extend(other.wavefront)
         self.num_stages = max(self.num_stages, other.num_stages)
         self.budget = max(self.budget, other.budget)
-        if other.ticks:
-            self._last_tick = other.ticks[-1] + tick_offset
         return self

@@ -1,23 +1,22 @@
-"""Live telemetry: a label-aware metrics registry (tentpole of PR 3).
+"""A label-aware metrics registry.
 
-Where ``repro.obs.tracer`` records *what happened* as an event log for
-post-hoc analysis, this module keeps *current state* as metrics — the
-shape every production graph-query service exposes (Prometheus-style
-counters, gauges, and fixed-bucket histograms).  The registry is the
-substrate three consumers share:
+Where a recording's event stream says *what happened*, its registry
+keeps *totals and distributions* as metrics — the shape every production
+graph-query service exposes (Prometheus-style counters, gauges, and
+fixed-bucket histograms):
 
-* the :class:`~repro.obs.sampler.TimeSeriesSampler` syncs the runtime's
-  :class:`~repro.cluster.metrics.MachineMetrics` counters and flow-
-  control gauges into it every simulator tick;
-* the runtime observes latency histograms directly at two hot points
-  (network delivery, inbox wait) — each site guarded by one
-  ``is not None`` check, mirroring the tracer's zero-cost-off design;
-* the exporters (``repro.obs.exporters``) serialize a registry snapshot
-  as Prometheus text exposition, JSONL, or CSV.
+* the runtime observes latency histograms directly at a few hot points
+  (network delivery, inbox wait) — each site guarded by the recording's
+  one ``is not None`` check;
+* :meth:`~repro.obs.recording.Recording.seal` writes the machines' final
+  :class:`~repro.cluster.metrics.MachineMetrics` counters and gauges;
+* ``repro.obs.export`` serializes a registry snapshot as Prometheus text
+  exposition.
 
-Naming follows Prometheus conventions: ``repro_*`` prefix, ``_total``
-suffix on counters, ``_ticks`` unit suffixes (the simulator clock is
-the only clock the runtime has).
+The multi-query service keeps a registry of its own, with the service's
+lifetime.  Naming follows Prometheus conventions: ``repro_*`` prefix,
+``_total`` suffix on counters, ``_ticks`` unit suffixes (the simulator
+clock is the only clock the runtime has).
 """
 
 import re
@@ -225,6 +224,30 @@ class MetricFamily:
         """``(labelvalues_tuple, child)`` pairs, sorted for determinism."""
         return sorted(self._children.items())
 
+    def samples(self):
+        """Flatten to ``(name, labels_dict, value)`` rows, exporter food.
+
+        Histograms expand Prometheus-style into ``<name>_bucket`` rows
+        (cumulative, with an ``le`` label), ``<name>_sum``, and
+        ``<name>_count``.
+        """
+        rows = []
+        for labelvalues, child in self.children():
+            labels = dict(zip(self.labelnames, labelvalues))
+            if isinstance(child, Histogram):
+                for bound, cumulative in child.cumulative():
+                    bucket_labels = dict(labels)
+                    bucket_labels["le"] = (
+                        "+Inf" if bound == float("inf") else _fmt(bound)
+                    )
+                    rows.append((self.name + "_bucket",
+                                 bucket_labels, cumulative))
+                rows.append((self.name + "_sum", labels, child.sum))
+                rows.append((self.name + "_count", labels, child.count))
+            else:
+                rows.append((self.name, labels, child.value))
+        return rows
+
     def signature(self):
         return (self.type_name, self.labelnames, self._bounds)
 
@@ -280,51 +303,9 @@ class MetricsRegistry:
             name, help_text, labels, lambda: Histogram(bounds), bounds
         )
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
     def samples(self):
-        """Flatten to ``(name, labels_dict, value)`` rows, exporter food.
-
-        Histograms expand Prometheus-style into ``<name>_bucket`` rows
-        (cumulative, with an ``le`` label), ``<name>_sum``, and
-        ``<name>_count``.
-        """
-        rows = []
-        for family in self:
-            for labelvalues, child in family.children():
-                labels = dict(zip(family.labelnames, labelvalues))
-                if isinstance(child, Histogram):
-                    for bound, cumulative in child.cumulative():
-                        bucket_labels = dict(labels)
-                        bucket_labels["le"] = (
-                            "+Inf" if bound == float("inf") else _fmt(bound)
-                        )
-                        rows.append((family.name + "_bucket",
-                                     bucket_labels, cumulative))
-                    rows.append((family.name + "_sum", labels, child.sum))
-                    rows.append((family.name + "_count", labels, child.count))
-                else:
-                    rows.append((family.name, labels, child.value))
-        return rows
-
-    def snapshot(self):
-        """Nested plain-data view: name -> labelvalues -> value/dict."""
-        out = {}
-        for family in self:
-            entry = {}
-            for labelvalues, child in family.children():
-                if isinstance(child, Histogram):
-                    entry[labelvalues] = {
-                        "buckets": list(child.counts),
-                        "bounds": list(child.bounds),
-                        "sum": child.sum,
-                        "count": child.count,
-                    }
-                else:
-                    entry[labelvalues] = child.value
-            out[family.name] = entry
-        return out
+        """Every family's :meth:`MetricFamily.samples`, in name order."""
+        return [row for family in self for row in family.samples()]
 
     def merge(self, other):
         """Fold *other* into this registry (sequential composition).
@@ -351,184 +332,3 @@ def _fmt(value):
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
-
-
-# ----------------------------------------------------------------------
-# The runtime's standard instrument set
-# ----------------------------------------------------------------------
-#: Message latency bucket bounds, in ticks (network latency defaults to
-#: 8 ticks; retransmission timeouts stretch the tail).
-LATENCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-#: Inbox wait (delivery -> consumption) bucket bounds, in ticks.
-WAIT_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
-#: Inbox depth bucket bounds, in queued bulk messages.
-DEPTH_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
-
-
-class Telemetry:
-    """Everything live telemetry for one query run: registry + sampler.
-
-    Built by the caller and handed over on the run's
-    :class:`~repro.context.ExecutionContext`, threaded through the
-    simulator and machines the same way the tracer is, and returned as
-    ``QueryResult.telemetry``.  Without one (the default) the runtime
-    holds ``None`` and pays one pointer comparison per instrumentation
-    site.
-    """
-
-    def __init__(self, interval=1):
-        from repro.obs.sampler import TimeSeriesSampler
-
-        self.registry = MetricsRegistry()
-        self.sampler = TimeSeriesSampler(self, interval=interval)
-        self.meta = {}
-        registry = self.registry
-        # Hot-path histograms, observed directly by the runtime.
-        self.message_latency = registry.histogram(
-            "repro_message_latency_ticks",
-            "network transit time per delivered message",
-            buckets=LATENCY_BUCKETS,
-        )
-        self.inbox_wait = registry.histogram(
-            "repro_inbox_wait_ticks",
-            "hop service time: work-message delivery to consumption",
-            buckets=WAIT_BUCKETS,
-        )
-        self.retransmit_attempts = registry.histogram(
-            "repro_retransmit_attempt",
-            "attempt number of each reliability-layer retransmission",
-            buckets=(1, 2, 3, 4, 6, 8, 12, 16),
-        )
-        self.kernel_batch_ops = registry.histogram(
-            "repro_kernel_batch_ops",
-            "micro-ops charged per bulk-kernel computation slice",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-        )
-        # Sampled per tick by the TimeSeriesSampler.
-        self.inbox_depth = registry.histogram(
-            "repro_inbox_depth",
-            "queued work messages per machine, sampled per tick",
-            buckets=DEPTH_BUCKETS, labels=("machine",),
-        )
-        self.buffered_gauge = registry.gauge(
-            "repro_buffered_contexts",
-            "buffered contexts (inbox + parked + outgoing) per machine",
-            labels=("machine",),
-        )
-        self.buffered_peak_gauge = registry.gauge(
-            "repro_buffered_contexts_peak",
-            "high-water mark of buffered contexts per machine",
-            labels=("machine",),
-        )
-        self.budget_gauge = registry.gauge(
-            "repro_buffered_contexts_budget",
-            "configured receiver-side context budget "
-            "(stages * senders * bulk * (window + 1))",
-        )
-        self.inflight_gauge = registry.gauge(
-            "repro_flow_inflight_window",
-            "total unacknowledged flow-control window occupancy",
-            labels=("machine",),
-        )
-        self.frames_gauge = registry.gauge(
-            "repro_live_frames", "live traversal frames per machine",
-            labels=("machine",),
-        )
-        self.stages_complete_gauge = registry.gauge(
-            "repro_stages_complete",
-            "stages this machine has declared COMPLETED",
-            labels=("machine",),
-        )
-        # Plan-vs-actual drift gauges, set by feedback.publish_drift when
-        # a stage profile was collected; declared up-front so the export
-        # has a stable family set either way.
-        self.plan_estimated_rows = registry.gauge(
-            "repro_plan_estimated_rows",
-            "cost-model estimated rows after each logical operator",
-            labels=("operator",),
-        )
-        self.plan_actual_rows = registry.gauge(
-            "repro_plan_actual_rows",
-            "measured rows surviving each logical operator",
-            labels=("operator",),
-        )
-        self.plan_q_error = registry.gauge(
-            "repro_plan_q_error",
-            "per-operator q-error max(est/actual, actual/est)",
-            labels=("operator",),
-        )
-        self.plan_q_error_max = registry.gauge(
-            "repro_plan_q_error_max",
-            "worst per-operator cardinality q-error of the run",
-        )
-        self.stage_skew_ratio = registry.gauge(
-            "repro_stage_skew_ratio",
-            "per-stage machine imbalance: max/mean of stage visits",
-            labels=("stage",),
-        )
-        # Counters mirrored from MachineMetrics by the sampler (deltas,
-        # so they stay correct across union-expansion merges).
-        self.mirrored = {
-            name: registry.counter("repro_%s_total" % name, help_text,
-                                   labels=("machine",))
-            for name, help_text in (
-                ("ops", "worker micro-operations executed"),
-                ("work_messages_sent", "bulk work messages handed to "
-                                       "the network"),
-                ("contexts_sent", "contexts shipped remotely"),
-                ("control_messages_sent", "acks/COMPLETED/quota traffic"),
-                ("results_emitted", "final matches collected"),
-                ("flow_control_blocks", "sends refused by flow control"),
-                ("quota_requests", "dynamic-memory quota requests sent"),
-                ("quota_granted", "window slots received from peers"),
-                ("ghost_prunes", "remote hops pruned at ghost vertices"),
-                ("retransmits", "reliability-layer frame retransmissions"),
-                ("idle_ticks", "worker polls that found no work"),
-            )
-        }
-
-    def extend(self, other, tick_offset=0):
-        """Fold a later run's telemetry in (union expansions)."""
-        self.registry.merge(other.registry)
-        self.sampler.extend(other.sampler, tick_offset=tick_offset)
-        for key, value in other.meta.items():
-            if key == "ticks":
-                self.meta[key] = max(
-                    self.meta.get(key, 0), tick_offset + value
-                )
-            else:
-                self.meta.setdefault(key, value)
-        return self
-
-    def prometheus(self):
-        """The registry as Prometheus text exposition format."""
-        from repro.obs.exporters import prometheus_text
-
-        return prometheus_text(self.registry)
-
-    def summary(self):
-        """One-paragraph overview, for the CLI and quick debugging."""
-        parts = []
-        ticks = self.meta.get("ticks")
-        if ticks is not None:
-            parts.append("ticks=%d" % ticks)
-        parts.append("samples=%d" % self.sampler.num_samples)
-        latency = self.message_latency._sole_child()
-        if latency.count:
-            parts.append(
-                "msg_latency_avg=%.1f ticks" % (latency.sum / latency.count)
-            )
-        wait = self.inbox_wait._sole_child()
-        if wait.count:
-            parts.append(
-                "inbox_wait_avg=%.1f ticks" % (wait.sum / wait.count)
-            )
-        budget = self.budget_gauge.get()
-        if budget:
-            peak = max(
-                (child.get() for _v, child in
-                 self.buffered_peak_gauge.children()),
-                default=0,
-            )
-            parts.append("peak_buffered=%d/%d budget" % (peak, budget))
-        return "telemetry: " + " ".join(parts)

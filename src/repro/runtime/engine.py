@@ -50,7 +50,7 @@ class QueryResult:
     """The outcome of one query execution."""
 
     def __init__(self, result_set, metrics, plan, stage_profile=None,
-                 trace=None, telemetry=None, profiler=None):
+                 recording=None, profiler=None):
         self.result_set = result_set
         self.metrics = metrics
         self.plan = plan
@@ -60,12 +60,10 @@ class QueryResult:
         #: shipped to the stage over the network).  None for results that
         #: did not run on the distributed runtime (e.g. baselines).
         self.stage_profile = stage_profile
-        #: The run context's :class:`repro.obs.Tracer`, or None when the
-        #: caller brought none (the default).
-        self.trace = trace
-        #: The run context's :class:`repro.obs.Telemetry` (metrics
-        #: registry + per-tick time series), or None (the default).
-        self.telemetry = telemetry
+        #: The run context's :class:`repro.obs.Recording` (events,
+        #: per-tick series, metrics registry), or None when the caller
+        #: brought none (the default).
+        self.recording = recording
         #: The :class:`repro.obs.feedback.StageProfiler` holding the
         #: per-machine actual stage cardinalities; None for results that
         #: did not run as one plan on the distributed runtime
@@ -88,23 +86,20 @@ class QueryResult:
     def explain_analyze(self):
         """Stage plan annotated with runtime counters, as text.
 
-        With a tracer on the run the report folds in the event stream:
+        With a recorded run the report folds in the event stream:
         time to first result, distinct ticks each stage spent refused by
         flow control, quota-borrowing traffic, and the tick each stage
         became globally complete.
         """
         if self.plan is None or self.stage_profile is None:
             return "no stage profile available"
-        profile = self.trace.profile() if self.trace is not None else None
+        recording = self.recording
+        profile = recording.profile() if recording is not None else None
         exec_profile = self.execution_profile()
         lines = []
-        if self.trace is not None and self.trace.dropped:
-            lines.append(
-                "WARNING: trace truncated — %d events dropped at "
-                "max_events=%d; trace-derived counters under-count"
-                % (self.trace.dropped, self.trace.max_events)
-            )
         if profile is not None:
+            if profile.truncation:
+                lines.append(profile.truncation)
             ticks = profile.meta.get("ticks")
             if ticks is not None:
                 lines.append("total: %d ticks" % ticks)
@@ -284,8 +279,8 @@ class PgxdAsyncEngine(Engine):
     def execute_plan(self, plan, context=None):
         """Step iv: run a compiled plan on the simulated cluster.
 
-        *context* carries the cross-cutting execution state (tracer,
-        telemetry, deadline, query_id); see :class:`~repro.context.
+        *context* carries the cross-cutting execution state (recording,
+        deadline, query_id); see :class:`~repro.context.
         ExecutionContext`.
         """
         if context is None:
@@ -310,13 +305,6 @@ class PgxdAsyncEngine(Engine):
         """
         if config is None:
             config = self.config
-        if context.tracer is not None:
-            context.tracer.meta.update(
-                num_machines=config.num_machines,
-                num_stages=plan.num_stages,
-                workers_per_machine=config.workers_per_machine,
-                ops_per_tick=config.ops_per_tick,
-            )
         simulator = Simulator(config, context)
         machines = []
         for machine_id in range(config.num_machines):
@@ -357,13 +345,12 @@ class PgxdAsyncEngine(Engine):
                 plan.query.vertex_vars(),
                 plan.query.edge_vars(),
             )
-        if context.telemetry is not None:
-            publish_drift(context.telemetry,
+        if context.recording is not None:
+            publish_drift(context.recording,
                           build_execution_profile(plan, profiler))
         return QueryResult(result_set, metrics, plan,
                            stage_profile=stage_profile,
-                           trace=context.tracer,
-                           telemetry=context.telemetry,
+                           recording=context.recording,
                            profiler=profiler)
 
 
@@ -377,9 +364,9 @@ def execute_union(query, context, run_one):
     sorted, deduped, and truncated here.
 
     Every expansion runs under the caller's *context* — its full
-    deadline and query id — recording from tick 0 into recorders of its
-    own, which are laid out end to end in ``context.tracer`` /
-    ``context.telemetry`` (an aborting expansion's included).
+    deadline and query id — recording from tick 0 into a recording of
+    its own, which are laid out end to end in ``context.recording`` (an
+    aborting expansion's included).
     """
     expansions = expand_quantified_paths(query)
     visible = len(query.select_items)
@@ -390,16 +377,13 @@ def execute_union(query, context, run_one):
     combined = QueryMetrics()
     plan = None
     profiles = []  # (plan, stage_profile) of expansions that computed one
-    tracer = context.tracer
-    telemetry = context.telemetry
+    recording = context.recording
 
     def lay_out(scoped):
-        # Expansions run back to back: offset each one's recordings by
+        # Expansions run back to back: offset each one's recording by
         # the ticks accumulated so far.
-        if tracer is not None:
-            tracer.extend(scoped.tracer, tick_offset=combined.ticks)
-        if telemetry is not None:
-            telemetry.extend(scoped.telemetry, tick_offset=combined.ticks)
+        if recording is not None:
+            recording.extend(scoped.recording, tick_offset=combined.ticks)
 
     for expansion in expansions:
         stripped = Query(
@@ -408,7 +392,9 @@ def execute_union(query, context, run_one):
             expansion.paths,
             expansion.constraints,
         )
-        scoped = context.with_fresh_recorders()
+        scoped = context if recording is None else context.replace(
+            recording=recording.fresh()
+        )
         try:
             result = run_one(stripped, scoped)
         except QueryAborted as aborted:
@@ -416,7 +402,7 @@ def execute_union(query, context, run_one):
             # finished expansions' metrics and recordings plus this
             # one's, on the union's timeline.
             lay_out(scoped)
-            aborted.trace = tracer
+            aborted.recording = recording
             if aborted.tick is not None:
                 aborted.tick += combined.ticks
             if aborted.metrics is not None:
@@ -456,8 +442,7 @@ def execute_union(query, context, run_one):
     if query.limit is not None:
         rows = rows[: query.limit]
     return QueryResult(ResultSet(columns, rows), combined, plan,
-                       stage_profile=stage_profile, trace=tracer,
-                       telemetry=telemetry)
+                       stage_profile=stage_profile, recording=recording)
 
 
 def run_query(graph, query, config=None, options=None, debug_checks=False,

@@ -142,7 +142,7 @@ class FlowControl:
         """Number of (stage, dest) windows with traffic in flight.
 
         Cheaper than ``len(occupancy())`` — sampled every tick by the
-        telemetry time series.
+        recorded time series.
         """
         return sum(
             1 for row in self._inflight for inflight in row if inflight

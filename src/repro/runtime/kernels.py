@@ -228,9 +228,9 @@ def run_bulk(rt, comp, budget, kernels):
         metrics = rt.metrics
         metrics.kernel_batches += dispatches
         metrics.kernel_ops += ops
-        telemetry = rt.telemetry
-        if telemetry is not None:
-            telemetry.kernel_batch_ops.observe(ops)
+        recording = rt.recording
+        if recording is not None:
+            recording.kernel_batch_ops.observe(ops)
     return ops, status
 
 
@@ -684,12 +684,12 @@ def _compile_output_kernel(plan, stage):
     w.append("            return ops, K_BUDGET")
     w.append("    if frame.cursor is None:")
     w.append("        frame.cursor = True")
-    # Inline emit_result (machine.py): collector, counter, trace event.
+    # Inline emit_result (machine.py): collector, counter, event.
     w.append("        rt.collector.add(ctx)")
     w.append("        M.results_emitted += 1")
-    w.append("        trace = rt.trace")
-    w.append("        if trace is not None:")
-    w.append("            trace.emit(ResultEmitted(rt.api.now, "
+    w.append("        recording = rt.recording")
+    w.append("        if recording is not None:")
+    w.append("            recording.emit(ResultEmitted(rt.api.now, "
              "rt.machine_id))")
     w.append("        ops += %d" % wc_h)
     w.append("        if ops >= budget:")

@@ -77,11 +77,10 @@ class QueryMachine:
         #: Simulator hook: reliability retransmission timers need a
         #: per-tick callback and participate in idle fast-forwarding.
         self.uses_tick_hook = self._reliable
-        #: The run context's repro.obs.Tracer / repro.obs.Telemetry,
-        #: shared by every machine of the run; None (the default) keeps
-        #: each instrumentation site to a single pointer comparison.
-        self.trace = context.tracer
-        self.telemetry = context.telemetry
+        #: The run context's repro.obs.Recording, shared by every
+        #: machine of the run; None (the default) keeps each
+        #: instrumentation site to a single pointer comparison.
+        self.recording = context.recording
 
         num_stages = plan.num_stages
         num_machines = config.num_machines
@@ -260,8 +259,8 @@ class QueryMachine:
                         return 0
                     # Opportunistic work for an idle worker: flush.
                     ops = self.idle_progress()
-                    if ops and self.trace is not None:
-                        self.trace.emit(WorkerSpan(
+                    if ops and self.recording is not None:
+                        self.recording.emit(WorkerSpan(
                             self.api.now, self.machine_id, worker_index,
                             -1, ops, paid,
                         ))
@@ -387,7 +386,7 @@ class QueryMachine:
             self.wake_all()
         if isinstance(payload, WorkMessage):
             payload.src = src
-            if self.telemetry is not None:
+            if self.recording is not None:
                 payload.arrived_at = self.api.now
             stage = payload.stage
             self._inbox[stage].append(payload)
@@ -432,8 +431,8 @@ class QueryMachine:
         elif isinstance(payload, QuotaGrant):
             stage, dest, amount = payload.stage, payload.dest, payload.amount
             self.flow.on_quota_grant(stage, dest, amount)
-            if self.trace is not None:
-                self.trace.emit(QuotaGranted(
+            if self.recording is not None:
+                self.recording.emit(QuotaGranted(
                     self.api.now, self.machine_id, stage, dest, amount,
                 ))
             if amount:
@@ -493,15 +492,15 @@ class QueryMachine:
         if not inbox:
             return None
         message = inbox.popleft()
-        if self.telemetry is not None:
+        if self.recording is not None:
             # Hop service time: how long the bulk waited to be consumed.
-            self.telemetry.inbox_wait.observe(
+            self.recording.inbox_wait.observe(
                 self.api.now - message.arrived_at
             )
         return message
 
     def inbox_depth(self):
-        """Queued bulk work messages across all stages (telemetry)."""
+        """Queued bulk work messages across all stages (sampled)."""
         total = 0
         for inbox in self._inbox:
             total += len(inbox)
@@ -520,8 +519,8 @@ class QueryMachine:
     def emit_result(self, ctx):
         self.collector.add(ctx)
         self.metrics.results_emitted += 1
-        if self.trace is not None:
-            self.trace.emit(ResultEmitted(self.api.now, self.machine_id))
+        if self.recording is not None:
+            self.recording.emit(ResultEmitted(self.api.now, self.machine_id))
 
     def send_ack(self, message):
         """Ack *message* to its sender (receiver finished processing it).
@@ -557,8 +556,8 @@ class QueryMachine:
         if vertex_admissible(self.graph, stage, ctx, target):
             return True
         self.metrics.ghost_prunes += 1
-        if self.trace is not None:
-            self.trace.emit(GhostPrune(
+        if self.recording is not None:
+            self.recording.emit(GhostPrune(
                 self.api.now, self.machine_id, stage_index
             ))
         return False
@@ -592,8 +591,8 @@ class QueryMachine:
             return True
         self.last_refused = (stage_index, dest)
         self.metrics.flow_control_blocks += 1
-        if self.trace is not None:
-            self.trace.emit(FlowBlock(
+        if self.recording is not None:
+            self.recording.emit(FlowBlock(
                 self.api.now, self.machine_id, stage_index, dest
             ))
         return False
@@ -760,8 +759,8 @@ class QueryMachine:
         self.api.send(peer, QuotaRequest(stage, dest))
         self.metrics.control_messages_sent += 1
         self.metrics.quota_requests += 1
-        if self.trace is not None:
-            self.trace.emit(QuotaRequested(
+        if self.recording is not None:
+            self.recording.emit(QuotaRequested(
                 self.api.now, self.machine_id, stage, dest, peer
             ))
 
@@ -795,8 +794,8 @@ class QueryMachine:
                 break
             self.termination.mark_sent(stage)
             self._completions_from = stage + 1
-            if self.trace is not None:
-                self.trace.emit(StageCompleted(
+            if self.recording is not None:
+                self.recording.emit(StageCompleted(
                     self.api.now, self.machine_id, stage
                 ))
             for machine in range(self._num_machines):

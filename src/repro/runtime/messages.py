@@ -28,7 +28,7 @@ class WorkMessage:
         self.items = items
         self.seq = next(_SEQUENCE)
         self.src = None  # filled in on delivery
-        self.arrived_at = 0  # delivery tick (inbox-wait telemetry)
+        self.arrived_at = 0  # delivery tick (inbox-wait histogram)
 
     def __len__(self):
         return len(self.items)

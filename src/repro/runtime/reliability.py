@@ -56,8 +56,7 @@ class ReliableTransport:
     def __init__(self, api, config, metrics, context):
         self._api = api
         self._metrics = metrics
-        self._trace = context.tracer
-        self._telemetry = context.telemetry
+        self._recording = context.recording
         self.machine_id = api.machine_id
         rto = config.retransmit_timeout
         if not rto:
@@ -117,16 +116,16 @@ class ReliableTransport:
         deliveries = []
         if seq < receiver.expected or seq in receiver.buffer:
             self._metrics.dup_frames_dropped += 1
-            if self._trace is not None:
-                self._trace.emit(DuplicateFrameDropped(
+            if self._recording is not None:
+                self._recording.emit(DuplicateFrameDropped(
                     self.now, self.machine_id, src, seq
                 ))
         else:
             receiver.buffer[seq] = payload.payload
             if seq != receiver.expected:
                 self._metrics.reordered_frames += 1
-                if self._trace is not None:
-                    self._trace.emit(FrameBuffered(
+                if self._recording is not None:
+                    self._recording.emit(FrameBuffered(
                         self.now, self.machine_id, src, seq,
                         receiver.expected,
                     ))
@@ -174,12 +173,11 @@ class ReliableTransport:
                     record[3] = min(record[3] * 2, self._rto_cap)
                     record[2] = now + record[3]
                     self._metrics.retransmits += 1
-                    if self._trace is not None:
-                        self._trace.emit(Retransmit(
+                    if self._recording is not None:
+                        self._recording.emit(Retransmit(
                             now, self.machine_id, dst, seq, record[4]
                         ))
-                    if self._telemetry is not None:
-                        self._telemetry.retransmit_attempts.observe(
+                        self._recording.retransmit_attempts.observe(
                             record[4]
                         )
                     self._api.send(dst, record[0], record[1])

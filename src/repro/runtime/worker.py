@@ -271,8 +271,8 @@ class Worker:
                             |= self.bit
                         continue
                     comp.blocked_on = None
-                    if rt.trace is not None:
-                        rt.trace.emit(FlowUnblock(
+                    if rt.recording is not None:
+                        rt.recording.emit(FlowUnblock(
                             rt.api.now, rt.machine_id, stage, dest
                         ))
 
@@ -283,8 +283,8 @@ class Worker:
                 elif status is RunStatus.BLOCKED:
                     comp.blocked_on = rt.last_refused
                 if ops:
-                    if rt.trace is not None:
-                        rt.trace.emit(WorkerSpan(
+                    if rt.recording is not None:
+                        rt.recording.emit(WorkerSpan(
                             rt.api.now, rt.machine_id, self.index,
                             stage_index, ops, trace_offset + used,
                         ))

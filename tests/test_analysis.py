@@ -4,7 +4,7 @@ Fixture packages are written under ``tmp_path`` with the *same* top
 package name as the real tree (``repro``), so the default rule scopes
 (``repro.runtime``, ``repro.cluster``, ...) apply to fixtures exactly as
 they do to the codebase.  The mutation tests operate on verbatim copies
-of the real runtime sources: un-guarding one tracer call or deleting one
+of the real runtime sources: un-guarding one recording call or deleting one
 message-dispatch arm must flip the analyzer to a non-zero exit.
 """
 
@@ -185,57 +185,58 @@ class TestZeroCostOffRule:
             "repro/runtime/hot.py": """\
                 class Machine:
                     def emit_result(self, ctx):
-                        self.trace.emit(ctx)
+                        self.recording.emit(ctx)
                 """,
         })
         result = analyze([root])
         assert rules_of(result) == ["RPR002"]
-        assert result.findings[0].pattern == "self.trace.emit"
+        assert result.findings[0].pattern == "self.recording.emit"
         assert result.findings[0].symbol == "Machine.emit_result"
 
     @pytest.mark.parametrize("body", [
         # canonical guard
         """\
-        if self.trace is not None:
-            self.trace.emit(ctx)
+        if self.recording is not None:
+            self.recording.emit(ctx)
         """,
         # and-conjunction guard
         """\
-        if ready and self.trace is not None:
-            self.trace.emit(ctx)
+        if ready and self.recording is not None:
+            self.recording.emit(ctx)
         """,
         # ternary
         """\
-        return self.trace.emit(ctx) if self.trace is not None else None
+        return self.recording.emit(ctx) if self.recording is not None else None
         """,
         # short-circuit and
         """\
-        self.trace is not None and self.trace.emit(ctx)
+        self.recording is not None and self.recording.emit(ctx)
         """,
         # short-circuit or on the None test
         """\
-        self.trace is None or self.trace.emit(ctx)
+        self.recording is None or self.recording.emit(ctx)
         """,
         # early return
         """\
-        if self.trace is None:
+        if self.recording is None:
             return
-        self.trace.emit(ctx)
+        self.recording.emit(ctx)
         """,
         # assert
         """\
-        assert self.trace is not None
-        self.trace.emit(ctx)
+        assert self.recording is not None
+        self.recording.emit(ctx)
         """,
-        # guard on the root handle covers sub-objects
+        # guard on the root handle covers sub-objects (and a leading
+        # underscore is the same handle)
         """\
-        if self.telemetry is not None:
-            self.telemetry.sampler.observe(1)
+        if self._recording is not None:
+            self._recording.series.flush(1)
         """,
         # truthiness guard
         """\
-        if self.trace:
-            self.trace.emit(ctx)
+        if self.recording:
+            self.recording.emit(ctx)
         """,
     ])
     def test_guarded_shapes_ok(self, tmp_path, body):
@@ -253,9 +254,9 @@ class TestZeroCostOffRule:
             "repro/runtime/hot.py": """\
                 class Machine:
                     def emit_result(self, ctx):
-                        if self.trace is not None:
+                        if self.recording is not None:
                             pass
-                        self.trace.emit(ctx)
+                        self.recording.emit(ctx)
                 """,
         })
         assert rules_of(analyze([root])) == ["RPR002"]
@@ -263,10 +264,10 @@ class TestZeroCostOffRule:
     def test_reassignment_invalidates_guard(self, tmp_path):
         root = write_package(tmp_path, {
             "repro/runtime/hot.py": """\
-                def run(tracer, other):
-                    if tracer is not None:
-                        tracer = other
-                        tracer.emit(1)
+                def run(recording, other):
+                    if recording is not None:
+                        recording = other
+                        recording.emit(1)
                 """,
         })
         assert rules_of(analyze([root])) == ["RPR002"]
@@ -274,23 +275,23 @@ class TestZeroCostOffRule:
     def test_nested_scope_does_not_inherit_guard(self, tmp_path):
         root = write_package(tmp_path, {
             "repro/runtime/hot.py": """\
-                def run(tracer):
-                    if tracer is not None:
+                def run(recording):
+                    if recording is not None:
                         def flush():
-                            tracer.emit(1)
+                            recording.emit(1)
                         return flush
                 """,
         })
         assert rules_of(analyze([root])) == ["RPR002"]
 
     def test_sibling_guard_is_not_enough(self, tmp_path):
-        # The guard must cover the handle actually called: guarding
-        # `telemetry` says nothing about the `tracer` beside it.
+        # The guard must cover the handle actually called: guarding one
+        # context's `recording` says nothing about another's.
         root = write_package(tmp_path, {
             "repro/runtime/hot.py": """\
-                def run(telemetry, tracer):
-                    if telemetry is not None:
-                        tracer.emit(1)
+                def run(scoped, context):
+                    if scoped.recording is not None:
+                        context.recording.emit(1)
                 """,
         })
         assert rules_of(analyze([root])) == ["RPR002"]
@@ -298,8 +299,8 @@ class TestZeroCostOffRule:
     def test_out_of_scope_module_ignored(self, tmp_path):
         root = write_package(tmp_path, {
             "repro/obs/hot.py": """\
-                def run(tracer):
-                    tracer.emit(1)
+                def run(recording):
+                    recording.emit(1)
                 """,
         })
         assert analyze([root]).findings == []
@@ -526,10 +527,13 @@ class TestMutations:
 
     def test_unguarding_one_tracer_call_fails(self, tmp_path):
         source = (RUNTIME / "machine.py").read_text()
-        guard = "if self.trace is not None:"
+        guard = ("if self.recording is not None:\n"
+                 "            self.recording.emit(ResultEmitted(")
         assert guard in source
         root = write_package(tmp_path, {
-            "repro/runtime/machine.py": source.replace(guard, "if True:", 1),
+            "repro/runtime/machine.py": source.replace(
+                guard, guard.replace("self.recording is not None", "True")
+            ),
         })
         result = analyze([root])
         assert "RPR002" in rules_of(result)

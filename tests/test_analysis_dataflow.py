@@ -111,11 +111,11 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def step(self, frame):
-                    if self.trace is not None:
+                    if self.recording is not None:
                         try:
                             frame.run()
                         finally:
-                            self.trace.emit(frame)
+                            self.recording.emit(frame)
             """))
         assert analyze([root]).findings == []
 
@@ -123,12 +123,12 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def step(self, frame):
-                    if self.trace is None:
+                    if self.recording is None:
                         return
                     try:
                         frame.run()
                     except KeyError:
-                        self.trace.emit(frame)
+                        self.recording.emit(frame)
             """))
         assert analyze([root]).findings == []
 
@@ -136,10 +136,10 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def step(self, frame):
-                    if self.telemetry is None:
+                    if self.recording is None:
                         return frame.run()
                     frame.run()
-                    self.telemetry.observe("steps", 1)
+                    self.recording.inbox_wait.observe(1)
             """))
         assert analyze([root]).findings == []
 
@@ -149,9 +149,9 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def step(self, frame, fast):
-                    if self.trace is not None:
-                        self.trace.emit(frame)
-                    self.trace.emit(frame)
+                    if self.recording is not None:
+                        self.recording.emit(frame)
+                    self.recording.emit(frame)
             """))
         result = analyze([root])
         assert rules_of(result) == ["RPR002"]
@@ -164,11 +164,11 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def drain(self, frames):
-                    if self.trace is None:
+                    if self.recording is None:
                         return
                     for frame in frames:
-                        self.trace = frame.tracer()
-                    self.trace.emit(frames)
+                        self.recording = frame.recorder()
+                    self.recording.emit(frames)
             """))
         result = analyze([root])
         assert rules_of(result) == ["RPR002"]
@@ -177,12 +177,12 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def drain(self, queue):
-                    if self.trace is None:
+                    if self.recording is None:
                         return
                     while queue:
                         queue.pop()
                     else:
-                        self.trace.emit(queue)
+                        self.recording.emit(queue)
             """))
         assert analyze([root]).findings == []
 
@@ -193,10 +193,10 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def make_callback(self, frame):
-                    if self.trace is None:
+                    if self.recording is None:
                         return None
                     def callback():
-                        self.trace.emit(frame)
+                        self.recording.emit(frame)
                     return callback
             """))
         result = analyze([root])
@@ -209,8 +209,8 @@ class TestGuardDataflow:
             class Worker:
                 def make_callback(self, frame):
                     def callback():
-                        if self.trace is not None:
-                            self.trace.emit(frame)
+                        if self.recording is not None:
+                            self.recording.emit(frame)
                     return callback
             """))
         assert analyze([root]).findings == []
@@ -219,8 +219,8 @@ class TestGuardDataflow:
         root = write_package(tmp_path, runtime_module("""\
             class Worker:
                 def step(self, frame):
-                    assert self.trace is not None
-                    self.trace.emit(frame)
+                    assert self.recording is not None
+                    self.recording.emit(frame)
             """))
         assert analyze([root]).findings == []
 
@@ -235,7 +235,7 @@ class TestGuardDataflow:
                             return 0
                         return frame.run()
                     finally:
-                        self.trace.emit(frame)
+                        self.recording.emit(frame)
             """))
         result = analyze([root])
         assert rules_of(result) == ["RPR002"]
@@ -614,10 +614,10 @@ class TestKernelAudit:
 
     def test_unguarded_trace_emit_is_flagged(self):
         source = self.kernel_sources()["output"]
-        guard = "if trace is not None:"
+        guard = "if recording is not None:"
         assert source.count(guard) == 1
         mutated = source.replace(guard, "if True:")
-        assert self.audit(mutated) == ["kernel-audit:fixture:0:trace-guard"]
+        assert self.audit(mutated) == ["kernel-audit:fixture:0:recording-guard"]
 
     def test_leaked_reservation_is_flagged(self):
         source = self.kernel_sources()["neighbor"]

@@ -14,7 +14,7 @@ from repro import ClusterConfig, ExecutionContext, PgxdAsyncEngine, \
     run_query, uniform_random_graph
 from repro.chaos import ChaosConfig, FaultPlan, PROFILES, profile
 from repro.errors import ClusterConfigError, QueryAborted
-from repro.obs import Tracer
+from repro.obs import Recording
 
 QUERY = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c), a.type = 1"
 
@@ -80,8 +80,8 @@ class TestChaosParity:
 
     def test_chaos_emits_trace_events(self, chaos_graph):
         result = chaos_run(chaos_graph, profile("soak", seed=7),
-                           context=ExecutionContext(tracer=Tracer()))
-        kinds = {event.kind for event in result.trace.events}
+                           context=ExecutionContext(recording=Recording()))
+        kinds = {event.kind for event in result.recording.events}
         assert "chaos_drop" in kinds
         assert "chaos_duplicate" in kinds
         assert "chaos_delay" in kinds
@@ -108,8 +108,8 @@ class TestStalls:
     def test_stall_emits_trace_events(self, chaos_graph):
         chaos = ChaosConfig(stalls=((1, 5, 20),))
         result = chaos_run(chaos_graph, chaos,
-                           context=ExecutionContext(tracer=Tracer()))
-        kinds = {event.kind for event in result.trace.events}
+                           context=ExecutionContext(recording=Recording()))
+        kinds = {event.kind for event in result.recording.events}
         assert "chaos_stall" in kinds
         assert "chaos_resume" in kinds
 
@@ -141,16 +141,15 @@ class TestAborts:
 
     def test_crash_emits_abort_trace_event(self, chaos_graph):
         chaos = ChaosConfig(crashes=((0, 10),))
-        tracer = Tracer()
+        recording = Recording()
         with pytest.raises(QueryAborted) as info:
             chaos_run(chaos_graph, chaos,
-                      context=ExecutionContext(tracer=tracer))
-        trace = info.value.trace
-        assert trace is tracer
-        kinds = [event.kind for event in trace.events]
+                      context=ExecutionContext(recording=recording))
+        assert info.value.recording is recording
+        kinds = [event.kind for event in recording.events]
         assert "chaos_crash" in kinds
         assert "aborted" in kinds
-        assert trace.meta.get("aborted")
+        assert recording.meta.get("aborted")
 
     def test_deadline_aborts(self, chaos_graph):
         with pytest.raises(QueryAborted) as info:

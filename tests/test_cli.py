@@ -245,13 +245,13 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert "repro monitor" in out
         assert "stage wavefront" in out
-        assert "telemetry:" in out
+        assert "recording:" in out
         assert "# TYPE repro_ops_total counter" in prom.read_text()
         header = series.read_text().splitlines()[0]
         assert header.startswith("tick,machine,")
 
     def test_monitor_series_jsonl(self, tmp_path, capsys):
-        from repro.obs.exporters import parse_series_jsonl
+        from repro.obs import parse_series_jsonl
 
         series = tmp_path / "series.jsonl"
         code = main(
@@ -280,7 +280,7 @@ class TestMonitorCommand:
              "--snapshots", "SELECT a, b WHERE (a)-/{1,2}/->(b)"]
         )
         assert code == 0
-        assert "telemetry:" in capsys.readouterr().out
+        assert "recording:" in capsys.readouterr().out
 
 
 class TestBenchArgs:

@@ -27,7 +27,7 @@ from repro import ClusterConfig, PgxdAsyncEngine, run_query, \
 from repro.chaos import ChaosConfig
 from repro.context import ExecutionContext
 from repro.errors import QueryStalled, RuntimeFault
-from repro.obs import Tracer
+from repro.obs import Recording
 from repro.runtime.machine import QueryMachine
 from repro.runtime.messages import Ack, Completed, QuotaGrant, WorkMessage
 from repro.runtime.termination import TerminationTracker
@@ -74,12 +74,16 @@ QUERIES = [
 
 def _observation(result):
     """Everything one run reports."""
+    recording = result.recording
     return {
         "rows": result.rows,
         # per-machine MachineMetrics included
         "metrics": asdict(result.metrics),
         "views": [view.to_dict() for view in result.profiler.views()],
-        "events": [event.to_dict() for event in result.trace],
+        "events": [event.to_dict() for event in recording],
+        "series": (recording.series.ticks, recording.series.machines,
+                   recording.series.wavefront),
+        "registry": recording.prometheus(),
     }
 
 
@@ -128,15 +132,15 @@ class TestExactness:
         graph = uniform_random_graph(
             vertices, vertices * density, seed=graph_seed, num_types=3
         )
-        def traced():
+        def recorded():
             return _observation(run_query(
                 graph, query, config,
-                context=ExecutionContext(tracer=Tracer()),
+                context=ExecutionContext(recording=Recording()),
             ))
 
-        sleeping = traced()
+        sleeping = recorded()
         with never_quiet_reference():
-            reference = traced()
+            reference = recorded()
         assert sleeping == reference
 
     @staticmethod

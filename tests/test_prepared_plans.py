@@ -29,7 +29,7 @@ from repro import (
 from repro.bench import WORKLOADS
 from repro.engine_api import QueryStatus
 from repro.graph.distributed import DistributedGraph
-from repro.obs import Telemetry, Tracer
+from repro.obs import Recording
 from repro.obs.feedback import FeedbackStore
 from repro.service import QueryService, ServiceConfig
 from repro.stats import collect_statistics
@@ -242,7 +242,7 @@ class TestKeySensitivity:
             for settings in (ClusterConfig, PlannerOptions,
                              ExecutionContext)
         ]
-        assert [len(names) for names in homes] == [18, 5, 5]
+        assert [len(names) for names in homes] == [18, 5, 4]
         for index, names in enumerate(homes):
             for other in homes[index + 1:]:
                 assert not names & other
@@ -274,16 +274,15 @@ class TestKeySensitivity:
     def test_run_shaping_options_share_the_plan(self, random_graph):
         engine = _engine(random_graph)
         plain = engine.query(PATH)
-        assert (plain.trace, plain.telemetry) == (None, None)
+        assert plain.recording is None
 
-        tracer, telemetry = Tracer(), Telemetry()
+        recording = Recording()
         recorded = engine.query(PATH, context=ExecutionContext(
-            tracer=tracer, telemetry=telemetry
+            recording=recording
         ))
         assert recorded.plan is plain.plan
-        assert recorded.trace is tracer and len(tracer) > 0
-        assert recorded.telemetry is telemetry
-        assert telemetry.sampler.num_samples > 0
+        assert recorded.recording is recording and len(recording) > 0
+        assert recording.series.num_samples > 0
 
         # A deadline on a hit still aborts; and the next call does not
         # inherit it.
@@ -292,7 +291,7 @@ class TestKeySensitivity:
         assert excinfo.value.tick == 3
         again = engine.query(PATH)
         assert again.plan is plain.plan
-        assert again.trace is None
+        assert again.recording is None
         assert asdict(again.metrics) == asdict(plain.metrics)
 
     @pytest.mark.parametrize("route", [
@@ -304,24 +303,24 @@ class TestKeySensitivity:
     def test_the_context_bounds_and_observes_the_run(self, random_graph,
                                                      route):
         """The Motivation probe of ISSUE 21: whatever the options say,
-        the caller's deadline aborts the run and the caller's recorders
-        are the ones that recorded it."""
+        the caller's deadline aborts the run and the caller's recording
+        is the one that recorded it."""
         engine = _engine(random_graph)
-        tracer, telemetry = Tracer(), Telemetry()
+        recording = Recording()
         with pytest.raises(QueryAborted) as excinfo:
             route(engine, PATH, COST, ExecutionContext(
-                tracer=tracer, telemetry=telemetry, deadline=3
+                recording=recording, deadline=3
             ))
         assert excinfo.value.tick == 3
-        assert excinfo.value.trace is tracer
-        assert tracer.meta["ticks"] == telemetry.meta["ticks"] == 3
+        assert excinfo.value.recording is recording
+        assert recording.meta["ticks"] == recording.series.ticks[-1] == 3
 
-        tracer, telemetry = Tracer(), Telemetry()
+        recording = Recording()
         result = route(engine, PATH, COST, ExecutionContext(
-            tracer=tracer, telemetry=telemetry
+            recording=recording
         ))
-        assert result.trace is tracer and result.telemetry is telemetry
-        assert tracer.meta["ticks"] == result.metrics.ticks
+        assert result.recording is recording
+        assert recording.meta["ticks"] == result.metrics.ticks
 
 
 # ----------------------------------------------------------------------

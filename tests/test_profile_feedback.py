@@ -20,7 +20,7 @@ from repro.graph import uniform_random_graph
 from repro.obs import (
     FeedbackStore,
     MetricsRegistry,
-    Telemetry,
+    Recording,
     parse_prometheus,
     prometheus_text,
     q_error,
@@ -175,9 +175,9 @@ class TestExecutionProfile:
         result = engine.query(
             queries[0],
             PlannerOptions(scheduling=SchedulingPolicy.COST),
-            ExecutionContext(telemetry=Telemetry()),
+            ExecutionContext(recording=Recording()),
         )
-        text = result.telemetry.prometheus()
+        text = result.recording.prometheus()
         assert "repro_plan_q_error_max" in text
         assert "repro_stage_skew_ratio" in text
         parsed = parse_prometheus(text)

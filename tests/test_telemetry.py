@@ -1,6 +1,7 @@
-"""Live telemetry: registry semantics, sampling, exporters, acceptance.
+"""A recording's metrics: registry semantics, sampling, exporters,
+acceptance.
 
-Covers the PR-3 tentpole end to end: label-aware metric families with
+Covers label-aware metric families with
 Prometheus ``le`` bucket semantics, the per-tick time-series sampler's
 determinism and its bounded-memory acceptance property
 (``max(buffered_max) == QueryMetrics.peak_buffered_contexts <= budget``),
@@ -13,8 +14,10 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.errors import QueryAborted, TelemetryError
 from repro.graph import uniform_random_graph
-from repro.obs import MACHINE_COLUMNS, MetricsRegistry, Telemetry
-from repro.obs.exporters import (
+from repro.obs import (
+    MACHINE_COLUMNS,
+    MetricsRegistry,
+    Recording,
     parse_prometheus,
     parse_series_csv,
     parse_series_jsonl,
@@ -23,7 +26,6 @@ from repro.obs.exporters import (
     series_jsonl,
 )
 from repro.context import ExecutionContext
-from repro.obs import Tracer
 from repro.runtime import PgxdAsyncEngine
 
 QUERY = "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"
@@ -36,7 +38,7 @@ def run_telemetry_query(machines=4, seed=0, interval=1, query=QUERY,
                            **config_kwargs)
     engine = PgxdAsyncEngine(graph, config)
     return engine.query(query, context=ExecutionContext(
-        telemetry=Telemetry(interval=interval)
+        recording=Recording(interval=interval)
     ))
 
 
@@ -219,7 +221,7 @@ class TestExporters:
 
     def test_series_round_trip(self):
         result = run_telemetry_query()
-        sampler = result.telemetry.sampler
+        sampler = result.recording.series
         meta, rows = parse_series_jsonl(series_jsonl(sampler))
         assert meta["samples"] == sampler.num_samples
         assert meta["columns"] == list(MACHINE_COLUMNS)
@@ -241,21 +243,21 @@ class TestEndToEnd:
     def test_off_by_default(self):
         graph = uniform_random_graph(60, 240, seed=0)
         engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
-        assert engine.query(QUERY).telemetry is None
+        assert engine.query(QUERY).recording is None
 
     def test_per_query_opt_in(self):
         graph = uniform_random_graph(60, 240, seed=0)
         engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
-        telemetry = Telemetry()
+        recording = Recording()
         result = engine.query(
-            QUERY, context=ExecutionContext(telemetry=telemetry)
+            QUERY, context=ExecutionContext(recording=recording)
         )
-        assert result.telemetry is telemetry
-        assert telemetry.sampler.num_samples > 0
+        assert result.recording is recording
+        assert recording.series.num_samples > 0
 
     def test_peak_matches_series_and_stays_under_budget(self):
         result = run_telemetry_query()
-        sampler = result.telemetry.sampler
+        sampler = result.recording.series
         # The acceptance property: the recorded curve's high-water mark
         # IS the metrics' peak, and it never exceeds the budget.
         assert sampler.peak("buffered_max") \
@@ -265,7 +267,7 @@ class TestEndToEnd:
 
     def test_peak_matches_with_sparse_sampling(self):
         result = run_telemetry_query(interval=7)
-        sampler = result.telemetry.sampler
+        sampler = result.recording.series
         assert sampler.peak("buffered_max") \
             == result.metrics.peak_buffered_contexts
         # Sparse sampling really sampled less.
@@ -274,29 +276,16 @@ class TestEndToEnd:
     def test_series_is_deterministic(self):
         first = run_telemetry_query(seed=3)
         second = run_telemetry_query(seed=3)
-        s1, s2 = first.telemetry.sampler, second.telemetry.sampler
+        s1, s2 = first.recording.series, second.recording.series
         assert s1.ticks == s2.ticks
         assert s1.machines == s2.machines
         assert s1.wavefront == s2.wavefront
-        assert prometheus_text(first.telemetry.registry) \
-            == prometheus_text(second.telemetry.registry)
-
-    def test_telemetry_does_not_perturb_the_run(self):
-        graph = uniform_random_graph(150, 600, seed=1)
-        engine = PgxdAsyncEngine(
-            graph, ClusterConfig(num_machines=4, seed=1)
-        )
-        plain = engine.query(QUERY)
-        sampled = engine.query(
-            QUERY, context=ExecutionContext(telemetry=Telemetry())
-        )
-        assert plain.metrics.ticks == sampled.metrics.ticks
-        assert plain.metrics.total_ops == sampled.metrics.total_ops
-        assert sorted(plain.rows) == sorted(sampled.rows)
+        assert first.recording.prometheus() \
+            == second.recording.prometheus()
 
     def test_mirrored_counters_match_query_metrics(self):
         result = run_telemetry_query()
-        registry = result.telemetry.registry
+        registry = result.recording.registry
         total_ops = sum(
             child.get()
             for _values, child in registry.get("repro_ops_total").children()
@@ -311,25 +300,25 @@ class TestEndToEnd:
 
     def test_message_latency_histogram_populated(self):
         result = run_telemetry_query()
-        latency = result.telemetry.message_latency._sole_child()
+        latency = result.recording.message_latency._sole_child()
         assert latency.count > 0
         # Transit time can never be negative in the simulator.
         assert latency.sum >= latency.count  # latency >= 1 tick each
 
     def test_wavefront_ends_fully_complete(self):
         result = run_telemetry_query()
-        sampler = result.telemetry.sampler
+        sampler = result.recording.series
         final = sampler.wavefront[-1]
         assert len(final) == result.plan.num_stages
         assert all(done == result.metrics.num_machines for done in final)
 
     def test_meta_and_summary(self):
         result = run_telemetry_query()
-        telemetry = result.telemetry
-        assert telemetry.meta["ticks"] == result.metrics.ticks
-        assert telemetry.meta["num_machines"] == 4
-        summary = telemetry.summary()
-        assert "samples=%d" % telemetry.sampler.num_samples in summary
+        recording = result.recording
+        assert recording.meta["ticks"] == result.metrics.ticks
+        assert recording.meta["num_machines"] == 4
+        summary = recording.summary()
+        assert "samples=%d" % recording.series.num_samples in summary
         assert "peak_buffered=" in summary
 
     def test_union_query_merges_telemetry(self):
@@ -337,12 +326,12 @@ class TestEndToEnd:
             query="SELECT a, b WHERE (a)-/{1,2}/->(b)",
             vertices=60, edges=240, machines=2,
         )
-        telemetry = result.telemetry
-        assert telemetry is not None
+        recording = result.recording
+        assert recording is not None
         # Ticks accumulate across the expansions, and the series'
         # acceptance property still holds through the merge.
-        assert telemetry.meta["ticks"] == result.metrics.ticks
-        assert telemetry.sampler.peak("buffered_max") \
+        assert recording.meta["ticks"] == result.metrics.ticks
+        assert recording.series.peak("buffered_max") \
             == result.metrics.peak_buffered_contexts
 
 
@@ -373,15 +362,15 @@ class TestAbortDiagnostics:
         engine = PgxdAsyncEngine(
             graph, ClusterConfig(num_machines=4, seed=0)
         )
-        telemetry = Telemetry()
+        recording = Recording()
         with pytest.raises(QueryAborted):
             engine.query(QUERY, context=ExecutionContext(
-                telemetry=telemetry, deadline=5
+                recording=recording, deadline=5
             ))
         # The caller owns the recorder, so the samples up to the abort —
         # the ones a timeout investigation wants — survive it.
-        assert telemetry.sampler.ticks[-1] == telemetry.meta["ticks"] == 5
-        assert "deadline" in telemetry.meta["aborted"]
+        assert recording.series.ticks[-1] == recording.meta["ticks"] == 5
+        assert "deadline" in recording.meta["aborted"]
 
 
 class TestTraceDroppedWarning:
@@ -391,18 +380,19 @@ class TestTraceDroppedWarning:
             graph, ClusterConfig(num_machines=4, seed=0)
         )
         result = engine.query(QUERY, context=ExecutionContext(
-            tracer=Tracer(max_events=50)
+            recording=Recording(max_events=50)
         ))
-        assert result.trace.dropped > 0
-        assert "WARNING: trace truncated" in result.explain_analyze()
-        assert "WARNING: trace truncated" in result.trace.profile().summary()
+        assert result.recording.dropped > 0
+        assert "WARNING: recording truncated" in result.explain_analyze()
+        assert "WARNING: recording truncated" \
+            in result.recording.profile().summary()
 
     def test_no_warning_when_nothing_dropped(self):
         graph = uniform_random_graph(60, 240, seed=0)
         engine = PgxdAsyncEngine(graph, ClusterConfig(num_machines=2))
         result = engine.query(
-            QUERY, context=ExecutionContext(tracer=Tracer())
+            QUERY, context=ExecutionContext(recording=Recording())
         )
-        assert result.trace.dropped == 0
+        assert result.recording.dropped == 0
         assert "WARNING" not in result.explain_analyze()
-        assert "WARNING" not in result.trace.profile().summary()
+        assert "WARNING" not in result.recording.profile().summary()

@@ -10,7 +10,7 @@ import pytest
 from repro import ClusterConfig, ExecutionContext, QueryMetrics
 from repro.cluster.metrics import MachineMetrics
 from repro.errors import QueryAborted
-from repro.obs import Telemetry, Tracer
+from repro.obs import Recording
 from repro.runtime import PgxdAsyncEngine
 
 
@@ -128,40 +128,64 @@ class TestUnionContext:
         assert whole.metrics.ticks > longest.metrics.ticks
 
     def test_context_recorders_collect_the_merged_run(self, engine):
-        tracer, telemetry = Tracer(), Telemetry()
+        recording = Recording()
         result = engine.query(self.QUERY, context=ExecutionContext(
-            tracer=tracer, telemetry=telemetry, query_id="tenant-7",
+            recording=recording, query_id="tenant-7",
         ))
-        assert result.trace is tracer and result.telemetry is telemetry
+        assert result.recording is recording
         again = engine.query(self.QUERY, context=ExecutionContext(
-            tracer=Tracer(), telemetry=Telemetry(),
-        ))
-        assert result.rows == again.rows
-        assert [event.to_dict() for event in tracer] == \
-            [event.to_dict() for event in again.trace]
-        assert tracer.meta == again.trace.meta
-        assert tracer.meta["ticks"] == result.metrics.ticks
-        assert telemetry.meta["ticks"] == result.metrics.ticks
-        assert telemetry.sampler.ticks == again.telemetry.sampler.ticks
+            recording=Recording(),
+        )).recording
+        assert [event.to_dict() for event in recording] == \
+            [event.to_dict() for event in again]
+        assert recording.meta == again.meta
+        assert recording.meta["ticks"] == result.metrics.ticks
+        assert recording.series.ticks == again.series.ticks
+        assert recording.prometheus() == again.prometheus()
+
+    def test_registry_totals_add_across_expansions(self, engine):
+        """The machines' counters are written once per expansion, at its
+        seal; merged, they are the union's QueryMetrics totals."""
+        recording = Recording()
+        metrics = engine.query(self.QUERY, context=ExecutionContext(
+            recording=recording
+        )).metrics
+
+        def total(name):
+            return sum(child.get() for _labels, child in
+                       recording.registry.get(name).children())
+
+        assert total("repro_ops_total") == metrics.total_ops
+        assert total("repro_work_messages_sent_total") \
+            == metrics.work_messages
+        assert total("repro_contexts_sent_total") \
+            == metrics.contexts_shipped
+        assert total("repro_control_messages_sent_total") \
+            == metrics.control_messages
+        assert total("repro_results_emitted_total") == metrics.num_results
+        assert total("repro_idle_ticks_total") == metrics.total_idle_ticks
+        for machine_id, columns in recording.series.machines.items():
+            assert recording.registry.get("repro_ops_total") \
+                .labels(machine_id).get() == sum(columns["ops"])
 
     def test_abort_keeps_the_aborting_expansions_recording(self, engine):
-        """Expansion 2 of 2 runs out of budget: the caller's recorders
-        hold both expansions on the union's timeline, up to the abort."""
+        """Expansion 2 of 2 runs out of budget: the caller's recording
+        holds both expansions on the union's timeline, up to the abort."""
         first = engine.query("SELECT a, b WHERE (a)-[]->(b)")
         deadline = first.metrics.ticks + 2  # fits {1}, not {2}
-        tracer, telemetry = Tracer(), Telemetry()
+        recording = Recording()
         with pytest.raises(QueryAborted) as info:
             engine.query(self.QUERY, context=ExecutionContext(
-                tracer=tracer, telemetry=telemetry, deadline=deadline,
+                recording=recording, deadline=deadline,
             ))
         aborted = info.value
         end = first.metrics.ticks + deadline
-        assert aborted.trace is tracer
+        assert aborted.recording is recording
         assert aborted.tick == aborted.metrics.ticks == end
-        assert tracer.meta["ticks"] == telemetry.meta["ticks"] == end
-        assert tracer.events[-1].kind == "aborted"
-        assert tracer.events[-1].tick == end
-        assert telemetry.sampler.ticks[-1] == end
+        assert recording.meta["ticks"] == end
+        assert recording.events[-1].kind == "aborted"
+        assert recording.events[-1].tick == end
+        assert recording.series.ticks[-1] == end
         assert "at tick %d" % end in str(aborted)
 
 
@@ -186,7 +210,7 @@ class TestExplainAnalyze:
     def test_union_query_with_trace(self, engine):
         result = engine.query(
             "SELECT a, b WHERE (a)-/{1,2}/->(b)",
-            context=ExecutionContext(tracer=Tracer()),
+            context=ExecutionContext(recording=Recording()),
         )
         text = result.explain_analyze()
         assert "total: %d ticks" % result.metrics.ticks in text
