@@ -28,7 +28,6 @@ from repro.analysis.dataflow import ForwardDataflow, iter_scopes
 from repro.analysis.report import json_report, summary_line, text_report
 from repro.analysis.rules import RULE_CLASSES, default_rules, rule_by_id
 from repro.analysis.runner import AnalysisResult, analyze
-from repro.analysis.sarif import sarif_report
 
 __all__ = [
     "AnalysisResult",
@@ -48,7 +47,6 @@ __all__ = [
     "json_report",
     "render_catalog",
     "rule_by_id",
-    "sarif_report",
     "summary_line",
     "text_report",
 ]

@@ -5,11 +5,8 @@ The analyzer is deliberately stdlib-only: modules are parsed with
 every rule works on those parse trees — nothing is ever imported or
 executed.  Three ideas organize the package:
 
-* a :class:`Finding` is one violation at one source location, carrying a
-  *fingerprint* — ``(rule, path, symbol, pattern, snippet_hash)`` — that
-  is stable across line-number churn (the snippet hash normalizes
-  whitespace before hashing), so SARIF consumers can dedup across
-  unrelated edits;
+* a :class:`Finding` is one violation at one source location: rule,
+  severity, path, line, enclosing symbol, message and pattern;
 * a :class:`SourceModule` is one parsed file plus the metadata rules
   need: its dotted module name (for scope checks), its per-line
   ``# repro: allow(...)`` suppressions, and its parse tree;
@@ -19,7 +16,6 @@ executed.  Three ideas organize the package:
 """
 
 import ast
-import hashlib
 import io
 import os
 import re
@@ -41,11 +37,11 @@ class Finding:
 
     __slots__ = (
         "rule", "severity", "path", "module", "line", "col", "symbol",
-        "message", "pattern", "snippet_hash",
+        "message", "pattern",
     )
 
     def __init__(self, rule, severity, path, module, line, col, symbol,
-                 message, pattern, snippet_hash=None):
+                 message, pattern):
         if severity not in SEVERITIES:
             raise AnalysisError("unknown severity: %r" % (severity,))
         self.rule = rule
@@ -57,19 +53,6 @@ class Finding:
         self.symbol = symbol
         self.message = message
         self.pattern = pattern
-        #: Hash of the whitespace-normalized source snippet the finding
-        #: anchors to (None when no source segment is recoverable).
-        self.snippet_hash = snippet_hash
-
-    def fingerprint(self):
-        """Line-number-independent identity (SARIF ``partialFingerprints``).
-
-        Built from the rule, path, enclosing qualname, pattern, and the
-        normalized-snippet hash — never from line numbers, so it
-        survives unrelated edits that merely shift code around.
-        """
-        return (self.rule, self.path, self.symbol, self.pattern,
-                self.snippet_hash)
 
     def to_dict(self):
         return {
@@ -82,7 +65,6 @@ class Finding:
             "symbol": self.symbol,
             "message": self.message,
             "pattern": self.pattern,
-            "snippet_hash": self.snippet_hash,
         }
 
     def __repr__(self):
@@ -171,25 +153,6 @@ def load_module(abspath, root=None):
     )
 
 
-def snippet_hash(source, node):
-    """Hash of the whitespace-normalized source text behind *node*.
-
-    Normalization (strip + collapse internal whitespace runs) makes the
-    hash survive re-indentation and line-wrapping; only a change to the
-    tokens themselves produces a new fingerprint.
-    """
-    segment = None
-    if source and getattr(node, "lineno", None):
-        try:
-            segment = ast.get_source_segment(source, node)
-        except (TypeError, ValueError):
-            segment = None
-    if segment is None:
-        return None
-    normalized = " ".join(segment.split())
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
-
-
 def package_root(abspath):
     """Directory containing the topmost package of *abspath*."""
     directory = os.path.dirname(os.path.abspath(abspath))
@@ -268,7 +231,6 @@ class Rule:
             symbols.get(node) or _symbol_at(module.tree, node),
             message,
             pattern,
-            snippet_hash=snippet_hash(module.source, node),
         )
 
 

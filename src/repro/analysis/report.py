@@ -3,7 +3,7 @@
 import json
 
 #: JSON report schema identifier.
-SCHEMA = "repro-lint/1"
+SCHEMA = "repro-lint/2"
 
 
 def summary_line(result):

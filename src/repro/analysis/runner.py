@@ -56,30 +56,17 @@ def load_modules(paths):
     return modules
 
 
-def analyze(paths, rules=None, severities=None, only=None):
+def analyze(paths, rules=None):
     """Run *rules* (default: the full pack) over *paths*.
 
     Inline ``# repro: allow(RPR00N)`` comments are the one suppression
     mechanism; the returned :class:`AnalysisResult` carries only live
     findings plus the count of suppressed ones.
-
-    *severities* optionally maps rule ids to severity overrides
-    (``{"RPR006": "warning"}``) applied before the fail gate.  *only*
-    optionally restricts *reported* findings to a set of absolute file
-    paths (``--diff``): the full module set is still loaded so
-    project-wide rules see complete context, but findings outside the
-    set are dropped before suppression bookkeeping.
     """
     modules = load_modules(paths)
     if rules is None:
         rules = default_rules()
-    if severities:
-        for rule in rules:
-            override = severities.get(rule.id)
-            if override is not None:
-                rule.severity = override
     by_path = {module.path: module for module in modules}
-    by_abspath = {module.abspath: module for module in modules}
 
     raw = []
     for rule in rules:
@@ -89,14 +76,6 @@ def analyze(paths, rules=None, severities=None, only=None):
             for module in modules:
                 if rule.applies(module):
                     raw.extend(rule.check(module))
-
-    if only is not None:
-        wanted = {os.path.abspath(path) for path in only}
-        wanted_display = {
-            module.path for abspath, module in by_abspath.items()
-            if abspath in wanted
-        }
-        raw = [f for f in raw if f.path in wanted_display]
 
     findings, suppressed = [], 0
     for finding in raw:

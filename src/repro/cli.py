@@ -31,29 +31,43 @@ Usage examples::
     python -m repro analyze --random 1000x5000 pagerank --iterations 20
 
     python -m repro analyze --bsbm 500 wcc
+
+Every command runs one function, named by ``set_defaults(func=...)``.
+A run that stops short (deadline, crash, stall) prints
+:func:`repro.errors.stop_report` and exits :data:`EXIT_ABORTED`; any
+other library error prints one line to stderr and exits
+:data:`EXIT_ERROR`.
 """
 
 import argparse
+import json
 import os
+import re
 import sys
 
 from repro.bench import EXIT_REGRESSION
 from repro.chaos import PROFILES, profile
 from repro.cluster.config import ClusterConfig
 from repro.context import ExecutionContext
-from repro.errors import QueryAborted, QueryStalled
+from repro.errors import QueryAborted, QueryStalled, ReproError, \
+    stop_report
 from repro.graph import load_edge_list, load_json, uniform_random_graph
 from repro.obs import Recording
 from repro.plan import MatchSemantics, PlannerOptions, SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
 
-#: Exit code for a query that aborted (deadline, crash) — distinct from
-#: argparse's 2 so scripts can tell "bad usage" from "query cancelled".
+#: Exit code for a query that aborted (deadline, crash) or stalled —
+#: distinct from argparse's 2 so scripts can tell "bad usage" from
+#: "query cancelled".
 EXIT_ABORTED = 3
 
 #: Exit code for ``repro lint`` when findings meet the ``--fail-on``
 #: threshold (usage errors stay argparse's 2).
 EXIT_LINT = 1
+
+#: Exit code for bad input the library rejected with a typed
+#: :class:`~repro.errors.ReproError` — argparse's code for bad usage.
+EXIT_ERROR = 2
 
 
 def build_parser():
@@ -64,9 +78,8 @@ def build_parser():
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    query = subparsers.add_parser("query", help="run a PGQL query")
-    _add_graph_args(query)
-    _add_query_args(query)
+    query = _command(subparsers, "query", cmd_query, "run a PGQL query",
+                     _add_query_args)
     query.add_argument("--explain", action="store_true",
                        help="print the stage plan instead of executing")
     query.add_argument("--explain-analyze", action="store_true",
@@ -82,12 +95,11 @@ def build_parser():
     query.add_argument("--limit-print", type=int, default=20,
                        help="max rows to print (default 20)")
 
-    trace = subparsers.add_parser(
-        "trace",
-        help="run a PGQL query with event tracing and report the timeline",
+    trace = _command(
+        subparsers, "trace", cmd_trace,
+        "run a PGQL query with event tracing and report the timeline",
+        _add_query_args,
     )
-    _add_graph_args(trace)
-    _add_query_args(trace)
     trace.add_argument("--chrome-out", metavar="PATH",
                        help="write a chrome://tracing JSON file")
     trace.add_argument("--width", type=int, default=72,
@@ -95,13 +107,12 @@ def build_parser():
     trace.add_argument("--max-events", type=int, default=1_000_000,
                        help="cap on recorded trace events")
 
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="run a PGQL query under a fault profile with the "
-             "reliability layer, and report delivered-exactly-once stats",
+    chaos = _command(
+        subparsers, "chaos", cmd_chaos,
+        "run a PGQL query under a fault profile with the "
+        "reliability layer, and report delivered-exactly-once stats",
+        _add_query_args,
     )
-    _add_graph_args(chaos)
-    _add_query_args(chaos)
     chaos.add_argument("--profile", choices=sorted(PROFILES),
                        default="soak",
                        help="named fault mix (default: soak)")
@@ -125,13 +136,12 @@ def build_parser():
     chaos.add_argument("--limit-print", type=int, default=0,
                        help="max rows to print (default 0: stats only)")
 
-    monitor = subparsers.add_parser(
-        "monitor",
-        help="run a recorded PGQL query behind a live terminal "
-             "dashboard (sparklines per machine + stage wavefront)",
+    monitor = _command(
+        subparsers, "monitor", cmd_monitor,
+        "run a recorded PGQL query behind a live terminal "
+        "dashboard (sparklines per machine + stage wavefront)",
+        _add_query_args,
     )
-    _add_graph_args(monitor)
-    _add_query_args(monitor)
     monitor.add_argument("--interval", type=int, default=1,
                          help="sample the series every N ticks (default 1)")
     monitor.add_argument("--refresh", type=int, default=None,
@@ -149,10 +159,10 @@ def build_parser():
                          help="write the per-tick series (.csv for CSV, "
                               "anything else JSONL)")
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the seeded benchmark matrix, write BENCH_<tag>.json, "
-             "and optionally gate against a baseline",
+    bench = _command(
+        subparsers, "bench", cmd_bench,
+        "run the seeded benchmark matrix, write BENCH_<tag>.json, "
+        "and optionally gate against a baseline",
     )
     bench.add_argument("--quick", action="store_true",
                        help="run the CI subset of the matrix (a strict "
@@ -174,28 +184,15 @@ def build_parser():
                             "(micro-stepped reference execution; all "
                             "deterministic metrics are identical)")
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the invariant-aware static analysis rule pack "
-             "(determinism, zero-cost-off, protocol exhaustiveness, ...)",
+    lint = _command(
+        subparsers, "lint", cmd_lint,
+        "run the invariant-aware static analysis rule pack "
+        "(determinism, zero-cost-off, protocol exhaustiveness, ...)",
+        _add_format_args,
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to analyze "
                            "(default: src/repro)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text",
-                      help="report format on stdout (default: text)")
-    lint.add_argument("--json-out", metavar="PATH",
-                      help="also write the JSON report to PATH "
-                           "(CI artifact)")
-    lint.add_argument("--sarif-out", metavar="PATH",
-                      help="also write a SARIF 2.1.0 report to PATH "
-                           "(code-scanning artifact)")
-    lint.add_argument("--diff", metavar="REF",
-                      help="only report findings in files changed vs the "
-                           "given git ref (the full tree is still "
-                           "analyzed so project-wide rules see complete "
-                           "context)")
     lint.add_argument("--select", metavar="RPR00N[,RPR00N...]",
                       help="run only the named rules "
                            "(comma-separated ids)")
@@ -203,10 +200,6 @@ def build_parser():
                       help="ignore rule scope restrictions (apply every "
                            "selected rule to every scanned module — for "
                            "scanning tests/ and benchmarks/)")
-    lint.add_argument("--severity", metavar="RPR00N=LEVEL",
-                      action="append", default=[],
-                      help="override a rule's severity (warning|error); "
-                           "repeatable")
     lint.add_argument("--fail-on", choices=["warning", "error"],
                       default="error",
                       help="exit %d when findings at or above this "
@@ -215,12 +208,12 @@ def build_parser():
                       help="print the rule's rationale and an example "
                            "fix, then exit")
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run several PGQL queries concurrently on one shared "
-             "deployment through the multi-query service",
+    serve = _command(
+        subparsers, "serve", cmd_serve,
+        "run several PGQL queries concurrently on one shared "
+        "deployment through the multi-query service",
+        _add_engine_args,
     )
-    _add_graph_args(serve)
     serve.add_argument("queries", nargs="+", metavar="PGQL",
                        help="the PGQL query texts (each becomes one "
                             "service scope)")
@@ -243,13 +236,13 @@ def build_parser():
                        help="cancel the Nth query at global tick T "
                             "(repeatable)")
 
-    traffic = subparsers.add_parser(
-        "traffic",
-        help="drive a seeded open-loop arrival process against the "
-             "multi-query service and report latency percentiles plus "
-             "a saturation curve",
+    traffic = _command(
+        subparsers, "traffic", cmd_traffic,
+        "drive a seeded open-loop arrival process against the "
+        "multi-query service and report latency percentiles plus "
+        "a saturation curve",
+        _add_engine_args,
     )
-    _add_graph_args(traffic)
     traffic.add_argument("--arrivals", type=int, default=12,
                          help="number of query arrivals (default 12)")
     traffic.add_argument("--gap", type=int, default=64,
@@ -282,14 +275,13 @@ def build_parser():
                               "row- and metric-identical per-query "
                               "outcomes (exit 1 on mismatch)")
 
-    stats = subparsers.add_parser(
-        "stats",
-        help="collect and print a graph's statistics (label counts, "
-             "degree histograms, edge fan-out, exact per-property "
-             "distinct and top-value counts)",
+    stats = _command(
+        subparsers, "stats", cmd_stats,
+        "collect and print a graph's statistics (label counts, "
+        "degree histograms, edge fan-out, exact per-property "
+        "distinct and top-value counts)",
+        _add_graph_args, _add_format_args,
     )
-    _add_graph_args(stats)
-    _add_format_args(stats)
     stats.add_argument("--top", type=int, default=5,
                        help="fan-out triples / top values shown per "
                             "section in table mode (default 5)")
@@ -298,18 +290,19 @@ def build_parser():
                             "statistics embedded (load_json re-attaches "
                             "them without recollection)")
 
-    feedback = subparsers.add_parser(
-        "feedback",
-        help="inspect a planner feedback store: recorded plan-vs-actual "
-             "profiles and the selectivity corrections they produce",
+    feedback = _command(
+        subparsers, "feedback", cmd_feedback,
+        "inspect a planner feedback store: recorded plan-vs-actual "
+        "profiles and the selectivity corrections they produce",
+        _add_format_args,
     )
     feedback.add_argument("store", metavar="PATH",
                           help="feedback store JSON written by "
                                "`repro query --feedback-store`")
-    _add_format_args(feedback)
 
-    analyze = subparsers.add_parser("analyze", help="run a BSP algorithm")
-    _add_graph_args(analyze)
+    analyze = _command(subparsers, "analyze", cmd_analyze,
+                       "run a BSP algorithm",
+                       _add_graph_args, _add_cluster_args)
     analyze.add_argument(
         "algorithm",
         choices=["pagerank", "wcc", "sssp", "triangles", "degree"],
@@ -323,8 +316,19 @@ def build_parser():
     return parser
 
 
+def _command(subparsers, name, func, summary, *arg_groups):
+    """Sub-command *name*, dispatched to *func* by :func:`main`, with
+    the shared flag groups *arg_groups* (``_add_*_args``)."""
+    sub = subparsers.add_parser(name, help=summary)
+    sub.set_defaults(func=func)
+    for add_args in arg_groups:
+        add_args(sub)
+    return sub
+
+
 def _add_format_args(sub):
-    """The shared report-output convention (matches ``repro lint``)."""
+    """The shared report-output convention (``stats``, ``feedback``,
+    ``lint``); :func:`_print_report` reads it."""
     sub.add_argument("--format", choices=["text", "json"], default="text",
                      help="report format on stdout (default: text)")
     sub.add_argument("--json-out", metavar="PATH",
@@ -333,6 +337,9 @@ def _add_format_args(sub):
 
 
 def _add_query_args(sub):
+    """The flags of a query-running command (``query``, ``trace``,
+    ``chaos``, ``monitor``), all read by :func:`_run_query`."""
+    _add_engine_args(sub)
     sub.add_argument("pgql", help="the PGQL query text")
     sub.add_argument("--semantics", default="homomorphism",
                      choices=[s.value for s in MatchSemantics])
@@ -362,9 +369,18 @@ def _add_graph_args(sub):
                         help="uniform random graph, e.g. 1000x5000")
     source.add_argument("--bsbm", type=int, metavar="PRODUCTS",
                         help="BSBM-like e-commerce graph")
+    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_cluster_args(sub):
     sub.add_argument("--machines", type=int, default=4)
     sub.add_argument("--workers", type=int, default=4)
-    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_engine_args(sub):
+    """The flags :func:`_build_engine` reads."""
+    _add_graph_args(sub)
+    _add_cluster_args(sub)
     sub.add_argument("--ghost-threshold", type=int, default=None,
                      help="replicate vertices with total degree >= N "
                           "(PGX.D ghost nodes; off by default)")
@@ -386,85 +402,104 @@ def load_graph(args):
     return generate_bsbm(args.bsbm, seed=args.seed).graph
 
 
+def _cluster_config(args, **overrides):
+    return ClusterConfig(num_machines=args.machines,
+                         workers_per_machine=args.workers,
+                         seed=args.seed,
+                         **overrides)
+
+
 def _build_engine(args, **config_overrides):
-    """Shared setup of the query/trace subcommands: the engine (the
-    cluster) and the planner options (the plan); each command builds
-    its own :class:`ExecutionContext` (the run)."""
-    options = PlannerOptions(
+    """The engine of every query-running command: the graph, the
+    cluster config (plus *config_overrides*), ghost replication when
+    ``--ghost-threshold`` asks for it."""
+    graph = load_graph(args)
+    config = _cluster_config(args, **config_overrides)
+    if args.ghost_threshold is not None:
+        from repro.graph import DistributedGraph
+
+        graph = DistributedGraph.create(
+            graph, config.num_machines,
+            ghost_threshold=args.ghost_threshold,
+        )
+    return PgxdAsyncEngine(graph, config)
+
+
+def _planner_options(args, feedback=None):
+    return PlannerOptions(
         semantics=MatchSemantics(args.semantics),
         scheduling=SchedulingPolicy(args.plan),
         use_common_neighbors=args.common_neighbors,
+        feedback=feedback,
     )
-    return _build_cluster_engine(args, **config_overrides), options
 
 
-def _print_abort(aborted):
-    """Report an aborted query: the reason plus whatever partial state
-    the simulator managed to collect before giving up."""
-    print("query aborted:", aborted.reason)
-    if aborted.tick is not None:
-        print("at tick  :", aborted.tick)
-    if aborted.metrics is not None:
-        print("partial  :", aborted.metrics.summary())
-    if aborted.detail:
-        print("detail   :", aborted.detail)
-    if getattr(aborted, "flow_state", None):
-        # Scope-aware rendering: under the multi-query service the
-        # snapshot covers every co-tenant, each entry tagged with its
-        # query_id — so a timeout names who held the budget, not just
-        # the global occupancy gauges.
-        scoped = any(
-            entry.get("query_id") is not None
-            for entry in aborted.flow_state
-        )
-        print("flow     :")
-        for entry in aborted.flow_state:
-            windows = ",".join(
-                "s%d->m%d:%d" % (stage, dest, count)
-                for (stage, dest), count in sorted(
-                    entry["occupancy"].items()
-                )
-            )
-            scope = ""
-            if scoped:
-                scope = "[%s] " % (entry.get("query_id") or "-")
-            print(
-                "  %smachine %d: buffered=%d frames=%d inflight=%d%s"
-                % (
-                    scope,
-                    entry["machine"],
-                    entry["buffered_contexts"],
-                    entry["live_frames"],
-                    entry["inflight_total"],
-                    "  windows [%s]" % windows if windows else "",
-                )
-            )
+def _run_query(args, recording=None, feedback=None, query=None,
+               **config_overrides):
+    """The one query run of ``query``, ``chaos``, ``trace`` and
+    ``monitor``: each supplies its :class:`Recording` (or None), its
+    cluster overrides, and what it prints afterwards.  *query* is
+    ``args.pgql`` unless the caller already parsed it.  A run that
+    stops short raises to :func:`main`, which prints its report."""
+    engine = _build_engine(args, **config_overrides)
+    return engine.query(args.pgql if query is None else query,
+                        _planner_options(args, feedback),
+                        ExecutionContext(recording=recording,
+                                         deadline=args.timeout))
+
+
+def _print_counts(result):
+    print("rows     :", len(result.rows))
+    print("metrics  :", result.metrics.summary())
+
+
+def _print_stop(stopped):
+    """The report of a run that stopped short, then its exit code."""
+    print("%s: %s" % (stopped.title, stopped.reason))
+    if stopped.tick is not None:
+        print("%-9s: %s" % ("at tick", stopped.tick))
+    for label, text in stop_report(stopped):
+        print("%-9s: %s" % (label, text))
     return EXIT_ABORTED
 
 
+def _print_report(args, text, document):
+    """Print *text*, or the JSON *document* under ``--format json``;
+    write the document to ``--json-out`` too."""
+    print(document if args.format == "json" else text)
+    if args.json_out:
+        with open(args.json_out, "w") as handle:
+            handle.write(document)
+            handle.write("\n")
+
+
+def _parse_spec(flag, spec, shape, example):
+    """The integers of a *flag* spec shaped like *shape* (``N@T``,
+    ``M@T``, ``M@T+D``: one letter per integer)."""
+    pattern = re.sub("[A-Z]", r"(-?\\d+)", re.escape(shape))
+    match = re.fullmatch(pattern, spec)
+    if match is None:
+        raise SystemExit("%s expects %s, e.g. %s" % (flag, shape, example))
+    return tuple(int(field) for field in match.groups())
+
+
 def cmd_query(args):
-    engine, options = _build_engine(args)
     store = None
     if args.feedback_store:
         from repro.obs.feedback import FeedbackStore
 
         store = FeedbackStore(args.feedback_store)
-        options.feedback = store
     if args.explain:
-        plan = engine.plan(args.pgql, options)
+        plan = _build_engine(args).plan(args.pgql,
+                                        _planner_options(args, store))
         print(plan.describe())
         return 0
-    try:
-        result = engine.query(args.pgql, options, ExecutionContext(
-            recording=Recording() if args.explain_analyze else None,
-            deadline=args.timeout,
-        ))
-    except QueryAborted as aborted:
-        return _print_abort(aborted)
+    result = _run_query(
+        args, Recording() if args.explain_analyze else None, store
+    )
     print(result.result_set.pretty(limit=args.limit_print))
     print()
-    print("rows     :", len(result.rows))
-    print("metrics  :", result.metrics.summary())
+    _print_counts(result)
     if store is not None and result.plan is not None:
         profile = result.execution_profile()
         if profile is not None:
@@ -482,61 +517,30 @@ def cmd_query(args):
     return 0
 
 
-def _parse_stall(spec):
-    """Parse a ``M@T+D`` stall spec into a (machine, start, duration)."""
-    try:
-        machine, rest = spec.split("@")
-        start, duration = rest.split("+")
-        return int(machine), int(start), int(duration)
-    except ValueError:
-        raise SystemExit("--stall expects M@T+D, e.g. 1@50+30")
-
-
-def _parse_crash(spec):
-    """Parse a ``M@T`` crash spec into a (machine, tick)."""
-    try:
-        machine, tick = spec.split("@")
-        return int(machine), int(tick)
-    except ValueError:
-        raise SystemExit("--crash expects M@T, e.g. 2@100")
-
-
 def cmd_chaos(args):
-    overrides = {}
-    if args.drop is not None:
-        overrides["drop_rate"] = args.drop
-    if args.dup is not None:
-        overrides["duplicate_rate"] = args.dup
-    if args.reorder is not None:
-        overrides["reorder_rate"] = args.reorder
-    if args.max_delay is not None:
-        overrides["max_delay"] = args.max_delay
+    rates = (("drop_rate", args.drop), ("duplicate_rate", args.dup),
+             ("reorder_rate", args.reorder), ("max_delay", args.max_delay))
+    overrides = {name: value for name, value in rates if value is not None}
     if args.stall:
-        overrides["stalls"] = tuple(_parse_stall(s) for s in args.stall)
+        overrides["stalls"] = tuple(
+            _parse_spec("--stall", spec, "M@T+D", "1@50+30")
+            for spec in args.stall
+        )
     if args.crash:
-        overrides["crashes"] = (_parse_crash(args.crash),)
+        overrides["crashes"] = (
+            _parse_spec("--crash", args.crash, "M@T", "2@100"),
+        )
     chaos_config = profile(args.profile, seed=args.seed, **overrides)
 
-    engine, options = _build_engine(
-        args, chaos=chaos_config, reliability=True
-    )
-    try:
-        result = engine.query(args.pgql, options,
-                              ExecutionContext(deadline=args.timeout))
-    except QueryAborted as aborted:
-        return _print_abort(aborted)
-
+    result = _run_query(args, chaos=chaos_config, reliability=True)
     if args.limit_print:
         print(result.result_set.pretty(limit=args.limit_print))
         print()
-    print("rows     :", len(result.rows))
-    print("metrics  :", result.metrics.summary())
+    _print_counts(result)
     print("chaos    :", result.metrics.reliability_summary())
 
     if args.verify:
-        clean_engine, clean_options = _build_engine(args)
-        clean = clean_engine.query(args.pgql, clean_options,
-                                   ExecutionContext(deadline=args.timeout))
+        clean = _run_query(args)
         if sorted(result.rows) == sorted(clean.rows):
             print("verify   : OK (results identical to fault-free run)")
         else:
@@ -547,16 +551,9 @@ def cmd_chaos(args):
 
 
 def cmd_trace(args):
-    engine, options = _build_engine(args)
     recording = Recording(max_events=args.max_events)
-    try:
-        result = engine.query(args.pgql, options, ExecutionContext(
-            recording=recording, deadline=args.timeout
-        ))
-    except QueryAborted as aborted:
-        return _print_abort(aborted)
-    print("rows     :", len(result.rows))
-    print("metrics  :", result.metrics.summary())
+    result = _run_query(args, recording)
+    _print_counts(result)
     print(recording.summary())
     print()
     print(result.explain_analyze())
@@ -575,10 +572,9 @@ def cmd_trace(args):
 def cmd_monitor(args):
     from repro.obs.dashboard import Dashboard
     from repro.obs.export import series_csv, series_jsonl
+    from repro.pgql import as_query
     from repro.plan.paths import has_quantified_paths
 
-    engine, options = _build_engine(args)
-    query = engine.parsed(args.pgql)
     dashboard = Dashboard(
         width=args.width,
         interactive=False if args.snapshots else None,
@@ -587,24 +583,22 @@ def cmd_monitor(args):
         8 if dashboard.interactive else 32
     )
     recording = Recording(interval=args.interval)
+    query = as_query(args.pgql)
     if not has_quantified_paths(query):
         # Union expansions each sample into a recording of their own;
         # their merged series is rendered once at the end, not live.
         dashboard.attach(recording.series)
     try:
-        result = engine.query(query, options, ExecutionContext(
-            recording=recording, deadline=args.timeout
-        ))
+        result = _run_query(args, recording, query=query)
     except QueryAborted as aborted:
-        code = _print_abort(aborted)
+        code = _print_stop(aborted)
         if recording.series.num_samples:
             print(recording.summary())
         return code
     # One last frame for the run's end state.
     dashboard.on_sample(recording.series, recording.meta.get("ticks", 0))
     print()
-    print("rows     :", len(result.rows))
-    print("metrics  :", result.metrics.summary())
+    _print_counts(result)
     print(recording.summary())
     if args.prom_out:
         with open(args.prom_out, "w") as handle:
@@ -682,48 +676,8 @@ def _lint_rules(args):
     return rules
 
 
-def _lint_severities(args):
-    """Parse repeated ``--severity RPR00N=level`` overrides."""
-    from repro.analysis import SEVERITIES
-
-    severities = {}
-    for spec in args.severity:
-        rule_id, _, level = spec.partition("=")
-        if level not in SEVERITIES:
-            raise SystemExit(
-                "repro lint: bad --severity %r (expected "
-                "RPR00N=warning or RPR00N=error)" % spec
-            )
-        severities[rule_id.strip()] = level
-    return severities
-
-
-def _diff_paths(ref):
-    """Absolute paths of files changed vs *ref* (``--diff``)."""
-    import subprocess
-
-    try:
-        output = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        raise SystemExit(
-            "repro lint: cannot diff against %r: %s"
-            % (ref, detail.strip())
-        )
-    return [os.path.abspath(line) for line in output.splitlines() if line]
-
-
 def cmd_lint(args):
-    from repro.analysis import (
-        analyze,
-        explain,
-        json_report,
-        sarif_report,
-        text_report,
-    )
+    from repro.analysis import analyze, explain, json_report, text_report
 
     if args.explain:
         text = explain(args.explain)
@@ -734,74 +688,56 @@ def cmd_lint(args):
         print(text)
         return 0
 
-    paths = args.paths or ["src/repro"]
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        raise SystemExit(
-            "repro lint: no such path: %s (run from the repository "
-            "root, or name the paths to analyze)" % ", ".join(missing)
-        )
-
-    rules = _lint_rules(args)
-    severities = _lint_severities(args)
-    only = _diff_paths(args.diff) if args.diff else None
-    result = analyze(paths, rules=rules, severities=severities, only=only)
-
-    if args.format == "json":
-        print(json_report(result))
-    elif args.format == "sarif":
-        print(sarif_report(result))
-    else:
-        if only is not None:
-            print("diff     : %d changed file%s vs %s"
-                  % (len(only), "" if len(only) == 1 else "s", args.diff))
-        print(text_report(result))
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(json_report(result))
-            handle.write("\n")
-    if args.sarif_out:
-        with open(args.sarif_out, "w") as handle:
-            handle.write(sarif_report(result))
-            handle.write("\n")
+    result = analyze(args.paths or ["src/repro"], rules=_lint_rules(args))
+    _print_report(args, text_report(result), json_report(result))
     return EXIT_LINT if result.fails(args.fail_on) else 0
 
 
-def _build_cluster_engine(args, **config_overrides):
-    """Engine setup of every query-running subcommand: graph, cluster
-    config, optional ghost replication."""
-    graph = load_graph(args)
-    config = ClusterConfig(num_machines=args.machines,
-                           workers_per_machine=args.workers,
-                           seed=args.seed,
-                           **config_overrides)
-    if args.ghost_threshold is not None:
-        from repro.graph import DistributedGraph
-
-        graph = DistributedGraph.create(
-            graph, config.num_machines,
-            ghost_threshold=args.ghost_threshold,
-        )
-    return PgxdAsyncEngine(graph, config)
+#: The per-tenant table of ``serve`` and ``traffic``: one column per
+#: ``QueryService.stats()`` key, as (header, format).
+_TENANT_COLUMNS = {
+    "query_id": ("query", "%-6s"),
+    "status": ("status", "%-10s"),
+    "priority": ("pri", "%3s"),
+    "admission_wait": ("wait", "%8s"),
+    "latency": ("latency", "%8s"),
+    "virtual_ticks": ("vticks", "%8s"),
+    "rows": ("rows", "%8s"),
+}
 
 
-def _parse_cancel(spec):
-    """Parse an ``N@T`` cancellation spec into (query index, tick)."""
-    try:
-        index, tick = spec.split("@")
-        return int(index), int(tick)
-    except ValueError:
-        raise SystemExit("--cancel expects N@T, e.g. 1@500")
+def _print_tenants(records, skip=()):
+    """The tenant table over ``stats()`` rows; "-" for a value the
+    tenant never reached (no admission, no result)."""
+    columns = [(key, header, form)
+               for key, (header, form) in _TENANT_COLUMNS.items()
+               if key not in skip]
+    print(" ".join(form % header for _key, header, form in columns))
+    for record in records:
+        print(" ".join(
+            form % ("-" if record[key] is None else record[key])
+            for key, _header, form in columns
+        ))
 
 
 def cmd_serve(args):
     from repro.service import QueryService, ServiceConfig
 
-    engine = _build_cluster_engine(args)
+    cancels = sorted(
+        (_parse_spec("--cancel", spec, "N@T", "1@500")
+         for spec in args.cancel),
+        key=lambda pair: pair[1],
+    )
+    for index, _tick in cancels:
+        if not 0 <= index < len(args.queries):
+            raise SystemExit(
+                "--cancel index %d out of range (%d queries)"
+                % (index, len(args.queries))
+            )
+    engine = _build_engine(args)
     service = QueryService(engine, ServiceConfig(
         max_concurrent=args.slots,
         scope_window=args.scope_window,
-        telemetry=True,
     ))
     handles = []
     for index, pgql in enumerate(args.queries):
@@ -811,20 +747,9 @@ def cmd_serve(args):
         handles.append(service.submit(
             pgql, priority=priority, deadline=args.timeout
         ))
-    cancels = sorted(
-        (_parse_cancel(spec) for spec in args.cancel),
-        key=lambda pair: pair[1],
-    )
-    pending_cancels = list(cancels)
     while True:
-        while pending_cancels and pending_cancels[0][1] <= service.now:
-            index, _tick = pending_cancels.pop(0)
-            if index >= len(handles):
-                raise SystemExit(
-                    "--cancel index %d out of range (%d queries)"
-                    % (index, len(handles))
-                )
-            handles[index].cancel()
+        while cancels and cancels[0][1] <= service.now:
+            handles[cancels.pop(0)[0]].cancel()
         if not service.step():
             break
     print("scope window :", service.scope_config.flow_control_window,
@@ -833,30 +758,14 @@ def cmd_serve(args):
     print("global ticks :", service.now)
     print("peak active  :", service.peak_active)
     print()
-    print("%-6s %-10s %3s %8s %8s %8s %8s"
-          % ("query", "status", "pri", "wait", "latency", "vticks",
-             "rows"))
-    for record in service.stats():
-        print("%-6s %-10s %3d %8s %8s %8d %8s" % (
-            record["query_id"],
-            record["status"],
-            record["priority"],
-            record["admission_wait"] if record["admission_wait"]
-            is not None else "-",
-            record["latency"] if record["latency"] is not None else "-",
-            record["virtual_ticks"],
-            record["rows"] if record["rows"] is not None else "-",
-        ))
-    aborted = [
-        record for record in service.stats()
-        if record["status"] == "aborted"
-    ]
+    records = service.stats()
+    _print_tenants(records)
+    aborted = [record for record in records
+               if record["status"] == "aborted"]
     for record in aborted:
-        scope = service.scope(record["query_id"])
-        if scope.aborted is not None:
-            print()
-            print("abort [%s]:" % record["query_id"])
-            _print_abort(scope.aborted)
+        print()
+        print("abort [%s]:" % record["query_id"])
+        _print_stop(service.scope(record["query_id"]).aborted)
     return EXIT_ABORTED if aborted else 0
 
 
@@ -868,11 +777,17 @@ def cmd_traffic(args):
         verify_serial_parity,
     )
 
+    gaps = None
+    if args.sweep:
+        try:
+            gaps = tuple(int(part) for part in args.sweep.split(","))
+        except ValueError:
+            raise SystemExit("--sweep expects G1,G2,..., e.g. 256,64,16")
     overrides = {}
     if args.chaos:
-        overrides["chaos"] = profile(args.chaos, seed=args.seed)
-        overrides["reliability"] = True
-    engine = _build_cluster_engine(args, **overrides)
+        overrides = {"chaos": profile(args.chaos, seed=args.seed),
+                     "reliability": True}
+    engine = _build_engine(args, **overrides)
     traffic = TrafficConfig(
         arrivals=args.arrivals,
         mean_interarrival=args.gap,
@@ -882,14 +797,10 @@ def cmd_traffic(args):
         query_edges=args.query_edges,
         distinct_queries=args.distinct,
         deadline=args.deadline,
-        telemetry=True,
     )
 
     if args.verify_serial:
-        concurrent, serial, mismatches = verify_serial_parity(
-            engine, traffic
-        )
-        report = concurrent
+        report, serial, mismatches = verify_serial_parity(engine, traffic)
     else:
         report = run_traffic(engine, traffic)
 
@@ -902,24 +813,9 @@ def cmd_traffic(args):
     if args.chaos:
         print("chaos    : profile=%s (reliability on)" % args.chaos)
     print()
-    print("%-6s %-10s %8s %8s %8s %8s"
-          % ("query", "status", "wait", "latency", "vticks", "rows"))
-    for record in report.records:
-        print("%-6s %-10s %8s %8s %8d %8s" % (
-            record["query_id"],
-            record["status"],
-            record["admission_wait"] if record["admission_wait"]
-            is not None else "-",
-            record["latency"] if record["latency"] is not None else "-",
-            record["virtual_ticks"],
-            record["rows"] if record["rows"] is not None else "-",
-        ))
+    _print_tenants(report.records, skip=("priority",))
 
-    if args.sweep:
-        try:
-            gaps = tuple(int(part) for part in args.sweep.split(","))
-        except ValueError:
-            raise SystemExit("--sweep expects G1,G2,..., e.g. 256,64,16")
+    if gaps:
         print()
         print("saturation curve (offered load sweep):")
         print("%8s %10s %8s %8s %8s %12s %6s" % (
@@ -954,14 +850,7 @@ def cmd_traffic(args):
 def cmd_stats(args):
     graph = load_graph(args)
     stats = graph.statistics()
-    if args.format == "json":
-        print(stats.to_json())
-    else:
-        print(stats.table(top=args.top))
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(stats.to_json())
-            handle.write("\n")
+    _print_report(args, stats.table(top=args.top), stats.to_json())
     if args.out:
         from repro.graph import save_json
 
@@ -972,32 +861,24 @@ def cmd_stats(args):
 
 
 def cmd_feedback(args):
-    import json
-
     from repro.obs.feedback import FeedbackStore, q_error
 
     if not os.path.exists(args.store):
         raise SystemExit("repro feedback: no such store: %s" % args.store)
     store = FeedbackStore(args.store)
-    doc = store.to_dict()
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("feedback store: %s (%d quer%s)"
-              % (args.store, len(store), "y" if len(store) == 1 else "ies"))
-        for fingerprint, entry in store.entries():
-            print()
-            print("%s  %s" % (fingerprint, entry["pgql"]))
-            print("  order=%s  common_neighbors=%s"
-                  % (entry["order"], entry["use_common_neighbors"]))
-            for row in entry["operators"]:
-                print("  %-46s est~%-10.2f actual=%-8d q=%.2f"
-                      % (row["op"], row["estimated"], row["actual"],
-                         q_error(row["estimated"], row["actual"])))
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    lines = ["feedback store: %s (%d quer%s)"
+             % (args.store, len(store), "y" if len(store) == 1 else "ies")]
+    for fingerprint, entry in store.entries():
+        lines.append("")
+        lines.append("%s  %s" % (fingerprint, entry["pgql"]))
+        lines.append("  order=%s  common_neighbors=%s"
+                     % (entry["order"], entry["use_common_neighbors"]))
+        for row in entry["operators"]:
+            lines.append("  %-46s est~%-10.2f actual=%-8d q=%.2f"
+                         % (row["op"], row["estimated"], row["actual"],
+                            q_error(row["estimated"], row["actual"])))
+    _print_report(args, "\n".join(lines),
+                  json.dumps(store.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -1011,11 +892,7 @@ def cmd_analyze(args):
         WeaklyConnectedComponents,
     )
 
-    graph = load_graph(args)
-    config = ClusterConfig(num_machines=args.machines,
-                           workers_per_machine=args.workers)
-    engine = BspEngine(graph, config)
-
+    engine = BspEngine(load_graph(args), _cluster_config(args))
     programs = {
         "pagerank": lambda: PageRank(iterations=args.iterations),
         "wcc": WeaklyConnectedComponents,
@@ -1042,49 +919,18 @@ def cmd_analyze(args):
     return 0
 
 
-def _print_stall(stalled):
-    """Report a stalled query the way :func:`_print_abort` reports an
-    aborted one: the diagnosis, no traceback."""
-    print("query stalled:", stalled.reason)
-    if stalled.tick is not None:
-        print("at tick  :", stalled.tick)
-    if stalled.detail:
-        print("detail   :", stalled.detail)
-    for line in stalled.describe_sleep():
-        print("sleep    :", line)
-    return EXIT_ABORTED
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _run_command(args)
-    except QueryStalled as stalled:
-        return _print_stall(stalled)
-
-
-def _run_command(args):
-    if args.command == "query":
-        return cmd_query(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "monitor":
-        return cmd_monitor(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "traffic":
-        return cmd_traffic(args)
-    if args.command == "stats":
-        return cmd_stats(args)
-    if args.command == "feedback":
-        return cmd_feedback(args)
-    return cmd_analyze(args)
+        return args.func(args)
+    except (QueryAborted, QueryStalled) as stopped:
+        return _print_stop(stopped)
+    # The process boundary: stopped runs are reported just above, and
+    # every other typed error becomes one line and an exit code.
+    except ReproError as error:  # repro: allow(RPR005)
+        print("repro %s: error: %s" % (args.command, error),
+              file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

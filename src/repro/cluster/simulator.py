@@ -196,34 +196,6 @@ class Simulator:
             state.append(entry)
         return state
 
-    @staticmethod
-    def _describe_flow_state(state):
-        """Compact one-line rendering of the stuck machines, or None."""
-        parts = []
-        for entry in state:
-            if not (entry["occupancy"] or entry["buffered_contexts"]
-                    or entry["live_frames"]):
-                continue
-            windows = ",".join(
-                "s%d->m%d:%d" % (stage, dest, count)
-                for (stage, dest), count in sorted(
-                    entry["occupancy"].items()
-                )
-            )
-            parts.append(
-                "m%d buf=%d frames=%d inflight=%d%s"
-                % (
-                    entry["machine"],
-                    entry["buffered_contexts"],
-                    entry["live_frames"],
-                    entry["inflight_total"],
-                    " [%s]" % windows if windows else "",
-                )
-            )
-        if not parts:
-            return None
-        return "flow: " + " | ".join(parts)
-
     def flow_state(self):
         """Public form of the per-machine flow snapshot (service layer)."""
         return self._flow_state()
@@ -251,7 +223,8 @@ class Simulator:
 
     def _diagnosis(self):
         """``(detail line or None, flow state)`` of a run that stopped
-        short: termination progress, unacked frames, stuck windows."""
+        short: termination progress and unacked frames, plus the
+        per-machine windows (rendered by ``errors.stop_report``)."""
         details = []
         tracker = getattr(self._machines[0], "termination", None)
         if tracker is not None:
@@ -263,11 +236,7 @@ class Simulator:
         )
         if unacked:
             details.append("%d unacked frames" % unacked)
-        flow_state = self._flow_state()
-        flow_line = self._describe_flow_state(flow_state)
-        if flow_line:
-            details.append(flow_line)
-        return "; ".join(details) or None, flow_state
+        return "; ".join(details) or None, self._flow_state()
 
     def stalled(self, reason):
         """The :class:`QueryStalled` describing this run right now (the

@@ -83,14 +83,21 @@ class QueryAborted(ReproError):
     * ``recording`` — the :class:`~repro.obs.Recording` of the run's
       context, when the caller brought one (the caller's own object,
       sealed with the run up to the abort);
-    * ``detail`` — optional termination/flow-control progress snapshot;
+    * ``detail`` — optional progress line: termination progress, unacked
+      frames and, under the service, the co-tenants holding budget;
     * ``flow_state`` — per-machine flow-control/memory snapshot at abort
       time (deadline aborts included): a list of dicts with ``machine``,
-      ``occupancy`` (the nonzero ``(stage, dest) -> in-flight`` windows
-      from :meth:`FlowControl.occupancy`), and the ``cur_*`` gauges
-      (``buffered_contexts``, ``live_frames``), for stuck-window
-      debugging.  ``None`` when the simulator had no machines attached.
+      ``query_id``, ``occupancy`` (the nonzero ``(stage, dest) ->
+      in-flight`` windows from :meth:`FlowControl.occupancy`),
+      ``inflight_total`` and the ``cur_*`` gauges (``buffered_contexts``,
+      ``live_frames``), for stuck-window debugging.  ``None`` when the
+      simulator had no machines attached.
+
+    :func:`stop_report` renders all of it.
     """
+
+    #: The words the report of this stop starts with.
+    title = "query aborted"
 
     def __init__(self, reason, tick=None, metrics=None, recording=None,
                  detail=None, flow_state=None):
@@ -104,14 +111,8 @@ class QueryAborted(ReproError):
 
     def __str__(self):
         # Rendered on demand: the union executor and the service amend
-        # ``tick`` / ``detail`` after the simulator raised.
-        message = "query aborted"
-        if self.tick is not None:
-            message += " at tick %d" % self.tick
-        message += ": %s" % self.reason
-        if self.detail:
-            message += " (%s)" % self.detail
-        return message
+        # ``tick`` / ``detail`` / ``flow_state`` after the simulator raised.
+        return stop_message(self)
 
 
 class QueryStalled(RuntimeFault):
@@ -124,16 +125,18 @@ class QueryStalled(RuntimeFault):
     defect, not a cancelled query), with the state a diagnosis needs:
 
     * ``reason``, ``tick`` — what stalled and the simulated tick;
-    * ``detail`` — the termination progress summary and a one-line
-      rendering of the stuck windows, as on :class:`QueryAborted`;
+    * ``detail`` — the termination progress summary, as on
+      :class:`QueryAborted`;
     * ``flow_state`` — the per-machine snapshot of
       :class:`QueryAborted` ``.flow_state``;
     * ``sleep_state`` — per machine, ``QueryMachine.sleep_state()``:
       which workers are awake, whether housekeeping is armed, and which
       sleeping workers are registered under which ``(stage, dest)``
-      window — so the message names *which* worker slept through
+      window — so the report names *which* worker slept through
       *which* window.
     """
+
+    title = "query stalled"
 
     def __init__(self, reason, tick=None, detail=None, flow_state=None,
                  sleep_state=None):
@@ -144,40 +147,75 @@ class QueryStalled(RuntimeFault):
         self.sleep_state = sleep_state
         super().__init__(reason)
 
-    def describe_sleep(self):
-        """One line per machine with anything asleep, or ``[]``."""
-        lines = []
-        for entry in self.sleep_state or ():
-            if not entry["parked"] and len(entry["awake"]) == entry["workers"]:
-                continue
-            windows = ", ".join(
-                "s%d->m%d:%s" % (
-                    stage, dest, "+".join("w%d" % w for w in workers)
-                )
-                for (stage, dest), workers in sorted(entry["parked"].items())
-            )
-            lines.append(
-                "m%d awake=[%s] housekeeping=%s parked=[%s]" % (
-                    entry["machine"],
-                    ",".join("w%d" % w for w in entry["awake"]),
-                    "on" if entry["housekeeping"] else "off",
-                    windows,
-                )
-            )
-        return lines
-
     def __str__(self):
-        message = "query stalled"
-        if self.tick is not None:
-            message += " at tick %d" % self.tick
-        message += ": %s" % self.reason
-        parts = [self.detail] if self.detail else []
-        sleep = self.describe_sleep()
-        if sleep:
-            parts.append("sleep: " + " | ".join(sleep))
-        if parts:
-            message += " (%s)" % "; ".join(parts)
-        return message
+        return stop_message(self)
+
+
+def _workers(workers, separator):
+    return separator.join("w%d" % worker for worker in workers)
+
+
+def _windows(by_window, render):
+    """``s1->m2:<value>,...`` over a ``{(stage, dest): value}`` map."""
+    return ",".join(
+        "s%d->m%d:%s" % (stage, dest, render(value))
+        for (stage, dest), value in sorted(by_window.items())
+    )
+
+
+def stop_report(stopped):
+    """The report of a run that stopped short — a :class:`QueryAborted`
+    or a :class:`QueryStalled` — as ``(label, text)`` lines.
+
+    In order: the partial metrics (aborts), the detail, one ``flow``
+    line per ``flow_state`` entry (tagged ``[qN]`` when the entries
+    carry query ids, as under the service) and one ``sleep`` line per
+    machine with a worker asleep (stalls).  The exceptions' ``str`` and
+    the command line both render this list, each placing the tick in
+    its own header.
+    """
+    lines = []
+    metrics = getattr(stopped, "metrics", None)
+    if metrics is not None:
+        lines.append(("partial", metrics.summary()))
+    if stopped.detail:
+        lines.append(("detail", stopped.detail))
+    flow_state = stopped.flow_state or ()
+    scoped = any(entry.get("query_id") is not None for entry in flow_state)
+    for entry in flow_state:
+        text = "machine %d: buffered=%d frames=%d inflight=%d" % (
+            entry["machine"], entry["buffered_contexts"],
+            entry["live_frames"], entry["inflight_total"],
+        )
+        if scoped:
+            text = "[%s] %s" % (entry.get("query_id") or "-", text)
+        if entry["occupancy"]:
+            text += " windows [%s]" % _windows(entry["occupancy"], str)
+        lines.append(("flow", text))
+    for entry in getattr(stopped, "sleep_state", None) or ():
+        if entry["parked"] or len(entry["awake"]) < entry["workers"]:
+            parked = _windows(entry["parked"],
+                              lambda workers: _workers(workers, "+"))
+            lines.append(("sleep", "m%d awake=[%s] housekeeping=%s "
+                          "parked=[%s]" % (
+                              entry["machine"],
+                              _workers(entry["awake"], ","),
+                              "on" if entry["housekeeping"] else "off",
+                              parked,
+                          )))
+    return lines
+
+
+def stop_message(stopped):
+    """:func:`stop_report` on one line: the exceptions' ``str``."""
+    message = stopped.title
+    if stopped.tick is not None:
+        message += " at tick %d" % stopped.tick
+    message += ": %s" % stopped.reason
+    rest = ["%s: %s" % line for line in stop_report(stopped)]
+    if rest:
+        message += " (%s)" % "; ".join(rest)
+    return message
 
 
 class FlowControlError(RuntimeFault):
@@ -194,5 +232,5 @@ class TelemetryError(ReproError):
 
 class AnalysisError(ReproError):
     """The static analyzer (``repro lint``) was misused or hit an
-    unparseable input: bad severity, malformed baseline file, missing
-    path, or a source file with a syntax error."""
+    unparseable input: an unknown severity, a missing path, or a source
+    file with a syntax error."""

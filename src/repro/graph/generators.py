@@ -7,6 +7,7 @@ experiment (scaled down per DESIGN.md §2).
 
 import random
 
+from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 
 
@@ -25,6 +26,11 @@ def uniform_random_graph(
     from *edge_labels* and a ``weight`` double in ``[0, 1)``.  Self loops
     are permitted, as in a true uniform model.
     """
+    if num_edges < 0 or (num_edges and num_vertices < 1):
+        raise GraphError(
+            "uniform random graph needs E >= 0 and, with edges, V >= 1 "
+            "(got V=%d, E=%d)" % (num_vertices, num_edges)
+        )
     rng = random.Random(seed)
     builder = GraphBuilder()
     for _ in range(num_vertices):

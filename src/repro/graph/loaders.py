@@ -14,28 +14,41 @@ from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 
 
+def _read(path, parse):
+    """``parse(handle)`` of the file at *path*; a missing, unreadable
+    or malformed file is a :class:`GraphError` naming it."""
+    try:
+        with open(path) as handle:
+            return parse(handle)
+    except (OSError, ValueError) as exc:
+        raise GraphError("cannot read graph %s: %s" % (path, exc))
+
+
 def load_edge_list(path, comment="#"):
     """Load a graph from a whitespace-separated edge-list file."""
+    return _read(path, lambda handle: _edge_list(path, handle, comment))
+
+
+def _edge_list(path, handle, comment):
     builder = GraphBuilder()
     seen = 0
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith(comment):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphError(
-                    "%s:%d: expected 'src dst [label]', got %r"
-                    % (path, line_number, line)
-                )
-            src, dst = int(parts[0]), int(parts[1])
-            label = parts[2] if len(parts) == 3 else None
-            needed = max(src, dst) + 1
-            if needed > seen:
-                builder.add_vertices(needed - seen)
-                seen = needed
-            builder.add_edge(src, dst, label=label)
+    for line_number, line in enumerate(handle, start=1):
+        line = line.strip()
+        if not line or line.startswith(comment):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise GraphError(
+                "%s:%d: expected 'src dst [label]', got %r"
+                % (path, line_number, line)
+            )
+        src, dst = int(parts[0]), int(parts[1])
+        label = parts[2] if len(parts) == 3 else None
+        needed = max(src, dst) + 1
+        if needed > seen:
+            builder.add_vertices(needed - seen)
+            seen = needed
+        builder.add_edge(src, dst, label=label)
     return builder.build()
 
 
@@ -54,9 +67,14 @@ def save_edge_list(graph, path):
 
 def load_json(path):
     """Load a graph from the JSON format produced by :func:`save_json`."""
-    with open(path) as handle:
-        data = json.load(handle)
-    return graph_from_dict(data)
+    data = _read(path, json.load)
+    if not isinstance(data, dict):
+        raise GraphError("cannot read graph %s: not a JSON object" % path)
+    try:
+        return graph_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError("cannot read graph %s: malformed record (%s: %s)"
+                         % (path, type(exc).__name__, exc))
 
 
 def graph_from_dict(data):

@@ -28,6 +28,8 @@ import hashlib
 import json
 import os
 
+from repro.errors import PlanError
+
 #: Cardinality floor for q-error: estimates and actuals below one row
 #: are indistinguishable, so both sides are clamped to 1 before the
 #: ratio (the standard convention from the cardinality-estimation
@@ -385,13 +387,20 @@ class FeedbackStore:
 
     # -- persistence ---------------------------------------------------
     def load(self, path=None):
+        """Read the store at *path*; anything but a readable
+        :data:`FEEDBACK_SCHEMA` document is a :class:`PlanError`."""
         path = path or self.path
-        with open(path) as handle:
-            doc = json.load(handle)
-        if doc.get("schema") != FEEDBACK_SCHEMA:
-            raise ValueError(
+        try:
+            with open(path) as handle:
+                doc = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise PlanError("cannot read feedback store %s: %s"
+                            % (path, exc))
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != FEEDBACK_SCHEMA:
+            raise PlanError(
                 "%s is not a %s document (schema=%r)"
-                % (path, FEEDBACK_SCHEMA, doc.get("schema"))
+                % (path, FEEDBACK_SCHEMA, schema)
             )
         self._entries = doc.get("queries", {})
         return self

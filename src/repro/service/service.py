@@ -51,9 +51,6 @@ from repro.plan.paths import has_quantified_paths
 #: strides stay exact for the practical priority range.
 _STRIDE_SCALE = 840
 
-#: Histogram bucket bounds for service latencies (global ticks).
-_LATENCY_BUCKETS = (64, 256, 1024, 4096, 16384, 65536, 262144)
-
 
 @dataclass
 class ServiceConfig:
@@ -68,20 +65,12 @@ class ServiceConfig:
     #: comparing runs across different ``max_concurrent`` settings (the
     #: serial-vs-concurrent parity gate does).
     scope_window: int = None
-    #: Record service-level telemetry: a label-aware registry with a
-    #: ``query_id`` label per tenant plus a per-global-tick occupancy
-    #: series sampled every ``sample_interval`` grants.
-    telemetry: bool = False
-    #: Global ticks between occupancy-series samples.
-    sample_interval: int = 64
 
     def __post_init__(self):
         if self.max_concurrent < 1:
             raise ClusterConfigError("max_concurrent must be >= 1")
         if self.scope_window is not None and self.scope_window < 1:
             raise ClusterConfigError("scope_window must be >= 1")
-        if self.sample_interval < 1:
-            raise ClusterConfigError("sample_interval must be >= 1")
 
 
 class QueryScope:
@@ -153,15 +142,6 @@ class QueryScope:
         if self.simulator is not None:
             return self.simulator.now
         return self._final_ticks
-
-    def buffered_contexts(self):
-        """Scope-wide buffered contexts across its machine partitions."""
-        if self.machines is None:
-            return 0
-        return sum(
-            machine.metrics.cur_buffered_contexts
-            for machine in self.machines
-        )
 
     @property
     def latency(self):
@@ -235,52 +215,8 @@ class QueryService:
         self._queue = deque()
         self._active = []
         self._pass_clock = 0
-        self._registry = None
-        self.series = []
-        self._next_sample = 0
-        if self.config.telemetry:
-            from repro.obs.telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-            self._registry = registry
-            self._m_queries = registry.counter(
-                "repro_service_queries_total",
-                "queries by terminal status", labels=("status",),
-            )
-            self._m_active = registry.gauge(
-                "repro_service_active_scopes",
-                "scopes currently holding an admission slot",
-            )
-            self._m_queued = registry.gauge(
-                "repro_service_queued_scopes", "scopes awaiting admission",
-            )
-            self._m_latency = registry.histogram(
-                "repro_service_latency_ticks",
-                "submit-to-terminal latency in global ticks",
-                buckets=_LATENCY_BUCKETS,
-            )
-            self._m_wait = registry.histogram(
-                "repro_service_admission_wait_ticks",
-                "submit-to-admission wait in global ticks",
-                buckets=_LATENCY_BUCKETS,
-            )
-            self._m_scope_ticks = registry.counter(
-                "repro_service_scope_ticks_total",
-                "scheduling grants consumed per tenant",
-                labels=("query_id",),
-            )
-            self._m_scope_buffered = registry.gauge(
-                "repro_service_scope_buffered_contexts",
-                "buffered contexts held per tenant",
-                labels=("query_id",),
-            )
 
     # -- introspection --------------------------------------------------
-    @property
-    def registry(self):
-        """The service-level MetricsRegistry (None unless telemetry on)."""
-        return self._registry
-
     @property
     def active_scopes(self):
         return tuple(self._active)
@@ -341,13 +277,8 @@ class QueryService:
             scope.start(self.engine, self.scope_config, self._pass_clock,
                         self.now)
             self._active.append(scope)
-            if self._registry is not None:
-                self._m_wait.observe(scope.admission_wait)
         if len(self._active) > self.peak_active:
             self.peak_active = len(self._active)
-        if self._registry is not None:
-            self._m_active.set(len(self._active))
-            self._m_queued.set(len(self._queue))
 
     def step(self):
         """Issue one scheduling grant (one global tick).
@@ -365,43 +296,15 @@ class QueryService:
         self.now += 1
         self._pass_clock = scope.pass_value
         scope.pass_value += scope.stride
-        finished = scope.step()
-        if self._registry is not None:
-            self._m_scope_ticks.labels(scope.query_id).inc()
-            self._m_scope_buffered.labels(scope.query_id).set(
-                scope.buffered_contexts()
-            )
-        if finished:
+        if scope.step():
             self._retire(scope)
-        if self._registry is not None and self.now >= self._next_sample:
-            self._sample_series()
-            self._next_sample = self.now + self.config.sample_interval
         return True
 
     def _retire(self, scope):
         scope.finished_at = self.now
         scope.release()
         self._active.remove(scope)
-        if self._registry is not None:
-            self._m_queries.labels(scope.status.value).inc()
-            self._m_latency.observe(scope.latency)
-            self._m_scope_buffered.labels(scope.query_id).set(0)
         self._admit()
-
-    def _sample_series(self):
-        """Per-scope occupancy sample for the service time series."""
-        self.series.append({
-            "tick": self.now,
-            "active": len(self._active),
-            "queued": len(self._queue),
-            "scopes": {
-                scope.query_id: {
-                    "virtual_ticks": scope.virtual_ticks,
-                    "buffered_contexts": scope.buffered_contexts(),
-                }
-                for scope in self._active
-            },
-        })
 
     def drain(self):
         """Run until every submitted scope is terminal."""
@@ -437,8 +340,6 @@ class QueryService:
             )
             scope.status = QueryStatus.CANCELLED
             scope.finished_at = self.now
-            if self._registry is not None:
-                self._m_queries.labels(scope.status.value).inc()
             return True
         scope._cancel_requested = True
         return True

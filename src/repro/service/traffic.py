@@ -49,8 +49,6 @@ class TrafficConfig:
     deadline: int = None
     #: Priorities assigned round-robin to arrivals.
     priority_cycle: tuple = (1,)
-    #: Record service telemetry (per-tenant registry + series).
-    telemetry: bool = False
 
 
 @dataclass
@@ -68,7 +66,7 @@ class TrafficReport:
     latencies: list = field(default_factory=list)
     #: Per-query records from :meth:`QueryService.stats`.
     records: list = field(default_factory=list)
-    #: The service driven by the run (telemetry, series, registry).
+    #: The service driven by the run (its scopes, ``stats()``).
     service: object = None
 
     def percentile(self, p):
@@ -149,7 +147,6 @@ def run_traffic(engine, traffic=None, service_config=None):
         service_config = ServiceConfig(
             max_concurrent=traffic.slots,
             scope_window=traffic.scope_window,
-            telemetry=traffic.telemetry,
         )
     service = QueryService(engine, service_config)
     schedule = arrival_schedule(traffic)

@@ -601,9 +601,10 @@ class TestLintCli:
         code = main(["lint", str(root), "--format", "json"])
         assert code == EXIT_LINT
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro-lint/1"
+        assert document["schema"] == "repro-lint/2"
         assert document["summary"]["errors"] == 1
         assert document["findings"][0]["rule"] == "RPR001"
+        assert "snippet_hash" not in document["findings"][0]
 
     def test_json_out_artifact(self, tmp_path, capsys):
         root = write_package(tmp_path, {
@@ -643,9 +644,9 @@ class TestLintCli:
         assert main(["lint", "--explain", "RPR999"]) == 2
         capsys.readouterr()
 
-    def test_missing_path_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["lint", "definitely/not/a/path"])
+    def test_missing_path_is_usage_error(self, capsys):
+        assert main(["lint", "definitely/not/a/path"]) == 2
+        assert "definitely/not/a/path" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,13 @@ Split from ``test_analysis.py``: everything here exercises behavior
 that only exists because guard/type/reservation facts flow over a real
 control-flow graph — domination through try/finally, while/else, early
 returns, nested scopes — plus the RPR006/RPR007/RPR009 rule packs, the
-RPR008 generated-source audit, and the v2 runner surface (``--diff``,
-``--select``, ``--severity``, SARIF).  The
-mutation tests follow the house style: copy a real source verbatim,
-break one invariant, and require the analyzer to flip non-zero.
+RPR008 generated-source audit, and the runner surface (``--select``,
+``--all-scopes``).  The mutation tests follow the house style: copy a
+real source verbatim, break one invariant, and require the analyzer to
+flip non-zero.
 """
 
 import json
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -638,64 +637,7 @@ class TestKernelAudit:
 
 
 # ----------------------------------------------------------------------
-# Fingerprints: stable under line shift, invalidated by edits
-# ----------------------------------------------------------------------
-
-class TestSnippetFingerprints:
-    FIXTURE = {
-        "repro/runtime/leaky.py": """\
-            import time
-
-            def stamp():
-                return time.time()
-            """,
-    }
-
-    def test_line_shift_keeps_baseline_match(self, tmp_path):
-        root = write_package(tmp_path, self.FIXTURE)
-        result = analyze([root])
-        assert rules_of(result) == ["RPR001"]
-        original = result.findings[0]
-        assert original.snippet_hash is not None
-
-        # Shift the flagged call down: the fingerprint must not move.
-        target = tmp_path / "repro/runtime/leaky.py"
-        target.write_text("import time\n\n\n# shifted\n\n" +
-                          "def stamp():\n    return time.time()\n")
-        shifted = analyze([root]).findings[0]
-        assert shifted.line != original.line
-        assert shifted.fingerprint() == original.fingerprint()
-
-    def test_editing_flagged_code_resurfaces(self, tmp_path):
-        # RPR006 anchors at the For node, so the snippet hash covers the
-        # whole loop: editing the body changes the fingerprint even
-        # though rule/path/symbol/pattern all still match.
-        root = write_package(tmp_path, {
-            "repro/runtime/fanout.py": """\
-                class Stage:
-                    def fanout(self, ctx, members, payload):
-                        targets = set(members)
-                        for target in targets:
-                            ctx.send(target, payload)
-                """,
-        })
-        result = analyze([root])
-        assert rules_of(result) == ["RPR006"]
-        original = result.findings[0].fingerprint()
-
-        target = tmp_path / "repro/runtime/fanout.py"
-        target.write_text(target.read_text().replace(
-            "ctx.send(target, payload)",
-            "ctx.send(target, (payload, target))",
-        ))
-        edited = analyze([root])
-        assert rules_of(edited) == ["RPR006"]
-        assert edited.findings[0].fingerprint()[:4] == original[:4]
-        assert edited.findings[0].fingerprint() != original
-
-
-# ----------------------------------------------------------------------
-# Runner surface: --select / --severity / --diff / SARIF
+# Runner surface: --select / --all-scopes
 # ----------------------------------------------------------------------
 
 LEAKY = {
@@ -728,24 +670,6 @@ class TestRunnerSurface:
         with pytest.raises(SystemExit):
             main(["lint", str(root), "--select", "RPR999"])
 
-    def test_severity_override_changes_gate(self, tmp_path, capsys):
-        root = write_package(tmp_path, LEAKY)
-        # Downgraded to warning, the default --fail-on error passes...
-        assert main(["lint", str(root),
-                     "--severity", "RPR001=warning",
-                     "--severity", "RPR006=warning"]) == 0
-        # ... and --fail-on warning still gates.
-        assert main(["lint", str(root),
-                     "--severity", "RPR001=warning",
-                     "--severity", "RPR006=warning",
-                     "--fail-on", "warning"]) == 1
-        capsys.readouterr()
-
-    def test_severity_bad_spec_rejected(self, tmp_path):
-        root = write_package(tmp_path, LEAKY)
-        with pytest.raises(SystemExit):
-            main(["lint", str(root), "--severity", "RPR001=fatal"])
-
     def test_all_scopes_applies_rules_everywhere(self, tmp_path, capsys):
         root = write_package(tmp_path, {
             "tests_fixture/test_timing.py": """\
@@ -759,50 +683,3 @@ class TestRunnerSurface:
         assert main(["lint", str(root), "--select", "RPR001",
                      "--all-scopes"]) == 1
         capsys.readouterr()
-
-    def test_sarif_report_shape(self, tmp_path, capsys):
-        root = write_package(tmp_path, LEAKY)
-        sarif_path = tmp_path / "report.sarif"
-        assert main(["lint", str(root),
-                     "--format", "sarif",
-                     "--sarif-out", str(sarif_path)]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["RPR001", "RPR002", "RPR003", "RPR004",
-                           "RPR005", "RPR006", "RPR007", "RPR008",
-                           "RPR009"]
-        results = run["results"]
-        assert {r["ruleId"] for r in results} == {"RPR001", "RPR006"}
-        for entry in results:
-            location = entry["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"].startswith("repro/")
-            assert location["region"]["startLine"] >= 1
-            assert entry["partialFingerprints"]["reproLint/v1"]
-        assert json.loads(sarif_path.read_text()) == document
-
-    def test_diff_reports_changed_files_only(self, tmp_path, capsys,
-                                             monkeypatch):
-        root = write_package(tmp_path, LEAKY)
-        git = ["git", "-C", str(tmp_path), "-c", "user.name=t",
-               "-c", "user.email=t@t"]
-        subprocess.run(git[:3] + ["init", "-q"], check=True)
-        subprocess.run(git[:3] + ["add", "-A"], check=True)
-        subprocess.run(git + ["commit", "-qm", "seed"], check=True)
-        # Touch only the RPR006 fixture.
-        fanout = tmp_path / "repro/runtime/fanout.py"
-        fanout.write_text(fanout.read_text() + "\nEXTRA = 1\n")
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(root),
-                     "--diff", "HEAD", "--format", "json"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert {f["rule"] for f in report["findings"]} == {"RPR006"}
-        assert {f["path"] for f in report["findings"]} == {
-            "repro/runtime/fanout.py"
-        }
-
-    def test_diff_bad_ref_rejected(self, tmp_path):
-        root = write_package(tmp_path, LEAKY)
-        with pytest.raises(SystemExit):
-            main(["lint", str(root), "--diff", "no-such-ref-xyzzy"])

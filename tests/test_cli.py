@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXIT_ABORTED, build_parser, load_graph, main
+from repro import cli
+from repro.cli import EXIT_ABORTED, EXIT_ERROR, build_parser, load_graph, \
+    main
 
 
 class TestParser:
@@ -497,3 +503,145 @@ class TestPlanPolicyFlag:
                 ["query", "--random", "60x240", "--plan", "psychic",
                  "SELECT a WHERE (a)"]
             )
+
+
+QUERY = "SELECT a, b WHERE (a)-[]->(b)"
+
+
+class TestTypedErrors:
+    """Bad input ends in one ``repro <command>: error: ...`` line on
+    stderr and exit code 2, never a traceback or a silent run."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["query", "--random", "50x200", "SELECT a WHERE (a"],
+         "offset 17"),
+        (["query", "--random", "50x200", "--machines", "0", QUERY],
+         "num_machines"),
+        (["chaos", "--random", "50x200", "--crash", "9@10", QUERY],
+         "machine 9"),
+        (["chaos", "--random", "50x200", "--stall", "1@-5+3", QUERY],
+         "start=-5"),
+        (["query", "--graph", "{tmp}/missing.json", QUERY],
+         "missing.json"),
+        (["query", "--graph", "{tmp}/bad.json", QUERY], "bad.json"),
+        (["stats", "--graph", "{tmp}/hostname"], "myhost"),
+        (["feedback", "{tmp}/passwd"], "passwd"),
+        (["query", "--random", "0x5", QUERY], "V=0"),
+        (["query", "--random", "10x-3", QUERY], "E=-3"),
+    ])
+    def test_bad_input_is_one_line_and_exit_2(self, tmp_path, capsys,
+                                              argv, names):
+        (tmp_path / "hostname").write_text("myhost\n")
+        (tmp_path / "bad.json").write_text('{"edges": [{}]}\n')
+        (tmp_path / "passwd").write_text("user:x:1000:1000::/home:/bin/sh\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main(argv) == EXIT_ERROR == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro %s: error: " % argv[0])
+        assert names in line
+
+
+class TestSpecsValidatedFirst:
+    """A bad spec stops the command before the first query runs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--random", "50x200", "--cancel=-1@1", QUERY],
+         "--cancel index -1 out of range (1 queries)"),
+        (["serve", "--random", "50x200", "--cancel=5@1000000", QUERY,
+          QUERY], "--cancel index 5 out of range (2 queries)"),
+        (["traffic", "--random", "50x200", "--arrivals", "2",
+          "--sweep", ","], "--sweep expects G1,G2,..."),
+    ])
+    def test_rejected_before_running(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert str(caught.value).startswith(message)
+        assert capsys.readouterr().out == ""
+
+
+class TestStopReport:
+    TIMED_OUT = ["query", "--random", "300x1500", "--timeout", "40",
+                 "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c)"]
+
+    def test_timed_out_query_prints_each_machines_windows_once(
+            self, capsys):
+        assert main(self.TIMED_OUT) == EXIT_ABORTED
+        out = capsys.readouterr().out
+        window_lists = re.findall(r"\[(s\d+->m\d+:\d+[^\]]*)\]", out)
+        machines = re.findall(r"^flow +: machine (\d+):", out, re.M)
+        assert machines == ["0", "1", "2", "3"]
+        assert len(window_lists) == len(machines)
+
+    def test_str_names_the_stuck_windows(self, monkeypatch):
+        from repro import ClusterConfig, ExecutionContext, \
+            PgxdAsyncEngine, uniform_random_graph
+        from repro.cluster.simulator import Simulator
+        from repro.errors import QueryAborted, QueryStalled
+
+        engine = PgxdAsyncEngine(uniform_random_graph(300, 1500),
+                                 ClusterConfig(num_machines=4))
+        query = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c)"
+        with pytest.raises(QueryAborted) as aborted:
+            engine.query(query, context=ExecutionContext(deadline=40))
+
+        real_step = Simulator.step
+
+        def step(self):
+            if self.now == 40:
+                raise self.stalled("nothing can move")
+            return real_step(self)
+
+        monkeypatch.setattr(Simulator, "step", step)
+        with pytest.raises(QueryStalled) as stalled:
+            engine.query(query)
+        for stopped in (aborted.value, stalled.value):
+            text = str(stopped)
+            assert text.startswith("%s at tick 40: " % stopped.title)
+            for entry in stopped.flow_state:
+                for (stage, dest), count in entry["occupancy"].items():
+                    assert "s%d->m%d:%d" % (stage, dest, count) in text
+            assert text.count("flow: machine") == 4
+
+
+def _args_reads(functions, name, seen):
+    """The ``args.<dest>`` reads of function *name* and, transitively,
+    of every module function it passes ``args`` to."""
+    if name in seen or name not in functions:
+        return set()
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Name) \
+                and any(isinstance(arg, ast.Name) and arg.id == "args"
+                        for arg in node.args):
+            reads |= _args_reads(functions, node.func.id, seen)
+    return reads
+
+
+class TestEveryFlagHasAReader:
+    def test_every_declared_dest_is_read_by_its_command(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        functions = {node.name: node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        (commands,) = (action.choices for action in build_parser()._actions
+                       if getattr(action, "choices", None))
+        reads, unread = {}, {}
+        for command, sub in sorted(commands.items()):
+            func = sub.get_default("func")
+            reads[command] = _args_reads(functions, func.__name__, set())
+            declared = {action.dest for action in sub._actions
+                        if action.dest != "help"}
+            if declared - reads[command]:
+                unread[command] = sorted(declared - reads[command])
+        # The walk follows args into helpers: the graph, cluster and
+        # ghost flags of `query` are read two calls below cmd_query.
+        assert {"graph", "machines", "ghost_threshold"} <= reads["query"]
+        assert unread == {}

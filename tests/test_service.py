@@ -39,7 +39,6 @@ class TestServiceConfig:
     @pytest.mark.parametrize("bad", [
         {"max_concurrent": 0},
         {"scope_window": 0},
-        {"sample_interval": 0},
     ])
     def test_validation(self, bad):
         with pytest.raises(ClusterConfigError):
@@ -142,7 +141,6 @@ class TestLifecycle:
         for handle in handles:
             scope = service.scope(handle.query_id)
             assert scope.simulator is None and scope.machines is None
-            assert scope.buffered_contexts() == 0
         ticks = [record["virtual_ticks"] for record in service.stats()]
         assert ticks[:3] == [h.metrics.ticks for h in handles[:3]]
         assert ticks[1] == 10 and ticks[3] == 0
@@ -292,6 +290,11 @@ class TestDeadlines:
         assert doomed.query_id in tenants
         assert "q1" in tenants
         assert "co-tenant" in aborted.detail
+        # The one stop report renders each tenant's entries once, tagged.
+        text = str(aborted)
+        assert text.count("flow: [q0] machine") == 3
+        assert text.count("flow: [q1] machine") == 3
+        assert "flow:" not in aborted.detail
 
     def test_deadline_is_virtual_ticks(self, random_graph):
         """A deadline binds the scope's own clock, not the global one —
@@ -341,41 +344,6 @@ class TestFairShare:
         gap = abs(service.scope(a.query_id).finished_at
                   - service.scope(b.query_id).finished_at)
         assert gap <= 1
-
-
-class TestTelemetry:
-    def test_per_tenant_registry_and_series(self, random_graph):
-        service = QueryService(
-            _engine(random_graph),
-            ServiceConfig(max_concurrent=2, telemetry=True,
-                          sample_interval=16),
-        )
-        for query in QUERIES:
-            service.submit(query)
-        service.drain()
-        registry = service.registry
-        assert registry is not None
-        rows = registry.samples()
-        done = [
-            value for name, labels, value in rows
-            if name == "repro_service_queries_total"
-            and labels.get("status") == "done"
-        ]
-        assert done == [3]
-        grants = [
-            value for name, labels, value in rows
-            if name == "repro_service_scope_ticks_total"
-        ]
-        assert len(grants) == 3
-        assert sum(grants) == service.now
-        assert service.series
-        assert all("scopes" in point for point in service.series)
-
-    def test_no_registry_without_telemetry(self, random_graph):
-        service = QueryService(_engine(random_graph))
-        service.submit(QUERIES[0]).result()
-        assert service.registry is None
-        assert service.series == []
 
 
 class TestTraffic:

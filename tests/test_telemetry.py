@@ -355,7 +355,8 @@ class TestAbortDiagnostics:
             entry["buffered_contexts"] or entry["occupancy"]
             for entry in state
         )
-        assert "flow:" in aborted.value.detail
+        assert "flow: machine 0:" in str(aborted.value)
+        assert "flow:" not in aborted.value.detail
 
     def test_abort_flushes_partial_series(self):
         graph = uniform_random_graph(200, 800, seed=0)
