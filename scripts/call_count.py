@@ -8,11 +8,6 @@ every cache (prepared plans, compiled kernels, CSR lists), then runs one
 pass of the same operation sequence under ``cProfile`` and prints the
 total call count and the ten functions called most often.  Run twice it
 prints the same total; compare parent and change with the same command.
-Counts are summed from the profiler's own per-code-object entries, not
-through ``pstats``: every generated kernel is named ``kernel`` at line 1
-of ``<repro-kernel:stageN:kind>``, ``pstats`` keys by (file, line, name)
-and keeps one of the colliding entries, whichever its dict met last, so
-its total moves by tens of thousands with the memory layout.
 
 It is a count, not a speed-up: it omits what calls cost and everything
 that is not a call (attribute loads, loops inside one frame).

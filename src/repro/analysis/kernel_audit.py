@@ -1,7 +1,7 @@
 """RPR008 — the kernel-codegen audit.
 
 The bulk kernels (:mod:`repro.runtime.kernels`) are *generated source*:
-``compile_plan_kernels`` specializes one function per plan stage.  That
+``compile_plan_kernels`` specializes two functions per plan stage.  That
 every counter a kernel charges equals what the micro-stepped cursor
 path charges is proved dynamically, bit for bit, by the kernels-on/off
 differential (``tests/test_kernels.py`` and CI's bulk-kernel parity
@@ -9,12 +9,14 @@ step) over the bench workload matrix.  This rule covers what no dynamic
 test observes — properties of paths a run may never take:
 
 1. compile every plan of that same matrix;
-2. parse each generated kernel's attached ``__source__``;
-3. verify that generated recording calls are guarded (the zero-cost-off
-   contract inside generated code, which RPR002 cannot see) and that
-   the generated reservation protocol cannot leak
-   (:class:`~repro.analysis.flows.ReservationAnalysis` over the kernel
-   body).
+2. parse the attached ``__source__`` of every function the code
+   generator emitted — each stage's frame entry ``kernel`` and its
+   frame-free entry ``fresh``;
+3. verify, function by function, that generated recording calls are
+   guarded (the zero-cost-off contract inside generated code, which
+   RPR002 cannot see) and that the generated reservation protocol
+   cannot leak (:class:`~repro.analysis.flows.ReservationAnalysis`
+   over the function body).
 
 Unlike every other rule, this one *imports and executes* repository
 code (plan compilation pulls in numpy via the graph layer).  When those
@@ -50,10 +52,11 @@ class KernelCodegenAuditRule(Rule):
         "kernels-on/off differential. This audit covers the two "
         "contracts that differential cannot observe because a run may "
         "never take the offending path: it compiles every plan in the "
-        "bench matrix, parses the generated source, and checks that "
-        "generated recording calls stay behind an `is not None` guard and "
-        "that the generated reservation protocol releases on every path "
-        "to kernel exit."
+        "bench matrix, parses every generated function (each stage's "
+        "frame entry and frame-free entry), and checks that generated "
+        "recording calls stay behind an `is not None` guard and that the "
+        "generated reservation protocol releases on every path to the "
+        "function's exit."
     )
     example = (
         "# generated NEIGHBOR kernel, every exit of the adjacency loop:\n"
@@ -100,21 +103,26 @@ def _audit_plan_matrix():
         for index, query in enumerate(queries):
             plan = engine.plan(query, options)
             kernels = compile_plan_kernels(plan)
-            for stage, kernel in zip(plan.stages, kernels.stage_kernels):
-                source = getattr(kernel, "__source__", None)
-                if source is None:
-                    continue  # generic (cursor-backed) kernel
+            for stage, entries in zip(plan.stages, zip(
+                kernels.stage_kernels, kernels.fresh_kernels,
+            )):
+                # Generic (cursor-backed) kernels carry no source; the
+                # two entries of a generated stage usually share one.
+                sources = {getattr(entry, "__source__", None)
+                           for entry in entries} - {None}
                 where = "%s[q%d] stage %d (%s)" % (
                     key, index, stage.index, stage.hop.kind.value,
                 )
-                problems.extend(_audit_kernel_source(
-                    where, key, stage.index, source,
-                ))
+                for source in sorted(sources):
+                    problems.extend(_audit_kernel_source(
+                        where, key, stage.index, source,
+                    ))
     return problems
 
 
 def _audit_kernel_source(where, workload, stage_index, source):
-    """Audit one generated kernel; yields (message, pattern) problems."""
+    """Audit every function of one generated kernel source; yields
+    (message, pattern) problems."""
 
     def problem(check, detail):
         return (
@@ -128,21 +136,21 @@ def _audit_kernel_source(where, workload, stage_index, source):
         yield problem("parse", "generated source does not parse: %s" % exc)
         return
 
-    scanner = UnguardedCallScanner()
-    scanner.scan_module(tree)
-    for _node, chain in scanner.found:
-        yield problem("recording-guard", (
-            "generated call %s() is not guarded by `is not None` on its "
-            "handle" % ".".join(chain)
-        ))
-
     for function in tree.body:
         if not isinstance(function, ast.FunctionDef):
             continue
+        scanner = UnguardedCallScanner()
+        scanner.scan_module(ast.Module(body=[function], type_ignores=[]))
+        for _node, chain in scanner.found:
+            yield problem("recording-guard", (
+                "generated call %s() in %s() is not guarded by `is not "
+                "None` on its handle" % (".".join(chain), function.name)
+            ))
         aliases = call_aliases(function.body)
         leaks = ReservationAnalysis(aliases).leaks(function.body)
         for line, _col, base, _holder in leaks:
             yield problem("reserve-leak", (
-                "generated reservation from %s() at kernel line %d can "
-                "reach kernel exit without end_batch" % (base, line)
+                "generated reservation from %s() at line %d of %s() can "
+                "reach its exit without end_batch"
+                % (base, line, function.name)
             ))

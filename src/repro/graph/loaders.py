@@ -68,13 +68,10 @@ def save_edge_list(graph, path):
 def load_json(path):
     """Load a graph from the JSON format produced by :func:`save_json`."""
     data = _read(path, json.load)
-    if not isinstance(data, dict):
-        raise GraphError("cannot read graph %s: not a JSON object" % path)
     try:
         return graph_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError("cannot read graph %s: malformed record (%s: %s)"
-                         % (path, type(exc).__name__, exc))
+    except GraphError as exc:
+        raise GraphError("cannot read graph %s: %s" % (path, exc))
 
 
 def graph_from_dict(data):
@@ -82,8 +79,20 @@ def graph_from_dict(data):
 
     A ``stats`` key (written by ``save_json(..., include_stats=True)``)
     is deserialized and attached so loaded graphs keep their build-time
-    statistics without recollection.
+    statistics without recollection.  A document of any other shape is
+    a :class:`GraphError`.
     """
+    if not isinstance(data, dict):
+        raise GraphError("not a graph document: expected an object, got %s"
+                         % type(data).__name__)
+    try:
+        return _graph_from_dict(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphError("malformed record (%s: %s)"
+                         % (type(exc).__name__, exc))
+
+
+def _graph_from_dict(data):
     builder = GraphBuilder()
     for record in data.get("vertices", []):
         record = dict(record)

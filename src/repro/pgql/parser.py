@@ -43,6 +43,13 @@ from repro.pgql.ast import (
 )
 from repro.pgql.lexer import TokenType, tokenize
 
+#: How deep an expression may nest — parentheses, ``NOT``, unary minus
+#: and chains of binary operators alike.  Parsing, validation, printing
+#: and predicate generation all recurse over the tree, so past roughly
+#: 150 levels Python's recursion limit would end a query with a raw
+#: ``RecursionError``; this bound keeps every pass well inside it.
+MAX_EXPRESSION_DEPTH = 64
+
 _AGG_KEYWORDS = {
     "COUNT": AggregateFunc.COUNT,
     "SUM": AggregateFunc.SUM,
@@ -62,6 +69,7 @@ class _Parser:
         self._tokens = tokenize(text)
         self._pos = 0
         self._anon_counter = 0
+        self._nesting = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -333,7 +341,22 @@ class _Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
     def _parse_expression(self, implicit_var=None):
-        return self._parse_or(implicit_var)
+        position = self._peek().position
+        expr = self._nested(self._parse_or, implicit_var)
+        if self._nesting == 0 and _height(expr) > MAX_EXPRESSION_DEPTH:
+            raise _too_deep(position)
+        return expr
+
+    def _nested(self, parse, implicit_var):
+        """``parse(implicit_var)`` one nesting level down: the parser's
+        own recursion stops at :data:`MAX_EXPRESSION_DEPTH`."""
+        if self._nesting >= MAX_EXPRESSION_DEPTH:
+            raise _too_deep(self._peek().position)
+        self._nesting += 1
+        try:
+            return parse(implicit_var)
+        finally:
+            self._nesting -= 1
 
     def _parse_or(self, implicit_var):
         expr = self._parse_and(implicit_var)
@@ -349,7 +372,7 @@ class _Parser:
 
     def _parse_not(self, implicit_var):
         if self._accept_keyword("NOT"):
-            return Unary("NOT", self._parse_not(implicit_var))
+            return Unary("NOT", self._nested(self._parse_not, implicit_var))
         return self._parse_comparison(implicit_var)
 
     def _parse_comparison(self, implicit_var):
@@ -384,7 +407,7 @@ class _Parser:
 
     def _parse_unary(self, implicit_var):
         if self._accept_symbol("-"):
-            return Unary("-", self._parse_unary(implicit_var))
+            return Unary("-", self._nested(self._parse_unary, implicit_var))
         return self._parse_primary(implicit_var)
 
     def _parse_primary(self, implicit_var):
@@ -461,3 +484,21 @@ class _Parser:
             # Inside WITH, a bare identifier is a property of the vertex.
             return PropRef(implicit_var, name)
         return VarRef(name)
+
+
+def _too_deep(position):
+    return PgqlSyntaxError(
+        "expression nests deeper than the limit of %d levels"
+        % MAX_EXPRESSION_DEPTH, position,
+    )
+
+
+def _height(expr):
+    """Levels of *expr*'s tree, counted without recursion."""
+    height = 0
+    pending = [(expr, 1)]
+    while pending:
+        node, level = pending.pop()
+        height = max(height, level)
+        pending.extend((child, level + 1) for child in node.children())
+    return height

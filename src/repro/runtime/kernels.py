@@ -18,6 +18,23 @@ rows, message/flush boundaries, and BLOCKED-parking are **bit-identical**
 to micro-stepped execution; ``tests/test_kernels.py`` enforces this
 differentially.
 
+Each NEIGHBOR, VERTEX and OUTPUT stage is emitted from one template
+with two entries, compiled together:
+
+* ``kernel(rt, comp, frame, ops, budget)`` advances one existing
+  ``StageFrame`` — a resumed frame, a work-shared item, a local child;
+* ``fresh(rt, comp, ops, budget, scan)`` consumes a *run* of fresh
+  contexts — the rest of the computation's message items (``scan`` is
+  None) or the rest of ``scan``'s vertices — in its own loop, without
+  a frame.  Most contexts fail their vertex checks or finish their hop
+  inside the call, so they never need one.  A ``StageFrame`` (phase,
+  cursor and captured ``ctx`` set) is built only where a context
+  outlives the call: the budget runs out, a send is refused, or the
+  context descends into a local child (or calls ``route`` to a local
+  destination, which may push one).  Until then the live-frame,
+  stage-load and buffered-context gauges are kept as if the frame
+  existed, so their peaks and the termination counts are unchanged.
+
 Remote continuations use the batch-admission API of
 ``runtime.flow_control``: a kernel pre-reserves window capacity for the
 rest of its adjacency run (``QueryMachine.reserve_items``) and emits
@@ -26,8 +43,8 @@ reservation is refused it falls back to the existing
 ``QueryMachine.route`` micro-step admission, which refuses at exactly
 the same item as cursor execution would — preserving strict flow
 control, chaos/reliability behavior, and parking semantics.  All
-reservations are released before the kernel returns, so outside a
-kernel invocation the window state is indistinguishable from the
+reservations are released at the end of every context's run, so
+outside one the window state is indistinguishable from the
 micro-stepped engine's.
 
 Cost-parity contract (see docs/performance.md):
@@ -35,7 +52,8 @@ Cost-parity contract (see docs/performance.md):
 * every step ``hops.hop_steps`` would yield charges ``hop.work_cost``,
   and so do the extra pull that discovers exhaustion and a BLOCKED
   attempt (which rolls the position back for replay);
-* the vertex function charges ``stage.work_cost`` exactly once;
+* the vertex function charges ``stage.work_cost`` exactly once, and
+  taking a context from a message or a scan charges one op;
 * a kernel only runs while ``ops < budget`` and re-checks the budget
   after every charge, at the same points the micro loop does.
 
@@ -47,6 +65,8 @@ of the stage semantics (the first is ``runtime.hops``); it is not
 derived from the interpreter, so the kernels-on/off differential
 compares two implementations.
 """
+
+import hashlib
 
 from repro.errors import RuntimeFault
 from repro.graph.types import Direction, NO_LABEL
@@ -87,9 +107,9 @@ class _EdgeRun:
 
     __slots__ = ("eids", "pos", "end")
 
-    def __init__(self, eids):
+    def __init__(self, eids, pos=0):
         self.eids = eids
-        self.pos = 0
+        self.pos = pos
         self.end = len(eids)
 
 
@@ -110,60 +130,72 @@ class _ConstList:
 
 
 class PlanKernels:
-    """The compiled per-stage kernels of one execution plan."""
+    """The compiled per-stage kernels of one execution plan:
+    ``stage_kernels[s]`` advances a frame of stage *s*,
+    ``fresh_kernels[s]`` its frame-free entry (None for a generic
+    stage)."""
 
-    __slots__ = ("stage_kernels",)
+    __slots__ = ("stage_kernels", "fresh_kernels")
 
-    def __init__(self, stage_kernels):
+    def __init__(self, stage_kernels, fresh_kernels):
         self.stage_kernels = stage_kernels
+        self.fresh_kernels = fresh_kernels
 
     def run(self, rt, comp, budget):
-        return run_bulk(rt, comp, budget, self.stage_kernels)
+        return run_bulk(rt, comp, budget, self.stage_kernels,
+                        self.fresh_kernels)
 
 
 def compile_plan_kernels(plan):
-    """Build one kernel per stage of *plan* (at plan-finalize time).
+    """Build the kernels of every stage of *plan* (at plan-finalize time).
 
     NEIGHBOR, VERTEX and OUTPUT stages — the hot path — get textually
     generated specialized kernels; the remaining hop kinds run the
     reference ``HopCursor`` through a generic batched driver.
     """
-    kernels = []
+    stage_kernels = []
+    fresh_kernels = []
     for stage in plan.stages:
         kind = stage.hop.kind
         if kind is HopKind.NEIGHBOR:
-            kernels.append(_compile_neighbor_kernel(plan, stage))
+            kernel, fresh = _compile(plan, stage, _neighbor_template)
         elif kind is HopKind.VERTEX:
-            kernels.append(_compile_vertex_kernel(plan, stage))
+            kernel, fresh = _compile(plan, stage, _vertex_template)
         elif kind is HopKind.OUTPUT:
-            kernels.append(_compile_output_kernel(plan, stage))
+            kernel, fresh = _compile(plan, stage, _output_template)
         else:
-            kernels.append(_generic_kernel(stage))
-    return PlanKernels(kernels)
+            kernel, fresh = _generic_kernel(stage), None
+        stage_kernels.append(kernel)
+        fresh_kernels.append(fresh)
+    return PlanKernels(stage_kernels, fresh_kernels)
 
 
 # ----------------------------------------------------------------------
 # The bulk computation driver (replaces run_computation's outer loop)
 # ----------------------------------------------------------------------
-def run_bulk(rt, comp, budget, kernels):
+def run_bulk(rt, comp, budget, kernels, fresh):
     """Advance *comp* by up to *budget* micro-ops through its kernels.
 
     Mirrors ``worker.run_computation`` exactly: same consumption order,
     same per-item/per-frame charges, same DONE/BLOCKED/BUDGET
-    resolution.  ``sync_wait_flagged`` is never consulted because
-    kernels are disabled in blocking_remote mode.
+    resolution.  Message items and scan vertices go to the stage's
+    frame-free entry as one run; only the frames that entry leaves
+    behind (and frames pushed by ``_acquire`` or a local descend) are
+    dispatched one at a time.  ``sync_wait_flagged`` is never consulted
+    because kernels are disabled in blocking_remote mode.
     """
     ops = 0
+    # Kernel invocations that reached a vertex function or a frame: a
+    # run's ops count as kernel ops only if one did.
     dispatches = 0
     stack = comp.stack
     metrics = rt.metrics
-    stage_load = rt.stage_load
-    root = comp.root_stage
     message = comp.message
     if message is not None:
+        root = comp.root_stage
         items = message.items
         n_items = len(items)
-        root_vslot = rt.plan.stages[root].vertex_slot
+        root_fresh = fresh[root] if type(items[0]) is tuple else None
     while True:
         if not stack:
             # Resolve completion before the budget check so a computation
@@ -177,55 +209,51 @@ def run_bulk(rt, comp, budget, kernels):
             if ops >= budget:
                 status = RunStatus.BUDGET
                 break
-            item = items[comp.item_pos]
-            comp.item_pos += 1
-            if type(item) is tuple:
-                # note_item_consumed + push_frame, fused: the stage_load
-                # delta cancels (same stage), a weight-1 buffered
-                # decrement can't move the peak, a frame increment can.
-                metrics.cur_buffered_contexts -= 1
-                clf = metrics.cur_live_frames + 1
-                metrics.cur_live_frames = clf
-                if clf > metrics.peak_live_frames:
-                    metrics.peak_live_frames = clf
-                stack.append(StageFrame(root, item, item[root_vslot]))
-            else:
+            if root_fresh is None:
+                item = items[comp.item_pos]
+                comp.item_pos += 1
                 rt.note_item_consumed(root, item)
                 rt.push_frame(comp, frame_for_item(rt, root, item))
-            ops += 1
-            continue
-        if ops >= budget:
-            status = RunStatus.BUDGET
-            break
-        frame = stack[-1]
-        if frame.__class__ is ScanFrame:
-            ops += 1
-            pos = frame.pos
-            if pos < len(frame.vertices):
-                vertex = frame.vertices[pos]
-                frame.pos = pos + 1
-                stack.append(StageFrame(
-                    frame.stage_index, frame.base_ctx + (vertex,), vertex
-                ))
-                stage_load[frame.stage_index] += 1
-                clf = metrics.cur_live_frames + 1
-                metrics.cur_live_frames = clf
-                if clf > metrics.peak_live_frames:
-                    metrics.peak_live_frames = clf
+                ops += 1
+                continue
+            if ops + 1 < budget:
+                dispatches += 1
+            ops, signal = root_fresh(rt, comp, ops, budget, None)
+        else:
+            if ops >= budget:
+                status = RunStatus.BUDGET
+                break
+            frame = stack[-1]
+            if frame.__class__ is ScanFrame:
+                stage_index = frame.stage_index
+                pos = frame.pos
+                if pos >= len(frame.vertices):
+                    ops += 1
+                    rt.pop_frame(comp)
+                    continue
+                run = fresh[stage_index]
+                if run is None:
+                    ops += 1
+                    frame.pos = pos + 1
+                    vertex = frame.vertices[pos]
+                    rt.push_frame(comp, StageFrame(
+                        stage_index, frame.base_ctx + (vertex,), vertex
+                    ))
+                    continue
+                if ops + 1 < budget:
+                    dispatches += 1
+                ops, signal = run(rt, comp, ops, budget, frame)
             else:
-                stack.pop()
-                stage_load[frame.stage_index] -= 1
-                metrics.cur_live_frames -= 1
-            continue
-        dispatches += 1
-        ops, signal = kernels[frame.stage_index](rt, comp, frame, ops, budget)
+                dispatches += 1
+                ops, signal = kernels[frame.stage_index](
+                    rt, comp, frame, ops, budget
+                )
         if signal == K_CONTINUE:
             continue
         status = RunStatus.BLOCKED if signal == K_BLOCKED \
             else RunStatus.BUDGET
         break
     if dispatches:
-        metrics = rt.metrics
         metrics.kernel_batches += dispatches
         metrics.kernel_ops += ops
         recording = rt.recording
@@ -279,7 +307,7 @@ def _generic_kernel(stage):
 
 
 # ----------------------------------------------------------------------
-# Code generation helpers
+# Code generation: one template per hop kind, two entries
 # ----------------------------------------------------------------------
 def _vertex_labels(graph):
     labels = graph.vertex_labels_list()
@@ -291,54 +319,192 @@ def _edge_labels(graph):
     return _ConstList(NO_LABEL) if labels is None else labels
 
 
-def _emit_vertex_function(stage, graph, ns, lines, ind):
-    """Emit the specialized vertex function into *lines*.
+def _compile(plan, stage, template):
+    """Emit *stage*'s ``kernel`` and ``fresh`` entries from *template*
+    into one source, compiled once."""
+    ns = {
+        "K_CONTINUE": K_CONTINUE,
+        "K_BLOCKED": K_BLOCKED,
+        "K_BUDGET": K_BUDGET,
+        "RuntimeFault": RuntimeFault,
+        "StageFrame": StageFrame,
+        "_keep": _keep,
+    }
+    lines = []
+    for fresh in (False, True):
+        template(plan, stage, ns, lines, fresh)
+    source = "\n".join(lines) + "\n"
+    # The digest tells kernels of different plans apart in a profile
+    # without depending on the hash seed.
+    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+    code = compile(
+        source,
+        "<repro-kernel:stage%d:%s:%s>"
+        % (stage.index, stage.hop.kind.value, digest),
+        "exec",
+    )
+    exec(code, ns)
+    kernel, fresh = ns["kernel"], ns["fresh"]
+    kernel.__source__ = fresh.__source__ = source  # introspection aid
+    return kernel, fresh
 
-    Expects ``vertex``, ``ctx``, ``M`` (metrics) and ``SL``
-    (stage_load) bound; on failure pops the frame inline — the exact
+
+def _prologue(w, stage, fresh, prebinds):
+    """Open one entry of a stage's kernel; returns the indentation at
+    which the template emits the per-context body.
+
+    Both entries bind ``vertex``, ``ctx``, ``M`` (metrics) and ``SL``
+    (stage_load); the frame entry also ``stack``.  The frame-free entry
+    runs *prebinds* once, loops over its run and charges each context's
+    consumption step, keeping the gauges as if the context's frame had
+    been pushed: a message item leaves the buffered contexts, and its
+    stage-load entry passes to the frame; a scan vertex adds its frame's
+    stage load (both settled when the call returns, by
+    :func:`_epilogue` or :func:`_keep`).  The live-frame count a context
+    would reach is ``clf``, raised into the peak once: nothing inside
+    the loop changes it.
+    """
+    if not fresh:
+        w.append("def kernel(rt, comp, frame, ops, budget):")
+        w.append("    vertex = frame.vertex")
+        w.append("    ctx = frame.ctx")
+        w.append("    M = rt.metrics")
+        w.append("    SL = rt.stage_load")
+        w.append("    stack = comp.stack")
+        return "    "
+    w.append("def fresh(rt, comp, ops, budget, scan):")
+    w.append("    M = rt.metrics")
+    w.append("    SL = rt.stage_load")
+    w.append("    clf = M.cur_live_frames + 1")
+    w.append("    if clf > M.peak_live_frames:")
+    w.append("        M.peak_live_frames = clf")
+    w.append("    if scan is None:")
+    w.append("        src = comp.message.items")
+    w.append("        i = i0 = comp.item_pos")
+    w.append("    else:")
+    w.append("        src = scan.vertices")
+    w.append("        i = i0 = scan.pos")
+    w.append("        base = scan.base_ctx")
+    w.append("    n = len(src)")
+    for line in prebinds:
+        w.append("    " + line)
+    w.append("    while i < n and ops < budget:")
+    w.append("        if scan is None:")
+    w.append("            ctx = src[i]")
+    w.append("            vertex = ctx[%d]" % stage.vertex_slot)
+    w.append("            M.cur_buffered_contexts -= 1")
+    w.append("        else:")
+    w.append("            vertex = src[i]")
+    w.append("            ctx = base + (vertex,)")
+    w.append("        i += 1")
+    w.append("        ops += 1")
+    w.append("        if ops >= budget:")
+    _materialize(w, "            ", stage, 0, None)
+    w.append("            return ops, K_BUDGET")
+    return "        "
+
+
+def _epilogue(w, stage, fresh):
+    """Close the frame-free entry: every context the run took finished
+    inside the call.  Hand the position back; a finished message item
+    has left its stage, a finished scan vertex's frame came and went."""
+    if fresh:
+        w.append("    if scan is None:")
+        w.append("        comp.item_pos = i")
+        w.append("        SL[%d] -= i - i0" % stage.index)
+        w.append("    else:")
+        w.append("        scan.pos = i")
+        w.append("    return ops, K_CONTINUE")
+
+
+def _materialize(w, ind, stage, phase, cursor):
+    """Frame-free entry only: give the current context the frame it
+    would have had all along (:func:`_keep`)."""
+    w.append(ind + "frame = StageFrame(%d, ctx, vertex)" % stage.index)
+    if phase:
+        w.append(ind + "frame.phase = 1")
+    if cursor is not None:
+        w.append(ind + "frame.cursor = %s" % cursor)
+    w.append(ind + "_keep(rt, comp, scan, i, i0, frame, clf)")
+
+
+def _keep(rt, comp, scan, i, i0, frame, clf):
+    """The frame-free entry's current context outlives the call: push
+    its *frame*, whose live-frame count *clf* was reached (and peaked)
+    when the context was taken, and hand the run position back.  The
+    run's finished message items have left their stage; the kept one's
+    stage load passed to its frame.  A scan vertex's frame adds its
+    own."""
+    comp.stack.append(frame)
+    rt.metrics.cur_live_frames = clf
+    if scan is None:
+        comp.item_pos = i
+        rt.stage_load[frame.stage_index] -= i - i0 - 1
+    else:
+        scan.pos = i
+        rt.stage_load[frame.stage_index] += 1
+
+
+def _retire(w, ind, stage, fresh, then):
+    """The context is done.  The frame entry pops its frame — the exact
     body of ``QueryMachine.pop_frame`` (a negative frames delta can
-    never move the peak) — and returns.  The compile-time form of
+    never move the peak) — and returns; the frame-free entry has no
+    frame to pop and goes on with *then* (``continue``/``break``/None)."""
+    if fresh:
+        if then is not None:
+            w.append(ind + then)
+        return
+    w.append(ind + "stack.pop()")
+    w.append(ind + "SL[%d] -= 1" % stage.index)
+    w.append(ind + "M.cur_live_frames -= 1")
+    w.append(ind + "return ops, K_CONTINUE")
+
+
+def _emit_vertex_function(stage, graph, ns, w, ind, fresh):
+    """Emit the specialized vertex function into *w*.
+
+    Expects ``vertex`` and ``ctx`` bound; on failure retires the
+    context (:func:`_retire`).  The compile-time form of
     ``worker._vertex_function`` (counters, debug fault) around
     ``hops.vertex_function``, check for check.
     """
-    fail = (ind + "    comp.stack.pop()",
-            ind + "    SL[%d] -= 1" % stage.index,
-            ind + "    M.cur_live_frames -= 1",
-            ind + "    return ops, K_CONTINUE")
-    lines.append(ind + "if rt.debug_checks and not rt.local.is_local(vertex):")
-    lines.append(ind + "    raise RuntimeFault(")
-    lines.append(ind + "        'stage %d executed on machine %%d for "
-                       "remote vertex %%d'" % stage.index)
-    lines.append(ind + "        % (rt.machine_id, vertex))")
-    lines.append(ind + "rt.stage_visits[%d] += 1" % stage.index)
-    lines.append(ind + "ops += %d" % stage.work_cost)
+    fail = []
+    _retire(fail, ind + "    ", stage, fresh, "continue")
+    w.append(ind + "if rt.debug_checks and not rt.local.is_local(vertex):")
+    w.append(ind + "    raise RuntimeFault(")
+    w.append(ind + "        'stage %d executed on machine %%d for "
+                   "remote vertex %%d'" % stage.index)
+    w.append(ind + "        % (rt.machine_id, vertex))")
+    w.append(ind + "rt.stage_visits[%d] += 1" % stage.index)
+    w.append(ind + "ops += %d" % stage.work_cost)
     if stage.label_id is not None:
         ns["VLABELS"] = _vertex_labels(graph)
-        lines.append(ind + "if VLABELS[vertex] != %d:" % stage.label_id)
-        lines.extend(fail)
+        w.append(ind + "if VLABELS[vertex] != %d:" % stage.label_id)
+        w.extend(fail)
     if stage.iso_vertex_slots:
         cond = " or ".join(
             "ctx[%d] == vertex" % slot for slot in stage.iso_vertex_slots
         )
-        lines.append(ind + "if %s:" % cond)
-        lines.extend(fail)
+        w.append(ind + "if %s:" % cond)
+        w.extend(fail)
     if stage.filter is not None:
         ns["FILT"] = stage.filter
-        lines.append(ind + "if not FILT(ctx, vertex, -1):")
-        lines.extend(fail)
+        w.append(ind + "if not FILT(ctx, vertex, -1):")
+        w.extend(fail)
     for slot in stage.forbidden_slots:
-        lines.append(ind + "if rt.local.edges_between(vertex, ctx[%d]):"
-                     % slot)
-        lines.extend(fail)
-    lines.append(ind + "rt.stage_passes[%d] += 1" % stage.index)
+        w.append(ind + "if rt.local.edges_between(vertex, ctx[%d]):"
+                 % slot)
+        w.extend(fail)
+    w.append(ind + "rt.stage_passes[%d] += 1" % stage.index)
     if stage.captures:
         for i, capture in enumerate(stage.captures):
             ns["CAP%d" % i] = capture
         caps = ", ".join(
             "CAP%d(vertex)" % i for i in range(len(stage.captures))
         )
-        lines.append(ind + "ctx = ctx + (%s,)" % caps)
-        lines.append(ind + "frame.ctx = ctx")
+        w.append(ind + "ctx = ctx + (%s,)" % caps)
+        if not fresh:
+            w.append(ind + "frame.ctx = ctx")
 
 
 def _edge_accept_condition(hop, ns):
@@ -367,28 +533,15 @@ def _out_ctx_expression(hop, ns):
     return "ctx + (%s,)" % ", ".join(parts)
 
 
-def _finish_kernel(lines, ns, stage):
-    source = "\n".join(lines) + "\n"
-    code = compile(
-        source,
-        "<repro-kernel:stage%d:%s>" % (stage.index, stage.hop.kind.value),
-        "exec",
-    )
-    exec(code, ns)
-    kernel = ns["kernel"]
-    kernel.__source__ = source  # introspection / debugging aid
-    return kernel
-
-
-def _compile_neighbor_kernel(plan, stage):
-    """Generate the specialized NEIGHBOR kernel for *stage*.
+def _neighbor_template(plan, stage, ns, w, fresh):
+    """The NEIGHBOR kernel of *stage*.
 
     The adjacency run is walked over the graph's flat python-list CSR
     (converted once per graph) between absolute ``pos``/``end`` bounds;
     remote continuations go through batch reservations with a
     ``rt.route`` fallback whose refusal point matches the cursor path.
-    ``scanned``/``emitted`` are tallied in locals and charged to the
-    machine's stage counters once per kernel exit.
+    ``emitted`` is tallied in a local and charged, with ``scanned``, to
+    the machine's stage counters once per exit of a context's run.
     """
     graph = plan.graph
     hop = stage.hop
@@ -397,164 +550,162 @@ def _compile_neighbor_kernel(plan, stage):
     wc_h = hop.work_cost
     (out_off, out_dst, out_eid,
      in_off, in_src, in_eid) = graph.adjacency_lists()
-    ns = {
-        "K_CONTINUE": K_CONTINUE,
-        "K_BLOCKED": K_BLOCKED,
-        "K_BUDGET": K_BUDGET,
-        "RuntimeFault": RuntimeFault,
-        "_RunState": _RunState,
-        "StageFrame": StageFrame,
-        "ELABELS": _edge_labels(graph),
-    }
+    ns["_RunState"] = _RunState
+    ns["ELABELS"] = _edge_labels(graph)
     if hop.direction is Direction.OUT:
         ns["OFF"], ns["DST"], ns["EIDS"] = out_off, out_dst, out_eid
     else:
         ns["OFF"], ns["DST"], ns["EIDS"] = in_off, in_src, in_eid
 
-    w = []
+    # Per-call prebinds, amortized over whole adjacency runs.  Flushed
+    # buffers are emptied in place, never replaced, so a list looked up
+    # once (``bufs``) stays the live (stage, dest) buffer all call long.
+    prebinds = [
+        "mid = rt.machine_id",
+        "owners = rt.owner_list",
+        "remote_in = rt.stage_remote_in",
+        "local_q = rt._local_inbox[%d]" % s_next,
+        "cap = rt._local_share_cap",
+        "reserve = rt.reserve_items",
+        "get_buffer = rt._buffer",
+        "flush = rt._flush_buffer",
+        "bulk = rt.config.bulk_message_size",
+    ]
+    if hop.appends_target_id:
+        prebinds.append("ghosted = rt.ghosts_enabled")
+    prebinds += ["resv = {}", "bufs = {}"]
 
-    def leave(ind, signal):
-        # Every exit of the adjacency loop: charge the neighbors this
-        # invocation inspected (a blocked attempt counts, as on the
-        # cursor path) and the continuations it produced, then hand any
-        # leftover reservation back to the window.
-        w.append(ind + "rt.stage_scanned[%d] += pos - pos0" % s)
-        w.append(ind + "rt.stage_emitted[%d] += emitted" % s)
-        w.append(ind + "if resv: rt.end_batch(%d, resv)" % s_next)
-        w.append(ind + "return ops, %s" % signal)
-
-    w.append("def kernel(rt, comp, frame, ops, budget):")
-    w.append("    ctx = frame.ctx")
-    w.append("    M = rt.metrics")
-    w.append("    SL = rt.stage_load")
-    w.append("    state = frame.cursor")
-    w.append("    if state is None:")
-    w.append("        vertex = frame.vertex")
-    _emit_vertex_function(stage, graph, ns, w, "        ")
+    ind = _prologue(w, stage, fresh, prebinds)
+    if fresh:
+        vf_ind = ind
+    else:
+        w.append(ind + "state = frame.cursor")
+        w.append(ind + "if state is None:")
+        vf_ind = ind + "    "
+    _emit_vertex_function(stage, graph, ns, w, vf_ind, fresh)
     # Ownership discipline: reading a remote vertex's adjacency must
     # hard-fail exactly like LocalPartition does on the cursor path.
-    w.append("        if rt.owner_list[vertex] != rt.machine_id:")
-    w.append("            rt.local.out_edges(vertex)"
+    w.append(vf_ind + "if rt.owner_list[vertex] != rt.machine_id:")
+    w.append(vf_ind + "    rt.local.out_edges(vertex)"
              "  # raises RemoteAccessError")
-    w.append("        state = _RunState(OFF[vertex], OFF[vertex + 1])")
-    w.append("        frame.cursor = state")
-    w.append("        frame.phase = 1")
-    w.append("        if ops >= budget:")
-    w.append("            return ops, K_BUDGET")
-    w.append("    else:")
-    w.append("        vertex = frame.vertex")
-    w.append("    pos = pos0 = state.pos")
-    w.append("    end = state.end")
-    w.append("    if pos >= end:")
-    w.append("        comp.stack.pop()")
-    w.append("        SL[%d] -= 1" % s)
-    w.append("        M.cur_live_frames -= 1")
-    w.append("        return ops + %d, K_CONTINUE" % wc_h)
-    # Per-invocation prebinds, amortized over the whole adjacency run.
-    w.append("    mid = rt.machine_id")
-    w.append("    owners = rt.owner_list")
-    w.append("    remote_in = rt.stage_remote_in")
-    w.append("    local_q = rt._local_inbox[%d]" % s_next)
-    w.append("    cap = rt._local_share_cap")
-    w.append("    reserve = rt.reserve_items")
-    w.append("    get_buffer = rt._buffer")
-    w.append("    flush = rt._flush_buffer")
-    w.append("    bulk = rt.config.bulk_message_size")
-    if hop.appends_target_id:
-        w.append("    ghosted = rt.ghosts_enabled")
-    w.append("    resv = {}")
-    # Flushed buffers are emptied in place, never replaced, so a list
-    # looked up once stays the live (stage, dest) buffer all run long.
-    w.append("    bufs = {}")
-    w.append("    emitted = 0")
-    w.append("    while True:")
-    w.append("        if pos >= end:")
-    w.append("            ops += %d" % wc_h)
-    w.append("            comp.stack.pop()")
-    w.append("            SL[%d] -= 1" % s)
-    w.append("            M.cur_live_frames -= 1")
-    leave("            ", "K_CONTINUE")
-    w.append("        target = DST[pos]")
-    w.append("        eid = EIDS[pos]")
-    w.append("        pos += 1")
-    w.append("        ops += %d" % wc_h)
+    if fresh:
+        w.append(ind + "pos = pos0 = OFF[vertex]")
+        w.append(ind + "end = OFF[vertex + 1]")
+        w.append(ind + "if ops >= budget:")
+        _materialize(w, ind + "    ", stage, 1, "_RunState(pos, end)")
+        w.append(ind + "    return ops, K_BUDGET")
+    else:
+        w.append(vf_ind + "state = _RunState(OFF[vertex], OFF[vertex + 1])")
+        w.append(vf_ind + "frame.cursor = state")
+        w.append(vf_ind + "frame.phase = 1")
+        w.append(vf_ind + "if ops >= budget:")
+        w.append(vf_ind + "    return ops, K_BUDGET")
+        w.append(ind + "pos = pos0 = state.pos")
+        w.append(ind + "end = state.end")
+        w.extend(ind + line for line in prebinds)
+    w.append(ind + "emitted = 0")
+
+    def suspend(at, pos):
+        # The context stops mid-run at adjacency position *pos*.
+        if fresh:
+            _materialize(w, at, stage, 1, "_RunState(%s, end)" % pos)
+        else:
+            w.append(at + "state.pos = %s" % pos)
+
+    def leave(at, signal=None):
+        # Every exit of a run: charge the neighbors this call inspected
+        # (a blocked attempt counts, as on the cursor path) and the
+        # continuations it produced, then hand any leftover reservation
+        # back to the window.
+        w.append(at + "rt.stage_scanned[%d] += pos - pos0" % s)
+        w.append(at + "rt.stage_emitted[%d] += emitted" % s)
+        w.append(at + "if resv: rt.end_batch(%d, resv)" % s_next)
+        if signal is not None:
+            w.append(at + "return ops, %s" % signal)
+
+    loop = ind + "    "
+    w.append(ind + "while True:")
+    w.append(loop + "if pos >= end:")
+    w.append(loop + "    ops += %d" % wc_h)
+    leave(loop + "    ")
+    _retire(w, loop + "    ", stage, fresh, "break")
+    w.append(loop + "target = DST[pos]")
+    w.append(loop + "eid = EIDS[pos]")
+    w.append(loop + "pos += 1")
+    w.append(loop + "ops += %d" % wc_h)
     cond = _edge_accept_condition(hop, ns)
     if cond:
-        w.append("        if %s:" % cond)
-        body_ind = "            "
+        w.append(loop + "if %s:" % cond)
+        body = loop + "    "
     else:
-        body_ind = "        "
-    out_ctx = _out_ctx_expression(hop, ns)
-    w.append(body_ind + "out_ctx = %s" % out_ctx)
-    w.append(body_ind + "dest = owners[target]")
-    w.append(body_ind + "if dest == mid:")
+        body = loop
+    w.append(body + "out_ctx = %s" % _out_ctx_expression(hop, ns))
+    w.append(body + "dest = owners[target]")
+    w.append(body + "if dest == mid:")
     # route() counts an emission on either local delivery form.
-    w.append(body_ind + "    emitted += 1")
-    w.append(body_ind + "    if len(local_q) < cap:")
-    w.append(body_ind + "        local_q.append(out_ctx)")
-    w.append(body_ind + "        SL[%d] += 1" % s_next)
+    w.append(body + "    emitted += 1")
+    w.append(body + "    if len(local_q) < cap:")
+    w.append(body + "        local_q.append(out_ctx)")
+    w.append(body + "        SL[%d] += 1" % s_next)
     # Inline buffered_delta(1): a positive delta can move the peak.
-    w.append(body_ind + "        cbc = M.cur_buffered_contexts + 1")
-    w.append(body_ind + "        M.cur_buffered_contexts = cbc")
-    w.append(body_ind + "        if cbc > M.peak_buffered_contexts:")
-    w.append(body_ind + "            M.peak_buffered_contexts = cbc")
-    w.append(body_ind + "    else:")
-    w.append(body_ind + "        state.pos = pos")
+    w.append(body + "        cbc = M.cur_buffered_contexts + 1")
+    w.append(body + "        M.cur_buffered_contexts = cbc")
+    w.append(body + "        if cbc > M.peak_buffered_contexts:")
+    w.append(body + "            M.peak_buffered_contexts = cbc")
+    w.append(body + "    else:")
+    suspend(body + "        ", "pos")
     # Inline push_frame (a positive frames delta can move the peak).
-    w.append(body_ind + "        comp.stack.append(StageFrame("
+    w.append(body + "        comp.stack.append(StageFrame("
              "%d, out_ctx, target))" % s_next)
-    w.append(body_ind + "        SL[%d] += 1" % s_next)
-    w.append(body_ind + "        clf = M.cur_live_frames + 1")
-    w.append(body_ind + "        M.cur_live_frames = clf")
-    w.append(body_ind + "        if clf > M.peak_live_frames:")
-    w.append(body_ind + "            M.peak_live_frames = clf")
-    leave(body_ind + "        ", "K_CONTINUE")
+    w.append(body + "        SL[%d] += 1" % s_next)
+    w.append(body + "        lf = M.cur_live_frames + 1")
+    w.append(body + "        M.cur_live_frames = lf")
+    w.append(body + "        if lf > M.peak_live_frames:")
+    w.append(body + "            M.peak_live_frames = lf")
+    leave(body + "        ", "K_CONTINUE")
     if hop.appends_target_id:
         # Ghost-node pre-filter, evaluated only when ghosts exist (the
         # cursor path's call is a no-op without them).
-        w.append(body_ind + "elif ghosted and not rt.ghost_admits("
+        w.append(body + "elif ghosted and not rt.ghost_admits("
                  "%d, out_ctx, target):" % s_next)
-        w.append(body_ind + "    pass")
-    w.append(body_ind + "else:")
-    w.append(body_ind + "    rem = resv.get(dest, 0)")
-    w.append(body_ind + "    if rem <= 0:")
-    w.append(body_ind + "        rem = reserve(%d, dest, end - pos + 1)"
-             % s_next)
-    w.append(body_ind + "    if rem > 0:")
-    w.append(body_ind + "        resv[dest] = rem - 1")
-    w.append(body_ind + "        buf = bufs.get(dest)")
-    w.append(body_ind + "        if buf is None:")
-    w.append(body_ind + "            buf = get_buffer(%d, dest)" % s_next)
-    w.append(body_ind + "            bufs[dest] = buf")
-    w.append(body_ind + "        buf.append(out_ctx)")
-    w.append(body_ind + "        cbc = M.cur_buffered_contexts + 1")
-    w.append(body_ind + "        M.cur_buffered_contexts = cbc")
-    w.append(body_ind + "        if cbc > M.peak_buffered_contexts:")
-    w.append(body_ind + "            M.peak_buffered_contexts = cbc")
-    w.append(body_ind + "        remote_in[%d] += 1" % s_next)
-    w.append(body_ind + "        emitted += 1")
-    w.append(body_ind + "        if len(buf) >= bulk:")
-    w.append(body_ind + "            flush(%d, dest, buf)" % s_next)
-    w.append(body_ind + "    else:")
+        w.append(body + "    pass")
+    w.append(body + "else:")
+    w.append(body + "    rem = resv.get(dest, 0)")
+    w.append(body + "    if rem <= 0:")
+    w.append(body + "        rem = reserve(%d, dest, end - pos + 1)" % s_next)
+    w.append(body + "    if rem > 0:")
+    w.append(body + "        resv[dest] = rem - 1")
+    w.append(body + "        buf = bufs.get(dest)")
+    w.append(body + "        if buf is None:")
+    w.append(body + "            buf = get_buffer(%d, dest)" % s_next)
+    w.append(body + "            bufs[dest] = buf")
+    w.append(body + "        buf.append(out_ctx)")
+    w.append(body + "        cbc = M.cur_buffered_contexts + 1")
+    w.append(body + "        M.cur_buffered_contexts = cbc")
+    w.append(body + "        if cbc > M.peak_buffered_contexts:")
+    w.append(body + "            M.peak_buffered_contexts = cbc")
+    w.append(body + "        remote_in[%d] += 1" % s_next)
+    w.append(body + "        emitted += 1")
+    w.append(body + "        if len(buf) >= bulk:")
+    w.append(body + "            flush(%d, dest, buf)" % s_next)
+    w.append(body + "    else:")
     # A zero grant means the buffer is full and the window is shut, so
     # route() can only refuse: it is called for the refusal's side
     # effects (last_refused, flow_control_blocks, the FlowBlock event).
-    w.append(body_ind + "        if rt.route(comp, %d, dest, out_ctx):"
-             % s_next)
-    w.append(body_ind + "            raise RuntimeFault("
+    w.append(body + "        if rt.route(comp, %d, dest, out_ctx):" % s_next)
+    w.append(body + "            raise RuntimeFault("
              "'stage %d: route admitted an item after a refused "
              "reservation')" % s)
-    w.append(body_ind + "        state.pos = pos - 1"
-             "  # replay this neighbor on resume")
-    leave(body_ind + "        ", "K_BLOCKED")
-    w.append("        if ops >= budget:")
-    w.append("            state.pos = pos")
-    leave("            ", "K_BUDGET")
-    return _finish_kernel(w, ns, stage)
+    suspend(body + "        ", "pos - 1")  # replay this neighbor on resume
+    leave(body + "        ", "K_BLOCKED")
+    w.append(loop + "if ops >= budget:")
+    suspend(loop + "    ", "pos")
+    leave(loop + "    ", "K_BUDGET")
+    _epilogue(w, stage, fresh)
 
 
-def _compile_vertex_kernel(plan, stage):
-    """Generate the specialized VERTEX kernel for *stage*.
+def _vertex_template(plan, stage, ns, w, fresh):
+    """The VERTEX kernel of *stage*.
 
     The steps of ``hops.hop_steps`` for a VERTEX hop: without an edge
     requirement, one unconditional continuation plus the exhaustion
@@ -562,102 +713,127 @@ def _compile_vertex_kernel(plan, stage):
     individually.  Parallel-edge runs are tiny, so emission goes through
     ``rt.route`` (identical refusal points by construction) — the saving
     here is the cursor object, the generator resumes and the enum
-    compares.
+    compares.  A context whose target is local may have a continuation
+    frame pushed onto its stack by ``route``, so the frame-free entry
+    gives it its frame first and leaves it to the frame entry.
     """
     hop = stage.hop
-    s_next = stage.index + 1
+    s = stage.index
+    s_next = s + 1
     wc_h = hop.work_cost
-    ns = {
-        "K_CONTINUE": K_CONTINUE,
-        "K_BLOCKED": K_BLOCKED,
-        "K_BUDGET": K_BUDGET,
-        "RuntimeFault": RuntimeFault,
-        "_EdgeRun": _EdgeRun,
-        "ELABELS": _edge_labels(plan.graph),
-    }
-    w = []
-    w.append("def kernel(rt, comp, frame, ops, budget):")
-    w.append("    vertex = frame.vertex")
-    w.append("    ctx = frame.ctx")
-    w.append("    M = rt.metrics")
-    w.append("    SL = rt.stage_load")
-    w.append("    if frame.phase == 0:")
-    _emit_vertex_function(stage, plan.graph, ns, w, "        ")
-    w.append("        frame.phase = 1")
+    target = "ctx[%d]" % hop.target_slot
+    ns["_EdgeRun"] = _EdgeRun
+    ns["ELABELS"] = _edge_labels(plan.graph)
     if hop.edge_req_orientation == "current_to_target":
-        w.append("        frame.cursor = _EdgeRun(rt.local.edges_between("
-                 "vertex, ctx[%d]))" % hop.target_slot)
+        edge_ids = "rt.local.edges_between(vertex, %s)" % target
     elif hop.edge_req_orientation is not None:
-        w.append("        frame.cursor = _EdgeRun(rt.local.in_edges_from("
-                 "vertex, ctx[%d]))" % hop.target_slot)
-    w.append("        if ops >= budget:")
-    w.append("            return ops, K_BUDGET")
-    w.append("    stack = comp.stack")
-    if hop.edge_req_orientation is None:
+        edge_ids = "rt.local.in_edges_from(vertex, %s)" % target
+    else:
+        edge_ids = None
+    ind = _prologue(w, stage, fresh,
+                    ["mid = rt.machine_id", "owners = rt.owner_list"])
+    if fresh:
+        _emit_vertex_function(stage, plan.graph, ns, w, ind, fresh)
+        cursor = None
+        if edge_ids is not None:
+            w.append(ind + "eids = %s" % edge_ids)
+            cursor = "_EdgeRun(eids)"
+        w.append(ind + "dest = owners[%s]" % target)
+        w.append(ind + "if ops >= budget or dest == mid:")
+        _materialize(w, ind + "    ", stage, 1, cursor)
+        w.append(ind + "    return ops, K_CONTINUE")
+    else:
+        w.append(ind + "if frame.phase == 0:")
+        _emit_vertex_function(stage, plan.graph, ns, w, ind + "    ", fresh)
+        w.append(ind + "    frame.phase = 1")
+        if edge_ids is not None:
+            w.append(ind + "    frame.cursor = _EdgeRun(%s)" % edge_ids)
+        w.append(ind + "    if ops >= budget:")
+        w.append(ind + "        return ops, K_BUDGET")
+        w.append(ind + "dest = rt.owner_list[%s]" % target)
+
+    if edge_ids is None:
         # Pure inspection: one routed continuation (frame.cursor doubles
         # as the sent flag), then the exhaustion-discovery charge.
-        w.append("    if frame.cursor is None:")
-        w.append("        ops += %d" % wc_h)
-        w.append("        if not rt.route(comp, %d, "
-                 "rt.owner_list[ctx[%d]], ctx):" % (s_next, hop.target_slot))
-        w.append("            return ops, K_BLOCKED")
-        w.append("        frame.cursor = True")
-        w.append("        if ops >= budget:")
-        w.append("            return ops, K_BUDGET")
-        w.append("        if stack[-1] is not frame:")
-        w.append("            return ops, K_CONTINUE")
-        w.append("    ops += %d" % wc_h)
-        w.append("    stack.pop()")
-        w.append("    SL[%d] -= 1" % stage.index)
-        w.append("    M.cur_live_frames -= 1")
-        w.append("    return ops, K_CONTINUE")
-        return _finish_kernel(w, ns, stage)
-    w.append("    state = frame.cursor")
-    w.append("    eids = state.eids")
-    w.append("    pos = pos0 = state.pos")
-    w.append("    end = state.end")
-    w.append("    dest = rt.owner_list[ctx[%d]]" % hop.target_slot)
+        if fresh:
+            at = ind
+        else:
+            w.append(ind + "if frame.cursor is None:")
+            at = ind + "    "
+        w.append(at + "ops += %d" % wc_h)
+        w.append(at + "if not rt.route(comp, %d, dest, ctx):" % s_next)
+        if fresh:
+            _materialize(w, at + "    ", stage, 1, None)
+        w.append(at + "    return ops, K_BLOCKED")
+        if fresh:
+            w.append(at + "if ops >= budget:")
+            _materialize(w, at + "    ", stage, 1, "True")
+            w.append(at + "    return ops, K_BUDGET")
+        else:
+            w.append(at + "frame.cursor = True")
+            w.append(at + "if ops >= budget:")
+            w.append(at + "    return ops, K_BUDGET")
+            w.append(at + "if stack[-1] is not frame:")
+            w.append(at + "    return ops, K_CONTINUE")
+        w.append(ind + "ops += %d" % wc_h)
+        _retire(w, ind, stage, fresh, None)
+        _epilogue(w, stage, fresh)
+        return
+
+    if fresh:
+        w.append(ind + "pos = pos0 = 0")
+        w.append(ind + "end = len(eids)")
+    else:
+        w.append(ind + "state = frame.cursor")
+        w.append(ind + "eids = state.eids")
+        w.append(ind + "pos = pos0 = state.pos")
+        w.append(ind + "end = state.end")
+
+    def suspend(at, pos):
+        # The context stops at edge position *pos*.
+        if fresh:
+            _materialize(w, at, stage, 1, "_EdgeRun(eids, %s)" % pos)
+        else:
+            w.append(at + "state.pos = %s" % pos)
+
     # Charged once per exit, like the NEIGHBOR kernel (the
     # pure-inspection form above scans nothing on either path).
-    scanned = "rt.stage_scanned[%d] += pos - pos0" % stage.index
-    w.append("    while True:")
-    w.append("        if pos >= end:")
-    w.append("            ops += %d" % wc_h)
-    w.append("            stack.pop()")
-    w.append("            SL[%d] -= 1" % stage.index)
-    w.append("            M.cur_live_frames -= 1")
-    w.append("            " + scanned)
-    w.append("            return ops, K_CONTINUE")
-    w.append("        eid = eids[pos]")
-    w.append("        pos += 1")
-    w.append("        ops += %d" % wc_h)
+    scanned = "rt.stage_scanned[%d] += pos - pos0" % s
+    loop = ind + "    "
+    w.append(ind + "while True:")
+    w.append(loop + "if pos >= end:")
+    w.append(loop + "    ops += %d" % wc_h)
+    w.append(loop + "    " + scanned)
+    _retire(w, loop + "    ", stage, fresh, "break")
+    w.append(loop + "eid = eids[pos]")
+    w.append(loop + "pos += 1")
+    w.append(loop + "ops += %d" % wc_h)
     cond = _edge_accept_condition(hop, ns)
     if cond:
-        w.append("        if %s:" % cond)
-        body_ind = "            "
+        w.append(loop + "if %s:" % cond)
+        body = loop + "    "
     else:
-        body_ind = "        "
-    w.append(body_ind + "out_ctx = %s" % _out_ctx_expression(hop, ns))
-    w.append(body_ind + "if not rt.route(comp, %d, dest, out_ctx):" % s_next)
-    w.append(body_ind + "    state.pos = pos - 1"
-             "  # replay this edge on resume")
-    w.append(body_ind + "    " + scanned)
-    w.append(body_ind + "    return ops, K_BLOCKED")
-    w.append(body_ind + "if stack[-1] is not frame:")
-    w.append(body_ind + "    state.pos = pos")
-    w.append(body_ind + "    " + scanned)
-    w.append(body_ind + "    if ops >= budget:")
-    w.append(body_ind + "        return ops, K_BUDGET")
-    w.append(body_ind + "    return ops, K_CONTINUE")
-    w.append("        if ops >= budget:")
-    w.append("            state.pos = pos")
-    w.append("            " + scanned)
-    w.append("            return ops, K_BUDGET")
-    return _finish_kernel(w, ns, stage)
+        body = loop
+    w.append(body + "out_ctx = %s" % _out_ctx_expression(hop, ns))
+    w.append(body + "if not rt.route(comp, %d, dest, out_ctx):" % s_next)
+    suspend(body + "    ", "pos - 1")  # replay this edge on resume
+    w.append(body + "    " + scanned)
+    w.append(body + "    return ops, K_BLOCKED")
+    if not fresh:
+        # A local continuation may have become a frame on this stack.
+        w.append(body + "if stack[-1] is not frame:")
+        w.append(body + "    state.pos = pos")
+        w.append(body + "    " + scanned)
+        w.append(body + "    return ops, K_CONTINUE")
+    w.append(loop + "if ops >= budget:")
+    suspend(loop + "    ", "pos")
+    w.append(loop + "    " + scanned)
+    w.append(loop + "    return ops, K_BUDGET")
+    _epilogue(w, stage, fresh)
 
 
-def _compile_output_kernel(plan, stage):
-    """Generate the specialized OUTPUT kernel for *stage*.
+def _output_template(plan, stage, ns, w, fresh):
+    """The OUTPUT kernel of *stage*.
 
     Two charges after the vertex function — the ``RESULT`` step of
     ``hops.hop_steps``, then the exhaustion discovery — matching
@@ -665,38 +841,36 @@ def _compile_output_kernel(plan, stage):
     emitted flag.
     """
     wc_h = stage.hop.work_cost
-    ns = {
-        "K_CONTINUE": K_CONTINUE,
-        "K_BUDGET": K_BUDGET,
-        "RuntimeFault": RuntimeFault,
-        "ResultEmitted": ResultEmitted,
-    }
-    w = []
-    w.append("def kernel(rt, comp, frame, ops, budget):")
-    w.append("    ctx = frame.ctx")
-    w.append("    M = rt.metrics")
-    w.append("    SL = rt.stage_load")
-    w.append("    if frame.phase == 0:")
-    w.append("        vertex = frame.vertex")
-    _emit_vertex_function(stage, plan.graph, ns, w, "        ")
-    w.append("        frame.phase = 1")
-    w.append("        if ops >= budget:")
-    w.append("            return ops, K_BUDGET")
-    w.append("    if frame.cursor is None:")
-    w.append("        frame.cursor = True")
+    ns["ResultEmitted"] = ResultEmitted
+    emit = ["add = rt.collector.add", "recording = rt.recording"]
+    ind = _prologue(w, stage, fresh, emit)
+    if fresh:
+        _emit_vertex_function(stage, plan.graph, ns, w, ind, fresh)
+        w.append(ind + "if ops >= budget:")
+        _materialize(w, ind + "    ", stage, 1, None)
+        w.append(ind + "    return ops, K_BUDGET")
+        at = ind
+    else:
+        w.append(ind + "if frame.phase == 0:")
+        _emit_vertex_function(stage, plan.graph, ns, w, ind + "    ", fresh)
+        w.append(ind + "    frame.phase = 1")
+        w.append(ind + "    if ops >= budget:")
+        w.append(ind + "        return ops, K_BUDGET")
+        w.append(ind + "if frame.cursor is None:")
+        at = ind + "    "
+        w.append(at + "frame.cursor = True")
+        w.extend(at + line for line in emit)
     # Inline emit_result (machine.py): collector, counter, event.
-    w.append("        rt.collector.add(ctx)")
-    w.append("        M.results_emitted += 1")
-    w.append("        recording = rt.recording")
-    w.append("        if recording is not None:")
-    w.append("            recording.emit(ResultEmitted(rt.api.now, "
+    w.append(at + "add(ctx)")
+    w.append(at + "M.results_emitted += 1")
+    w.append(at + "if recording is not None:")
+    w.append(at + "    recording.emit(ResultEmitted(rt.api.now, "
              "rt.machine_id))")
-    w.append("        ops += %d" % wc_h)
-    w.append("        if ops >= budget:")
-    w.append("            return ops, K_BUDGET")
-    w.append("    ops += %d" % wc_h)
-    w.append("    comp.stack.pop()")
-    w.append("    SL[%d] -= 1" % stage.index)
-    w.append("    M.cur_live_frames -= 1")
-    w.append("    return ops, K_CONTINUE")
-    return _finish_kernel(w, ns, stage)
+    w.append(at + "ops += %d" % wc_h)
+    w.append(at + "if ops >= budget:")
+    if fresh:
+        _materialize(w, at + "    ", stage, 1, "True")
+    w.append(at + "    return ops, K_BUDGET")
+    w.append(ind + "ops += %d" % wc_h)
+    _retire(w, ind, stage, fresh, None)
+    _epilogue(w, stage, fresh)

@@ -611,12 +611,52 @@ class TestKernelAudit:
         for source in self.kernel_sources().values():
             assert self.audit(source) == []
 
+    GUARD = "if recording is not None:"
+
     def test_unguarded_trace_emit_is_flagged(self):
         source = self.kernel_sources()["output"]
-        guard = "if recording is not None:"
-        assert source.count(guard) == 1
-        mutated = source.replace(guard, "if True:")
+        # One guarded emit per entry: the frame entry's comes first.
+        assert source.count(self.GUARD) == 2
+        mutated = source.replace(self.GUARD, "if True:", 1)
         assert self.audit(mutated) == ["kernel-audit:fixture:0:recording-guard"]
+
+    def test_unguarded_emit_in_frame_free_entry_is_flagged(self):
+        from repro.analysis.kernel_audit import _audit_kernel_source
+
+        source = self.kernel_sources()["output"]
+        framed, fresh = source.split("def fresh(")
+        mutated = framed + "def fresh(" + fresh.replace(self.GUARD, "if True:")
+        ((message, pattern),) = _audit_kernel_source(
+            "fixture", "fixture", 0, mutated)
+        assert pattern == "kernel-audit:fixture:0:recording-guard"
+        assert "recording.emit() in fresh()" in message
+
+    def test_matrix_walk_audits_frame_free_entries(self, monkeypatch):
+        """A fault only the frame-free entry carries is still found by
+        the plan-matrix walk, not just by auditing a source by hand."""
+        import repro.bench
+        import repro.runtime.kernels as kernels
+        from repro.analysis.kernel_audit import _audit_plan_matrix
+
+        compile_plan_kernels = kernels.compile_plan_kernels
+
+        def tampered(plan):
+            compiled = compile_plan_kernels(plan)
+            for fresh in compiled.fresh_kernels:
+                if fresh is not None and self.GUARD in fresh.__source__:
+                    framed, body = fresh.__source__.split("def fresh(")
+                    fresh.__source__ = framed + "def fresh(" + body.replace(
+                        self.GUARD, "if True:")
+            return compiled
+
+        monkeypatch.setattr(repro.bench, "WORKLOADS",
+                            repro.bench.WORKLOADS[:1])
+        monkeypatch.setattr(kernels, "compile_plan_kernels", tampered)
+        problems = _audit_plan_matrix()
+        assert problems
+        for message, pattern in problems:
+            assert pattern.endswith(":recording-guard")
+            assert "in fresh()" in message
 
     def test_leaked_reservation_is_flagged(self):
         source = self.kernel_sources()["neighbor"]

@@ -9,6 +9,9 @@ import pytest
 from repro import cli
 from repro.cli import EXIT_ABORTED, EXIT_ERROR, build_parser, load_graph, \
     main
+from repro.errors import GraphError, PgqlSyntaxError
+from repro.graph.loaders import graph_from_dict
+from repro.pgql import as_query
 
 
 class TestParser:
@@ -506,6 +509,7 @@ class TestPlanPolicyFlag:
 
 
 QUERY = "SELECT a, b WHERE (a)-[]->(b)"
+DEEP_QUERY = "SELECT a WHERE (a), " + "(" * 400 + "a.x = 1" + ")" * 400
 
 
 class TestTypedErrors:
@@ -528,11 +532,14 @@ class TestTypedErrors:
         (["feedback", "{tmp}/passwd"], "passwd"),
         (["query", "--random", "0x5", QUERY], "V=0"),
         (["query", "--random", "10x-3", QUERY], "E=-3"),
+        (["query", "--random", "50x200", DEEP_QUERY], "limit of 64 levels"),
+        (["query", "--graph", "{tmp}/list.json", QUERY], "list.json"),
     ])
     def test_bad_input_is_one_line_and_exit_2(self, tmp_path, capsys,
                                               argv, names):
         (tmp_path / "hostname").write_text("myhost\n")
         (tmp_path / "bad.json").write_text('{"edges": [{}]}\n')
+        (tmp_path / "list.json").write_text("[]\n")
         (tmp_path / "passwd").write_text("user:x:1000:1000::/home:/bin/sh\n")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert main(argv) == EXIT_ERROR == 2
@@ -542,6 +549,19 @@ class TestTypedErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro %s: error: " % argv[0])
         assert names in line
+
+    def test_deep_expression_names_the_nesting_limit(self):
+        with pytest.raises(PgqlSyntaxError, match="limit of 64 levels"):
+            as_query(DEEP_QUERY)
+
+    @pytest.mark.parametrize("document", [
+        {"vertices": 3},
+        {"vertices": [], "edges": [{"src": 0}]},
+        [],
+    ], ids=["vertices-not-a-list", "edge-without-dst", "not-an-object"])
+    def test_malformed_graph_dict_is_a_graph_error(self, document):
+        with pytest.raises(GraphError):
+            graph_from_dict(document)
 
 
 class TestSpecsValidatedFirst:

@@ -10,14 +10,23 @@ then property-test the batch reservation API that lets kernels pre-admit
 whole remote batches without breaking the flow-control memory bound.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ClusterConfig, run_query, uniform_random_graph
+from repro import (
+    ClusterConfig,
+    PlannerOptions,
+    run_query,
+    uniform_random_graph,
+)
 from repro.bench import WORKLOADS, run_workload, workload_setup
 from repro.chaos import profile
 from repro.errors import RuntimeFault
+from repro.graph.builder import GraphBuilder
+from repro.plan.options import MatchSemantics
 from repro.runtime.flow_control import FlowControl
 from repro.runtime.machine import QueryMachine
 
@@ -25,22 +34,36 @@ def _views(result):
     return [view.to_dict() for view in result.profiler.views()]
 
 
-def _both_ways(graph, query, **config):
+def _both_ways(graph, query, options=None, **config):
     """*query* with kernels on and off."""
     return [
         run_query(
             graph, query,
             ClusterConfig(num_machines=4, bulk_kernels=bulk_kernels,
                           **config),
+            options,
         )
         for bulk_kernels in (True, False)
     ]
+
+
+def _peaks(result):
+    """The gauges' high-water marks, whole run and per machine."""
+    metrics = result.metrics
+    return (
+        metrics.peak_live_frames,
+        metrics.peak_buffered_contexts,
+        [(machine.peak_live_frames, machine.peak_buffered_contexts)
+         for machine in metrics.per_machine],
+    )
 
 
 def _assert_identical(on, off):
     assert on.rows == off.rows
     assert on.metrics.ticks == off.metrics.ticks
     assert on.metrics.total_ops == off.metrics.total_ops
+    assert on.metrics.flow_control_blocks == off.metrics.flow_control_blocks
+    assert _peaks(on) == _peaks(off)
     assert on.stage_profile == off.stage_profile
     assert _views(on) == _views(off)
 
@@ -123,6 +146,49 @@ class TestDifferentialParity:
         with pytest.raises(RuntimeFault, match="route admitted"):
             run_query(graph, "SELECT a, b WHERE (a)-[]->(b)",
                       ClusterConfig(num_machines=2))
+
+
+def _labelled_graph():
+    rng = random.Random(3)
+    builder = GraphBuilder()
+    for _ in range(120):
+        builder.add_vertex(label=rng.choice(("p", "q")),
+                           value=rng.randrange(100))
+    for _ in range(600):
+        builder.add_edge(rng.randrange(120), rng.randrange(120), label="e")
+    return builder.build()
+
+
+#: A labelled stage-0 scan, a filtered message-rooted NEIGHBOR stage, a
+#: VERTEX inspection (edge-checked closing the cycle; pure under induced
+#: semantics) and an OUTPUT stage.
+_SHAPES = [
+    ("SELECT a, b, c WHERE (a:p)-[]->(b)-[]->(c), (c)-[]->(a), "
+     "b.value > 30", PlannerOptions()),
+    ("SELECT a, b, c WHERE (a:p)-[]->(b)-[]->(c), b.value > 30",
+     PlannerOptions(semantics=MatchSemantics.INDUCED)),
+]
+
+
+class TestMaterialisationParity:
+    """Kernels on vs. off wherever a frame-free context must get its
+    frame: a budget of 1-8 ops per tick ends runs after the take, after
+    the vertex function and mid-hop; work sharing off forces every local
+    continuation to descend; a window of 1 refuses sends."""
+
+    @pytest.mark.parametrize("window", [1, None], ids=["window1", "default"])
+    @pytest.mark.parametrize("work_sharing", [True, False],
+                             ids=["shared", "unshared"])
+    @pytest.mark.parametrize("ops_per_tick", [1, 2, 3, 5, 8])
+    def test_identical(self, ops_per_tick, work_sharing, window):
+        graph = _labelled_graph()
+        config = {"ops_per_tick": ops_per_tick, "work_sharing": work_sharing}
+        if window is not None:
+            config["flow_control_window"] = window
+        for query, options in _SHAPES:
+            on, off = _both_ways(graph, query, options, **config)
+            assert on.metrics.kernel_batches > 0
+            _assert_identical(on, off)
 
 
 # ----------------------------------------------------------------------
