@@ -22,6 +22,7 @@ Two design rules keep comparisons honest:
 import json
 
 from repro.cluster.config import ClusterConfig
+from repro.errors import ReproError
 from repro.plan import PlannerOptions, SchedulingPolicy
 from repro.runtime.engine import PgxdAsyncEngine
 from repro.workloads.random_graphs import seeded_workload
@@ -307,11 +308,16 @@ def write_bench(doc, path):
 
 
 def load_bench(path):
-    with open(path) as handle:
-        doc = json.load(handle)
+    """The valid document at *path*; a missing, unreadable or invalid
+    file is a :class:`~repro.errors.ReproError` naming it."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError("cannot read bench document %s: %s" % (path, exc))
     problems = validate(doc)
     if problems:
-        raise ValueError(
+        raise ReproError(
             "%s is not a valid %s document: %s"
             % (path, SCHEMA, "; ".join(problems))
         )

@@ -180,9 +180,9 @@ def build_parser():
     bench.add_argument("--threshold", type=float, default=25.0,
                        help="regression threshold in percent (default 25)")
     bench.add_argument("--no-bulk-kernels", action="store_true",
-                       help="disable the compiled bulk-kernel fast path "
-                            "(micro-stepped reference execution; all "
-                            "deterministic metrics are identical)")
+                       help="run the reference cursor kernels instead of "
+                            "the generated ones (all deterministic "
+                            "metrics are identical)")
 
     lint = _command(
         subparsers, "lint", cmd_lint,
@@ -617,6 +617,8 @@ def cmd_monitor(args):
 def cmd_bench(args):
     from repro import bench
 
+    # A bad baseline fails before the matrix runs, not after.
+    baseline = bench.load_bench(args.compare) if args.compare else None
     doc = bench.run_bench(tag=args.tag, quick=args.quick,
                           seed=args.seed, progress=print,
                           bulk_kernels=not args.no_bulk_kernels)
@@ -635,8 +637,7 @@ def cmd_bench(args):
                 record["budget"],
             )
         )
-    if args.compare:
-        baseline = bench.load_bench(args.compare)
+    if baseline is not None:
         regressions, lines = bench.compare(doc, baseline,
                                            threshold=args.threshold)
         print()

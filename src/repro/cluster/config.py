@@ -80,13 +80,13 @@ class ClusterConfig:
     #: the acknowledgment of every remote message instead of switching to
     #: other work (this is what asynchrony saves us from).
     blocking_remote: bool = False
-    #: Execute the non-blocking fast path through compiled per-stage
-    #: bulk kernels (``repro.runtime.kernels``): specialized per-stage
-    #: closures built at plan-finalize time that process whole CSR
-    #: adjacency runs per dispatch and pre-reserve flow-control window
-    #: capacity in batches.  Charges the identical op counts, so every
-    #: deterministic metric is bit-identical either way; False runs the
-    #: micro-stepped cursor path.  Ignored (off) under blocking_remote.
+    #: The kernel set ``run_bulk`` dispatches to (repro.runtime.kernels):
+    #: True, per-stage kernels generated at plan-finalize time that
+    #: process whole CSR adjacency runs per dispatch and pre-reserve
+    #: flow-control window capacity in batches; False, the reference
+    #: cursor kernels.  Both charge identical op counts, so every
+    #: deterministic metric is bit-identical either way.  Ignored
+    #: (reference) under blocking_remote.
     bulk_kernels: bool = True
     #: Intra-machine work sharing (paper §1/§3.3: computations "submitted
     #: internally to facilitate work-sharing").  Disable to reproduce the

@@ -30,10 +30,10 @@ class MachineMetrics:
     dup_frames_dropped: int = 0
     reordered_frames: int = 0
 
-    # Bulk-kernel fast path (runtime.kernels; zero when disabled).
-    # Purely diagnostic: kernel_ops is a subset of ops, and neither
-    # participates in any deterministic gate — the whole point of the
-    # fast path is that the gated metrics don't move.
+    # run_bulk dispatches (runtime.kernels) of whichever kernel set the
+    # machine holds, generated or reference.  Purely diagnostic:
+    # kernel_ops is a subset of ops, and neither participates in any
+    # deterministic gate — the kernel sets must not move the gated ones.
     kernel_batches: int = 0
     kernel_ops: int = 0
 
@@ -95,7 +95,7 @@ class QueryMetrics:
     retransmits: int = 0
     dup_frames_dropped: int = 0
     reordered_frames: int = 0
-    # Bulk-kernel fast path (summed across machines; zero when disabled).
+    # run_bulk kernel dispatches (summed across machines; either set).
     kernel_batches: int = 0
     kernel_ops: int = 0
     # Chaos fault injections, copied from the network by the simulator.

@@ -362,6 +362,26 @@ def query_fingerprint(query, graph=None):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _entries_problem(queries):
+    """Why a loaded ``queries`` object is not fingerprint -> entry as
+    :meth:`FeedbackStore.record` writes them, or None."""
+    if not isinstance(queries, dict):
+        return "'queries' is not an object"
+    for key, entry in sorted(queries.items()):
+        rows = entry.get("operators") if isinstance(entry, dict) else None
+        if not isinstance(rows, list) or not all(
+            name in entry for name in ("pgql", "order", "use_common_neighbors")
+        ) or not all(
+            isinstance(row, dict) and "op" in row
+            and isinstance(row.get("estimated"), (int, float))
+            and isinstance(row.get("actual"), (int, float))
+            for row in rows
+        ):
+            return ("entry %r is not a recorded plan with an 'operators' "
+                    "list" % key)
+    return None
+
+
 class FeedbackStore:
     """Execution profiles persisted for the planner's feedback loop.
 
@@ -388,7 +408,8 @@ class FeedbackStore:
     # -- persistence ---------------------------------------------------
     def load(self, path=None):
         """Read the store at *path*; anything but a readable
-        :data:`FEEDBACK_SCHEMA` document is a :class:`PlanError`."""
+        :data:`FEEDBACK_SCHEMA` document whose ``queries`` are entries
+        as :meth:`record` writes them is a :class:`PlanError`."""
         path = path or self.path
         try:
             with open(path) as handle:
@@ -402,7 +423,12 @@ class FeedbackStore:
                 "%s is not a %s document (schema=%r)"
                 % (path, FEEDBACK_SCHEMA, schema)
             )
-        self._entries = doc.get("queries", {})
+        queries = doc.get("queries", {})
+        problem = _entries_problem(queries)
+        if problem is not None:
+            raise PlanError("%s is not a valid feedback store: %s"
+                            % (path, problem))
+        self._entries = queries
         return self
 
     def save(self, path=None):

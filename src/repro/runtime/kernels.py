@@ -1,22 +1,27 @@
-"""Compiled bulk hop kernels — the non-blocking fast path.
+"""Stage kernels and the one driver that advances every computation.
 
-``run_computation`` (runtime.worker) advances a traversal one micro-op
-per loop iteration: an isinstance check, a budget compare, a
-``HopCursor.advance`` call and a generator resume (``hops.hop_steps``)
-for every single neighbor.  That precision is what lets the simulator
-charge costs exactly, but nearly all of the interpreter work is
-identical from one neighbor to the next.
+:func:`run_bulk` is the computation loop: it consumes a computation's
+message items and scan vertices and dispatches the frames on its stack
+to per-stage *kernels*.  A machine holds one of two kernel sets
+(:class:`PlanKernels`):
 
-This module removes the per-neighbor overhead without changing a single
-observable number.  At plan-finalize time each stage gets a *kernel*: a
-function specialized to exactly the checks that stage performs
-(edge-label compare, iso-slot compares, compiled filter, captures — no
-dead branches), processing an entire CSR adjacency run in one tight
-loop.  Kernels charge the identical aggregate op count at the identical
-points, so ``ticks``, ``total_ops``, ``visits``, ``passes``, result
-rows, message/flush boundaries, and BLOCKED-parking are **bit-identical**
-to micro-stepped execution; ``tests/test_kernels.py`` enforces this
-differentially.
+* the **reference set** (:func:`reference_kernels`) — with
+  ``ClusterConfig(bulk_kernels=False)``, and always in
+  ``blocking_remote`` mode: the generic kernel for every stage, which
+  runs the reference ``HopCursor`` over ``hops.hop_steps`` one micro-op
+  per advance, and no frame-free entries;
+* the **generated set** (:func:`compile_plan_kernels`, the default):
+  at plan-finalize time each NEIGHBOR, VERTEX and OUTPUT stage gets
+  functions specialized to exactly the checks that stage performs
+  (edge-label compare, iso-slot compares, compiled filter, captures — no
+  dead branches), processing an entire CSR adjacency run in one tight
+  loop; other stages keep the generic kernel.
+
+Generated kernels charge the identical aggregate op count at the
+identical points, so ``ticks``, ``total_ops``, ``visits``, ``passes``,
+result rows, message/flush boundaries, and BLOCKED-parking are
+**bit-identical** to the reference set; ``tests/test_kernels.py``
+enforces this differentially.
 
 Each NEIGHBOR, VERTEX and OUTPUT stage is emitted from one template
 with two entries, compiled together:
@@ -44,8 +49,8 @@ reservation is refused it falls back to the existing
 the same item as cursor execution would — preserving strict flow
 control, chaos/reliability behavior, and parking semantics.  All
 reservations are released at the end of every context's run, so
-outside one the window state is indistinguishable from the
-micro-stepped engine's.
+outside one the window state is indistinguishable from the reference
+set's.
 
 Cost-parity contract (see docs/performance.md):
 
@@ -55,15 +60,15 @@ Cost-parity contract (see docs/performance.md):
 * the vertex function charges ``stage.work_cost`` exactly once, and
   taking a context from a message or a scan charges one op;
 * a kernel only runs while ``ops < budget`` and re-checks the budget
-  after every charge, at the same points the micro loop does.
+  after every charge, at the same points the generic kernel does.
 
-Kernels are disabled in ``blocking_remote`` mode (the ABL4 ablation is
-precisely about per-message synchronous behavior) and by
-``ClusterConfig(bulk_kernels=False)``, which runs the micro-stepped
-cursor path.  The generated source is the second, independent statement
-of the stage semantics (the first is ``runtime.hops``); it is not
-derived from the interpreter, so the kernels-on/off differential
-compares two implementations.
+Blocking mode (the ABL4 ablation, precisely about per-message
+synchronous behavior) runs the reference set; its one extra rule, stop
+right after a synchronous remote send, is the generic kernel's.  The
+generated source is the second, independent statement of the stage
+semantics (the first is ``runtime.hops``); it is not derived from the
+interpreter, so the kernels-on/off differential compares two
+implementations under the one driver.
 """
 
 import hashlib
@@ -72,12 +77,11 @@ from repro.errors import RuntimeFault
 from repro.graph.types import Direction, NO_LABEL
 from repro.obs.events import ResultEmitted
 from repro.plan.distributed import HopKind
-from repro.runtime.hops import Advance, HopCursor
+from repro.runtime.hops import Advance, HopCursor, vertex_function
 from repro.runtime.worker import (
     RunStatus,
     ScanFrame,
     StageFrame,
-    _vertex_function,
     frame_for_item,
 )
 
@@ -130,7 +134,7 @@ class _ConstList:
 
 
 class PlanKernels:
-    """The compiled per-stage kernels of one execution plan:
+    """The per-stage kernels of one execution plan:
     ``stage_kernels[s]`` advances a frame of stage *s*,
     ``fresh_kernels[s]`` its frame-free entry (None for a generic
     stage)."""
@@ -147,11 +151,11 @@ class PlanKernels:
 
 
 def compile_plan_kernels(plan):
-    """Build the kernels of every stage of *plan* (at plan-finalize time).
+    """The generated kernel set of *plan* (at plan-finalize time).
 
     NEIGHBOR, VERTEX and OUTPUT stages — the hot path — get textually
-    generated specialized kernels; the remaining hop kinds run the
-    reference ``HopCursor`` through a generic batched driver.
+    generated specialized kernels; the remaining hop kinds keep the
+    generic kernel.
     """
     stage_kernels = []
     fresh_kernels = []
@@ -170,19 +174,28 @@ def compile_plan_kernels(plan):
     return PlanKernels(stage_kernels, fresh_kernels)
 
 
+def reference_kernels(plan):
+    """The reference kernel set of *plan*: the generic kernel for every
+    stage and no frame-free entries.  Compiles nothing."""
+    return PlanKernels([_generic_kernel(stage) for stage in plan.stages],
+                       [None] * plan.num_stages)
+
+
 # ----------------------------------------------------------------------
-# The bulk computation driver (replaces run_computation's outer loop)
+# The computation driver
 # ----------------------------------------------------------------------
 def run_bulk(rt, comp, budget, kernels, fresh):
-    """Advance *comp* by up to *budget* micro-ops through its kernels.
+    """Advance *comp* by up to *budget* micro-ops through its kernels;
+    returns ``(ops_used, RunStatus)``.
 
-    Mirrors ``worker.run_computation`` exactly: same consumption order,
-    same per-item/per-frame charges, same DONE/BLOCKED/BUDGET
-    resolution.  Message items and scan vertices go to the stage's
-    frame-free entry as one run; only the frames that entry leaves
-    behind (and frames pushed by ``_acquire`` or a local descend) are
-    dispatched one at a time.  ``sync_wait_flagged`` is never consulted
-    because kernels are disabled in blocking_remote mode.
+    A message item or scan vertex costs one op to take.  Without a
+    frame-free entry for its stage, each becomes a frame; with one, the
+    rest of the message or scan goes to that entry as one run.  Frames
+    on the stack — left behind by an entry, pushed by ``_acquire`` or
+    by a local descend — are dispatched one at a time.  A computation
+    reports DONE only once its stack is empty and, for a message
+    computation, every item was taken — at which point the ack has been
+    sent.
     """
     ops = 0
     # Kernel invocations that reached a vertex function or a frame: a
@@ -263,14 +276,19 @@ def run_bulk(rt, comp, budget, kernels, fresh):
 
 
 # ----------------------------------------------------------------------
-# Generic kernel: batched driver over the reference HopCursor
+# The generic kernel: the reference HopCursor
 # ----------------------------------------------------------------------
 def _generic_kernel(stage):
-    """Kernel for ALL_VERTICES/CN_* stages.
+    """The reference kernel of *stage* (every stage of the reference set;
+    ALL_VERTICES/CN_* stages of the generated one).
 
-    Runs the reference ``HopCursor``, batching only the dispatch: the
-    stage and its costs are bound once instead of re-read per micro-op.
-    Every advance charges and budget-checks exactly like the micro loop.
+    Runs the ``HopCursor`` with the stage and its costs bound once: the
+    vertex function charges ``stage.work_cost``, every advance
+    ``hop.work_cost`` — the one that finds the hop exhausted and one
+    that ends blocked included — and the budget is checked after each.
+    Blocking mode stops right after a synchronous remote send; such a
+    send happens only in a PROGRESS advance that keeps its frame, so
+    BUDGET there leaves the computation to resume on that frame.
     """
     wc_v = stage.work_cost
     wc_h = stage.hop.work_cost
@@ -293,7 +311,7 @@ def _generic_kernel(stage):
             result = advance(rt, comp, frame)
             ops += wc_h
             if result is progress:
-                if ops >= budget:
+                if ops >= budget or rt._sync_wait is not None:
                     return ops, K_BUDGET
                 if stack[-1] is not frame:
                     return ops, K_CONTINUE  # descended into a local child
@@ -304,6 +322,24 @@ def _generic_kernel(stage):
             return ops, K_BLOCKED
 
     return kernel
+
+
+def _vertex_function(rt, stage, frame):
+    """Run the stage's vertex function on *frame* under the machine's
+    visit/pass counters; on success ``frame.ctx`` carries the captures."""
+    vertex = frame.vertex
+    if rt.debug_checks and not rt.local.is_local(vertex):
+        raise RuntimeFault(
+            "stage %d executed on machine %d for remote vertex %d"
+            % (stage.index, rt.machine_id, vertex)
+        )
+    rt.stage_visits[stage.index] += 1
+    ctx = vertex_function(rt.graph, rt.local, stage, frame.ctx, vertex)
+    if ctx is None:
+        return False
+    rt.stage_passes[stage.index] += 1
+    frame.ctx = ctx
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +501,7 @@ def _emit_vertex_function(stage, graph, ns, w, ind, fresh):
 
     Expects ``vertex`` and ``ctx`` bound; on failure retires the
     context (:func:`_retire`).  The compile-time form of
-    ``worker._vertex_function`` (counters, debug fault) around
+    :func:`_vertex_function` (counters, debug fault) around
     ``hops.vertex_function``, check for check.
     """
     fail = []

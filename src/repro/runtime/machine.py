@@ -28,6 +28,7 @@ from repro.obs.events import (
 )
 from repro.runtime.flow_control import FlowControl
 from repro.runtime.hops import CNItem, vertex_admissible
+from repro.runtime.kernels import reference_kernels
 from repro.runtime.messages import (
     Ack,
     Completed,
@@ -139,13 +140,14 @@ class QueryMachine:
         #: ghost pre-filter call entirely on ghost-free clusters (where
         #: it is a guaranteed no-op).
         self.ghosts_enabled = dist_graph.num_ghosts > 0
-        #: Compiled per-stage bulk kernels (runtime.kernels), or None to
-        #: run the micro-stepped cursor path.  Blocking mode always uses
-        #: cursors: ABL4 is precisely about per-message synchrony.
+        #: The kernel set that advances every computation
+        #: (runtime.kernels): the plan's generated kernels, or the
+        #: reference cursor kernels.  Blocking mode always uses the
+        #: reference: ABL4 is precisely about per-message synchrony.
         if config.bulk_kernels and not config.blocking_remote:
             self.kernels = plan.bulk_kernels()
         else:
-            self.kernels = None
+            self.kernels = reference_kernels(plan)
 
         self._workers = [
             Worker(self, index) for index in range(config.workers_per_machine)
@@ -533,10 +535,6 @@ class QueryMachine:
             message.src, Ack(message.stage, 1, seqs=(message.seq,))
         )
         self.metrics.control_messages_sent += 1
-
-    def sync_wait_flagged(self):
-        """True while a blocking-mode send awaits worker pickup."""
-        return self._sync_wait is not None
 
     def ghost_admits(self, stage_index, ctx, target):
         """Ghost-node pre-filter (PGX.D's ghost functionality).

@@ -7,19 +7,17 @@ received work message.  Workers keep at most one parked computation per
 root stage — the paper's ``State[n, w]`` — and the DOWORK loop services
 stages in descending order so that later-stage work (which produces less
 net future work) drains first, relieving memory pressure.
+
+The loop decides *which* computation runs; ``runtime.kernels.run_bulk``
+advances it, through the machine's kernel set (``rt.kernels.run``):
+generated kernels by default, the reference ``HopCursor`` kernels with
+kernels off and in blocking mode.
 """
 
 import enum
 
-from repro.errors import RuntimeFault
 from repro.obs.events import FlowUnblock, WorkerSpan
-from repro.runtime.hops import (
-    Advance,
-    AllScanItem,
-    CNItem,
-    HopCursor,
-    vertex_function,
-)
+from repro.runtime.hops import AllScanItem, CNItem
 
 
 class StageFrame:
@@ -86,14 +84,6 @@ class Computation:
         comp.stack.append(frame)
         return comp
 
-    def has_work(self):
-        if self.stack:
-            return True
-        return (
-            self.message is not None
-            and self.item_pos < len(self.message.items)
-        )
-
 
 def frame_for_item(rt, stage_index, item):
     """Materialize a work item (local push or message item) as a frame."""
@@ -106,92 +96,6 @@ def frame_for_item(rt, stage_index, item):
                           cn_payload=item.candidates)
     stage = rt.plan.stages[stage_index]
     return StageFrame(stage_index, item, item[stage.vertex_slot])
-
-
-def run_computation(rt, comp, budget):
-    """Advance *comp* by up to *budget* micro-ops.
-
-    Returns ``(ops_used, RunStatus)``.  The computation only reports
-    DONE once its stack is empty and, for message computations, every
-    item has been consumed — at which point the ack has been sent.
-
-    This is the reference micro-stepped semantics.  With bulk kernels
-    enabled (``ClusterConfig.bulk_kernels``, the default outside
-    blocking mode) ``Worker.step`` calls the compiled fast path
-    (``PlanKernels.run``) instead, which charges identical op counts at
-    identical points.
-    """
-    ops = 0
-    while True:
-        if not comp.stack:
-            # Resolve completion before the budget check so a computation
-            # that drains its stack exactly at the budget boundary reports
-            # DONE instead of lingering as a zero-op slot occupant.
-            message = comp.message
-            if message is None or comp.item_pos >= len(message.items):
-                if message is not None:
-                    rt.send_ack(message)
-                return ops, RunStatus.DONE
-            if ops >= budget or rt.sync_wait_flagged():
-                return ops, RunStatus.BUDGET
-            item = message.items[comp.item_pos]
-            comp.item_pos += 1
-            rt.note_item_consumed(comp.root_stage, item)
-            rt.push_frame(comp, frame_for_item(rt, comp.root_stage, item))
-            ops += 1
-            continue
-        if ops >= budget or rt.sync_wait_flagged():
-            return ops, RunStatus.BUDGET
-
-        frame = comp.stack[-1]
-        if isinstance(frame, ScanFrame):
-            ops += 1
-            if frame.pos < len(frame.vertices):
-                vertex = frame.vertices[frame.pos]
-                frame.pos += 1
-                child = StageFrame(
-                    frame.stage_index, frame.base_ctx + (vertex,), vertex
-                )
-                rt.push_frame(comp, child)
-            else:
-                rt.pop_frame(comp)
-            continue
-
-        stage = rt.plan.stages[frame.stage_index]
-        if frame.phase == 0:
-            ops += stage.work_cost
-            if not _vertex_function(rt, stage, frame):
-                rt.pop_frame(comp)
-                continue
-            frame.phase = 1
-            frame.cursor = HopCursor(stage, frame, rt)
-            continue
-
-        result = frame.cursor.advance(rt, comp, frame)
-        ops += stage.hop.work_cost
-        if result is Advance.EXHAUSTED:
-            rt.pop_frame(comp)
-        elif result is Advance.BLOCKED:
-            return ops, RunStatus.BLOCKED
-        # PROGRESS: loop
-
-
-def _vertex_function(rt, stage, frame):
-    """Run the stage's vertex function on *frame* under the machine's
-    visit/pass counters; on success ``frame.ctx`` carries the captures."""
-    vertex = frame.vertex
-    if rt.debug_checks and not rt.local.is_local(vertex):
-        raise RuntimeFault(
-            "stage %d executed on machine %d for remote vertex %d"
-            % (stage.index, rt.machine_id, vertex)
-        )
-    rt.stage_visits[stage.index] += 1
-    ctx = vertex_function(rt.graph, rt.local, stage, frame.ctx, vertex)
-    if ctx is None:
-        return False
-    rt.stage_passes[stage.index] += 1
-    frame.ctx = ctx
-    return True
 
 
 class Worker:
@@ -237,8 +141,7 @@ class Worker:
         slots = self.slots
         inbox = rt._inbox
         local_inbox = rt._local_inbox
-        kernels = rt.kernels
-        run = run_computation if kernels is None else kernels.run
+        run = rt.kernels.run
         used = 0
         while used < budget:
             if rt._sync_wait is not None:

@@ -350,11 +350,24 @@ class GraphStatistics:
 
     @classmethod
     def from_dict(cls, data):
+        """The statistics of a :meth:`to_dict` document; anything else
+        is a :class:`GraphError`."""
+        if not isinstance(data, dict):
+            raise GraphError("statistics document is a %s, not an object"
+                             % type(data).__name__)
         if data.get("schema") != cls.SCHEMA:
             raise GraphError(
                 "statistics document has schema %r, expected %r"
                 % (data.get("schema"), cls.SCHEMA)
             )
+        try:
+            return cls._from_dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError("malformed statistics document (%s: %s)"
+                             % (type(exc).__name__, exc))
+
+    @classmethod
+    def _from_dict(cls, data):
         stats = cls(data["num_vertices"], data["num_edges"])
         stats.vertex_label_counts = dict(data["vertex_label_counts"])
         stats.edge_label_counts = dict(data["edge_label_counts"])
@@ -383,7 +396,11 @@ class GraphStatistics:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise GraphError("statistics document is not JSON: %s" % exc)
+        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     # Human-readable rendering (``repro stats``)

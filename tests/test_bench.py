@@ -16,6 +16,7 @@ from repro.bench import (
     write_bench,
 )
 from repro.cli import main
+from repro.errors import ReproError
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ class TestValidate:
     def test_load_rejects_invalid_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": SCHEMA}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError, match="bad.json"):
             load_bench(str(path))
 
 

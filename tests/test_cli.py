@@ -534,6 +534,16 @@ class TestTypedErrors:
         (["query", "--random", "10x-3", QUERY], "E=-3"),
         (["query", "--random", "50x200", DEEP_QUERY], "limit of 64 levels"),
         (["query", "--graph", "{tmp}/list.json", QUERY], "list.json"),
+        (["feedback", "{tmp}/rows.json"], "rows.json"),
+        (["feedback", "{tmp}/ops.json"], "'k'"),
+        (["query", "--random", "50x200", "--plan", "cost",
+          "--feedback-store", "{tmp}/rows.json", QUERY], "rows.json"),
+        (["bench", "--quick", "--out", "{tmp}/out.json",
+          "--compare", "{tmp}/missing.json"], "missing.json"),
+        (["bench", "--quick", "--out", "{tmp}/out.json",
+          "--compare", "{tmp}/hostname"], "hostname"),
+        (["bench", "--quick", "--out", "{tmp}/out.json",
+          "--compare", "{tmp}/schema.json"], "schema.json"),
     ])
     def test_bad_input_is_one_line_and_exit_2(self, tmp_path, capsys,
                                               argv, names):
@@ -541,6 +551,13 @@ class TestTypedErrors:
         (tmp_path / "bad.json").write_text('{"edges": [{}]}\n')
         (tmp_path / "list.json").write_text("[]\n")
         (tmp_path / "passwd").write_text("user:x:1000:1000::/home:/bin/sh\n")
+        (tmp_path / "rows.json").write_text(
+            '{"schema": "repro-feedback/1", "queries": []}\n')
+        (tmp_path / "ops.json").write_text(
+            '{"schema": "repro-feedback/1", "queries": {"k": '
+            '{"pgql": "", "order": [], "use_common_neighbors": false, '
+            '"operators": "x"}}}\n')
+        (tmp_path / "schema.json").write_text('{"schema": "x"}\n')
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert main(argv) == EXIT_ERROR == 2
         captured = capsys.readouterr()

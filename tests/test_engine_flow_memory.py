@@ -129,3 +129,21 @@ class TestBlockingMode:
             ClusterConfig(blocking_remote=True, **base),
         )
         assert async_run.metrics.ticks < blocking_run.metrics.ticks
+
+    @pytest.mark.parametrize("latency,ticks", [
+        (2, 1_922), (8, 6_166), (32, 22_737),
+    ])
+    def test_exact_counts(self, latency, ticks):
+        """Blocking runs have no second executor to be compared with,
+        so their numbers are pinned; only the tick count depends on the
+        latency."""
+        graph = uniform_random_graph(400, 2_400, seed=17, num_types=4)
+        result = run_query(graph, HEAVY_QUERY, ClusterConfig(
+            num_machines=3, workers_per_machine=4, ops_per_tick=4,
+            network_latency=latency, blocking_remote=True,
+        ))
+        metrics = result.metrics
+        assert metrics.ticks == ticks
+        assert (metrics.total_ops, len(result.rows), metrics.work_messages,
+                metrics.control_messages, metrics.flow_control_blocks) \
+            == (21_258, 3_766, 3_006, 3_024, 0)

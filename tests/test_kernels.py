@@ -3,7 +3,7 @@
 The compiled kernels (:mod:`repro.runtime.kernels`) are a pure
 performance layer: every deterministic quantity — result rows, ticks,
 total micro-ops, visits/passes, the stage profile — must be bit-identical
-to the micro-stepped reference path.  These tests run the full benchmark
+to the reference cursor kernels.  These tests run the full benchmark
 matrix (and chaos-injected and window-starved runs) both ways and diff
 everything, per-machine ``scanned``/``emitted`` profile views included,
 then property-test the batch reservation API that lets kernels pre-admit
@@ -106,10 +106,10 @@ class TestDifferentialParity:
         off = run_query(
             graph, query, ClusterConfig(num_machines=2, bulk_kernels=False)
         )
-        assert on.metrics.kernel_batches > 0
         assert on.metrics.kernel_ops > 0
-        assert off.metrics.kernel_batches == 0
-        assert off.metrics.kernel_ops == 0
+        # Both sets run under run_bulk; the generated one's frame-free
+        # entries take a whole message or scan per dispatch.
+        assert 0 < on.metrics.kernel_batches < off.metrics.kernel_batches
 
     def test_chaos_run_identical(self):
         """Fault injection + reliability, kernels on vs. off."""

@@ -366,14 +366,14 @@ class TestComputation:
         message = WorkMessage(2, ((0, 1),))
         comp = Computation.from_message(message)
         assert comp.root_stage == 2
-        assert comp.has_work()
+        assert comp.message is message and comp.item_pos == 0
+        assert comp.stack == []
 
     def test_bootstrap(self):
-        comp = Computation.bootstrap(ScanFrame(0, (), [0]))
+        frame = ScanFrame(0, (), [0])
+        comp = Computation.bootstrap(frame)
         assert comp.root_stage == 0
-        assert comp.has_work()
-        comp.stack.clear()
-        assert not comp.has_work()
+        assert comp.stack == [frame] and comp.message is None
 
 
 class TestBootstrapChunks:

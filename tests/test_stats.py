@@ -216,6 +216,13 @@ class TestForeignDocuments:
         assert repr(doc.get("schema")) in message
         assert "repro-graph-stats/2" in message
 
+    @pytest.mark.parametrize("text", [
+        "[]", "nope", '{"schema": "repro-graph-stats/2"}',
+    ], ids=["not-an-object", "not-json", "no-fields"])
+    def test_from_json_rejects_non_documents(self, text):
+        with pytest.raises(GraphError, match="statistics document"):
+            GraphStatistics.from_json(text)
+
     def test_graph_loaders_reject_older_statistics(self, tmp_path):
         doc = graph_to_dict(music_graph())
         doc["stats"] = schema_1_document()
