@@ -131,12 +131,7 @@ class BftEngine(Engine):
             alive = sum(len(rows) for rows in frontier.values())
             peak_intermediate = max(peak_intermediate, alive)
 
-        result_set = finalize(
-            plan.output,
-            rows_out,
-            plan.query.vertex_vars(),
-            plan.query.edge_vars(),
-        )
+        result_set = finalize(plan.output, rows_out)
         metrics = QueryMetrics(
             ticks=ticks,
             num_machines=num_machines,

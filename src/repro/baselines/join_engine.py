@@ -21,7 +21,8 @@ from repro.cluster.metrics import QueryMetrics
 from repro.engine_api import Engine
 from repro.errors import PlanError
 from repro.graph.types import Direction
-from repro.pgql.expressions import EvalEnv, evaluate
+from repro.pgql.expressions import EvalEnv, contains_aggregate, evaluate, \
+    evaluate_predicate
 from repro.plan.logical import (
     CartesianRootMatch,
     CommonNeighborMatch,
@@ -30,8 +31,10 @@ from repro.plan.logical import (
     RootVertexMatch,
     build_logical_plan,
 )
+from repro.plan.execution import column_names
 from repro.plan.options import MatchSemantics
-from repro.runtime.results import ResultSet
+from repro.runtime.aggregation import finish
+from repro.runtime.engine import QueryResult
 
 
 class _BindingEnv(EvalEnv):
@@ -85,8 +88,6 @@ class JoinEngine(Engine):
     def _run(self, query, options, context):
         if options.semantics is not MatchSemantics.HOMOMORPHISM:
             raise PlanError("the join baseline implements homomorphism only")
-        from repro.pgql.expressions import contains_aggregate
-
         if query.group_by or any(
             contains_aggregate(item.expr) for item in query.select_items
         ):
@@ -180,41 +181,27 @@ class JoinEngine(Engine):
                 for row in produced:
                     ops += 1
                     env.bind(row)
-                    if all(
-                        _predicate(conjunct, env) for conjunct in op.filters
-                    ):
+                    if all(evaluate_predicate(conjunct, env)
+                           for conjunct in op.filters):
                         kept.append(row)
                 produced = kept
             bindings = produced
             peak_rows = max(peak_rows, len(bindings))
 
-        rows = []
+        decorated = []
         for binding in bindings:
             env.bind(binding)
-            rows.append(
-                tuple(
-                    evaluate(item.expr, env)
-                    for item in query.select_items
-                )
-            )
-        columns = [
-            item.alias if item.alias else repr(item.expr)
-            for item in query.select_items
-        ]
+            decorated.append((
+                tuple(evaluate(item.expr, env) for item in query.order_by),
+                tuple(evaluate(item.expr, env)
+                      for item in query.select_items),
+            ))
         metrics = QueryMetrics(
             ticks=ops,
             num_machines=1,
             total_ops=ops,
-            num_results=len(rows),
+            num_results=len(bindings),
             peak_buffered_contexts=peak_rows,
         )
-        from repro.runtime.engine import QueryResult
-
-        return QueryResult(ResultSet(columns, rows), metrics, plan)
-
-
-def _predicate(expr, env):
-    try:
-        return bool(evaluate(expr, env))
-    except (TypeError, ZeroDivisionError):
-        return False
+        result_set = finish(query, column_names(query), decorated)
+        return QueryResult(result_set, metrics, plan)

@@ -86,12 +86,7 @@ class SharedMemoryEngine(Engine):
         for vertex in roots:
             ops += 1
             visit(0, (vertex,), vertex)
-        result_set = finalize(
-            plan.output,
-            rows,
-            plan.query.vertex_vars(),
-            plan.query.edge_vars(),
-        )
+        result_set = finalize(plan.output, rows)
         ticks = -(-ops // (
             self.config.workers_per_machine * self.config.ops_per_tick
         ))

@@ -1,12 +1,15 @@
-"""Generic expression evaluation.
+"""Generic expression evaluation: the reference semantics.
 
 Expressions are evaluated against an :class:`EvalEnv`, which resolves
 variable references to matched entities and property reads to values.
-The distributed runtime does not use this tree-walking evaluator on hot
-paths — ``repro.plan.execution`` generates each filter as one flat
-function over context offsets — but the semantics are defined here once:
-a generated filter is ``evaluate_predicate`` unrolled, and the Python
-operator it emits for each PGQL one is tested against ``_BINARY_OPS``.
+The engines do not use this tree-walking evaluator —
+``repro.plan.execution`` generates every filter and every result
+expression (SELECT, GROUP BY, aggregate arguments, HAVING, ORDER BY) as
+flat functions over context offsets — but the semantics are defined
+here once: a generated filter is ``evaluate_predicate`` unrolled, a
+generated result expression is ``evaluate`` unrolled, and the Python
+operator emitted for each PGQL one is tested against ``_BINARY_OPS``.
+The brute-force test oracle and the join baseline evaluate with it.
 
 Semantics notes:
 
@@ -14,10 +17,12 @@ Semantics notes:
   set a property observe the type default (0 / 0.0 / "" / False).
 * ``=`` / ``!=`` follow Python equality (cross-type compares are unequal,
   never an error).
-* Ordered comparisons and arithmetic between incompatible types make a
-  *predicate* evaluate to False rather than crashing a query; when
-  evaluated as a value (e.g. in SELECT) they raise
-  :class:`~repro.errors.PgqlValidationError`.
+* Ordered comparisons and arithmetic between incompatible types, and a
+  division by zero, make a *predicate* evaluate to False rather than
+  crashing a query; when evaluated as a value (e.g. in SELECT) they
+  raise :class:`~repro.errors.PgqlValidationError` (:func:`value_error`).
+* ``has()`` asks whether the graph declares the property for the
+  variable's kind, wherever it appears.
 """
 
 from repro.errors import PgqlValidationError
@@ -89,8 +94,30 @@ class MappingEnv(EvalEnv):
         return (var, prop) in self._props
 
 
+def value_error(exc):
+    """The :class:`PgqlValidationError` of a type mismatch or a division
+    by zero (*exc*) met while evaluating an expression as a value."""
+    return PgqlValidationError("cannot evaluate expression: %s" % exc)
+
+
 def evaluate(expr, env):
-    """Evaluate *expr* strictly; type mismatches raise."""
+    """Evaluate *expr* as a value; a type mismatch or a division by zero
+    raises :class:`PgqlValidationError`."""
+    try:
+        return _evaluate(expr, env)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise value_error(exc) from None
+
+
+def evaluate_predicate(expr, env):
+    """Evaluate *expr* as a filter: mismatches count as non-matches."""
+    try:
+        return bool(_evaluate(expr, env))
+    except (TypeError, ZeroDivisionError):
+        return False
+
+
+def _evaluate(expr, env):
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, VarRef):
@@ -104,27 +131,21 @@ def evaluate(expr, env):
     if isinstance(expr, HasPropCall):
         return env.has_prop(expr.var, expr.prop)
     if isinstance(expr, Unary):
-        return apply_unary(expr.op, evaluate(expr.operand, env))
+        return apply_unary(expr.op, _evaluate(expr.operand, env))
     if isinstance(expr, Binary):
         if expr.op == "AND":
-            return bool(evaluate(expr.lhs, env)) and bool(evaluate(expr.rhs, env))
+            return bool(_evaluate(expr.lhs, env)) \
+                and bool(_evaluate(expr.rhs, env))
         if expr.op == "OR":
-            return bool(evaluate(expr.lhs, env)) or bool(evaluate(expr.rhs, env))
-        return apply_binary(expr.op, evaluate(expr.lhs, env),
-                            evaluate(expr.rhs, env))
+            return bool(_evaluate(expr.lhs, env)) \
+                or bool(_evaluate(expr.rhs, env))
+        return apply_binary(expr.op, _evaluate(expr.lhs, env),
+                            _evaluate(expr.rhs, env))
     if isinstance(expr, Aggregate):
         raise PgqlValidationError(
             "aggregate %s cannot be evaluated per-row" % expr.func.value
         )
     raise PgqlValidationError("unknown expression node: %r" % (expr,))
-
-
-def evaluate_predicate(expr, env):
-    """Evaluate *expr* as a filter: mismatches count as non-matches."""
-    try:
-        return bool(evaluate(expr, env))
-    except (TypeError, ZeroDivisionError):
-        return False
 
 
 def apply_unary(op, value):

@@ -19,7 +19,6 @@ from repro.plan.execution import (
     CompiledHop,
     CompiledStage,
     ContextLayout,
-    ContextRowEnv,
     ExecutionPlan,
     OutputSpec,
     build_execution_plan,
@@ -112,7 +111,6 @@ __all__ = [
     "CompiledStage",
     "CompiledHop",
     "ContextLayout",
-    "ContextRowEnv",
     "OutputSpec",
     "IMPOSSIBLE_LABEL",
     "expand_quantified_paths",

@@ -20,7 +20,15 @@ Concretely:
   per stage or hop over the graph's property columns (``fn.__source__``
   shows it) — so the hot path pays one call per filter and performs no
   name resolution.
+* **Result expressions** — SELECT, GROUP BY keys, aggregate arguments,
+  HAVING and ORDER BY — are generated by the same emitter, once per
+  plan, into the two functions :class:`OutputSpec` holds; they read the
+  completed output context and raise
+  :class:`~repro.errors.PgqlValidationError` on a type mismatch or a
+  division by zero (``pgql.expressions.evaluate``'s value semantics).
 """
+
+import hashlib
 
 from repro.errors import PgqlValidationError, PlanError, UnknownPropertyError
 from repro.graph.types import Direction
@@ -35,7 +43,7 @@ from repro.pgql.ast import (
     Unary,
     VarRef,
 )
-from repro.pgql.expressions import EvalEnv
+from repro.pgql.expressions import contains_aggregate, value_error
 from repro.plan.distributed import Hop, HopKind, Visit, VisitKind
 from repro.plan.options import MatchSemantics, PlannerOptions
 
@@ -164,28 +172,21 @@ class CompiledStage:
 
 
 class OutputSpec:
-    """Everything result post-processing needs (see runtime.results)."""
+    """How output contexts become result rows (runtime.aggregation).
 
-    def __init__(self, query, layout):
-        self.select_items = query.select_items
-        self.group_by = query.group_by
-        self.having = query.having
-        self.order_by = query.order_by
-        self.limit = query.limit
-        self.distinct = query.distinct
-        self.layout = layout
-        self.column_names = [
-            item.alias if item.alias else _default_name(item.expr)
-            for item in query.select_items
-        ]
+    ``decorate(ctx, aggregates)`` is the ``(sort key, row)`` of one
+    output context, or of the group *ctx* represents when *aggregates*
+    holds its aggregate results; None when HAVING rejects the group.
+    An aggregating query also has ``group(ctx) -> (group key, aggregate
+    arguments)`` and ``aggregates``, the ``(func, distinct)`` of each
+    argument in order; a plain query has None for both.  DISTINCT,
+    ORDER BY and LIMIT are read from ``query``.
+    """
 
-    @property
-    def has_aggregates(self):
-        from repro.pgql.expressions import contains_aggregate
-
-        return bool(self.group_by) or any(
-            contains_aggregate(item.expr) for item in self.select_items
-        )
+    def __init__(self, query, compiler):
+        self.query = query
+        self.column_names = column_names(query)
+        self.group, self.aggregates, self.decorate = compiler.output(query)
 
 
 class ExecutionPlan:
@@ -327,7 +328,7 @@ def build_execution_plan(dplan, graph, options=None):
         stage.out_width = layout.width
         stages.append(stage)
 
-    output = OutputSpec(query, layout)
+    output = OutputSpec(query, compiler)
     return ExecutionPlan(stages, layout, graph, query, options, output)
 
 
@@ -502,6 +503,13 @@ def _with_induced_checks(visits, query):
     return visits
 
 
+def column_names(query):
+    """The result column names of *query*: each select item's alias, or
+    a name derived from its expression."""
+    return [item.alias or _default_name(item.expr)
+            for item in query.select_items]
+
+
 def _default_name(expr):
     if isinstance(expr, VarRef):
         return expr.name
@@ -527,8 +535,43 @@ def _bound(ns, value):
     return name
 
 
+def generate(source, kind, ns, *names):
+    """Compile generated *source* into the namespace *ns*; returns the
+    functions it defines under *names*, each carrying ``__source__``.
+
+    The code is named ``<repro-KIND:DIGEST>``, the digest a blake2b of
+    the source, so generated functions of different plans stay apart in
+    a profile without depending on the hash seed.
+    """
+    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
+    exec(compile(source, "<repro-%s:%s>" % (kind, digest), "exec"), ns)
+    functions = [ns[name] for name in names]
+    for function in functions:
+        function.__source__ = source  # introspection / debugging aid
+    return functions
+
+
+def _value_function(signature, body, ns):
+    """A generated result function: *body* (source lines) under
+    ``evaluate``'s value semantics."""
+    ns["value_error"] = value_error
+    source = "def %s:\n    try:\n%s\n" % (
+        signature, "".join("        %s\n" % line for line in body)
+    ) + (
+        "    except (TypeError, ZeroDivisionError) as exc:\n"
+        "        raise value_error(exc) from None\n"
+    )
+    name = signature.split("(")[0]
+    return generate(source, name, ns, name)[0]
+
+
+def _tuple(parts):
+    return "(%s)" % "".join("%s, " % part for part in parts)
+
+
 class _Compiler:
-    """Compiles captures and filters to ``fn(ctx, vertex, eid)`` form."""
+    """Compiles captures and filters to ``fn(ctx, vertex, eid)`` form,
+    and result expressions to the functions of :class:`OutputSpec`."""
 
     def __init__(self, graph, layout, vertex_vars, edge_vars):
         self._graph = graph
@@ -572,15 +615,62 @@ class _Compiler:
             "bool(%s)" % self._emit(conjunct, direct_vertex, direct_edge, ns)
             for conjunct in conjuncts
         )
-        exec(compile(source, "<repro-predicate>", "exec"), ns)
-        predicate = ns["predicate"]
-        predicate.__source__ = source  # introspection / debugging aid
-        return predicate
+        return generate(source, "predicate", ns, "predicate")[0]
+
+    # -- result expressions --------------------------------------------
+    def output(self, query):
+        """``(group, aggregates, decorate)`` of *query*, as
+        :class:`OutputSpec` holds them.
+
+        Each distinct aggregate (structurally) of SELECT, HAVING and
+        ORDER BY is one argument of ``group`` and one slot of the
+        ``aggregates`` sequence ``decorate`` reads.  ``COUNT(*)``'s
+        argument is 1, ``COUNT(DISTINCT *)``'s the whole context.
+        """
+        selects = [item.expr for item in query.select_items]
+        keys = [item.expr for item in query.order_by]
+        having = [] if query.having is None else [query.having]
+        ns = {}
+        group = aggregates = slots = None
+        if query.group_by or any(map(contains_aggregate, selects)):
+            found = {}
+            for expr in selects + keys + having:
+                for node in expr.walk():
+                    if isinstance(node, Aggregate):
+                        found.setdefault(repr(node), node)
+            slots = {key: slot for slot, key in enumerate(found)}
+            aggregates = [(node.func, node.distinct)
+                          for node in found.values()]
+            arguments = [
+                ("ctx" if node.distinct else "1") if node.arg is None
+                else self._emit(node.arg, None, None, ns)
+                for node in found.values()
+            ]
+            group = _value_function("group(ctx)", [
+                "return %s, %s" % (
+                    _tuple(self._emit(expr, None, None, ns)
+                           for expr in query.group_by),
+                    _tuple(arguments),
+                )
+            ], ns)
+        body = []
+        for expr in having:
+            body += ["if not %s:" % self._emit(expr, None, None, ns, slots),
+                     "    return None"]
+        body.append("return %s, %s" % (
+            _tuple(self._emit(expr, None, None, ns, slots) for expr in keys),
+            _tuple(self._emit(expr, None, None, ns, slots)
+                   for expr in selects),
+        ))
+        decorate = _value_function("decorate(ctx, aggregates)", body, ns)
+        return group, aggregates, decorate
 
     # -- expression nodes ----------------------------------------------
-    def _emit(self, expr, direct_vertex, direct_edge, ns):
+    def _emit(self, expr, direct_vertex, direct_edge, ns, aggregates=None):
         """The Python source of *expr*, parenthesized; the values it
-        needs are bound in *ns* under fresh names."""
+        needs are bound in *ns* under fresh names.  *aggregates* maps
+        each aggregate (by ``repr``) to its slot in ``aggregates``, the
+        parameter of a generated ``decorate``."""
         if isinstance(expr, Literal):
             return _bound(ns, expr.value)
         if isinstance(expr, (VarRef, IdCall)):
@@ -612,11 +702,14 @@ class _Compiler:
                 return _bound(ns, self._graph.has_vertex_prop(expr.prop))
             return _bound(ns, self._graph.has_edge_prop(expr.prop))
         if isinstance(expr, Unary):
-            inner = self._emit(expr.operand, direct_vertex, direct_edge, ns)
+            inner = self._emit(expr.operand, direct_vertex, direct_edge, ns,
+                               aggregates)
             return "(%s %s)" % ("not" if expr.op == "NOT" else "-", inner)
         if isinstance(expr, Binary):
-            lhs = self._emit(expr.lhs, direct_vertex, direct_edge, ns)
-            rhs = self._emit(expr.rhs, direct_vertex, direct_edge, ns)
+            lhs = self._emit(expr.lhs, direct_vertex, direct_edge, ns,
+                             aggregates)
+            rhs = self._emit(expr.rhs, direct_vertex, direct_edge, ns,
+                             aggregates)
             if expr.op in ("AND", "OR"):
                 return "(bool(%s) %s bool(%s))" % (lhs, expr.op.lower(), rhs)
             symbol = PYTHON_OPERATORS.get(expr.op)
@@ -626,7 +719,10 @@ class _Compiler:
                 )
             return "(%s %s %s)" % (lhs, symbol, rhs)
         if isinstance(expr, Aggregate):
-            raise PlanError("aggregates cannot appear in compiled filters")
+            if aggregates is None:
+                raise PlanError("aggregates can appear only in SELECT, "
+                                "HAVING and ORDER BY of a grouping query")
+            return "aggregates[%d]" % aggregates[repr(expr)]
         raise PlanError("cannot compile expression: %r" % (expr,))
 
     # -- helpers ---------------------------------------------------------
@@ -647,77 +743,3 @@ class _Compiler:
                 "query references edge property %r which no edge in the "
                 "graph defines" % prop
             )
-
-
-class ContextRowEnv(EvalEnv):
-    """Evaluate expressions against a completed output context tuple.
-
-    Used by result post-processing (projection, grouping, ordering).
-    """
-
-    def __init__(self, layout, vertex_vars, edge_vars):
-        self._layout = layout
-        self._vertex_vars = vertex_vars
-        self._edge_vars = edge_vars
-        self._ctx = None
-
-    def bind(self, ctx):
-        self._ctx = ctx
-        return self
-
-    def entity_id(self, var):
-        tag = "v" if var in self._vertex_vars else "e"
-        return self._ctx[self._layout.slot((tag, var))]
-
-    def prop(self, var, prop):
-        tag = "vp" if var in self._vertex_vars else "ep"
-        return self._ctx[self._layout.slot((tag, var, prop))]
-
-    def label(self, var):
-        tag = "vl" if var in self._vertex_vars else "el"
-        return self._ctx[self._layout.slot((tag, var))]
-
-    def has_prop(self, var, prop):
-        tag = "vp" if var in self._vertex_vars else "ep"
-        return self._layout.has((tag, var, prop))
-
-    def row_projector(self, exprs):
-        """Compile *exprs* into one ``project(ctx) -> tuple`` function.
-
-        Handles the slot-lookup expression forms (variables, ids,
-        captured properties and labels) plus literals — i.e. everything
-        whose per-row evaluation is a plain tuple index.  Returns None
-        when any expression needs the interpreted evaluator, in which
-        case the caller keeps the per-row ``evaluate`` path.
-        """
-        parts = []
-        ns = {}
-        try:
-            for n, expr in enumerate(exprs):
-                if isinstance(expr, Literal):
-                    ns["C%d" % n] = expr.value
-                    parts.append("C%d" % n)
-                    continue
-                if isinstance(expr, (VarRef, IdCall)):
-                    var = expr.name if isinstance(expr, VarRef) else expr.var
-                    tag = "v" if var in self._vertex_vars else "e"
-                    parts.append("ctx[%d]" % self._layout.slot((tag, var)))
-                    continue
-                if isinstance(expr, PropRef):
-                    tag = "vp" if expr.var in self._vertex_vars else "ep"
-                    parts.append("ctx[%d]" % self._layout.slot(
-                        (tag, expr.var, expr.prop)
-                    ))
-                    continue
-                if isinstance(expr, LabelCall):
-                    tag = "vl" if expr.var in self._vertex_vars else "el"
-                    parts.append("ctx[%d]" % self._layout.slot((tag, expr.var)))
-                    continue
-                return None
-        except (KeyError, PlanError):
-            return None  # missing slot: let the evaluator raise per-row
-        source = "def project(ctx):\n    return (%s)\n" % (
-            ", ".join(parts) + ("," if parts else "")
-        )
-        exec(compile(source, "<repro-projector>", "exec"), ns)
-        return ns["project"]

@@ -1,4 +1,4 @@
-"""Result finalization: projection, aggregation, grouping, ordering.
+"""Result finalization: grouping, aggregation, DISTINCT, ORDER BY, LIMIT.
 
 The output hop delivers raw context tuples to a machine-local
 *collector*; this module turns the merged collections into the final
@@ -6,6 +6,14 @@ The output hop delivers raw context tuples to a machine-local
 future work (§5): ``COUNT`` / ``SUM`` / ``AVG`` / ``MIN`` / ``MAX``
 (with ``DISTINCT``), ``GROUP BY``, ``HAVING``, ``ORDER BY``, ``LIMIT``,
 and ``SELECT DISTINCT``.
+
+Nothing here evaluates an expression: the plan's
+:class:`~repro.plan.execution.OutputSpec` carries the generated
+``group`` and ``decorate`` functions that compute group keys, aggregate
+arguments, HAVING, sort keys and rows.  What is left is to fold, to
+merge, and the one DISTINCT / ORDER BY / LIMIT tail (:func:`finish`)
+every engine's result passes through, a union of variable-length-path
+expansions included.
 
 Aggregating queries use **partial aggregation**: each machine folds its
 matches into per-group aggregate states as they are produced (the
@@ -16,115 +24,69 @@ list.
 """
 
 from repro.errors import PgqlValidationError
-from repro.pgql.ast import Aggregate, AggregateFunc, Binary, Unary
-from repro.pgql.expressions import apply_binary, apply_unary, evaluate
-from repro.plan.execution import ContextRowEnv
+from repro.pgql.ast import AggregateFunc
 from repro.runtime.results import ResultSet
 
 
 class AggregateState:
-    """Streaming, mergeable state of one aggregate function."""
+    """Streaming, mergeable state of one aggregate function.
 
-    __slots__ = ("func", "distinct", "_seen", "_count", "_sum", "_min", "_max")
+    A SUM or AVG over a non-number, or a MIN or MAX over values that do
+    not compare, raises :class:`PgqlValidationError`.
+    """
+
+    __slots__ = ("func", "distinct", "_seen", "_count", "_value")
 
     def __init__(self, func, distinct):
         self.func = func
         self.distinct = distinct
         self._seen = set() if distinct else None
         self._count = 0
-        self._sum = 0
-        self._min = None
-        self._max = None
+        #: The running sum (SUM, AVG) or extreme (MIN, MAX, once
+        #: ``_count`` is positive).
+        self._value = 0
 
     def update(self, value):
         if self.distinct:
             if value in self._seen:
                 return
             self._seen.add(value)
-        self._apply(value)
-
-    def _apply(self, value):
-        self._count += 1
-        if self.func in (AggregateFunc.SUM, AggregateFunc.AVG):
-            self._sum += value
-        elif self.func is AggregateFunc.MIN:
-            self._min = value if self._min is None else min(self._min, value)
-        elif self.func is AggregateFunc.MAX:
-            self._max = value if self._max is None else max(self._max, value)
+        self._fold(value, 1)
 
     def merge(self, other):
         """Fold another machine's partial state into this one."""
         if self.distinct:
             for value in other._seen:
                 self.update(value)
-            return
-        self._count += other._count
-        self._sum += other._sum
-        for candidate in (other._min,):
-            if candidate is not None:
-                self._min = candidate if self._min is None \
-                    else min(self._min, candidate)
-        for candidate in (other._max,):
-            if candidate is not None:
-                self._max = candidate if self._max is None \
-                    else max(self._max, candidate)
+        elif other._count:
+            self._fold(other._value, other._count)
+
+    def _fold(self, value, count):
+        """Fold *value*: one value, or the sum or extreme of *count*."""
+        func = self.func
+        try:
+            if func is AggregateFunc.SUM or func is AggregateFunc.AVG:
+                self._value += value
+            elif func is AggregateFunc.MIN:
+                self._value = min(self._value, value) if self._count \
+                    else value
+            elif func is AggregateFunc.MAX:
+                self._value = max(self._value, value) if self._count \
+                    else value
+        except TypeError as exc:
+            raise PgqlValidationError(
+                "%s cannot aggregate %r: %s" % (func.value, value, exc)
+            ) from None
+        self._count += count
 
     def result(self):
         if self.func is AggregateFunc.COUNT:
             return self._count
-        if self.func is AggregateFunc.SUM:
-            return self._sum
         if self.func is AggregateFunc.AVG:
-            return self._sum / self._count if self._count else None
-        if self.func is AggregateFunc.MIN:
-            return self._min
-        return self._max
-
-
-def _aggregate_key(node):
-    """Structural identity of an aggregate occurrence."""
-    return (node.func, repr(node.arg), node.distinct)
-
-
-def _collect_aggregates(exprs):
-    """Unique aggregates across *exprs*, keyed structurally."""
-    found = {}
-    for expr in exprs:
-        for node in expr.walk():
-            if isinstance(node, Aggregate):
-                found.setdefault(_aggregate_key(node), node)
-    return found
-
-
-def _zone_expressions(spec):
-    zone = [item.expr for item in spec.select_items]
-    if spec.having is not None:
-        zone.append(spec.having)
-    zone.extend(item.expr for item in spec.order_by)
-    return zone
-
-
-def _evaluate_with_aggregates(expr, env, agg_values):
-    """Evaluate *expr* substituting aggregate nodes with computed values."""
-    if isinstance(expr, Aggregate):
-        return agg_values[_aggregate_key(expr)]
-    if isinstance(expr, Binary):
-        if expr.op == "AND":
-            return bool(_evaluate_with_aggregates(expr.lhs, env, agg_values)) \
-                and bool(_evaluate_with_aggregates(expr.rhs, env, agg_values))
-        if expr.op == "OR":
-            return bool(_evaluate_with_aggregates(expr.lhs, env, agg_values)) \
-                or bool(_evaluate_with_aggregates(expr.rhs, env, agg_values))
-        return apply_binary(
-            expr.op,
-            _evaluate_with_aggregates(expr.lhs, env, agg_values),
-            _evaluate_with_aggregates(expr.rhs, env, agg_values),
-        )
-    if isinstance(expr, Unary):
-        return apply_unary(
-            expr.op, _evaluate_with_aggregates(expr.operand, env, agg_values)
-        )
-    return evaluate(expr, env)
+            return self._value / self._count if self._count else None
+        if self.func is AggregateFunc.SUM or self._count:
+            return self._value
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -152,181 +114,98 @@ class GroupAccumulator:
     engine merges accumulators from all machines with :meth:`merge`.
     """
 
-    def __init__(self, spec, vertex_vars, edge_vars):
-        self._spec = spec
-        self._env = ContextRowEnv(
-            spec.layout, set(vertex_vars), set(edge_vars)
-        )
-        self._aggregates = _collect_aggregates(_zone_expressions(spec))
-        #: group key -> (representative ctx, {agg key: AggregateState}).
+    def __init__(self, spec):
+        self._group = spec.group
+        self._aggregates = spec.aggregates
+        #: group key -> (representative ctx, [AggregateState]).
         self.groups = {}
         self.count = 0
 
     def add(self, ctx):
-        env = self._env.bind(ctx)
+        key, arguments = self._group(ctx)
         self.count += 1
-        key = tuple(evaluate(expr, env) for expr in self._spec.group_by)
         group = self.groups.get(key)
         if group is None:
-            group = (
-                ctx,
-                {
-                    agg_key: AggregateState(node.func, node.distinct)
-                    for agg_key, node in self._aggregates.items()
-                },
-            )
-            self.groups[key] = group
-        _repr_ctx, states = group
-        for agg_key, node in self._aggregates.items():
-            if node.arg is None:  # COUNT(*)
-                states[agg_key].update(1 if not node.distinct else ctx)
-            else:
-                states[agg_key].update(evaluate(node.arg, env))
+            group = self.groups[key] = (ctx, [
+                AggregateState(func, distinct)
+                for func, distinct in self._aggregates
+            ])
+        for state, value in zip(group[1], arguments):
+            state.update(value)
 
     def merge(self, other):
         """Fold another machine's accumulator into this one."""
         self.count += other.count
-        for key, (repr_ctx, other_states) in other.groups.items():
+        for key, (ctx, other_states) in other.groups.items():
             mine = self.groups.get(key)
             if mine is None:
-                self.groups[key] = (repr_ctx, other_states)
+                self.groups[key] = (ctx, other_states)
                 continue
-            _ctx, states = mine
-            for agg_key, state in other_states.items():
-                states[agg_key].merge(state)
+            for state, other_state in zip(mine[1], other_states):
+                state.merge(other_state)
 
     def __len__(self):
         return self.count
 
 
-def make_collector(spec, vertex_vars, edge_vars):
+def make_collector(spec):
     """The collector appropriate for *spec* (partial-agg or raw rows)."""
-    if spec.has_aggregates:
-        return GroupAccumulator(spec, vertex_vars, edge_vars)
+    if spec.group is not None:
+        return GroupAccumulator(spec)
     return RowCollector()
 
 
 # ----------------------------------------------------------------------
 # Finalization
 # ----------------------------------------------------------------------
-def finalize(output_spec, raw_rows, vertex_vars, edge_vars):
+def finalize(spec, raw_rows):
     """Turn raw output contexts into the final :class:`ResultSet`.
 
-    Convenience entry point used by the baselines (and by the engine's
-    non-aggregating path); aggregating queries are routed through a
-    :class:`GroupAccumulator`.
+    The baselines' entry point, and the engine's for a plain query; the
+    engine merges its machines' :class:`GroupAccumulator` collectors and
+    calls :func:`finalize_grouped` itself.
     """
-    env = ContextRowEnv(output_spec.layout, set(vertex_vars), set(edge_vars))
-    if output_spec.has_aggregates:
-        accumulator = GroupAccumulator(output_spec, vertex_vars, edge_vars)
+    if spec.group is not None:
+        accumulator = GroupAccumulator(spec)
         for ctx in raw_rows:
             accumulator.add(ctx)
-        return finalize_grouped(output_spec, accumulator, env)
-    rows = _finalize_plain(output_spec, raw_rows, env)
-    return _wrap(output_spec, rows)
+        return finalize_grouped(spec, accumulator)
+    decorate = spec.decorate
+    return finish(spec.query, spec.column_names,
+                  [decorate(ctx, None) for ctx in raw_rows])
 
 
-def finalize_grouped(spec, accumulator, env=None):
+def finalize_grouped(spec, accumulator):
     """Build the ResultSet from a (merged) :class:`GroupAccumulator`."""
-    if env is None:
-        env = accumulator._env
+    decorate = spec.decorate
     decorated = []
-    for _key, (repr_ctx, states) in accumulator.groups.items():
-        env.bind(repr_ctx)
-        agg_values = {
-            agg_key: state.result() for agg_key, state in states.items()
-        }
-        if spec.having is not None:
-            if not _evaluate_with_aggregates(spec.having, env, agg_values):
-                continue
-        row = tuple(
-            _evaluate_with_aggregates(item.expr, env, agg_values)
-            for item in spec.select_items
-        )
-        if spec.order_by:
-            sort_key = tuple(
-                _evaluate_with_aggregates(item.expr, env, agg_values)
-                for item in spec.order_by
-            )
-        else:
-            sort_key = ()
-        decorated.append((sort_key, row))
-    if spec.distinct:
-        # SELECT DISTINCT with GROUP BY: groups are unique by key, but
-        # the projected rows may still collide (e.g. the key is not
-        # selected); SQL semantics deduplicate them.
-        decorated = distinct_rows(decorated)
-    if spec.order_by:
-        _sort_decorated(decorated, spec.order_by)
-    return _wrap(spec, [row for _key, row in decorated])
+    for ctx, states in accumulator.groups.values():
+        pair = decorate(ctx, [state.result() for state in states])
+        if pair is not None:
+            decorated.append(pair)
+    return finish(spec.query, spec.column_names, decorated)
 
 
-def distinct_rows(decorated):
-    """``SELECT DISTINCT``: the first ``(sort key, row)`` of each row."""
-    seen = set()
-    unique = []
-    for key, row in decorated:
-        if row not in seen:
-            seen.add(row)
-            unique.append((key, row))
-    return unique
-
-
-def _finalize_plain(spec, raw_rows, env):
-    selects = [item.expr for item in spec.select_items]
-    order_items = spec.order_by
-    decorated = _project_rows(selects, order_items, raw_rows, env)
-    if spec.distinct:
-        decorated = distinct_rows(decorated)
-    if order_items:
-        _sort_decorated(decorated, order_items)
-    return [row for _key, row in decorated]
-
-
-def _project_rows(selects, order_items, raw_rows, env):
-    """Project raw contexts into ``(sort_key, row)`` pairs.
-
-    Slot-only select/order lists (the common case) go through a compiled
-    projector — one tuple build per row instead of one interpreted
-    ``evaluate`` per column; anything else falls back to the evaluator.
-    Values are identical either way: the projector is just the unrolled
-    slot lookups.
-    """
-    project = env.row_projector(selects)
-    if project is not None:
-        if not order_items:
-            return [((), project(ctx)) for ctx in raw_rows]
-        key_project = env.row_projector(
-            [item.expr for item in order_items]
-        )
-        if key_project is not None:
-            return [(key_project(ctx), project(ctx)) for ctx in raw_rows]
-    decorated = []
-    for ctx in raw_rows:
-        env.bind(ctx)
-        row = tuple(evaluate(expr, env) for expr in selects)
-        if order_items:
-            key = tuple(evaluate(item.expr, env) for item in order_items)
-            decorated.append((key, row))
-        else:
-            decorated.append(((), row))
-    return decorated
-
-
-def _wrap(spec, rows):
-    if spec.limit is not None:
-        rows = rows[: spec.limit]
-    return ResultSet(spec.column_names, rows)
-
-
-def _sort_decorated(decorated, order_items):
-    """Stable multi-key sort honoring per-key ASC/DESC."""
-    for position in range(len(order_items) - 1, -1, -1):
-        ascending = order_items[position].ascending
+def finish(query, columns, decorated):
+    """The :class:`ResultSet` of the ``(sort key, row)`` pairs
+    *decorated* under *query*'s DISTINCT, ORDER BY and LIMIT, applied in
+    that order."""
+    if query.distinct:
+        # The first pair of each row.  With GROUP BY the groups are
+        # unique by key, but their projected rows may still collide.
+        first = {}
+        for pair in decorated:
+            first.setdefault(pair[1], pair)
+        decorated = list(first.values())
+    for position in range(len(query.order_by) - 1, -1, -1):
         try:
             decorated.sort(key=lambda pair: pair[0][position],
-                           reverse=not ascending)
+                           reverse=not query.order_by[position].ascending)
         except TypeError:
             raise PgqlValidationError(
                 "ORDER BY key %d mixes incomparable types" % position
-            )
+            ) from None
+    rows = [row for _key, row in decorated]
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return ResultSet(columns, rows)

@@ -23,10 +23,8 @@ from repro.pgql import as_query, parse_and_validate, to_pgql
 from repro.pgql.ast import Query, SelectItem
 from repro.plan import PlannerOptions, SchedulingPolicy, plan_query
 from repro.plan.paths import expand_quantified_paths, has_quantified_paths
-from repro.runtime.aggregation import _sort_decorated, distinct_rows, \
-    finalize, finalize_grouped
+from repro.runtime.aggregation import finalize, finalize_grouped, finish
 from repro.runtime.machine import QueryMachine
-from repro.runtime.results import ResultSet
 
 #: Entries an engine keeps in each of its prepared-query tables
 #: (validated texts, compiled plans); least recently used goes first.
@@ -329,22 +327,16 @@ class PgxdAsyncEngine(Engine):
              for name in ("visits", "passes", "remote_in")}
             for totals in profiler.stage_totals()
         ]
-        if plan.output.has_aggregates:
+        if plan.output.group is not None:
             # Merge the machines' partial aggregation states.
             merged = machines[0].collector
             for machine in machines[1:]:
                 merged.merge(machine.collector)
             result_set = finalize_grouped(plan.output, merged)
         else:
-            raw_rows = [
+            result_set = finalize(plan.output, [
                 ctx for machine in machines for ctx in machine.collector.rows
-            ]
-            result_set = finalize(
-                plan.output,
-                raw_rows,
-                plan.query.vertex_vars(),
-                plan.query.edge_vars(),
-            )
+            ])
         if context.recording is not None:
             publish_drift(context.recording,
                           build_execution_profile(plan, profiler))
@@ -360,8 +352,9 @@ def execute_union(query, context, run_one):
     *run_one(query, context)* executes a single fixed-length Query (an
     engine's ``_run`` under fixed options).  Each expansion runs with
     ORDER BY / LIMIT / DISTINCT stripped and the ORDER BY expressions
-    appended as hidden projection columns, so the union can be globally
-    sorted, deduped, and truncated here.
+    appended as hidden projection columns, so the union goes through
+    the same DISTINCT / ORDER BY / LIMIT tail as any other result
+    (:func:`~repro.runtime.aggregation.finish`).
 
     Every expansion runs under the caller's *context* — its full
     deadline and query id — recording from tick 0 into a recording of
@@ -370,7 +363,6 @@ def execute_union(query, context, run_one):
     """
     expansions = expand_quantified_paths(query)
     visible = len(query.select_items)
-    hidden_order = list(query.order_by)
 
     all_rows = []
     columns = None
@@ -388,7 +380,7 @@ def execute_union(query, context, run_one):
     for expansion in expansions:
         stripped = Query(
             list(expansion.select_items)
-            + [SelectItem(item.expr) for item in hidden_order],
+            + [SelectItem(item.expr) for item in query.order_by],
             expansion.paths,
             expansion.constraints,
         )
@@ -433,15 +425,10 @@ def execute_union(query, context, run_one):
                 for key, value in entry.items():
                     slot[key] = slot.get(key, 0) + value
 
-    decorated = [(row[visible:], row[:visible]) for row in all_rows]
-    if query.distinct:
-        decorated = distinct_rows(decorated)
-    if hidden_order:
-        _sort_decorated(decorated, hidden_order)
-    rows = [row for _key, row in decorated]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return QueryResult(ResultSet(columns, rows), combined, plan,
+    result_set = finish(query, columns, [
+        (row[visible:], row[:visible]) for row in all_rows
+    ])
+    return QueryResult(result_set, combined, plan,
                        stage_profile=stage_profile, recording=recording)
 
 

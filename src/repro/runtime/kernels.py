@@ -71,12 +71,11 @@ interpreter, so the kernels-on/off differential compares two
 implementations under the one driver.
 """
 
-import hashlib
-
 from repro.errors import RuntimeFault
 from repro.graph.types import Direction, NO_LABEL
 from repro.obs.events import ResultEmitted
 from repro.plan.distributed import HopKind
+from repro.plan.execution import generate
 from repro.runtime.hops import Advance, HopCursor, vertex_function
 from repro.runtime.worker import (
     RunStatus,
@@ -370,19 +369,10 @@ def _compile(plan, stage, template):
     for fresh in (False, True):
         template(plan, stage, ns, lines, fresh)
     source = "\n".join(lines) + "\n"
-    # The digest tells kernels of different plans apart in a profile
-    # without depending on the hash seed.
-    digest = hashlib.blake2b(source.encode(), digest_size=6).hexdigest()
-    code = compile(
-        source,
-        "<repro-kernel:stage%d:%s:%s>"
-        % (stage.index, stage.hop.kind.value, digest),
-        "exec",
+    return generate(
+        source, "kernel:stage%d:%s" % (stage.index, stage.hop.kind.value),
+        ns, "kernel", "fresh",
     )
-    exec(code, ns)
-    kernel, fresh = ns["kernel"], ns["fresh"]
-    kernel.__source__ = fresh.__source__ = source  # introspection aid
-    return kernel, fresh
 
 
 def _prologue(w, stage, fresh, prebinds):

@@ -160,9 +160,7 @@ class QueryMachine:
         # materializes its full match list — see runtime.aggregation).
         from repro.runtime.aggregation import make_collector
 
-        self.collector = make_collector(
-            plan.output, plan.query.vertex_vars(), plan.query.edge_vars()
-        )
+        self.collector = make_collector(plan.output)
         self.last_refused = None
         self._sync_wait = None
         self._blocking = config.blocking_remote

@@ -544,6 +544,8 @@ class TestTypedErrors:
           "--compare", "{tmp}/hostname"], "hostname"),
         (["bench", "--quick", "--out", "{tmp}/out.json",
           "--compare", "{tmp}/schema.json"], "schema.json"),
+        (["query", "--random", "50x200", "SELECT a.value / 0 WHERE (a)"],
+         "division by zero"),
     ])
     def test_bad_input_is_one_line_and_exit_2(self, tmp_path, capsys,
                                               argv, names):

@@ -13,7 +13,8 @@ from repro import (
     available_engines,
 )
 from repro.engine_api import QueryHandle, QueryStatus
-from repro.errors import QueryAborted
+from repro.errors import PgqlValidationError, PlanError, QueryAborted
+from repro.graph import GraphBuilder
 from repro.runtime.engine import QueryResult
 
 ALL_ENGINES = [PgxdAsyncEngine, SharedMemoryEngine, BftEngine, JoinEngine]
@@ -71,6 +72,66 @@ class TestEngineProtocol:
                           .query(query).rows)
         result = _make(cls, random_graph).query(query)
         assert sorted(result.rows) == expected
+
+
+class TestResultTail:
+    """DISTINCT, ORDER BY, LIMIT and column names: every engine's rows go
+    through one tail, so they agree row for row, in order."""
+
+    @pytest.mark.parametrize("query", [
+        "SELECT a WHERE (a) ORDER BY a DESC LIMIT 2",
+        "SELECT DISTINCT a.type WHERE (a)-[]->(b) ORDER BY a.type",
+        "SELECT DISTINCT a.type AS t, a.type * 2 WHERE (a) "
+        "ORDER BY t DESC LIMIT 3",
+        "SELECT a, a.value, e.weight WHERE (a)-[e]->(b) "
+        "ORDER BY e.weight, a LIMIT 5",
+    ])
+    @pytest.mark.parametrize("cls", ALL_ENGINES)
+    def test_engines_agree_in_order(self, cls, random_graph, query):
+        expected = _make(SharedMemoryEngine, random_graph).query(query)
+        result = _make(cls, random_graph).query(query)
+        assert result.rows == expected.rows
+        assert result.columns == expected.columns
+        assert 2 <= len(result.rows) <= 5
+
+
+def _mixed_graph():
+    """Three vertices, the last unlabeled; ``name`` holds strings."""
+    builder = GraphBuilder()
+    builder.add_vertex(label="p", name="x", age=3)
+    builder.add_vertex(label="q", name="y", age=5)
+    builder.add_vertex(name="z", age=5)
+    for src, dst in [(0, 1), (1, 2), (2, 0)]:
+        builder.add_edge(src, dst)
+    return builder.build()
+
+
+class TestTypedErrors:
+    """A type mismatch or a division by zero in a result expression, or
+    an aggregate over values it cannot fold, is a PgqlValidationError on
+    every engine; the join baseline refuses to aggregate up front."""
+
+    PLAIN = [
+        "SELECT a.name < 1 WHERE (a)",
+        "SELECT a.age / 0 WHERE (a)",
+        "SELECT a.name + 1 WHERE (a)",
+        "SELECT a WHERE (a) ORDER BY a.name < 1",
+    ]
+    AGGREGATING = [
+        "SELECT a.age, COUNT(*) WHERE (a) GROUP BY a.age "
+        "HAVING a.label() > 1",
+        "SELECT SUM(a.name) WHERE (a)",
+        "SELECT AVG(a.label()) WHERE (a)",
+        "SELECT MIN(a.label()) WHERE (a)",
+    ]
+
+    @pytest.mark.parametrize("query", PLAIN + AGGREGATING)
+    @pytest.mark.parametrize("cls", ALL_ENGINES)
+    def test_typed_failure(self, cls, query):
+        expected = PlanError if cls is JoinEngine \
+            and query in self.AGGREGATING else PgqlValidationError
+        with pytest.raises(expected):
+            _make(cls, _mixed_graph()).query(query)
 
 
 class TestSubmit:

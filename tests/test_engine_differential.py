@@ -33,6 +33,10 @@ QUERIES = [
     "SELECT a, c WHERE (a)-[e1]->(b)-[e2]->(c), e1.weight < e2.weight",
     # Edge prop used only at output.
     "SELECT e1.weight, e2.weight WHERE (a)-[e1]->(b), (b)-[e2]->(a)",
+    # has() of a declared property nothing captures, and of an
+    # undeclared one: answered by the graph, as in WHERE.
+    "SELECT a, a.has('value') WHERE (a)",
+    "SELECT a, e.has('weight'), b.has('pop') WHERE (a)-[e]->(b)",
 ]
 
 

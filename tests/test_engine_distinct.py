@@ -75,12 +75,11 @@ class TestPartialAggregation:
         plan = plan_query(
             "SELECT COUNT(*) WHERE (a)-[]->(b)", random_graph
         )
-        collector = make_collector(plan.output, ["a", "b"], [])
+        collector = make_collector(plan.output)
         assert isinstance(collector, GroupAccumulator)
 
         plain = plan_query("SELECT a WHERE (a)-[]->(b)", random_graph)
-        assert isinstance(make_collector(plain.output, ["a", "b"], []),
-                          RowCollector)
+        assert isinstance(make_collector(plain.output), RowCollector)
 
     def test_merge_equals_single_machine(self, random_graph):
         query = (

@@ -75,6 +75,17 @@ class TestEvaluate:
         with pytest.raises(PgqlValidationError):
             evaluate(PropRef("a", "missing"), self.env())
 
+    @pytest.mark.parametrize("text, names", [
+        ("a.name < 1", "'<' not supported"),
+        ("a.age / 0", "division by zero"),
+        ("a.name + 1", "concatenate"),
+        ("-a.name", "unary -"),
+    ])
+    def test_value_mismatch_raises_typed(self, text, names):
+        with pytest.raises(PgqlValidationError, match=names):
+            evaluate(constraint(text), self.env())
+        assert evaluate_predicate(constraint(text), self.env()) is False
+
     def test_aggregate_cannot_evaluate_per_row(self):
         expr = parse(
             "SELECT COUNT(*) WHERE (a) GROUP BY a.x"

@@ -1,6 +1,8 @@
-"""Unit tests for step iii: context layout, captures, compiled filters."""
+"""Unit tests for step iii: context layout, captures, compiled filters
+and result expressions."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,12 @@ from repro.pgql.ast import (
     LabelCall,
     Literal,
     PropRef,
+    Query,
+    SelectItem,
     Unary,
     VarRef,
 )
-from repro.pgql.expressions import _BINARY_OPS, MappingEnv, \
+from repro.pgql.expressions import _BINARY_OPS, MappingEnv, evaluate, \
     evaluate_predicate
 from repro.plan import (
     IMPOSSIBLE_LABEL,
@@ -162,39 +166,46 @@ class PredicateHarness:
     """A filter position with every kind of binding in reach: ``a`` the
     direct vertex, ``e`` the direct edge, ``b``/``f`` a vertex and an
     edge matched earlier, whose id, label and properties sit in context
-    slots."""
+    slots.  A result expression reads all four from their slots."""
+
+    #: Each variable with its symbol tag, in context-slot order.
+    VARS = (("a", "v"), ("e", "e"), ("b", "v"), ("f", "e"))
 
     def __init__(self):
         self.graph = graph = _typed_graph()
         layout = ContextLayout()
-        for symbol in [("v", "b"), ("e", "f"), ("vl", "b"), ("el", "f")]:
-            layout.alloc(symbol)
-        for prop in PROPS:
-            layout.alloc(("vp", "b", prop))
-            layout.alloc(("ep", "f", prop))
+        for var, tag in self.VARS:
+            layout.alloc((tag, var))
+            layout.alloc((tag + "l", var))
+            for prop in PROPS:
+                layout.alloc((tag + "p", var, prop))
         self.compiler = _Compiler(graph, layout, {"a", "b"}, {"e", "f"})
-        self.vertex_read = (graph.vertex_label_name,
-                            graph.vertex_properties)
-        self.edge_read = (graph.edge_label_name, graph.edge_properties)
+        self.reads = {
+            "v": (graph.vertex_label_name, graph.vertex_properties),
+            "e": (graph.edge_label_name, graph.edge_properties),
+        }
 
     def predicate(self, conjuncts):
         return self.compiler.predicate(conjuncts, direct_vertex="a",
                                        direct_edge="e")
 
+    def value(self, expr):
+        """*expr* compiled as the one SELECT item of a plain query."""
+        decorate = self.compiler.output(Query([SelectItem(expr)], [], []))[2]
+        return lambda ctx: decorate(ctx, None)[1][0]
+
     def bindings(self, a, e, b, f):
-        """``(ctx, env)``: the context tuple the generated predicate
-        reads and the equivalent interpreter environment."""
-        ids, labels, props = {}, {}, {}
-        for var, entity, (label_of, table) in [
-                ("a", a, self.vertex_read), ("b", b, self.vertex_read),
-                ("e", e, self.edge_read), ("f", f, self.edge_read)]:
+        """``(ctx, env)``: the context tuple the generated functions
+        read and the equivalent interpreter environment."""
+        ids, labels, props, ctx = {}, {}, {}, []
+        for (var, tag), entity in zip(self.VARS, (a, e, b, f)):
+            label_of, table = self.reads[tag]
             ids[var] = entity
             labels[var] = label_of(entity)
+            ctx += [entity, labels[var]]
             for prop in PROPS:
                 props[(var, prop)] = table.column(prop).get(entity)
-        ctx = [b, f, labels["b"], labels["f"]]
-        for prop in PROPS:
-            ctx += [props[("b", prop)], props[("f", prop)]]
+                ctx.append(props[(var, prop)])
         return tuple(ctx), MappingEnv(ids, props, labels)
 
 
@@ -230,7 +241,7 @@ _edge_ids = st.integers(min_value=0, max_value=2 * len(ROWS) - 1)
 def _outcome(func, *args):
     try:
         return func(*args)
-    except (TypeError, ZeroDivisionError) as exc:
+    except (TypeError, ZeroDivisionError, PgqlValidationError) as exc:
         return type(exc)
 
 
@@ -248,6 +259,16 @@ class TestGeneratedPredicates:
             conjunction = Binary("AND", conjunction, conjunct)
         answer = HARNESS.predicate(conjuncts)(ctx, a, e)
         assert answer is evaluate_predicate(conjunction, env)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_expressions, _vertex_ids, _edge_ids, _vertex_ids, _edge_ids)
+    def test_result_expression_equals_evaluate(self, expr, a, e, b, f):
+        """The same trees as values: equal by repr (nan, 1 vs 1.0 vs
+        True), or a PgqlValidationError from both."""
+        ctx, env = HARNESS.bindings(a, e, b, f)
+        assert repr(_outcome(HARNESS.value(expr), ctx)) == repr(
+            _outcome(evaluate, expr, env)
+        )
 
     def test_emitted_operators_mean_what_binary_ops_define(self):
         assert sorted(PYTHON_OPERATORS) == sorted(_BINARY_OPS)
@@ -276,6 +297,22 @@ class TestGeneratedPredicates:
                 [Binary("=", Literal(value), Literal(value))]
             ).__source__
             assert "bool((V0 == V1))" in source
+
+    def test_generated_code_is_named_by_kind_and_digest(self):
+        names = {
+            HARNESS.predicate(
+                [Binary(op, PropRef("b", "n"), Literal(1))]
+            ).__code__.co_filename
+            for op in ("<", ">")
+        }
+        assert len(names) == 2
+        decorate = HARNESS.compiler.output(
+            Query([SelectItem(VarRef("b"))], [], [])
+        )[2]
+        names.add(decorate.__code__.co_filename)
+        for name in names:
+            assert re.fullmatch(r"<repro-(predicate|decorate):[0-9a-f]{12}>",
+                                name), name
 
     def test_rejections_happen_at_plan_time(self):
         with pytest.raises(PgqlValidationError, match="unknown binary"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PgqlValidationError
 from repro.pgql.ast import AggregateFunc
 from repro.runtime.aggregation import AggregateState
 from repro.runtime.results import ResultSet
@@ -89,3 +90,24 @@ class TestAggregateState:
         for value in ("apple", "pear", "fig"):
             state.update(value)
         assert state.result() == "pear"
+
+    @pytest.mark.parametrize("func, values", [
+        (AggregateFunc.SUM, (1, "x")),
+        (AggregateFunc.AVG, ("p", "q")),
+        (AggregateFunc.MIN, ("p", None)),
+        (AggregateFunc.MIN, (None, "p")),
+        (AggregateFunc.MAX, (2, "two")),
+    ])
+    def test_mismatch_is_typed_in_any_order(self, func, values):
+        state = AggregateState(func, False)
+        with pytest.raises(PgqlValidationError, match=func.value):
+            for value in values:
+                state.update(value)
+
+    def test_merge_mismatch_is_typed(self):
+        left = AggregateState(AggregateFunc.MIN, False)
+        right = AggregateState(AggregateFunc.MIN, False)
+        left.update(None)
+        right.update("p")
+        with pytest.raises(PgqlValidationError):
+            left.merge(right)
