@@ -22,6 +22,7 @@ Two design rules keep comparisons honest:
 import json
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.metrics import QueryMetrics
 from repro.errors import ReproError
 from repro.plan import PlannerOptions, SchedulingPolicy
 from repro.runtime.engine import PgxdAsyncEngine
@@ -62,41 +63,30 @@ WORKLOADS = (
 GATED_METRICS = ("ticks", "total_ops")
 
 
-def _blank_record(num_queries):
-    return {
-        "ticks": 0,
-        "total_ops": 0,
-        "rows": 0,
-        "work_messages": 0,
-        "peak_buffered_contexts": 0,
-        "budget": 0,
-        "queries": num_queries,
-        "stage_profile": [],
+def _record(engine, queries, options):
+    """Run *queries* and fold their results into one workload record;
+    returns ``(record, results)``."""
+    config = engine.config
+    combined = QueryMetrics()
+    results = []
+    for query in queries:
+        result = engine.query(query, options)
+        combined.merge(result.metrics)
+        results.append(result)
+    stages = max((result.plan.num_stages for result in results), default=0)
+    record = {
+        "ticks": combined.ticks,
+        "total_ops": combined.total_ops,
+        "rows": sum(len(result.rows) for result in results),
+        "work_messages": combined.work_messages,
+        "peak_buffered_contexts": combined.peak_buffered_contexts,
+        "budget": stages * (config.num_machines - 1)
+        * config.bulk_message_size * (config.flow_control_window + 1),
+        "queries": len(queries),
+        "stage_profile": combined.stage_profile(("visits", "passes",
+                                                 "remote_in")),
     }
-
-
-def _merge_result(record, result, senders, config):
-    """Fold one query's result into a workload record."""
-    metrics = result.metrics
-    record["ticks"] += metrics.ticks
-    record["total_ops"] += metrics.total_ops
-    record["rows"] += len(result.rows)
-    record["work_messages"] += metrics.work_messages
-    record["peak_buffered_contexts"] = max(
-        record["peak_buffered_contexts"], metrics.peak_buffered_contexts
-    )
-    budget = (
-        result.plan.num_stages * senders
-        * config.bulk_message_size * (config.flow_control_window + 1)
-    )
-    record["budget"] = max(record["budget"], budget)
-    if result.stage_profile:
-        profile = record["stage_profile"]
-        while len(profile) < len(result.stage_profile):
-            profile.append({"visits": 0, "passes": 0, "remote_in": 0})
-        for slot, counters in zip(profile, result.stage_profile):
-            for name, value in counters.items():
-                slot[name] = slot.get(name, 0) + value
+    return record, results
 
 
 def workload_setup(spec, seed=0, bulk_kernels=True):
@@ -140,14 +130,7 @@ def run_workload(key, spec, seed=0, bulk_kernels=True):
     if spec.get("kind") == "planner":
         return run_planner_workload(key, spec, seed=seed,
                                     bulk_kernels=bulk_kernels)
-    engine, queries, options = workload_setup(spec, seed, bulk_kernels)
-    config = engine.config
-    senders = config.num_machines - 1
-    record = _blank_record(len(queries))
-    for query in queries:
-        result = engine.query(query, options)
-        _merge_result(record, result, senders, config)
-    return record
+    return _record(*workload_setup(spec, seed, bulk_kernels))[0]
 
 
 def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
@@ -168,16 +151,12 @@ def run_planner_workload(key, spec, seed=0, bulk_kernels=True):
     from repro.obs.feedback import FeedbackStore
 
     engine, queries, cost_options = workload_setup(spec, seed, bulk_kernels)
-    config = engine.config
     naive_options = PlannerOptions()
-    senders = config.num_machines - 1
-    record = _blank_record(len(queries))
+    record, results = _record(engine, queries, cost_options)
     cost_rows = []
     store = FeedbackStore()
     q_errors = []
-    for query in queries:
-        result = engine.query(query, cost_options)
-        _merge_result(record, result, senders, config)
+    for result in results:
         cost_rows.append(sorted(result.rows))
         profile = result.execution_profile()
         if profile is not None:

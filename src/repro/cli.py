@@ -556,9 +556,15 @@ def cmd_trace(args):
     _print_counts(result)
     print(recording.summary())
     print()
+    # EXPLAIN ANALYZE already folds in the recording's per-stage
+    # figures; the profile adds only what it lacks.
     print(result.explain_analyze())
     print()
-    print(recording.profile().summary())
+    profile = recording.profile()
+    print("\n".join(profile.machine_lines() + [
+        "stage %d: msgs=%d" % (s, profile.stage_work_messages.get(s, 0))
+        for s in range(profile.num_stages)
+    ]))
     print()
     print(recording.timeline(width=args.width))
     if args.chrome_out:

@@ -1,13 +1,20 @@
 """Execution metrics collected by the simulator.
 
-``MachineMetrics`` counts events on one simulated machine;
+``MachineMetrics`` is everything one simulated machine counted in one
+run: its scalar counters, its gauges and its per-stage counters.
 ``QueryMetrics`` aggregates them with the global clock into the record a
-benchmark reports.  Peak trackers implement the memory-bound claims of
-the paper: ``peak_buffered_contexts`` is the quantity flow control is
-supposed to keep below the configured budget.
+benchmark reports, and :meth:`QueryMetrics.merge` is the one fold of
+such records (machines into a query, a union's expansions into the
+union, a workload's queries into its record).  Peak trackers implement
+the memory-bound claims of the paper: ``peak_buffered_contexts`` is the
+quantity flow control is supposed to keep below the configured budget.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
+from itertools import zip_longest
+
+#: The per-stage counters, each a ``MachineMetrics.stage_<name>`` list.
+STAGE_COUNTERS = ("visits", "passes", "remote_in", "scanned", "emitted")
 
 
 @dataclass
@@ -43,6 +50,21 @@ class MachineMetrics:
     cur_live_frames: int = 0
     peak_live_frames: int = 0
 
+    # Per-stage counters, indexed by compiled stage: contexts entering
+    # the vertex function and passing its checks, contexts shipped to the
+    # stage (charged at the sender), neighbor candidates / edge ids its
+    # hop inspected, continuation weight it produced (output: rows).
+    stage_visits: list = field(init=False)
+    stage_passes: list = field(init=False)
+    stage_remote_in: list = field(init=False)
+    stage_scanned: list = field(init=False)
+    stage_emitted: list = field(init=False)
+    num_stages: InitVar[int] = 0
+
+    def __post_init__(self, num_stages):
+        for name in STAGE_COUNTERS:
+            setattr(self, "stage_" + name, [0] * num_stages)
+
     def buffered_delta(self, delta):
         """Adjust the buffered-context gauge (inbox + parked + outgoing)."""
         self.cur_buffered_contexts += delta
@@ -60,7 +82,11 @@ class MachineMetrics:
     _MERGE_SKIP = frozenset({"cur_buffered_contexts", "cur_live_frames"})
 
     def merge(self, other):
-        """Accumulate *other* into this record (sequential composition)."""
+        """Accumulate *other* into this record (sequential composition).
+
+        The per-stage lists add up by stage position, so runs of
+        different lengths (a union's expansions) line up at the root.
+        """
         for spec in fields(self):
             if spec.name in self._MERGE_SKIP:
                 continue
@@ -68,6 +94,10 @@ class MachineMetrics:
             theirs = getattr(other, spec.name)
             if spec.name in self._MERGE_BY_MAX:
                 setattr(self, spec.name, max(mine, theirs))
+            elif isinstance(mine, list):
+                setattr(self, spec.name, [
+                    a + b for a, b in zip_longest(mine, theirs, fillvalue=0)
+                ])
             else:
                 setattr(self, spec.name, mine + theirs)
         return self
@@ -146,11 +176,22 @@ class QueryMetrics:
         Used when one logical query runs as several physical executions
         back to back — e.g. the expansions of a variable-length-path
         union.  Counters and times add up; high-water marks and the
-        machine count take the maximum.  ``per_machine`` lists are merged
-        positionally when both runs used the same cluster shape and
-        dropped otherwise (a max of peaks across differently-shaped runs
-        would be meaningless).
+        machine count take the maximum.  A blank record
+        (``QueryMetrics()``) takes copies of the first run's
+        ``per_machine`` records, so later merges never touch that run's
+        own; after that they are merged positionally when both runs used
+        the same cluster shape and dropped otherwise (a max of peaks
+        across differently-shaped runs would be meaningless).
         """
+        if not self.num_machines and not self.per_machine:
+            self.per_machine = [
+                MachineMetrics().merge(theirs) for theirs in other.per_machine
+            ]
+        elif len(self.per_machine) == len(other.per_machine):
+            for mine, theirs in zip(self.per_machine, other.per_machine):
+                mine.merge(theirs)
+        else:
+            self.per_machine = []
         for spec in fields(self):
             if spec.name == "per_machine":
                 continue
@@ -160,12 +201,15 @@ class QueryMetrics:
                 setattr(self, spec.name, max(mine, theirs))
             else:
                 setattr(self, spec.name, mine + theirs)
-        if len(self.per_machine) == len(other.per_machine):
-            for mine, theirs in zip(self.per_machine, other.per_machine):
-                mine.merge(theirs)
-        else:
-            self.per_machine = []
         return self
+
+    def stage_profile(self, counters=STAGE_COUNTERS):
+        """Across-machine sums of the per-stage *counters*: one
+        ``{counter: total}`` dict per stage position."""
+        sums = [map(sum, zip(*[getattr(machine, "stage_" + name)
+                               for machine in self.per_machine]))
+                for name in counters]
+        return [dict(zip(counters, row)) for row in zip(*sums)]
 
     def reliability_summary(self):
         """One-line chaos/reliability summary (all zero on clean runs)."""

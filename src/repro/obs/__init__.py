@@ -60,8 +60,6 @@ from repro.obs.export import (
 from repro.obs.feedback import (
     ExecutionProfile,
     FeedbackStore,
-    MachineStageProfile,
-    StageProfiler,
     build_execution_profile,
     publish_drift,
     q_error,
@@ -88,8 +86,6 @@ __all__ = [
     "Histogram",
     "TimeSeriesSampler",
     "MACHINE_COLUMNS",
-    "StageProfiler",
-    "MachineStageProfile",
     "ExecutionProfile",
     "FeedbackStore",
     "build_execution_profile",

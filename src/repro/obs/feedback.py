@@ -1,16 +1,15 @@
-"""Plan-vs-actual observability: stage profiling, drift, and feedback.
+"""Plan-vs-actual observability: execution profiles, drift, and feedback.
 
 PR 7's cost model prices every candidate plan and records the estimated
 rows after each logical operator (``CostEstimate.stage_rows``); nothing
-measured what actually happened.  This module closes that loop in three
-layers:
+measured what actually happened.  This module closes that loop in two
+layers over the per-stage counters every machine keeps in its
+:class:`~repro.cluster.metrics.MachineMetrics` (contexts entering each
+stage, neighbor candidates scanned, vertex-function passes,
+continuations emitted).  Both kernel sets charge them unconditionally,
+so the differential oracle (kernels on vs off) covers the profile
+bit-for-bit:
 
-* :class:`StageProfiler` — per-machine *actual* stage cardinalities
-  (contexts entering each stage, neighbor candidates scanned, vertex-
-  function passes, continuations emitted).  Both execution paths charge
-  them unconditionally as ordinary per-machine stage counters, so the
-  profiler only *reads* them at finalize time and the differential
-  oracle (kernels on vs off) covers the profile bit-for-bit.
 * :class:`ExecutionProfile` — the join of estimates against actuals:
   per-operator q-error, per-machine skew/imbalance ratios, and a
   straggler summary.  ``--explain-analyze`` renders it, and
@@ -28,6 +27,7 @@ import hashlib
 import json
 import os
 
+from repro.cluster.metrics import STAGE_COUNTERS
 from repro.errors import PlanError
 
 #: Cardinality floor for q-error: estimates and actuals below one row
@@ -59,90 +59,15 @@ def q_error(estimated, actual):
     return max(est / act, act / est)
 
 
-class MachineStageProfile:
-    """One machine's actual per-stage cardinalities for one query run.
-
-    All five lists are indexed by compiled stage index:
-
-    * ``visits`` — contexts entering the stage (vertex-function runs);
-    * ``passes`` — contexts surviving the stage's checks;
-    * ``remote_in`` — context weight this machine shipped into the
-      stage remotely (attributed at the sender);
-    * ``scanned`` — neighbor candidates / edge ids the stage's hop
-      inspected;
-    * ``emitted`` — continuation weight the stage produced (for the
-      final stage: result rows).
-    """
-
-    __slots__ = ("machine_id", "visits", "passes", "remote_in",
-                 "scanned", "emitted")
-
-    COUNTERS = ("visits", "passes", "remote_in", "scanned", "emitted")
-
-    def __init__(self, rt):
-        """Snapshot the stage counters of the finished runtime *rt*."""
-        self.machine_id = rt.machine_id
-        self.visits = list(rt.stage_visits)
-        self.passes = list(rt.stage_passes)
-        self.remote_in = list(rt.stage_remote_in)
-        self.scanned = list(rt.stage_scanned)
-        # The output stage's emissions are the machine's result rows.
-        self.emitted = rt.stage_emitted[:-1] + [rt.metrics.results_emitted]
-
-    def total_load(self):
-        """Work proxy for straggler detection: visits + scans."""
-        return sum(self.visits) + sum(self.scanned)
-
-    def to_dict(self):
-        out = {"machine": self.machine_id}
-        for name in self.COUNTERS:
-            out[name] = list(getattr(self, name))
-        return out
-
-
-class StageProfiler:
-    """The cluster's actual stage cardinalities for one query run.
-
-    A finalize-time reader: ``finalize_execution`` builds one for every
-    run and :meth:`absorb` copies every
-    :class:`~repro.runtime.machine.QueryMachine`'s stage counters into a
-    :class:`MachineStageProfile` view.
-    """
-
-    def __init__(self):
-        self.num_stages = 0
-        self.machines = {}
-
-    def absorb(self, machines):
-        """Copy each runtime's stage counters into its view."""
-        for rt in machines:
-            self.num_stages = max(self.num_stages, rt.plan.num_stages)
-            self.machines[rt.machine_id] = MachineStageProfile(rt)
-
-    def views(self):
-        """Machine views in deterministic (machine id) order."""
-        return [self.machines[mid] for mid in sorted(self.machines)]
-
-    def stage_totals(self):
-        """Across-machine sums: one dict per stage."""
-        totals = [
-            {name: 0 for name in MachineStageProfile.COUNTERS}
-            for _ in range(self.num_stages)
-        ]
-        for view in self.views():
-            for name in MachineStageProfile.COUNTERS:
-                for index, value in enumerate(getattr(view, name)):
-                    totals[index][name] += value
-        return totals
-
-
 class ExecutionProfile:
     """Estimates joined against actuals for one executed query.
 
-    ``operators`` rows join ``CostEstimate.stage_rows`` (when the plan
-    was cost-chosen) against the passes of the last compiled stage each
-    logical operator lowered to; ``skew`` rows measure per-stage
-    imbalance as the max/mean ratio of machine visit counts.
+    ``stages`` holds the across-machine sum of every per-stage counter
+    and ``per_machine`` one ``{"machine": id, counter: list}`` row per
+    machine.  ``operators`` rows join ``CostEstimate.stage_rows`` (when
+    the plan was cost-chosen) against the passes of the last compiled
+    stage each logical operator lowered to; ``skew`` rows measure
+    per-stage imbalance as the max/mean ratio of machine visit counts.
     """
 
     def __init__(self, stages, per_machine, operators, skew, straggler):
@@ -219,7 +144,7 @@ class ExecutionProfile:
     def to_dict(self):
         return {
             "stages": self.stages,
-            "per_machine": [view.to_dict() for view in self.per_machine],
+            "per_machine": self.per_machine,
             "operators": self.operators,
             "skew": self.skew,
             "straggler": self.straggler,
@@ -232,16 +157,25 @@ def _clip(text, width):
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def build_execution_profile(plan, profiler):
-    """Join *plan* estimates against *profiler* actuals.
+def build_execution_profile(plan, metrics, estimates=True):
+    """Join *plan* estimates against the actuals in *metrics*' per-machine
+    records.
 
-    Works for any plan: without a cost-chosen estimate the operator
-    drift rows are empty but stage totals and skew still report.
+    Works for any plan: without a cost-chosen estimate — or with
+    *estimates* False, for a union whose expansions were planned
+    separately — the operator drift rows are empty but stage totals and
+    skew still report.
     """
-    stages = profiler.stage_totals()
-    per_machine = profiler.views()
-    operators = _join_operators(plan, stages)
-    skew, straggler = _skew_rows(per_machine, profiler.num_stages)
+    stages = metrics.stage_profile()
+    per_machine = [
+        dict(machine=machine_id, **{
+            name: list(getattr(machine, "stage_" + name))
+            for name in STAGE_COUNTERS
+        })
+        for machine_id, machine in enumerate(metrics.per_machine)
+    ]
+    operators = _join_operators(plan, stages) if estimates else []
+    skew, straggler = _skew_rows(per_machine, len(stages))
     return ExecutionProfile(stages, per_machine, operators, skew,
                             straggler)
 
@@ -288,14 +222,13 @@ def _skew_rows(per_machine, num_stages):
         return [], None
     skew = []
     for stage in range(num_stages):
-        values = [view.visits[stage] if stage < len(view.visits) else 0
-                  for view in per_machine]
+        values = [row["visits"][stage] for row in per_machine]
         total = sum(values)
         if total == 0:
             continue
         mean = total / float(len(values))
         peak = max(values)
-        peak_machine = per_machine[values.index(peak)].machine_id
+        peak_machine = per_machine[values.index(peak)]["machine"]
         skew.append({
             "stage": stage,
             "max": peak,
@@ -303,7 +236,9 @@ def _skew_rows(per_machine, num_stages):
             "mean": mean,
             "ratio": peak / mean if mean > 0 else 1.0,
         })
-    loads = [(view.total_load(), view.machine_id) for view in per_machine]
+    # Work proxy for straggler detection: visits + scans.
+    loads = [(sum(row["visits"]) + sum(row["scanned"]), row["machine"])
+             for row in per_machine]
     total_load = sum(load for load, _mid in loads)
     straggler = None
     if total_load > 0:

@@ -128,6 +128,12 @@ class TraceProfile:
             "completed_at": self.stage_all_completed.get(stage),
         }
 
+    def machine_lines(self):
+        """One line per machine: utilization and peak buffered."""
+        return ["machine %d: utilization=%.1f%% peak_buffered=%d"
+                % (m, 100 * self.worker_utilization(m), self.peak_buffered(m))
+                for m in sorted(self.series.machines)]
+
     def summary(self):
         """Multi-line human summary of the run's dynamics."""
         lines = []
@@ -140,15 +146,7 @@ class TraceProfile:
             lines.append(
                 "time to first result: tick %d" % self.first_result_tick
             )
-        for machine in sorted(self.series.machines):
-            lines.append(
-                "machine %d: utilization=%.1f%% peak_buffered=%d"
-                % (
-                    machine,
-                    100.0 * self.worker_utilization(machine),
-                    self.peak_buffered(machine),
-                )
-            )
+        lines.extend(self.machine_lines())
         for stage in range(self.num_stages):
             stats = self.stage_stats(stage)
             completed = stats["completed_at"]

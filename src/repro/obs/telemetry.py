@@ -13,10 +13,11 @@ fixed-bucket histograms):
 * ``repro.obs.export`` serializes a registry snapshot as Prometheus text
   exposition.
 
-The multi-query service keeps a registry of its own, with the service's
-lifetime.  Naming follows Prometheus conventions: ``repro_*`` prefix,
-``_total`` suffix on counters, ``_ticks`` unit suffixes (the simulator
-clock is the only clock the runtime has).
+A run's registry is its :class:`~repro.obs.Recording`'s, so it lives
+as long as the caller keeps the recording.  Naming follows Prometheus
+conventions: ``repro_*`` prefix, ``_total`` suffix on counters,
+``_ticks`` unit suffixes (the simulator clock is the only clock the
+runtime has).
 """
 
 import re

@@ -17,8 +17,7 @@ from repro.context import ExecutionContext
 from repro.engine_api import Engine
 from repro.errors import QueryAborted
 from repro.graph.distributed import DistributedGraph
-from repro.obs.feedback import StageProfiler, build_execution_profile, \
-    publish_drift
+from repro.obs.feedback import build_execution_profile, publish_drift
 from repro.pgql import as_query, parse_and_validate, to_pgql
 from repro.pgql.ast import Query, SelectItem
 from repro.plan import PlannerOptions, SchedulingPolicy, plan_query
@@ -47,37 +46,35 @@ def _recall(table, key, build):
 class QueryResult:
     """The outcome of one query execution."""
 
-    def __init__(self, result_set, metrics, plan, stage_profile=None,
-                 recording=None, profiler=None):
+    def __init__(self, result_set, metrics, plan, recording=None):
         self.result_set = result_set
         self.metrics = metrics
         self.plan = plan
-        #: Per-stage counters (EXPLAIN ANALYZE): list of dicts with
-        #: ``visits`` (contexts entering the vertex function), ``passes``
-        #: (contexts surviving its checks), and ``remote_in`` (contexts
-        #: shipped to the stage over the network).  None for results that
-        #: did not run on the distributed runtime (e.g. baselines).
-        self.stage_profile = stage_profile
         #: The run context's :class:`repro.obs.Recording` (events,
         #: per-tick series, metrics registry), or None when the caller
         #: brought none (the default).
         self.recording = recording
-        #: The :class:`repro.obs.feedback.StageProfiler` holding the
-        #: per-machine actual stage cardinalities; None for results that
-        #: did not run as one plan on the distributed runtime
-        #: (baselines, unions).
-        self.profiler = profiler
         self._execution_profile = None
+
+    @property
+    def stage_profile(self):
+        """Per-stage counters (EXPLAIN ANALYZE), read off ``metrics``:
+        list of dicts with ``visits`` (contexts entering the vertex
+        function), ``passes`` (contexts surviving its checks), and
+        ``remote_in`` (contexts shipped to the stage over the network).
+        None for results without per-machine records (baselines)."""
+        if self.plan is None or not self.metrics.per_machine:
+            return None
+        return self.metrics.stage_profile(("visits", "passes", "remote_in"))
 
     def execution_profile(self):
         """The plan-vs-actual :class:`~repro.obs.feedback.
-        ExecutionProfile` (built once, on first use), or None when the
-        result carries no profiler."""
-        if self.profiler is None or self.plan is None:
-            return None
-        if self._execution_profile is None:
+        ExecutionProfile` (built once, on first use), or None for results
+        without per-machine records."""
+        if self._execution_profile is None and self.plan is not None \
+                and self.metrics.per_machine:
             self._execution_profile = build_execution_profile(
-                self.plan, self.profiler
+                self.plan, self.metrics
             )
         return self._execution_profile
 
@@ -89,11 +86,11 @@ class QueryResult:
         flow control, quota-borrowing traffic, and the tick each stage
         became globally complete.
         """
-        if self.plan is None or self.stage_profile is None:
+        exec_profile = self.execution_profile()
+        if exec_profile is None:
             return "no stage profile available"
         recording = self.recording
         profile = recording.profile() if recording is not None else None
-        exec_profile = self.execution_profile()
         lines = []
         if profile is not None:
             if profile.truncation:
@@ -106,10 +103,10 @@ class QueryResult:
                     "time to first result: tick %d"
                     % profile.first_result_tick
                 )
-        for stage, counters in zip(self.plan.stages, self.stage_profile):
+        for stage, counters in zip(self.plan.stages, exec_profile.stages):
             line = (
                 "Stage %d (%s, %s)  visits=%d  passes=%d  remote_in=%d  "
-                "hop=%s"
+                "hop=%s  scanned=%d  emitted=%d"
                 % (
                     stage.index,
                     stage.var,
@@ -118,14 +115,10 @@ class QueryResult:
                     counters["passes"],
                     counters["remote_in"],
                     stage.hop.kind.value,
+                    counters["scanned"],
+                    counters["emitted"],
                 )
             )
-            if exec_profile is not None \
-                    and stage.index < len(exec_profile.stages):
-                totals = exec_profile.stages[stage.index]
-                line += "  scanned=%d  emitted=%d" % (
-                    totals["scanned"], totals["emitted"]
-                )
             if profile is not None:
                 stats = profile.stage_stats(stage.index)
                 completed = stats["completed_at"]
@@ -140,11 +133,10 @@ class QueryResult:
                     )
                 )
             lines.append(line)
-        if exec_profile is not None:
-            extra = exec_profile.summary_lines()
-            if extra:
-                lines.append("")
-                lines.extend(extra)
+        extra = exec_profile.summary_lines()
+        if extra:
+            lines.append("")
+            lines.extend(extra)
         return "\n".join(lines)
 
     @property
@@ -320,13 +312,6 @@ class PgxdAsyncEngine(Engine):
 
     def finalize_execution(self, plan, machines, metrics, context):
         """Merge per-machine state into the :class:`QueryResult`."""
-        profiler = StageProfiler()
-        profiler.absorb(machines)
-        stage_profile = [
-            {name: totals[name]
-             for name in ("visits", "passes", "remote_in")}
-            for totals in profiler.stage_totals()
-        ]
         if plan.output.group is not None:
             # Merge the machines' partial aggregation states.
             merged = machines[0].collector
@@ -337,13 +322,11 @@ class PgxdAsyncEngine(Engine):
             result_set = finalize(plan.output, [
                 ctx for machine in machines for ctx in machine.collector.rows
             ])
+        result = QueryResult(result_set, metrics, plan,
+                             recording=context.recording)
         if context.recording is not None:
-            publish_drift(context.recording,
-                          build_execution_profile(plan, profiler))
-        return QueryResult(result_set, metrics, plan,
-                           stage_profile=stage_profile,
-                           recording=context.recording,
-                           profiler=profiler)
+            publish_drift(context.recording, result.execution_profile())
+        return result
 
 
 def execute_union(query, context, run_one):
@@ -368,7 +351,6 @@ def execute_union(query, context, run_one):
     columns = None
     combined = QueryMetrics()
     plan = None
-    profiles = []  # (plan, stage_profile) of expansions that computed one
     recording = context.recording
 
     def lay_out(scoped):
@@ -403,33 +385,28 @@ def execute_union(query, context, run_one):
             raise
         if columns is None:
             columns = result.columns[:visible]
+        # Expansions have different lengths; their per-stage counters
+        # merge by stage position and report against the longest
+        # expansion's plan, so EXPLAIN ANALYZE covers every stage.
+        if plan is None or (result.metrics.per_machine
+                            and result.plan.num_stages > plan.num_stages):
             plan = result.plan
         all_rows.extend(result.rows)
-        if result.stage_profile is not None:
-            profiles.append((result.plan, result.stage_profile))
         lay_out(scoped)
         combined.merge(result.metrics)
-
-    stage_profile = None
-    if profiles:
-        # Expansions have different lengths; fold their per-stage counters
-        # by stage position and report against the longest expansion's
-        # plan so EXPLAIN ANALYZE covers every aggregated stage.
-        plan = max(profiles, key=lambda pair: len(pair[1]))[0]
-        stage_profile = [{} for _ in range(max(
-            len(part) for _plan, part in profiles
-        ))]
-        for _plan, part in profiles:
-            for index, entry in enumerate(part):
-                slot = stage_profile[index]
-                for key, value in entry.items():
-                    slot[key] = slot.get(key, 0) + value
 
     result_set = finish(query, columns, [
         (row[visible:], row[:visible]) for row in all_rows
     ])
-    return QueryResult(result_set, combined, plan,
-                       stage_profile=stage_profile, recording=recording)
+    union = QueryResult(result_set, combined, plan, recording=recording)
+    if combined.per_machine:
+        # The expansions were planned separately, so no one estimate
+        # covers the union's actuals: stage totals, per-machine rows and
+        # skew only, without operator rows.
+        union._execution_profile = build_execution_profile(
+            plan, combined, estimates=False
+        )
+    return union
 
 
 def run_query(graph, query, config=None, options=None, debug_checks=False,

@@ -41,8 +41,8 @@ class FlowControl:
         #: reserved[n][m] — window slots pre-reserved by an in-progress
         #: bulk kernel (runtime.kernels).  Reservations are transient:
         #: the kernel releases them before returning, so between worker
-        #: slices this is all zeros and every legacy code path behaves
-        #: exactly as before.  Invariant: inflight + reserved <= limit.
+        #: slices this is all zeros and ``can_send`` sees the window
+        #: alone.  Invariant: inflight + reserved <= limit.
         self._reserved = [
             [0] * num_machines for _ in range(num_stages)
         ]

@@ -237,7 +237,7 @@ class HopCursor:
         else:
             self._refused = None
         scanned, target, item = step
-        rt.stage_scanned[frame.stage_index] += scanned
+        rt.metrics.stage_scanned[frame.stage_index] += scanned
         if item is None:
             return Advance.PROGRESS
         if item is RESULT:

@@ -332,11 +332,12 @@ def _vertex_function(rt, stage, frame):
             "stage %d executed on machine %d for remote vertex %d"
             % (stage.index, rt.machine_id, vertex)
         )
-    rt.stage_visits[stage.index] += 1
+    metrics = rt.metrics
+    metrics.stage_visits[stage.index] += 1
     ctx = vertex_function(rt.graph, rt.local, stage, frame.ctx, vertex)
     if ctx is None:
         return False
-    rt.stage_passes[stage.index] += 1
+    metrics.stage_passes[stage.index] += 1
     frame.ctx = ctx
     return True
 
@@ -501,7 +502,7 @@ def _emit_vertex_function(stage, graph, ns, w, ind, fresh):
     w.append(ind + "        'stage %d executed on machine %%d for "
                    "remote vertex %%d'" % stage.index)
     w.append(ind + "        % (rt.machine_id, vertex))")
-    w.append(ind + "rt.stage_visits[%d] += 1" % stage.index)
+    w.append(ind + "M.stage_visits[%d] += 1" % stage.index)
     w.append(ind + "ops += %d" % stage.work_cost)
     if stage.label_id is not None:
         ns["VLABELS"] = _vertex_labels(graph)
@@ -521,7 +522,7 @@ def _emit_vertex_function(stage, graph, ns, w, ind, fresh):
         w.append(ind + "if rt.local.edges_between(vertex, ctx[%d]):"
                  % slot)
         w.extend(fail)
-    w.append(ind + "rt.stage_passes[%d] += 1" % stage.index)
+    w.append(ind + "M.stage_passes[%d] += 1" % stage.index)
     if stage.captures:
         for i, capture in enumerate(stage.captures):
             ns["CAP%d" % i] = capture
@@ -589,7 +590,7 @@ def _neighbor_template(plan, stage, ns, w, fresh):
     prebinds = [
         "mid = rt.machine_id",
         "owners = rt.owner_list",
-        "remote_in = rt.stage_remote_in",
+        "remote_in = M.stage_remote_in",
         "local_q = rt._local_inbox[%d]" % s_next,
         "cap = rt._local_share_cap",
         "reserve = rt.reserve_items",
@@ -643,8 +644,8 @@ def _neighbor_template(plan, stage, ns, w, fresh):
         # (a blocked attempt counts, as on the cursor path) and the
         # continuations it produced, then hand any leftover reservation
         # back to the window.
-        w.append(at + "rt.stage_scanned[%d] += pos - pos0" % s)
-        w.append(at + "rt.stage_emitted[%d] += emitted" % s)
+        w.append(at + "M.stage_scanned[%d] += pos - pos0" % s)
+        w.append(at + "M.stage_emitted[%d] += emitted" % s)
         w.append(at + "if resv: rt.end_batch(%d, resv)" % s_next)
         if signal is not None:
             w.append(at + "return ops, %s" % signal)
@@ -824,7 +825,7 @@ def _vertex_template(plan, stage, ns, w, fresh):
 
     # Charged once per exit, like the NEIGHBOR kernel (the
     # pure-inspection form above scans nothing on either path).
-    scanned = "rt.stage_scanned[%d] += pos - pos0" % s
+    scanned = "M.stage_scanned[%d] += pos - pos0" % s
     loop = ind + "    "
     w.append(ind + "while True:")
     w.append(loop + "if pos >= end:")
@@ -886,9 +887,10 @@ def _output_template(plan, stage, ns, w, fresh):
         at = ind + "    "
         w.append(at + "frame.cursor = True")
         w.extend(at + line for line in emit)
-    # Inline emit_result (machine.py): collector, counter, event.
+    # Inline emit_result (machine.py): collector, counters, event.
     w.append(at + "add(ctx)")
     w.append(at + "M.results_emitted += 1")
+    w.append(at + "M.stage_emitted[%d] += 1" % stage.index)
     w.append(at + "if recording is not None:")
     w.append(at + "    recording.emit(ResultEmitted(rt.api.now, "
              "rt.machine_id))")

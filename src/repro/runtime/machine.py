@@ -9,7 +9,10 @@ It owns:
   buffers and per-stage inboxes (paper §3.2);
 * the **flow control manager** (paper §3.3, ``runtime.flow_control``);
 * the **termination tracker** (``runtime.termination``);
-* the machine-local result collector.
+* the machine-local result collector;
+* its :class:`~repro.cluster.metrics.MachineMetrics`, the one record of
+  everything it counts, per-stage counters included (the workers'
+  kernels and hop cursors charge them there through ``rt.metrics``).
 """
 
 from collections import deque
@@ -64,7 +67,7 @@ class QueryMachine:
         self.machine_id = machine_id
         self.config = config
         self.debug_checks = debug_checks
-        self.metrics = MachineMetrics()
+        self.metrics = MachineMetrics(num_stages=plan.num_stages)
         #: With reliability enabled the raw MachineAPI is wrapped in the
         #: reliable-channel transport; everything below (message
         #: manager, flow control, termination) sends through ``self.api``
@@ -111,18 +114,6 @@ class QueryMachine:
         self._inbox = [deque() for _ in range(num_stages)]
         #: Unconsumed inbox items + live frames, per stage.
         self.stage_load = [0] * num_stages
-        #: Per-stage profile counters (EXPLAIN ANALYZE): contexts that
-        #: entered each stage's vertex function, how many passed its
-        #: checks, how many contexts were shipped remotely to it, how
-        #: many neighbor candidates / edge ids its hop inspected, and the
-        #: continuation weight it produced.  The output stage's
-        #: ``stage_emitted`` entry stays 0: its emissions are
-        #: ``metrics.results_emitted``.
-        self.stage_visits = [0] * num_stages
-        self.stage_passes = [0] * num_stages
-        self.stage_remote_in = [0] * num_stages
-        self.stage_scanned = [0] * num_stages
-        self.stage_emitted = [0] * num_stages
         #: Intra-machine work sharing (paper §1/§3.3: computations
         #: "submitted internally to facilitate work-sharing"): a bounded
         #: per-stage queue of local continuations that idle workers pick
@@ -518,7 +509,9 @@ class QueryMachine:
 
     def emit_result(self, ctx):
         self.collector.add(ctx)
-        self.metrics.results_emitted += 1
+        metrics = self.metrics
+        metrics.results_emitted += 1
+        metrics.stage_emitted[-1] += 1
         if self.recording is not None:
             self.recording.emit(ResultEmitted(self.api.now, self.machine_id))
 
@@ -574,7 +567,7 @@ class QueryMachine:
                 self.metrics.buffered_delta(_item_weight(item))
             else:
                 self.push_frame(comp, frame_for_item(self, stage_index, item))
-            self.stage_emitted[stage_index - 1] += _item_weight(item)
+            self.metrics.stage_emitted[stage_index - 1] += _item_weight(item)
             return True
         if self._blocking:
             admitted = self._route_blocking(stage_index, dest, item)
@@ -582,8 +575,9 @@ class QueryMachine:
             admitted = self._enqueue(stage_index, dest, item)
         if admitted:
             weight = _item_weight(item)
-            self.stage_remote_in[stage_index] += weight
-            self.stage_emitted[stage_index - 1] += weight
+            metrics = self.metrics
+            metrics.stage_remote_in[stage_index] += weight
+            metrics.stage_emitted[stage_index - 1] += weight
             return True
         self.last_refused = (stage_index, dest)
         self.metrics.flow_control_blocks += 1

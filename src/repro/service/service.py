@@ -5,11 +5,15 @@ single shared simulated deployment.  The design follows Banyan's scoped
 dataflow: every admitted query becomes a :class:`QueryScope` — a
 resource partition with
 
-* a **scoped flow-control budget**: the machine-wide per-(stage, dest)
-  window (``ClusterConfig.flow_control_window``) is carved evenly
-  across the admission slots, so each tenant's receiver-side memory
-  bound is ``window / slots`` of the machine-wide limit and the sum
-  over co-tenants never exceeds it;
+* a **scoped flow-control budget**: each tenant runs under its own
+  per-(stage, dest) window, ``ServiceConfig.scope_window`` or by
+  default ``max(1, window // max_concurrent)`` of the machine-wide
+  ``ClusterConfig.flow_control_window``.  The default shares sum to at
+  most the window only while ``max_concurrent <= window``; past that
+  each share is still 1 (under the default window 4, ``max_concurrent=8``
+  gives eight scopes 8 slots), and a pinned ``scope_window`` is checked
+  only as >= 1.  Nothing enforces the sum yet: admitting by budget is
+  ROADMAP item 8a;
 * **query-id-scoped inboxes and buffers**: each scope's machines own
   their per-stage inboxes, outgoing bulk buffers, and termination
   wavefront, keyed under the scope's ``query_id`` on the shared hosts;

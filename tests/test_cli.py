@@ -150,6 +150,19 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "supersteps:" in out
 
+    def test_trace_prints_each_figure_once(self, capsys):
+        code = main(
+            ["trace", "--random", "300x1200", "--machines", "3",
+             "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("time to first result") == 1
+        assert out.count("completed_at=") == 2  # one per stage
+        for kept in ("machine 2: utilization=", "stage 1: msgs=",
+                     "scanned=", "emitted=", "per-machine skew"):
+            assert kept in out
+
 
 class TestChaosCommand:
     QUERY = "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"
@@ -499,6 +512,17 @@ class TestPlanPolicyFlag:
         )
         assert code == 0
         assert "rows" in capsys.readouterr().out
+
+    def test_union_records_no_feedback(self, capsys, tmp_path):
+        store = tmp_path / "feedback.json"
+        code = main(
+            ["query", "--random", "60x240", "--plan", "cost",
+             "--feedback-store", str(store),
+             "SELECT a, b WHERE (a)-/{1,2}/->(b)"]
+        )
+        assert code == 0
+        assert "feedback :" not in capsys.readouterr().out
+        assert not store.exists()
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(SystemExit):

@@ -79,7 +79,7 @@ def _observation(result):
         "rows": result.rows,
         # per-machine MachineMetrics included
         "metrics": asdict(result.metrics),
-        "views": [view.to_dict() for view in result.profiler.views()],
+        "views": result.execution_profile().to_dict()["per_machine"],
         "events": [event.to_dict() for event in recording],
         "series": (recording.series.ticks, recording.series.machines,
                    recording.series.wavefront),

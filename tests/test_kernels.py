@@ -31,7 +31,7 @@ from repro.runtime.flow_control import FlowControl
 from repro.runtime.machine import QueryMachine
 
 def _views(result):
-    return [view.to_dict() for view in result.profiler.views()]
+    return result.execution_profile().to_dict()["per_machine"]
 
 
 def _both_ways(graph, query, options=None, **config):

@@ -1,11 +1,11 @@
-"""Plan-vs-actual observability: the stage profiler, the execution
+"""Plan-vs-actual observability: the per-stage counters, the execution
 profile (drift + skew), the planner feedback store, and the Prometheus
 round-trip for hostile label payloads.
 
-The load-bearing property: the five per-stage counters the profiler
-absorbs (``visits`` / ``passes`` / ``remote_in`` / ``scanned`` /
-``emitted``) must sum across machines to the same totals whichever
-execution path ran — compiled bulk kernels,
+The load-bearing property: the five per-stage counters every machine
+keeps in its ``MachineMetrics`` (``visits`` / ``passes`` /
+``remote_in`` / ``scanned`` / ``emitted``) must sum across machines to
+the same totals whichever execution path ran — compiled bulk kernels,
 micro-stepped cursors, or a chaotic network behind the reliability
 layer.
 """
@@ -66,7 +66,7 @@ def rows_exact(query):
 
 def check_invariants(result):
     """The cross-machine sums must agree with the engine's own books."""
-    totals = result.profiler.stage_totals()
+    totals = result.execution_profile().stages
     assert len(totals) == result.plan.num_stages
     # stage_profile is the public three-counter cut of these totals.
     for entry, expected in zip(totals, result.stage_profile):
@@ -111,9 +111,8 @@ class TestStageProfilerProperties:
     def test_kernels_and_cursors_profile_identically(self, seed, query):
         fast = profiled_run(query, seed=seed, bulk_kernels=True)
         slow = profiled_run(query, seed=seed, bulk_kernels=False)
-        assert fast.profiler.stage_totals() == slow.profiler.stage_totals()
-        assert [v.to_dict() for v in fast.profiler.views()] \
-            == [v.to_dict() for v in slow.profiler.views()]
+        assert fast.execution_profile().to_dict() \
+            == slow.execution_profile().to_dict()
 
     def test_profile_survives_chaos(self):
         clean = profiled_run(QUERY_POOL[2], machines=4)

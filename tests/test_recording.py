@@ -66,7 +66,7 @@ class TestChannelsAgree:
         if not recording.dropped:
             assert spans == sampled
         assert sum(sampled) == metrics.total_ops
-        # A union drops per_machine (its expansions merge by totals).
+        assert len(metrics.per_machine) == config.num_machines
         for machine, counters in enumerate(metrics.per_machine):
             assert sampled[machine] == counters.ops
             assert max(series.machines[machine]["buffered_max"]) \

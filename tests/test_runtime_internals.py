@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ClusterConfig, PlannerOptions, run_query
+from repro.cluster.metrics import MachineMetrics
 from repro.cluster.simulator import Simulator
 from repro.errors import RuntimeFault
 from repro.graph import DistributedGraph, GraphBuilder, uniform_random_graph
@@ -291,7 +292,7 @@ class _RefusingRuntime:
 
     def __init__(self, graph, refuse_at):
         self.graph = self.local = graph
-        self.stage_scanned = [0, 0]
+        self.metrics = MachineMetrics(num_stages=2)
         self.refuse_at = refuse_at
         self.calls = 0
         self.sent = []
@@ -333,7 +334,7 @@ class TestHopCursorReplay:
     def test_unrefused_run(self):
         rt, outcomes = self.drain(refuse_at=None)
         assert outcomes == [Advance.PROGRESS] * 4 + [Advance.EXHAUSTED]
-        assert rt.stage_scanned == [4, 0]
+        assert rt.metrics.stage_scanned == [4, 0]
         assert rt.sent == [(1, 1, (0, 1)), (1, 1, (0, 1)), (1, 0, (0, 2))]
 
     @pytest.mark.parametrize("refuse_at", [1, 2, 3])
@@ -344,7 +345,7 @@ class TestHopCursorReplay:
         # other) whose inspected edge is counted again on the replay.
         assert outcomes.count(Advance.BLOCKED) == 1
         assert len(outcomes) == 6
-        assert rt.stage_scanned == [5, 0]
+        assert rt.metrics.stage_scanned == [5, 0]
         # Nothing lost, nothing duplicated, order kept.
         assert rt.sent == reference.sent
         assert rt.calls == 4
@@ -358,7 +359,8 @@ class TestHopCursorReplay:
         cursor = HopCursor(stage, frame, rt)
         assert cursor.advance(rt, None, frame) is Advance.PROGRESS
         assert cursor.advance(rt, None, frame) is Advance.EXHAUSTED
-        assert rt.results == [(0, 1)] and rt.stage_scanned == [0, 0]
+        assert rt.results == [(0, 1)]
+        assert rt.metrics.stage_scanned == [0, 0]
 
 
 class TestComputation:

@@ -11,6 +11,7 @@ from repro import ClusterConfig, ExecutionContext, QueryMetrics
 from repro.cluster.metrics import MachineMetrics
 from repro.errors import QueryAborted
 from repro.obs import Recording
+from repro.plan import PlannerOptions, SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
 
 
@@ -69,6 +70,27 @@ class TestQueryMetricsMerge:
         assert [m.ops for m in merged.per_machine] == [6, 9]
         assert merged.per_machine[0].peak_live_frames == 9
 
+    def test_blank_record_adopts_copies(self):
+        run = QueryMetrics(num_machines=2, per_machine=[
+            MachineMetrics(ops=5, num_stages=2), MachineMetrics(ops=7),
+        ])
+        run.per_machine[0].stage_visits[1] = 3
+        merged = QueryMetrics().merge(run)
+        assert [m.ops for m in merged.per_machine] == [5, 7]
+        assert merged.per_machine[0].stage_visits == [0, 3]
+        merged.merge(run)
+        # The first run's own records are untouched by later merges.
+        assert [m.ops for m in run.per_machine] == [5, 7]
+        assert run.per_machine[0].stage_visits == [0, 3]
+        assert merged.per_machine[0].stage_visits == [0, 6]
+
+    def test_stage_counters_merge_by_position(self):
+        short = MachineMetrics(num_stages=2)
+        long = MachineMetrics(num_stages=3)
+        short.stage_visits[:] = [1, 2]
+        long.stage_visits[:] = [10, 20, 30]
+        assert short.merge(long).stage_visits == [11, 22, 30]
+
     def test_per_machine_dropped_on_shape_mismatch(self):
         first = QueryMetrics(per_machine=[MachineMetrics(ops=5)])
         second = QueryMetrics(per_machine=[MachineMetrics(), MachineMetrics()])
@@ -108,6 +130,23 @@ class TestUnionExecution:
         single = engine.query("SELECT a, b WHERE (a)-[]->(b)").stage_profile
         # Stage 0 aggregates the root visits of all three expansions.
         assert profile[0]["visits"] == 3 * single[0]["visits"]
+
+
+    def test_union_keeps_per_machine_metrics(self, engine):
+        metrics = engine.query("SELECT a, b WHERE (a)-/{1,2}/->(b)").metrics
+        assert len(metrics.per_machine) == 3
+        assert sum(m.ops for m in metrics.per_machine) == metrics.total_ops
+
+    def test_union_profile_has_no_operator_rows(self, engine):
+        options = PlannerOptions(scheduling=SchedulingPolicy.COST)
+        result = engine.query("SELECT a, b WHERE (a)-/{1,2}/->(b)", options)
+        profile = result.execution_profile()
+        # Each expansion was planned on its own: no one estimate covers
+        # the union's actuals, but stage totals and skew still report.
+        assert profile.operators == []
+        assert len(profile.stages) == result.plan.num_stages
+        assert profile.skew
+        assert "q-error" not in result.explain_analyze()
 
 
 class TestUnionContext:
