@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""One recording end to end: events, registry, time series, exporters,
+"""One recording end to end: events, metrics, time series, exporters,
 bench.
 
 Runs one query under a context that carries a ``Recording`` — the
 caller builds it and keeps it — and walks through everything it holds:
 
 * the one-line summary, the per-machine profile folded out of the event
-  stream, and the Prometheus text exposition of the metrics registry
-  (latency histograms, per-machine gauges/counters);
+  stream, and the Prometheus text exposition rendered from the
+  recording (latency histograms, per-machine gauges/counters);
 * the per-tick time series — the bounded-memory claim as a curve, with
   ``max(buffered_max) == peak_buffered_contexts <= budget`` checked
   explicitly;

@@ -52,7 +52,6 @@ from repro.errors import (
     RemoteAccessError,
     ReproError,
     RuntimeFault,
-    TelemetryError,
 )
 from repro.graph import (
     DistributedGraph,
@@ -75,7 +74,6 @@ from repro.plan import (
     plan_query,
 )
 from repro.obs import (
-    MetricsRegistry,
     Recording,
     TimeSeriesSampler,
     TraceProfile,
@@ -110,7 +108,6 @@ __all__ = [
     # observability
     "Recording",
     "TraceProfile",
-    "MetricsRegistry",
     "TimeSeriesSampler",
     # graph
     "GraphBuilder",
@@ -147,5 +144,4 @@ __all__ = [
     "ChaosConfig",
     "FlowControlError",
     "ClusterConfigError",
-    "TelemetryError",
 ]

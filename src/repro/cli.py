@@ -153,7 +153,7 @@ def build_parser():
                          help="force plain-text snapshots instead of the "
                               "ANSI in-place redraw")
     monitor.add_argument("--prom-out", metavar="PATH",
-                         help="write the final registry in Prometheus "
+                         help="write the recording's metrics in Prometheus "
                               "text exposition format")
     monitor.add_argument("--series-out", metavar="PATH",
                          help="write the per-tick series (.csv for CSV, "

@@ -209,13 +209,14 @@ class Simulator:
         self._abort(reason)
 
     def _abort(self, reason):
+        metrics = self._partial_metrics()
         if self.recording is not None:
-            self.recording.seal(self.now, aborted=reason)
+            self.recording.seal(self.now, metrics, aborted=reason)
         detail, flow_state = self._diagnosis()
         raise QueryAborted(
             reason,
             tick=self.now,
-            metrics=self._partial_metrics(),
+            metrics=metrics,
             recording=self.recording,
             detail=detail,
             flow_state=flow_state,
@@ -374,12 +375,12 @@ class Simulator:
 
     def finish(self):
         """Seal a completed run; returns its :class:`QueryMetrics`."""
-        if self.recording is not None:
-            self.recording.seal(self.now)
         metrics = QueryMetrics.collect(
             self.now, [machine.metrics for machine in self._machines]
         )
         self._attach_fault_counters(metrics)
+        if self.recording is not None:
+            self.recording.seal(self.now, metrics)
         return metrics
 
     def run(self):

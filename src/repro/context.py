@@ -32,7 +32,7 @@ class ExecutionContext:
     """Everything cross-cutting about one query execution."""
 
     #: Optional repro.obs.Recording of this execution (events,
-    #: per-tick series, metrics registry).
+    #: per-tick series, metrics).
     recording: object = None
     #: Abort the run at this many simulated ticks (None = no deadline).
     deadline: int = None

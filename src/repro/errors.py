@@ -226,10 +226,6 @@ class ClusterConfigError(ReproError):
     """Invalid cluster simulator configuration."""
 
 
-class TelemetryError(ReproError):
-    """Invalid use of the live-telemetry metrics registry."""
-
-
 class AnalysisError(ReproError):
     """The static analyzer (``repro lint``) was misused or hit an
     unparseable input: an unknown severity, a missing path, or a source

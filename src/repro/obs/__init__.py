@@ -14,7 +14,8 @@ object as ``QueryResult.recording``::
     recording.to_chrome_json("trace.json")    # open in chrome://tracing
     print(recording.timeline())           # plain-text utilization rows
     print(recording.summary())
-    print(recording.prometheus())         # text exposition format
+    print(recording.prometheus())         # text exposition, rendered
+                                          # from the recording on demand
     series = recording.series.series(0)   # machine 0's per-tick curves
 
 Without one (the default) the runtime holds ``None`` and every
@@ -61,35 +62,21 @@ from repro.obs.feedback import (
     ExecutionProfile,
     FeedbackStore,
     build_execution_profile,
-    publish_drift,
     q_error,
     query_fingerprint,
 )
 from repro.obs.profile import TraceProfile
 from repro.obs.recording import Recording
 from repro.obs.sampler import MACHINE_COLUMNS, TimeSeriesSampler
-from repro.obs.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-)
 
 __all__ = [
     "Recording",
     "TraceProfile",
-    "MetricsRegistry",
-    "MetricFamily",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "TimeSeriesSampler",
     "MACHINE_COLUMNS",
     "ExecutionProfile",
     "FeedbackStore",
     "build_execution_profile",
-    "publish_drift",
     "q_error",
     "query_fingerprint",
     "prometheus_text",

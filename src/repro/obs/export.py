@@ -6,7 +6,9 @@
   worker, complete ("X") events for worker spans, instant ("i") events
   for protocol activity, counter ("C") tracks for the sampled gauges;
   1 tick = 1 us) and as a utilization :func:`render_timeline`;
-* the **registry** as Prometheus text (:func:`prometheus_text`);
+* the recording's **metrics** as Prometheus text (:func:`prometheus_text`,
+  rendered on demand from the recording's metrics, series, histograms
+  and drift profile);
 * the **time series** (:func:`series_jsonl`, :func:`series_csv`).
 
 Each text writer has a matching reader (``parse_*``) so round trips are
@@ -19,7 +21,6 @@ import io
 import json
 
 from repro.obs.sampler import MACHINE_COLUMNS
-from repro.obs.telemetry import _fmt
 
 _INSTANT_KINDS = {
     "flow_block": "flow block",
@@ -209,27 +210,175 @@ def _label_text(labels):
 
 
 # ----------------------------------------------------------------------
-# Registry snapshot exporters
+# Prometheus text: a view of the recording
 # ----------------------------------------------------------------------
-def prometheus_text(registry):
-    """The registry in Prometheus text exposition format (version 0.0.4).
+#: ``repro_<field>_total`` counters, one sample per machine whose
+#: ``MachineMetrics.<field>`` is nonzero.
+_COUNTERS = (
+    ("ops", "worker micro-operations executed"),
+    ("work_messages_sent", "bulk work messages handed to the network"),
+    ("contexts_sent", "contexts shipped remotely"),
+    ("control_messages_sent", "acks/COMPLETED/quota traffic"),
+    ("results_emitted", "final matches collected"),
+    ("flow_control_blocks", "sends refused by flow control"),
+    ("quota_requests", "dynamic-memory quota requests sent"),
+    ("quota_granted", "window slots received from peers"),
+    ("ghost_prunes", "remote hops pruned at ghost vertices"),
+    ("retransmits", "reliability-layer frame retransmissions"),
+    ("idle_ticks", "worker polls that found no work"),
+)
+
+#: Per-machine end-state gauges: series column -> family, read off each
+#: machine's last sample.
+_END_STATE = (
+    ("buffered", "repro_buffered_contexts",
+     "buffered contexts (inbox + parked + outgoing) per machine"),
+    ("inflight", "repro_flow_inflight_window",
+     "total unacknowledged flow-control window occupancy"),
+    ("frames", "repro_live_frames", "live traversal frames per machine"),
+    ("stages_done", "repro_stages_complete",
+     "stages this machine has declared COMPLETED"),
+)
+
+#: The recording's hot-path histograms, observed directly by the
+#: runtime: attribute -> family.
+HISTOGRAM_FAMILIES = (
+    ("message_latency", "repro_message_latency_ticks",
+     "network transit time per delivered message"),
+    ("inbox_wait", "repro_inbox_wait_ticks",
+     "hop service time: work-message delivery to consumption"),
+    ("retransmit_attempts", "repro_retransmit_attempt",
+     "attempt number of each reliability-layer retransmission"),
+    ("kernel_batch_ops", "repro_kernel_batch_ops",
+     "micro-ops charged per bulk-kernel computation slice"),
+)
+
+#: Bucket bounds of ``repro_inbox_depth`` (the series' inbox_depth
+#: column, bucketed per machine).
+_INBOX_DEPTH_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
+
+
+def _families(recording):
+    """``(name, help, type, label, children)`` of every family;
+    *children* are ``(label value, value)`` pairs, a histogram's value
+    a :class:`~repro.obs.recording.Histogram`."""
+    from repro.obs.recording import Histogram
+
+    per_machine = list(enumerate(recording.metrics.per_machine))
+    columns = sorted(recording.series.machines.items())
+    drift = recording.drift
+    operators = drift.operators if drift is not None else []
+    skew = drift.skew if drift is not None else []
+    worst = drift.max_q_error() if drift is not None else None
+    families = [
+        ("repro_%s_total" % field, help_text, "counter", "machine",
+         [(m, getattr(machine, field)) for m, machine in per_machine
+          if getattr(machine, field)])
+        for field, help_text in _COUNTERS
+    ]
+    families += [
+        (name, help_text, "gauge", "machine",
+         [(m, series[column][-1]) for m, series in columns])
+        for column, name, help_text in _END_STATE
+    ]
+    families += [
+        (name, help_text, "histogram", None,
+         [("", getattr(recording, attribute))])
+        for attribute, name, help_text in HISTOGRAM_FAMILIES
+    ]
+    families += [
+        ("repro_buffered_contexts_budget",
+         "configured receiver-side context budget "
+         "(stages * senders * bulk * (window + 1))", "gauge", None,
+         [("", recording.series.budget)]),
+        ("repro_buffered_contexts_peak",
+         "high-water mark of buffered contexts per machine", "gauge",
+         "machine",
+         [(m, machine.peak_buffered_contexts) for m, machine in per_machine]),
+        ("repro_inbox_depth",
+         "queued work messages per machine, sampled per tick",
+         "histogram", "machine",
+         [(m, Histogram(_INBOX_DEPTH_BOUNDS, series["inbox_depth"]))
+          for m, series in columns]),
+        ("repro_recording_events_dropped_total",
+         "events discarded after the recording reached max_events",
+         "counter", None, [("", recording.dropped)]),
+        ("repro_plan_estimated_rows",
+         "cost-model estimated rows after each logical operator", "gauge",
+         "operator",
+         [(row["op_index"], row["estimated"]) for row in operators]),
+        ("repro_plan_actual_rows",
+         "measured rows surviving each logical operator", "gauge",
+         "operator",
+         [(row["op_index"], row["actual"]) for row in operators
+          if row["actual"] is not None]),
+        ("repro_plan_q_error",
+         "per-operator q-error max(est/actual, actual/est)", "gauge",
+         "operator",
+         [(row["op_index"], row["q_error"]) for row in operators
+          if row["actual"] is not None]),
+        ("repro_plan_q_error_max",
+         "worst per-operator cardinality q-error of the run", "gauge",
+         None, [("", worst)] if worst is not None else []),
+        ("repro_stage_skew_ratio",
+         "per-stage machine imbalance: max/mean of stage visits", "gauge",
+         "stage",
+         [(row["stage"], row["ratio"]) for row in skew]),
+    ]
+    return families
+
+
+def exposition(families):
+    """Prometheus text exposition format (version 0.0.4) of *families*,
+    ``(name, help, type, label, children)`` tuples as
+    :func:`prometheus_text` builds them (*label* None for a family
+    without labels).
 
     Families are emitted in sorted name order, children in sorted
-    labelset order, so the output is deterministic (and diffable) for a
-    deterministic run.  The exposition ends with the ``# EOF`` marker so
-    scrape truncation is detectable.
+    label-value string order, so the output is deterministic (and
+    diffable) for a deterministic run.  The exposition ends with the
+    ``# EOF`` marker so scrape truncation is detectable.
     """
     lines = []
-    for family in registry:
-        if family.help:
-            lines.append("# HELP %s %s" % (family.name, _escape(family.help)))
-        lines.append("# TYPE %s %s" % (family.name, family.type_name))
-        for name, labels, value in family.samples():
-            lines.append(
-                "%s%s %s" % (name, _label_text(labels), _fmt(value))
-            )
+    for name, help_text, kind, label, children in sorted(
+        families, key=lambda family: family[0]
+    ):
+        lines.append("# HELP %s %s" % (name, _escape(help_text)))
+        lines.append("# TYPE %s %s" % (name, kind))
+        for value_text, value in sorted(
+            (str(key), value) for key, value in children
+        ):
+            labels = {label: value_text} if label is not None else {}
+            if kind != "histogram":
+                lines.append(_sample(name, labels, value))
+                continue
+            for bound, cumulative in value.cumulative():
+                edge = "+Inf" if bound == float("inf") else _fmt(bound)
+                lines.append(_sample(name + "_bucket",
+                                     dict(labels, le=edge), cumulative))
+            lines.append(_sample(name + "_sum", labels, value.sum))
+            lines.append(_sample(name + "_count", labels, value.count))
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
+
+
+def prometheus_text(recording):
+    """The *recording*'s metrics as Prometheus text, rendered from what
+    it holds: counters and peaks from ``metrics.per_machine``, end-state
+    gauges and inbox depths from the series, the budget, the hot-path
+    histograms, and drift and skew from ``drift``."""
+    return exposition(_families(recording))
+
+
+def _sample(name, labels, value):
+    return "%s%s %s" % (name, _label_text(labels), _fmt(value))
+
+
+def _fmt(value):
+    """Compact number formatting (1.0 -> "1")."""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
 
 
 def _unescape(text):

@@ -12,9 +12,9 @@ bit-for-bit:
 
 * :class:`ExecutionProfile` — the join of estimates against actuals:
   per-operator q-error, per-machine skew/imbalance ratios, and a
-  straggler summary.  ``--explain-analyze`` renders it, and
-  :func:`publish_drift` lands the drift gauges in the recording's
-  registry (and thus the Prometheus export).
+  straggler summary.  ``--explain-analyze`` renders it, and a recorded
+  run keeps it as ``recording.drift``, which the Prometheus export
+  renders as the drift and skew gauges.
 * :class:`FeedbackStore` — profiles persisted to a deterministic
   on-disk JSON document keyed by query/graph fingerprint;
   :meth:`FeedbackStore.corrections` turns recorded actuals into
@@ -250,32 +250,6 @@ def _skew_rows(per_machine, num_stages):
             "share": peak_load / float(total_load),
         }
     return skew, straggler
-
-
-def publish_drift(recording, profile):
-    """Land the drift/skew gauges in *recording*'s registry.
-
-    The families are declared up-front by ``Recording.__init__`` so the
-    Prometheus export has a stable family set whether or not a profile
-    was collected.  No-op without a recording.
-    """
-    if recording is None:
-        return
-    for row in profile.operators:
-        operator = str(row["op_index"])
-        recording.plan_estimated_rows.labels(operator).set(
-            row["estimated"]
-        )
-        if row["actual"] is not None:
-            recording.plan_actual_rows.labels(operator).set(row["actual"])
-            recording.plan_q_error.labels(operator).set(row["q_error"])
-    worst = profile.max_q_error()
-    if worst is not None:
-        recording.plan_q_error_max.set(worst)
-    for row in profile.skew:
-        recording.stage_skew_ratio.labels(str(row["stage"])).set(
-            row["ratio"]
-        )
 
 
 # ----------------------------------------------------------------------

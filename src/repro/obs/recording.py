@@ -10,19 +10,68 @@ honest.  ``QueryResult.recording`` *is* the object the caller built.
 
 It holds ``events`` (the bounded stream of typed :mod:`~repro.obs.
 events`), ``series`` (the :class:`~repro.obs.sampler.TimeSeriesSampler`'s
-per-machine curves), ``registry`` (Prometheus-style metrics: hot-path
-histograms observed as the run goes, the machines' final counters
-written when it is sealed) and ``meta`` (the run's envelope).
+per-machine curves), four hot-path :class:`Histogram` s observed as the
+run goes, ``metrics`` (the machines' counters, kept when the run is
+sealed), ``drift`` (the engine's plan-vs-actual profile) and ``meta``
+(the run's envelope).  Each number is kept once: :meth:`Recording.
+prometheus` renders the Prometheus text from them on demand.
 """
 
 import json
+from bisect import bisect_left
 from collections import Counter
 
+from repro.cluster.metrics import QueryMetrics
 from repro.obs.events import QueryAbortedEvent
-from repro.obs.export import chrome_trace, prometheus_text, render_timeline
+from repro.obs.export import (
+    HISTOGRAM_FAMILIES,
+    chrome_trace,
+    prometheus_text,
+    render_timeline,
+)
 from repro.obs.profile import TraceProfile
 from repro.obs.sampler import TimeSeriesSampler
-from repro.obs.telemetry import MetricsRegistry
+
+
+class Histogram:
+    """Fixed-bound bucketed distribution.
+
+    ``bounds`` are the inclusive upper edges, Prometheus ``le``
+    semantics: an observation lands in the first bucket whose bound is
+    ``>= value``; values above the last bound land in the implicit
+    ``+Inf`` overflow bucket.  ``counts`` holds *non-cumulative* bucket
+    counts (``len(bounds) + 1`` entries); :meth:`cumulative` cumulates.
+    """
+
+    __slots__ = ("bounds", "counts", "sum", "count")
+
+    def __init__(self, bounds, values=()):
+        self.bounds = bounds
+        self.counts = [0] * (len(bounds) + 1)
+        self.sum = 0
+        self.count = 0
+        for value in values:
+            self.observe(value)
+
+    def observe(self, value):
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.sum += value
+        self.count += 1
+
+    def merge(self, other):
+        """Add *other*'s observations (same bounds) bucket by bucket."""
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.sum += other.sum
+        self.count += other.count
+        return self
+
+    def cumulative(self):
+        """``(bound, cumulative_count)`` pairs, ``+Inf`` last."""
+        out, running = [], 0
+        for bound, count in zip(self.bounds + (float("inf"),), self.counts):
+            running += count
+            out.append((bound, running))
+        return out
 
 
 class Recording:
@@ -32,122 +81,28 @@ class Recording:
         #: Recorded events, in emission order (ticks are nondecreasing).
         self.events = []
         self.max_events = max_events
+        #: Events discarded after the recording reached ``max_events``.
+        self.dropped = 0
         #: Run metadata: ``num_machines``, ``num_stages``,
         #: ``workers_per_machine`` and ``ops_per_tick`` once bound;
         #: ``ticks`` (and ``aborted``, the reason) once sealed.
         self.meta = {}
-        registry = self.registry = MetricsRegistry()
-        self._dropped = registry.counter(
-            "repro_recording_events_dropped_total",
-            "events discarded after the recording reached max_events",
-        )._sole_child()
-        # Hot-path histograms, observed directly by the runtime.
-        self.message_latency = registry.histogram(
-            "repro_message_latency_ticks",
-            "network transit time per delivered message",
-            # Latency defaults to 8 ticks; retransmission timeouts
-            # stretch the tail.
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-        )
-        self.inbox_wait = registry.histogram(
-            "repro_inbox_wait_ticks",
-            "hop service time: work-message delivery to consumption",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
-        )
-        self.retransmit_attempts = registry.histogram(
-            "repro_retransmit_attempt",
-            "attempt number of each reliability-layer retransmission",
-            buckets=(1, 2, 3, 4, 6, 8, 12, 16),
-        )
-        self.kernel_batch_ops = registry.histogram(
-            "repro_kernel_batch_ops",
-            "micro-ops charged per bulk-kernel computation slice",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-        )
-        #: The per-tick series; every sample also lands its inbox depth
-        #: in this histogram.
-        self.series = TimeSeriesSampler(
-            registry.histogram(
-                "repro_inbox_depth",
-                "queued work messages per machine, sampled per tick",
-                buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128),
-                labels=("machine",),
-            ),
-            interval=interval,
-        )
-        self.budget_gauge = registry.gauge(
-            "repro_buffered_contexts_budget",
-            "configured receiver-side context budget "
-            "(stages * senders * bulk * (window + 1))",
-        )
-        # Per-machine end state, written by seal() from the final sample
-        # (series column -> gauge) and the machines' counters.
-        self._final_gauges = {
-            column: registry.gauge(name, help_text, labels=("machine",))
-            for column, name, help_text in (
-                ("buffered", "repro_buffered_contexts",
-                 "buffered contexts (inbox + parked + outgoing) per "
-                 "machine"),
-                ("inflight", "repro_flow_inflight_window",
-                 "total unacknowledged flow-control window occupancy"),
-                ("frames", "repro_live_frames",
-                 "live traversal frames per machine"),
-                ("stages_done", "repro_stages_complete",
-                 "stages this machine has declared COMPLETED"),
-            )
-        }
-        self.buffered_peak_gauge = registry.gauge(
-            "repro_buffered_contexts_peak",
-            "high-water mark of buffered contexts per machine",
-            labels=("machine",),
-        )
-        # Plan-vs-actual drift gauges, set by feedback.publish_drift when
-        # a stage profile was collected; declared up-front so the export
-        # has a stable family set either way.
-        self.plan_estimated_rows = registry.gauge(
-            "repro_plan_estimated_rows",
-            "cost-model estimated rows after each logical operator",
-            labels=("operator",),
-        )
-        self.plan_actual_rows = registry.gauge(
-            "repro_plan_actual_rows",
-            "measured rows surviving each logical operator",
-            labels=("operator",),
-        )
-        self.plan_q_error = registry.gauge(
-            "repro_plan_q_error",
-            "per-operator q-error max(est/actual, actual/est)",
-            labels=("operator",),
-        )
-        self.plan_q_error_max = registry.gauge(
-            "repro_plan_q_error_max",
-            "worst per-operator cardinality q-error of the run",
-        )
-        self.stage_skew_ratio = registry.gauge(
-            "repro_stage_skew_ratio",
-            "per-stage machine imbalance: max/mean of stage visits",
-            labels=("stage",),
-        )
-        #: MachineMetrics counters mirrored into the registry at seal;
-        #: counters add across union expansions (``registry.merge``).
-        self.mirrored = {
-            name: registry.counter("repro_%s_total" % name, help_text,
-                                   labels=("machine",))
-            for name, help_text in (
-                ("ops", "worker micro-operations executed"),
-                ("work_messages_sent", "bulk work messages handed to "
-                                       "the network"),
-                ("contexts_sent", "contexts shipped remotely"),
-                ("control_messages_sent", "acks/COMPLETED/quota traffic"),
-                ("results_emitted", "final matches collected"),
-                ("flow_control_blocks", "sends refused by flow control"),
-                ("quota_requests", "dynamic-memory quota requests sent"),
-                ("quota_granted", "window slots received from peers"),
-                ("ghost_prunes", "remote hops pruned at ghost vertices"),
-                ("retransmits", "reliability-layer frame retransmissions"),
-                ("idle_ticks", "worker polls that found no work"),
-            )
-        }
+        #: What the machines counted: every sealed run's
+        #: :class:`~repro.cluster.metrics.QueryMetrics`, folded in by
+        #: ``QueryMetrics.merge``.
+        self.metrics = QueryMetrics()
+        #: The :class:`~repro.obs.feedback.ExecutionProfile` of a
+        #: completed run (plan-vs-actual drift and skew); None until the
+        #: engine finalizes one, and after an abort.
+        self.drift = None
+        # Hot-path histograms, observed directly by the runtime (latency
+        # defaults to 8 ticks; retransmission timeouts stretch the tail).
+        self.message_latency = Histogram((1, 2, 4, 8, 16, 32, 64, 128, 256))
+        self.inbox_wait = Histogram((0, 1, 2, 4, 8, 16, 32, 64, 128, 256))
+        self.retransmit_attempts = Histogram((1, 2, 3, 4, 6, 8, 12, 16))
+        self.kernel_batch_ops = Histogram((1, 2, 4, 8, 16, 32, 64, 128))
+        #: The per-tick series.
+        self.series = TimeSeriesSampler(interval=interval)
 
     # ------------------------------------------------------------------
     # Collection (the runtime-facing half)
@@ -156,7 +111,7 @@ class Recording:
         if len(self.events) < self.max_events:
             self.events.append(event)
         else:
-            self._dropped.value += 1
+            self.dropped += 1
 
     def bind(self, machines, config, num_stages):
         """Attach to a run about to start: stamp the envelope and hand
@@ -175,43 +130,25 @@ class Recording:
             workers_per_machine=config.workers_per_machine,
             ops_per_tick=config.ops_per_tick,
         )
-        self.budget_gauge.set(budget)
         self.series.bind(
             machines, config.workers_per_machine * config.ops_per_tick,
             num_stages, budget,
         )
 
-    def seal(self, now, aborted=None):
+    def seal(self, now, metrics, aborted=None):
         """Close the run at tick *now* — completed, or cancelled for the
-        reason *aborted*: take the final sample and write the machines'
-        end state into the registry."""
+        reason *aborted*: take the final sample and keep the run's
+        :class:`~repro.cluster.metrics.QueryMetrics`."""
         if aborted is not None:
             self.emit(QueryAbortedEvent(now, aborted))
             self.meta["aborted"] = aborted
         self.meta["ticks"] = now
-        series = self.series
-        series.flush(now)
-        for machine_id, machine in enumerate(series.bound):
-            metrics = machine.metrics
-            last = series.machines[machine_id]
-            for column, gauge in self._final_gauges.items():
-                gauge.labels(machine_id).set(last[column][-1])
-            self.buffered_peak_gauge.labels(machine_id).set(
-                metrics.peak_buffered_contexts
-            )
-            for name, counter in self.mirrored.items():
-                value = getattr(metrics, name)
-                if value:
-                    counter.labels(machine_id).inc(value)
+        self.series.flush(now)
+        self.metrics.merge(metrics)
 
     # ------------------------------------------------------------------
     # Inspection (the user-facing half)
     # ------------------------------------------------------------------
-    @property
-    def dropped(self):
-        """Events discarded after hitting ``max_events``."""
-        return self._dropped.value
-
     def __iter__(self):
         return iter(self.events)
 
@@ -253,8 +190,8 @@ class Recording:
         return render_timeline(self, width=width)
 
     def prometheus(self):
-        """The registry as Prometheus text exposition format."""
-        return prometheus_text(self.registry)
+        """The recording's metrics as Prometheus text exposition format."""
+        return prometheus_text(self)
 
     def summary(self):
         """One line of what was recorded, for the CLI and debugging."""
@@ -266,9 +203,8 @@ class Recording:
         if ticks is not None:
             parts.append("ticks=%d" % ticks)
         parts.append("samples=%d" % self.series.num_samples)
-        for label, family in (("msg_latency_avg", self.message_latency),
-                              ("inbox_wait_avg", self.inbox_wait)):
-            histogram = family._sole_child()
+        for label, histogram in (("msg_latency_avg", self.message_latency),
+                                 ("inbox_wait_avg", self.inbox_wait)):
             if histogram.count:
                 parts.append("%s=%.1f ticks" % (
                     label, histogram.sum / histogram.count
@@ -308,15 +244,18 @@ class Recording:
         into a :meth:`fresh` recording; offsetting by the accumulated
         tick count lays the expansions out end to end on one timeline.
         Events past ``max_events`` are dropped — and counted, beside
-        what *other* had dropped itself (merged with its registry).
+        what *other* had dropped itself; metrics fold through
+        ``QueryMetrics.merge`` and histograms add bucket by bucket.
         """
         room = max(0, self.max_events - len(self.events))
         kept = other.events[:room]
         for event in kept:
             event.tick += tick_offset
         self.events.extend(kept)
-        self.registry.merge(other.registry)
-        self._dropped.value += len(other.events) - len(kept)
+        self.dropped += other.dropped + len(other.events) - len(kept)
+        self.metrics.merge(other.metrics)
+        for attribute, _name, _help in HISTOGRAM_FAMILIES:
+            getattr(self, attribute).merge(getattr(other, attribute))
         self.series.extend(other.series, tick_offset=tick_offset)
         for key, value in other.meta.items():
             if key == "ticks":

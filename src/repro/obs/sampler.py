@@ -14,7 +14,10 @@ budget, flow-control window occupancy, quota grants, retransmits, and
 the idle fraction.  The ``buffered_max`` column is the within-interval
 high-water mark (exact whenever the machine's peak advanced during the
 interval), so ``max(series["buffered_max"]) == peak_buffered_contexts``
-holds for a complete run — the bounded-memory claim as a curve.
+holds for a complete run — the bounded-memory claim as a curve.  The
+series is also the one source of the Prometheus export's end-state
+gauges (each machine's last sample) and of its ``repro_inbox_depth``
+histogram (the ``inbox_depth`` column, bucketed).
 
 Samples are pure functions of the deterministic simulation state, so a
 fixed seed reproduces the series bit for bit.
@@ -39,11 +42,7 @@ MACHINE_COLUMNS = (
 class TimeSeriesSampler:
     """Records per-machine series each simulator tick of a recorded run."""
 
-    def __init__(self, inbox_depth, interval=1):
-        #: The per-machine histogram every sample's inbox depth lands in
-        #: (a distribution over ticks; the registry's other per-machine
-        #: state is written once, when the recording is sealed).
-        self._inbox_depth = inbox_depth
+    def __init__(self, interval=1):
         #: Sample every N processed ticks (1 = every tick).
         self.interval = max(1, int(interval))
         #: Tick of each sample (shared by all machines), and the elapsed
@@ -62,7 +61,6 @@ class TimeSeriesSampler:
         self.num_stages = 0
         #: The run's machines, once bound.
         self.bound = ()
-        self._depth_of = ()
         self._capacity = 1
         self._last_ops = {}
         self._prev_peak = {}
@@ -79,10 +77,6 @@ class TimeSeriesSampler:
     def bind(self, machines, capacity, num_stages, budget):
         """Attach to a run's machines (``Recording.bind``)."""
         self.bound = list(machines)
-        self._depth_of = [
-            self._inbox_depth.labels(machine_id)
-            for machine_id in range(len(self.bound))
-        ]
         self._capacity = max(1, capacity)
         self.num_stages = num_stages
         self.budget = budget
@@ -151,7 +145,6 @@ class TimeSeriesSampler:
             series["quota_granted"].append(metrics.quota_granted)
             series["retransmits"].append(metrics.retransmits)
             series["stages_done"].append(stages_done)
-            self._depth_of[machine_id].observe(depth)
         self.wavefront.append(tuple(stage_done))
 
         if self.on_sample is not None:

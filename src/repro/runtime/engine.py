@@ -17,7 +17,7 @@ from repro.context import ExecutionContext
 from repro.engine_api import Engine
 from repro.errors import QueryAborted
 from repro.graph.distributed import DistributedGraph
-from repro.obs.feedback import build_execution_profile, publish_drift
+from repro.obs.feedback import build_execution_profile
 from repro.pgql import as_query, parse_and_validate, to_pgql
 from repro.pgql.ast import Query, SelectItem
 from repro.plan import PlannerOptions, SchedulingPolicy, plan_query
@@ -51,7 +51,7 @@ class QueryResult:
         self.metrics = metrics
         self.plan = plan
         #: The run context's :class:`repro.obs.Recording` (events,
-        #: per-tick series, metrics registry), or None when the caller
+        #: per-tick series, metrics), or None when the caller
         #: brought none (the default).
         self.recording = recording
         self._execution_profile = None
@@ -325,7 +325,7 @@ class PgxdAsyncEngine(Engine):
         result = QueryResult(result_set, metrics, plan,
                              recording=context.recording)
         if context.recording is not None:
-            publish_drift(context.recording, result.execution_profile())
+            context.recording.drift = result.execution_profile()
         return result
 
 
@@ -406,6 +406,8 @@ def execute_union(query, context, run_one):
         union._execution_profile = build_execution_profile(
             plan, combined, estimates=False
         )
+    if recording is not None:
+        recording.drift = union._execution_profile
     return union
 
 

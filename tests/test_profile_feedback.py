@@ -10,22 +10,23 @@ micro-stepped cursors, or a chaotic network behind the reliability
 layer.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, ExecutionContext, PlannerOptions, \
     run_query
 from repro.chaos import profile as chaos_profile
+from repro.errors import QueryAborted
 from repro.graph import uniform_random_graph
 from repro.obs import (
     FeedbackStore,
-    MetricsRegistry,
     Recording,
     parse_prometheus,
-    prometheus_text,
     q_error,
     query_fingerprint,
 )
+from repro.obs.export import exposition
 from repro.obs.feedback import CORRECTION_MAX, CORRECTION_MIN
 from repro.plan import SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
@@ -185,6 +186,24 @@ class TestExecutionProfile:
         assert "repro_plan_estimated_rows" in drift
         assert "repro_plan_actual_rows" in drift
 
+    @pytest.mark.parametrize("deadline", [None, 3])
+    def test_no_q_error_of_zero(self, random_graph, deadline):
+        """q-error is >= 1 by definition: a run without estimates (an
+        APPEARANCE plan, an abort) exports no worst-q-error sample, only
+        the family's headers."""
+        recording = Recording()
+        try:
+            run_query(random_graph, QUERY_POOL[0],
+                      ClusterConfig(num_machines=3),
+                      context=ExecutionContext(recording=recording,
+                                               deadline=deadline))
+        except QueryAborted:
+            assert deadline is not None
+        text = recording.prometheus()
+        assert "# TYPE repro_plan_q_error_max gauge" in text
+        assert not any(line.startswith("repro_plan_q_error_max")
+                       for line in text.splitlines())
+
 
 class TestFeedbackStore:
     def record_all(self, persons=120, bands=6, songs=30, fans=360,
@@ -270,27 +289,24 @@ HOSTILE_VALUES = [
 
 
 class TestPrometheusRoundTrip:
-    def registry_with(self, values):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("repro_hostile", "hostile labels",
-                               labels=("name",))
-        for index, value in enumerate(values):
-            gauge.labels(value).set(index + 1)
-        return registry
+    def exposition_with(self, values):
+        return exposition([(
+            "repro_hostile", "hostile labels", "gauge", "name",
+            [(value, index + 1) for index, value in enumerate(values)],
+        )])
 
-    def test_eof_terminator_and_sorted_families(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_b_total", "b").inc()
-        registry.gauge("repro_a", "a").set(1)
-        text = prometheus_text(registry)
+    def test_eof_terminator_and_sorted_families(self, random_graph):
+        recording = Recording()
+        run_query(random_graph, QUERY_POOL[0], ClusterConfig(num_machines=2),
+                  context=ExecutionContext(recording=recording))
+        text = recording.prometheus()
         assert text.endswith("# EOF\n")
         families = [line.split()[2] for line in text.splitlines()
                     if line.startswith("# TYPE")]
         assert families == sorted(families)
 
     def test_hostile_label_values_round_trip(self):
-        registry = self.registry_with(HOSTILE_VALUES)
-        parsed = parse_prometheus(prometheus_text(registry))
+        parsed = parse_prometheus(self.exposition_with(HOSTILE_VALUES))
         seen = {}
         for (name, labels), value in parsed.items():
             if name == "repro_hostile":
@@ -307,8 +323,7 @@ class TestPrometheusRoundTrip:
     ))
     @settings(max_examples=80, deadline=None)
     def test_any_label_value_round_trips(self, value):
-        registry = self.registry_with([value])
-        parsed = parse_prometheus(prometheus_text(registry))
+        parsed = parse_prometheus(self.exposition_with([value]))
         assert parsed[
             ("repro_hostile", frozenset({("name", value)}))
         ] == 1

@@ -1,7 +1,6 @@
-"""A recording's metrics: registry semantics, sampling, exporters,
-acceptance.
+"""A recording's metrics: histograms, sampling, exporters, acceptance.
 
-Covers label-aware metric families with
+Covers fixed-bucket histograms with
 Prometheus ``le`` bucket semantics, the per-tick time-series sampler's
 determinism and its bounded-memory acceptance property
 (``max(buffered_max) == QueryMetrics.peak_buffered_contexts <= budget``),
@@ -9,23 +8,24 @@ exporter round-trips, union-seam merging, and the abort diagnostics the
 flow-control gauges feed.
 """
 
+import re
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.errors import QueryAborted, TelemetryError
+from repro.errors import QueryAborted
 from repro.graph import uniform_random_graph
 from repro.obs import (
     MACHINE_COLUMNS,
-    MetricsRegistry,
     Recording,
     parse_prometheus,
     parse_series_csv,
     parse_series_jsonl,
-    prometheus_text,
     series_csv,
     series_jsonl,
 )
 from repro.context import ExecutionContext
+from repro.obs.recording import Histogram
 from repro.runtime import PgxdAsyncEngine
 
 QUERY = "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"
@@ -42,182 +42,152 @@ def run_telemetry_query(machines=4, seed=0, interval=1, query=QUERY,
     ))
 
 
+def run_union_query(**kwargs):
+    return run_telemetry_query(
+        query="SELECT a, b WHERE (a)-/{1,2}/->(b)",
+        vertices=60, edges=240, machines=2, **kwargs
+    )
+
+
+def exported_families(text):
+    """``{family: [(sample name, labels dict)]}`` of an exposition, each
+    sample filed under the ``# TYPE`` line above it."""
+    families, current = {}, None
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            current = line.split()[2]
+            assert current not in families, "family %s twice" % current
+            families[current] = []
+        elif line and not line.startswith("#"):
+            ((name, labels),) = parse_prometheus(line)
+            assert name.startswith(current)
+            families[current].append((name, dict(labels)))
+    return families
+
+
 # ----------------------------------------------------------------------
-# Registry semantics
+# Families, names and labelsets of the export
 # ----------------------------------------------------------------------
 class TestCounterGauge:
-    def test_counter_monotone(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total")
-        counter.inc()
-        counter.inc(4)
-        assert counter.get() == 5
-        with pytest.raises(TelemetryError):
-            counter.inc(-1)
-
-    def test_gauge_up_and_down(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(10)
-        gauge.inc(3)
-        gauge.dec()
-        assert gauge.get() == 12
-
     def test_invalid_metric_name(self):
-        with pytest.raises(TelemetryError):
-            MetricsRegistry().counter("9bad-name")
+        """Every exported family and label name is a valid Prometheus
+        name, and so is every sample derived from one."""
+        name_re = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
+        label_re = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
+        text = run_union_query().recording.prometheus()
+        for family, samples in exported_families(text).items():
+            assert name_re.match(family)
+            for name, labels in samples:
+                assert name_re.match(name)
+                assert all(label_re.match(label) for label in labels)
 
 
 class TestLabels:
     def test_children_per_labelset(self):
-        registry = MetricsRegistry()
-        family = registry.counter("msgs_total", labels=("machine",))
-        family.labels(0).inc()
-        family.labels("0").inc()  # stringified: same child
-        family.labels(1).inc(5)
-        assert family.labels(0).get() == 2
-        assert family.labels(1).get() == 5
-        assert [values for values, _ in family.children()] == [
-            ("0",), ("1",)
-        ]
-
-    def test_labels_by_keyword(self):
-        registry = MetricsRegistry()
-        family = registry.gauge("g", labels=("machine", "stage"))
-        family.labels(machine=1, stage=2).set(7)
-        assert family.labels(1, 2).get() == 7
+        """One sample per machine, in label-value string order."""
+        recording = run_telemetry_query(machines=12).recording
+        families = exported_families(recording.prometheus())
+        machines = [labels["machine"]
+                    for _name, labels in families["repro_live_frames"]]
+        assert machines == sorted(str(m) for m in range(12))
+        assert machines[:3] == ["0", "1", "10"]
 
     def test_wrong_label_count_rejected(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c_total", labels=("machine",))
-        with pytest.raises(TelemetryError):
-            family.labels(1, 2)
-        with pytest.raises(TelemetryError):
-            family.labels(stage=1)
-
-    def test_labelled_family_rejects_direct_use(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c_total", labels=("machine",))
-        with pytest.raises(TelemetryError):
-            family.inc()
-
-    def test_redeclare_same_signature_is_idempotent(self):
-        registry = MetricsRegistry()
-        first = registry.counter("c_total", labels=("machine",))
-        again = registry.counter("c_total", labels=("machine",))
-        assert first is again
+        """Each sample carries exactly its family's label (plus ``le``
+        on histogram buckets)."""
+        text = run_union_query().recording.prometheus()
+        for family, samples in exported_families(text).items():
+            label_sets = {
+                frozenset(labels) - {"le"} for _name, labels in samples
+            }
+            assert len(label_sets) <= 1, family
 
     def test_conflicting_redeclare_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("m")
-        with pytest.raises(TelemetryError):
-            registry.gauge("m")
-        registry.histogram("h", buckets=(1, 2))
-        with pytest.raises(TelemetryError):
-            registry.histogram("h", buckets=(1, 2, 3))
+        """Every family is declared once, with one HELP and one TYPE."""
+        text = run_telemetry_query().recording.prometheus()
+        families = exported_families(text)
+        for prefix in ("# HELP ", "# TYPE "):
+            declared = [line.split()[2] for line in text.splitlines()
+                        if line.startswith(prefix)]
+            assert declared == sorted(families)
 
 
+# ----------------------------------------------------------------------
+# Histograms and union folds
+# ----------------------------------------------------------------------
 class TestHistogramBuckets:
     def test_le_semantics_at_the_edges(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1, 2, 4))
+        histogram = Histogram((1, 2, 4))
         # A value exactly on a bound belongs to that bound's bucket
         # (Prometheus "le" semantics); one past the last bound overflows.
         for value in (0, 1, 2, 3, 4, 5, 100):
             histogram.observe(value)
-        child = histogram._sole_child()
-        assert child.counts == [2, 1, 2, 2]  # <=1, <=2, <=4, +Inf
-        assert child.count == 7
-        assert child.sum == 115
+        assert histogram.counts == [2, 1, 2, 2]  # <=1, <=2, <=4, +Inf
+        assert histogram.count == 7
+        assert histogram.sum == 115
 
     def test_cumulative_ends_with_inf(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1, 2))
-        histogram.observe(0)
-        histogram.observe(9)
-        cumulative = histogram._sole_child().cumulative()
-        assert cumulative == [(1, 1), (2, 1), (float("inf"), 2)]
-
-    def test_bucketless_histogram_rejected(self):
-        with pytest.raises(TelemetryError):
-            MetricsRegistry().histogram("h", buckets=())
+        histogram = Histogram((1, 2), values=(0, 9))
+        assert histogram.cumulative() == [(1, 1), (2, 1), (float("inf"), 2)]
 
 
 class TestMerge:
     def test_counters_add_gauges_take_later_value(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.counter("c_total").inc(3)
-        second.counter("c_total").inc(4)
-        first.gauge("g").set(10)
-        second.gauge("g").set(2)
-        first.merge(second)
-        assert first.get("c_total").get() == 7
-        assert first.get("g").get() == 2
+        """A union's counters add across its expansions, and its
+        end-state gauges are the last expansion's final sample."""
+        recording = run_union_query().recording
+        parsed = parse_prometheus(recording.prometheus())
+        for machine_id, series in recording.series.machines.items():
+            label = frozenset({("machine", str(machine_id))})
+            assert parsed[("repro_ops_total", label)] == sum(series["ops"])
+            assert parsed[("repro_buffered_contexts", label)] \
+                == series["buffered"][-1]
 
     def test_histograms_add_bucketwise(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.histogram("h", buckets=(1, 2)).observe(1)
-        second.histogram("h", buckets=(1, 2)).observe(5)
-        first.merge(second)
-        child = first.get("h")._sole_child()
-        assert child.counts == [1, 0, 1]
-        assert child.count == 2
-
-    def test_mismatched_bounds_rejected(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.histogram("h", buckets=(1, 2)).observe(1)
-        second.histogram("h", buckets=(1, 4)).observe(1)
-        with pytest.raises(TelemetryError):
-            first.merge(second)
-
-    def test_merge_imports_missing_families(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        second.counter("only_there_total", labels=("machine",)) \
-            .labels(3).inc(9)
-        first.merge(second)
-        assert first.get("only_there_total").labels(3).get() == 9
+        first = Histogram((1, 2), values=(1,))
+        second = Histogram((1, 2), values=(5,))
+        assert first.merge(second) is first
+        assert first.counts == [1, 0, 1]
+        assert first.count == 2
+        assert first.sum == 6
 
 
 # ----------------------------------------------------------------------
 # Exporter round-trips
 # ----------------------------------------------------------------------
 class TestExporters:
-    def build_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_ops_total", "ops", labels=("machine",)) \
-            .labels(0).inc(42)
-        registry.get("repro_ops_total").labels(1).inc(7)
-        registry.gauge("repro_budget", "budget").set(960)
-        histogram = registry.histogram(
-            "repro_latency_ticks", "latency", buckets=(1, 2, 4)
-        )
-        for value in (0, 1, 3, 9):
-            histogram.observe(value)
-        return registry
-
     def test_prometheus_round_trip(self):
-        registry = self.build_registry()
-        text = prometheus_text(registry)
+        recording = run_telemetry_query().recording
+        text = recording.prometheus()
         parsed = parse_prometheus(text)
+        ops = recording.metrics.per_machine[0].ops
         assert parsed[("repro_ops_total", frozenset({("machine", "0")}))] \
-            == 42
-        assert parsed[("repro_budget", frozenset())] == 960
+            == ops
+        assert parsed[("repro_buffered_contexts_budget", frozenset())] \
+            == recording.series.budget
         # le buckets are cumulative and end with +Inf.
+        latency = recording.message_latency
+        cumulative = dict(latency.cumulative())
         assert parsed[(
-            "repro_latency_ticks_bucket", frozenset({("le", "4")})
-        )] == 3
+            "repro_message_latency_ticks_bucket", frozenset({("le", "8")})
+        )] == cumulative[8]
         assert parsed[(
-            "repro_latency_ticks_bucket", frozenset({("le", "+Inf")})
-        )] == 4
-        assert parsed[("repro_latency_ticks_count", frozenset())] == 4
-        # Every sample the registry flattens appears in the text.
-        assert len(parsed) == len(registry.samples())
+            "repro_message_latency_ticks_bucket",
+            frozenset({("le", "+Inf")}),
+        )] == latency.count
+        assert parsed[("repro_message_latency_ticks_count", frozenset())] \
+            == latency.count
+        # Every sample line of the text parses to one distinct entry.
+        samples = [line for line in text.splitlines()
+                   if not line.startswith("#")]
+        assert len(parsed) == len(samples)
 
     def test_prometheus_headers(self):
-        text = prometheus_text(self.build_registry())
+        text = run_telemetry_query().recording.prometheus()
         assert "# TYPE repro_ops_total counter" in text
-        assert "# TYPE repro_latency_ticks histogram" in text
-        assert "# HELP repro_budget budget" in text
+        assert "# TYPE repro_message_latency_ticks histogram" in text
+        assert "# HELP repro_buffered_contexts_budget configured " \
+            "receiver-side context budget" in text
 
     def test_series_round_trip(self):
         result = run_telemetry_query()
@@ -285,22 +255,19 @@ class TestEndToEnd:
 
     def test_mirrored_counters_match_query_metrics(self):
         result = run_telemetry_query()
-        registry = result.recording.registry
-        total_ops = sum(
-            child.get()
-            for _values, child in registry.get("repro_ops_total").children()
-        )
-        assert total_ops == result.metrics.total_ops
-        results_emitted = sum(
-            child.get()
-            for _values, child in
-            registry.get("repro_results_emitted_total").children()
-        )
-        assert results_emitted == result.metrics.num_results
+        parsed = parse_prometheus(result.recording.prometheus())
+
+        def total(name):
+            return sum(value for (metric, _labels), value in parsed.items()
+                       if metric == name)
+
+        assert total("repro_ops_total") == result.metrics.total_ops
+        assert total("repro_results_emitted_total") \
+            == result.metrics.num_results
 
     def test_message_latency_histogram_populated(self):
         result = run_telemetry_query()
-        latency = result.recording.message_latency._sole_child()
+        latency = result.recording.message_latency
         assert latency.count > 0
         # Transit time can never be negative in the simulator.
         assert latency.sum >= latency.count  # latency >= 1 tick each
@@ -322,10 +289,7 @@ class TestEndToEnd:
         assert "peak_buffered=" in summary
 
     def test_union_query_merges_telemetry(self):
-        result = run_telemetry_query(
-            query="SELECT a, b WHERE (a)-/{1,2}/->(b)",
-            vertices=60, edges=240, machines=2,
-        )
+        result = run_union_query()
         recording = result.recording
         assert recording is not None
         # Ticks accumulate across the expansions, and the series'

@@ -10,7 +10,7 @@ import pytest
 from repro import ClusterConfig, ExecutionContext, QueryMetrics
 from repro.cluster.metrics import MachineMetrics
 from repro.errors import QueryAborted
-from repro.obs import Recording
+from repro.obs import Recording, parse_prometheus
 from repro.plan import PlannerOptions, SchedulingPolicy
 from repro.runtime import PgxdAsyncEngine
 
@@ -183,16 +183,17 @@ class TestUnionContext:
         assert recording.prometheus() == again.prometheus()
 
     def test_registry_totals_add_across_expansions(self, engine):
-        """The machines' counters are written once per expansion, at its
-        seal; merged, they are the union's QueryMetrics totals."""
+        """The machines' counters are kept once per expansion, at its
+        seal; exported, they are the union's QueryMetrics totals."""
         recording = Recording()
         metrics = engine.query(self.QUERY, context=ExecutionContext(
             recording=recording
         )).metrics
+        parsed = parse_prometheus(recording.prometheus())
 
         def total(name):
-            return sum(child.get() for _labels, child in
-                       recording.registry.get(name).children())
+            return sum(value for (metric, _labels), value in parsed.items()
+                       if metric == name)
 
         assert total("repro_ops_total") == metrics.total_ops
         assert total("repro_work_messages_sent_total") \
@@ -204,8 +205,45 @@ class TestUnionContext:
         assert total("repro_results_emitted_total") == metrics.num_results
         assert total("repro_idle_ticks_total") == metrics.total_idle_ticks
         for machine_id, columns in recording.series.machines.items():
-            assert recording.registry.get("repro_ops_total") \
-                .labels(machine_id).get() == sum(columns["ops"])
+            assert parsed[(
+                "repro_ops_total", frozenset({("machine", str(machine_id))})
+            )] == sum(columns["ops"])
+
+    def test_union_exports_its_own_drift(self, engine):
+        """The expansions were planned separately, so a union exports no
+        operator drift; its skew gauges are its own profile's."""
+        recording = Recording()
+        result = engine.query(
+            self.QUERY, PlannerOptions(scheduling=SchedulingPolicy.COST),
+            ExecutionContext(recording=recording),
+        )
+        profile = result.execution_profile()
+        assert profile.operators == []
+        parsed = parse_prometheus(recording.prometheus())
+        names = {name for name, _labels in parsed}
+        assert not names & {"repro_plan_estimated_rows",
+                            "repro_plan_actual_rows", "repro_plan_q_error",
+                            "repro_plan_q_error_max"}
+        skew = {int(dict(labels)["stage"]): value
+                for (name, labels), value in parsed.items()
+                if name == "repro_stage_skew_ratio"}
+        assert profile.skew
+        assert skew == {row["stage"]: row["ratio"] for row in profile.skew}
+
+    def test_aborted_union_exports_no_drift(self, engine):
+        first = engine.query("SELECT a, b WHERE (a)-[]->(b)")
+        recording = Recording()
+        with pytest.raises(QueryAborted):
+            engine.query(
+                self.QUERY, PlannerOptions(scheduling=SchedulingPolicy.COST),
+                ExecutionContext(recording=recording,
+                                 deadline=first.metrics.ticks + 2),
+            )
+        assert recording.drift is None
+        assert not any(
+            name.startswith(("repro_plan_", "repro_stage_skew"))
+            for name, _labels in parse_prometheus(recording.prometheus())
+        )
 
     def test_abort_keeps_the_aborting_expansions_recording(self, engine):
         """Expansion 2 of 2 runs out of budget: the caller's recording
