@@ -130,10 +130,12 @@ class QueryStalled(RuntimeFault):
     * ``flow_state`` — the per-machine snapshot of
       :class:`QueryAborted` ``.flow_state``;
     * ``sleep_state`` — per machine, ``QueryMachine.sleep_state()``:
-      which workers are awake, whether housekeeping is armed, and which
+      which workers are awake, whether housekeeping is armed, which
       sleeping workers are registered under which ``(stage, dest)``
-      window — so the report names *which* worker slept through
-      *which* window.
+      window, and which buffers are *stranded* (non-empty, their window
+      open, but not marked flushable) — so the report names *which*
+      worker slept through *which* window, or which buffer no flush
+      will visit.
     """
 
     title = "query stalled"
@@ -193,15 +195,17 @@ def stop_report(stopped):
             text += " windows [%s]" % _windows(entry["occupancy"], str)
         lines.append(("flow", text))
     for entry in getattr(stopped, "sleep_state", None) or ():
-        if entry["parked"] or len(entry["awake"]) < entry["workers"]:
+        if (entry["parked"] or entry["stranded"]
+                or len(entry["awake"]) < entry["workers"]):
             parked = _windows(entry["parked"],
                               lambda workers: _workers(workers, "+"))
             lines.append(("sleep", "m%d awake=[%s] housekeeping=%s "
-                          "parked=[%s]" % (
+                          "parked=[%s] stranded=[%s]" % (
                               entry["machine"],
                               _workers(entry["awake"], ","),
                               "on" if entry["housekeeping"] else "off",
                               parked,
+                              _windows(entry["stranded"], str),
                           )))
     return lines
 

@@ -99,14 +99,32 @@ class QueryMachine:
             num_stages, num_machines, machine_id
         )
 
-        #: Outgoing bulk buffers: (stage, dest) -> list of items.
+        #: Outgoing bulk buffers: (stage, dest) -> list of items.  Lists
+        #: are emptied in place (never replaced), so a reference taken
+        #: once stays the live buffer for the machine's lifetime.
         self._outgoing = {}
-        #: The same buffers grouped by target stage, as (dest, buffer)
-        #: pairs in creation order — lets the per-step completion scan
-        #: look at one stage's buffers instead of the whole dict.
-        #: Buffer lists are emptied in place (never replaced), so the
-        #: pairs stay valid for the machine's lifetime.
-        self._outgoing_by_stage = [[] for _ in range(num_stages)]
+        #: The flushable set: one bit per buffer, ordered as the idle
+        #: flush visits them — latest stage first, then creation order
+        #: within a stage: bit ``(num_stages - 1 - stage) * num_machines
+        #: + rank``.  A bit is set where its buffer can gain items
+        #: (:meth:`_buffer`, :meth:`_enqueue`) or its window can admit
+        #: again (:meth:`_window_opened`, :meth:`wake_all`), and cleared
+        #: when a flush scan visits it; so every non-empty buffer whose
+        #: window admits a flush has its bit set.
+        self._flushable = 0
+        #: Bits of every buffer created so far (what wake_all marks).
+        self._created = 0
+        #: Bit position -> ``(stage, dest, buffer)``, None until created.
+        self._slots = [None] * (num_stages * num_machines)
+        #: (stage, dest) -> its bit.
+        self._slot_bit = {}
+        #: Per stage, the mask of its bit range; one extra zero entry
+        #: for the stage after the last.
+        self._stage_bits = [
+            ((1 << num_machines) - 1)
+            << (num_stages - 1 - stage) * num_machines
+            for stage in range(num_stages)
+        ] + [0]
         #: First stage whose COMPLETED we have not sent yet (sent stages
         #: always form a prefix; see :meth:`_attempt_completions`).
         self._completions_from = 0
@@ -159,6 +177,11 @@ class QueryMachine:
         #: synchronously waiting worker has not seen yet.
         self._acked_seqs = set()
         self._quota_rr = 0
+        #: Per destination, the peers a quota request may go to.
+        self._quota_peers = [
+            [m for m in range(num_machines) if m not in (machine_id, dest)]
+            for dest in range(num_machines)
+        ]
         self._phase = _BOOTSTRAP
         # Sleep state (docs/performance.md, "The idle path").  A slice
         # of worker w is its own DOWORK scan D(w) plus the machine
@@ -278,7 +301,15 @@ class QueryMachine:
             self._sync_wait = None
         if used == 0:
             metrics.idle_ticks += 1
-        self._attempt_completions()
+        # Attempt completions only when one can happen: the first
+        # unsent stage's predecessor is complete, and either it can
+        # complete itself or its output buffers hold a marked straggler.
+        stage = self._completions_from
+        if stage < self._num_stages and (
+            (self.stage_load[stage] == 0 and not self._bootstrap_chunks)
+            or self._flushable & self._stage_bits[stage + 1]
+        ) and self.termination.predecessor_complete(stage):
+            self._attempt_completions()
         # Pure-idle slice: nothing ran, nothing was sent (every send a
         # slice can make bumps one of the two message counters) and no
         # protocol state moved, so H would repeat the same no-op.
@@ -301,17 +332,25 @@ class QueryMachine:
         return used
 
     def wake_all(self):
-        """Every worker rescans and housekeeping reruns: for the events
-        that can enable anything (a COMPLETED, a window redistribution)
-        and for blocking mode, which does not model who waits on what."""
+        """Every worker rescans, every parked computation re-checks its
+        window, every buffer is flushable and housekeeping reruns: for
+        the events that can enable anything (a COMPLETED, a window
+        redistribution) and for blocking mode, which does not model who
+        waits on what."""
         self._awake = self._all_workers
+        self._parked = [0] * len(self._parked)
+        self._flushable = self._created
         self._housekeeping = True
 
     def sleep_state(self):
         """Diagnostic snapshot for :class:`~repro.errors.QueryStalled`:
-        the awake workers, the housekeeping flag, and per ``(stage,
-        dest)`` window the sleeping workers registered under it."""
+        the awake workers, the housekeeping flag, per ``(stage, dest)``
+        window the sleeping workers registered under it, and the
+        *stranded* buffers — non-empty, their window admitting a flush,
+        yet unmarked, so no flush scan will visit them — with their
+        item counts."""
         indices = range(len(self._workers))
+        can_flush = self.flow.can_flush
         return {
             "workers": len(self._workers),
             "awake": [w for w in indices if self._awake >> w & 1],
@@ -321,6 +360,12 @@ class QueryMachine:
                     w for w in indices if mask >> w & 1
                 ]
                 for window, mask in enumerate(self._parked) if mask
+            },
+            "stranded": {
+                key: len(self._outgoing[key])
+                for key, bit in self._slot_bit.items()
+                if self._outgoing[key] and can_flush(*key)
+                and not self._flushable & bit
             },
         }
 
@@ -448,6 +493,7 @@ class QueryMachine:
         on it can resume, and a buffer waiting behind it can flush."""
         self._wake_parked(stage * self._num_machines + dest)
         if self._outgoing.get((stage, dest)):
+            self._flushable |= self._slot_bit[stage, dest]
             self._housekeeping = True
 
     def is_finished(self):
@@ -603,12 +649,22 @@ class QueryMachine:
     # Message manager: bulk buffers
     # ------------------------------------------------------------------
     def _buffer(self, stage, dest):
+        """The (stage, dest) buffer, created on first use, marked
+        flushable: the bulk kernels call this once per call per
+        destination before appending to the buffer directly."""
         key = (stage, dest)
         buffer = self._outgoing.get(key)
         if buffer is None:
             buffer = []
             self._outgoing[key] = buffer
-            self._outgoing_by_stage[stage].append((dest, buffer))
+            # The stage's first free slot: its creation rank.
+            position = (self._num_stages - 1 - stage) * self._num_machines
+            while self._slots[position] is not None:
+                position += 1
+            self._slots[position] = (stage, dest, buffer)
+            self._slot_bit[key] = 1 << position
+            self._created |= 1 << position
+        self._flushable |= self._slot_bit[key]
         return buffer
 
     def can_enqueue(self, stage, dest):
@@ -625,6 +681,7 @@ class QueryMachine:
         if len(buffer) >= bulk and not self._flush(stage, dest):
             return False
         buffer.append(item)
+        self._flushable |= self._slot_bit[stage, dest]
         self.metrics.buffered_delta(_item_weight(item))
         if len(buffer) >= bulk:
             self._flush(stage, dest)  # opportunistic; failure is fine
@@ -704,31 +761,38 @@ class QueryMachine:
 
     def _outbuf_empty_for(self, stage):
         """No buffered unsent contexts targeting *stage*."""
-        for _dest, buffer in self._outgoing_by_stage[stage]:
-            if buffer:
+        base = (self._num_stages - 1 - stage) * self._num_machines
+        for slot in self._slots[base:base + self._num_machines]:
+            if slot is None:
+                return True  # a stage's slots fill in creation order
+            if slot[2]:
                 return False
         return True
 
-    def idle_progress(self):
-        """Opportunistic work for an otherwise idle worker: flush buffers.
+    def _flush_marked(self, mask):
+        """Visit the flushable buffers of *mask*, lowest bit first, and
+        flush each non-empty one whose window admits it; returns the
+        number flushed.  The caller clears the visited bits: a buffer
+        left unsent is re-marked by the event that lets it flush."""
+        slots = self._slots
+        flushed = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            stage, dest, buffer = slots[low.bit_length() - 1]
+            if buffer and self._flush_buffer(stage, dest, buffer):
+                flushed += 1
+        return flushed
 
-        Iterates latest stage first; within a stage, registry order is
-        the global buffer-creation order — the same sequence the old
-        stable sort over ``self._outgoing`` produced.
-        """
-        ops = 0
-        can_flush = self.flow.can_flush
-        for stage in range(self._num_stages - 1, -1, -1):
-            for dest, buffer in self._outgoing_by_stage[stage]:
-                # Window check first: idle scans mostly meet full
-                # buffers whose window is still closed.
-                if (
-                    buffer
-                    and can_flush(stage, dest)
-                    and self._flush_buffer(stage, dest, buffer)
-                ):
-                    ops += self.config.message_send_cost
-        return ops
+    def idle_progress(self):
+        """Opportunistic work for an otherwise idle worker: flush every
+        buffer that can flush, latest stage first and in creation order
+        within a stage — the order of the flushable set's bits."""
+        mask = self._flushable
+        if not mask:
+            return 0
+        self._flushable = 0
+        return self._flush_marked(mask) * self.config.message_send_cost
 
     # ------------------------------------------------------------------
     # Dynamic flow control: quota borrowing
@@ -736,11 +800,7 @@ class QueryMachine:
     def maybe_request_quota(self, stage, dest):
         if not self.flow.wants_quota(stage, dest):
             return
-        peers = [
-            machine
-            for machine in range(self._num_machines)
-            if machine not in (self.machine_id, dest)
-        ]
+        peers = self._quota_peers[dest]
         if not peers:
             return
         peer = peers[self._quota_rr % len(peers)]
@@ -761,25 +821,25 @@ class QueryMachine:
         # Sent stages always form a prefix: marking stage n requires
         # stage n-1 globally complete, which includes our own mark.
         # Start at the cached first-unsent stage instead of rescanning
-        # (this runs after every worker step).
+        # (worker_step calls this only when one can complete).
         num_stages = self._num_stages
         for stage in range(self._completions_from, num_stages):
             if not self.termination.predecessor_complete(stage):
                 break
-            # Outgoing buffers *from* this stage target stage + 1.
-            outbuf_empty = (
-                stage + 1 >= num_stages
-                or self._outbuf_empty_for(stage + 1)
+            # Outgoing buffers *from* this stage target stage + 1: push
+            # the stragglers out right now.
+            stragglers = self._flushable & self._stage_bits[stage + 1]
+            if stragglers:
+                self._flushable ^= stragglers
+                self._flush_marked(stragglers)
+            # newly_completable is pure: the emptiness scan is only
+            # needed when the load check passes.
+            load = self.stage_load[stage]
+            outbuf_empty = load == 0 and (
+                stage + 1 >= num_stages or self._outbuf_empty_for(stage + 1)
             )
-            if not outbuf_empty:
-                # Try to push the stragglers out right now.
-                for dest, buffer in self._outgoing_by_stage[stage + 1]:
-                    if buffer and self.flow.can_flush(stage + 1, dest):
-                        self._flush_buffer(stage + 1, dest, buffer)
-                outbuf_empty = self._outbuf_empty_for(stage + 1)
             if not self.termination.newly_completable(
-                stage, self.bootstrap_done, self.stage_load[stage],
-                outbuf_empty,
+                stage, self.bootstrap_done, load, outbuf_empty,
             ):
                 break
             self.termination.mark_sent(stage)

@@ -166,12 +166,16 @@ class Worker:
                     slots[stage_index] = comp
                 elif comp.blocked_on is not None:
                     stage, dest = comp.blocked_on
+                    window = stage * rt._num_machines + dest
+                    if rt._parked[window] & self.bit:
+                        # Registered and not woken since: the window is
+                        # still shut and its quota request unanswered.
+                        continue
                     if not rt.can_enqueue(stage, dest):
                         rt.maybe_request_quota(stage, dest)
                         # Still blocked: whatever reopens this window
                         # wakes us.  Try earlier stages.
-                        rt._parked[stage * rt._num_machines + dest] \
-                            |= self.bit
+                        rt._parked[window] |= self.bit
                         continue
                     comp.blocked_on = None
                     if rt.recording is not None:

@@ -38,12 +38,19 @@ from repro.service import QueryService, ServiceConfig
 @contextlib.contextmanager
 def never_quiet_reference():
     """Run with nothing ever asleep: every slice takes the full
-    ``worker_step`` path (DOWORK scan and housekeeping), through the one
-    wake-everything method the machine has."""
+    ``worker_step`` path (DOWORK scan and housekeeping), every parked
+    computation re-checks its window and every buffer is visited by the
+    flush scans.  The state is reset here rather than through
+    ``wake_all``, so an omission in ``wake_all`` is not shared."""
     sleeping_step = QueryMachine.worker_step
 
     def worker_step(self, worker_index, budget):
-        self.wake_all()
+        self._awake = self._all_workers
+        self._housekeeping = True
+        self._parked = [0] * len(self._parked)
+        self._flushable = sum(
+            1 << bit for bit, slot in enumerate(self._slots) if slot
+        )
         return sleeping_step(self, worker_index, budget)
 
     QueryMachine.worker_step = worker_step
@@ -372,11 +379,14 @@ class TestWakeUps:
             simulator, machines, parked_on_high_worker
         )
         budget = simulator.config.ops_per_tick
-        # The window opens with its wake-up lost (flow state moved
-        # behind the machine's back): the flush that follows is the
-        # second line of defence.
-        machine.flow._inflight[stage][dest] -= 1
-        machine._housekeeping = True
+        # An Ack opens the window with its wake-up lost: the flush that
+        # follows is the second line of defence.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                QueryMachine, "_wake_parked", lambda self, window: None
+            )
+            machine.on_message(dest, Ack(stage, 1))
+        assert machine._awake == 0 and machine._housekeeping
         scanned = _record_scans(monkeypatch)
         sent = machine.metrics.work_messages_sent
         assert machine.worker_step(0, budget) > 0  # H only: idle flush
@@ -528,6 +538,98 @@ class TestLostWakeUp:
         assert "s%d->m%d:w%d" % (stage, dest, workers[0]) in text
         assert "stages complete" in text
         assert stalled.flow_state[sleepers[0]["machine"]]["buffered_contexts"]
+
+
+def _unmarked(method, dropped=None):
+    """*method* with its flushable mark taken out: the bits the call
+    sets are cleared again, except a buffer's that the call created
+    (that mark is ``_buffer``'s).  *dropped* collects ``(machine, stage,
+    dest)`` for every mark taken out."""
+    def unmarked(self, stage, dest, *rest):
+        before, created = self._flushable, self._created
+        result = method(self, stage, dest, *rest)
+        lost = self._flushable & ~(before | (self._created ^ created))
+        if lost:
+            self._flushable ^= lost
+            if dropped is not None:
+                dropped.add((self.machine_id, stage, dest))
+        return result
+    return unmarked
+
+
+def _outcome(graph, query, config):
+    """Everything a run reports, or the tick at which it stalled."""
+    try:
+        return _observation(run_query(
+            graph, query, config,
+            context=ExecutionContext(recording=Recording()),
+        ))
+    except QueryStalled as stalled:
+        return "stalled at tick %d" % stalled.tick
+
+
+class TestUpdateSites:
+    """The flushable set and the parked registrations are exact only if
+    every site that must set a bit or take a registration does.  Each
+    test takes one site out on a fixed window-1 run, which must then
+    stall or differ from the never-quiet reference: the hypothesis
+    differential, at its default example count, does not reach every
+    site."""
+
+    def test_window_opened_mark_is_a_stall_naming_the_stranded_buffer(
+            self, monkeypatch):
+        dropped = set()
+        monkeypatch.setattr(QueryMachine, "_window_opened", _unmarked(
+            QueryMachine._window_opened, dropped
+        ))
+        simulator, _machines = _prepared(**PRESSURE)
+        with pytest.raises(QueryStalled) as caught:
+            while not simulator.step():
+                pass
+        stalled = caught.value
+        stranded = [
+            (entry["machine"], window, items)
+            for entry in stalled.sleep_state
+            for window, items in sorted(entry["stranded"].items())
+        ]
+        assert stranded
+        machine, (stage, dest), items = stranded[0]
+        assert (machine, stage, dest) in dropped
+        assert 0 < items <= PRESSURE["bulk_message_size"]
+        assert "stranded=[s%d->m%d:%d" % (stage, dest, items) \
+            in str(stalled)
+
+    def test_enqueue_mark(self, monkeypatch):
+        # Kernels off: every remote emission goes through _enqueue.
+        graph = uniform_random_graph(200, 1_200, seed=21, num_types=4)
+        config = ClusterConfig(num_machines=4, bulk_kernels=False,
+                               **PRESSURE)
+        with never_quiet_reference():
+            reference = _outcome(graph, PATH_QUERY, config)
+        monkeypatch.setattr(
+            QueryMachine, "_enqueue", _unmarked(QueryMachine._enqueue)
+        )
+        assert _outcome(graph, PATH_QUERY, config) != reference
+
+    def test_parked_reset_in_wake_all(self, monkeypatch):
+        # A redistributed window admits again with no Ack, no grant and
+        # no flush: only wake_all's reset lets its parked computations
+        # re-check it.
+        graph = uniform_random_graph(60, 240, seed=1, num_types=4)
+        config = ClusterConfig(num_machines=3, workers_per_machine=2,
+                               **PRESSURE)
+        query = "SELECT a, b, c, d WHERE (a)-[]->(b)-[]->(c)-[]->(d)"
+        with never_quiet_reference():
+            reference = _outcome(graph, query, config)
+        plain_wake_all = QueryMachine.wake_all
+
+        def wake_all(self):
+            parked = self._parked
+            plain_wake_all(self)
+            self._parked = parked
+
+        monkeypatch.setattr(QueryMachine, "wake_all", wake_all)
+        assert _outcome(graph, query, config) != reference
 
 
 class TestAckedSeqs:
