@@ -12,7 +12,7 @@ caller builds it and keeps it — and walks through everything it holds:
   ``max(buffered_max) == peak_buffered_contexts <= budget`` checked
   explicitly;
 * a dashboard frame rendered from the recorded series (the same frame
-  ``python -m repro monitor`` animates live);
+  ``python -m repro query --live`` animates);
 * the exporter round-trip (JSONL series back into typed rows);
 * a quick benchmark document and a self-comparison through the
   regression gate.
@@ -56,7 +56,7 @@ def main():
           result.metrics.peak_buffered_contexts)
     assert peak == result.metrics.peak_buffered_contexts <= sampler.budget
 
-    print("\n--- dashboard frame (what `repro monitor` animates) " + "-" * 8)
+    print("\n--- dashboard frame (what `repro query --live` animates) " + "-" * 4)
     for line in render_frame(sampler, recording.meta["ticks"]):
         print(line)
 

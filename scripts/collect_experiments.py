@@ -191,7 +191,7 @@ def main(output_path="EXPERIMENTS.md"):
         print("running %s ..." % title.split(" — ")[0], flush=True)
         table, elapsed = capture(func)
         print("  done in %.1fs" % elapsed, flush=True)
-        sections.append((title, paper, measured, table, elapsed))
+        sections.append((title, paper, measured, table))
 
     with open(output_path, "w") as handle:
         handle.write(_render(sections))
@@ -223,7 +223,7 @@ def _render(sections):
         "asserts every shape claim below on each run.",
         "",
     ]
-    for title, paper, measured, table, elapsed in sections:
+    for title, paper, measured, table in sections:
         lines.append("## %s" % title)
         lines.append("")
         lines.append("**Paper.** %s" % paper)
@@ -233,8 +233,6 @@ def _render(sections):
         lines.append("```")
         lines.append(table)
         lines.append("```")
-        lines.append("")
-        lines.append("_(harness wall time: %.1fs)_" % elapsed)
         lines.append("")
     return "\n".join(lines)
 

@@ -22,7 +22,7 @@ Typical use::
     result = run_query(graph, pgql, config)   # exact results, or
                                               # QueryAborted — never a hang
 
-From the shell: ``python -m repro chaos --profile soak --verify ...``.
+From the shell: ``python -m repro query --chaos soak --verify ...``.
 """
 
 from repro.chaos.controller import ChaosController

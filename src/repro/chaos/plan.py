@@ -83,7 +83,7 @@ class ChaosConfig:
         return dc_replace(self, **changes)
 
 
-#: Named fault mixes for the CLI (``repro chaos --profile``) and CI.
+#: Named fault mixes for the CLI (``repro query --chaos``) and CI.
 PROFILES = {
     "drop": dict(drop_rate=0.05),
     "dup": dict(duplicate_rate=0.05),

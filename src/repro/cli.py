@@ -8,13 +8,13 @@ Usage examples::
     python -m repro query --graph data/graph.json --explain \\
         "SELECT COUNT(*) WHERE (a)-[:friend]->(b)"
 
-    python -m repro trace --random 1000x5000 --machines 4 \\
+    python -m repro query --random 1000x5000 --machines 4 --trace \\
         "SELECT a, b WHERE (a)-[]->(b)" --chrome-out trace.json
 
-    python -m repro chaos --random 1000x5000 --machines 4 --seed 7 \\
-        --profile soak --verify "SELECT a, b WHERE (a)-[]->(b)"
+    python -m repro query --random 1000x5000 --machines 4 --seed 7 \\
+        --chaos soak --verify "SELECT a, b WHERE (a)-[]->(b)"
 
-    python -m repro monitor --random 1000x5000 --machines 4 \\
+    python -m repro query --random 1000x5000 --machines 4 --live \\
         "SELECT a, b WHERE (a)-[]->(b)" --series-out series.jsonl
 
     python -m repro query --bsbm 500 --plan cost --explain \\
@@ -33,9 +33,14 @@ Usage examples::
     python -m repro analyze --bsbm 500 wcc
 
 Every command runs one function, named by ``set_defaults(func=...)``.
-A run that stops short (deadline, crash, stall) prints
-:func:`repro.errors.stop_report` and exits :data:`EXIT_ABORTED`; any
-other library error prints one line to stderr and exits
+``query`` runs one query: its view flags (``--explain-analyze``,
+``--trace``, ``--live``, ``--chrome-out``, ``--prom-out``,
+``--series-out``) give the run one recording and print or write its
+views, and ``--chaos PROFILE`` runs it on a faulty cluster.  A run that
+stops short (deadline, crash, stall) prints
+:func:`repro.errors.stop_report` (then the recording summary of a
+recorded run) and exits :data:`EXIT_ABORTED`; bad input prints one
+``repro <command>: error:`` line to stderr and exits
 :data:`EXIT_ERROR`.
 """
 
@@ -78,15 +83,34 @@ def build_parser():
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    query = _command(subparsers, "query", cmd_query, "run a PGQL query",
-                     _add_query_args)
+    query = _command(
+        subparsers, "query", cmd_query,
+        "run a PGQL query, optionally recorded (--trace, --live, ...) "
+        "or under a fault profile (--chaos)",
+        _add_engine_args,
+    )
+    query.add_argument("pgql", help="the PGQL query text")
+    query.add_argument("--semantics", default="homomorphism",
+                       choices=[s.value for s in MatchSemantics])
+    query.add_argument("--plan", default=SchedulingPolicy.APPEARANCE.value,
+                       choices=[p.value for p in SchedulingPolicy],
+                       help="vertex-ordering policy: appearance (query "
+                            "text order, the default), selectivity "
+                            "(greedy heuristic), or cost (statistics-"
+                            "backed cost model; also decides the "
+                            "common-neighbor operator)")
+    query.add_argument("--common-neighbors",
+                       action=argparse.BooleanOptionalAction, default=None,
+                       help="force the specialized common-neighbor hop "
+                            "on/off (default: off, except --plan cost "
+                            "where the cost model decides)")
+    query.add_argument("--timeout", type=int, default=None,
+                       metavar="TICKS",
+                       help="abort the query after TICKS simulated ticks "
+                            "(exit code %d, partial metrics printed)"
+                            % EXIT_ABORTED)
     query.add_argument("--explain", action="store_true",
                        help="print the stage plan instead of executing")
-    query.add_argument("--explain-analyze", action="store_true",
-                       help="print the stage plan annotated with runtime "
-                            "counters, estimated-vs-actual rows "
-                            "(q-error), and per-machine skew after "
-                            "executing")
     query.add_argument("--feedback-store", metavar="PATH",
                        help="planner feedback store (JSON): recorded "
                             "actuals correct the cost model's "
@@ -95,69 +119,51 @@ def build_parser():
     query.add_argument("--limit-print", type=int, default=20,
                        help="max rows to print (default 20)")
 
-    trace = _command(
-        subparsers, "trace", cmd_trace,
-        "run a PGQL query with event tracing and report the timeline",
-        _add_query_args,
+    views = query.add_argument_group(
+        "recording views",
+        "each of these records the run; a recorded run also prints its "
+        "recording summary",
     )
-    trace.add_argument("--chrome-out", metavar="PATH",
+    views.add_argument("--explain-analyze", action="store_true",
+                       help="print the stage plan annotated with runtime "
+                            "counters, estimated-vs-actual rows "
+                            "(q-error), and per-machine skew after "
+                            "executing")
+    views.add_argument("--trace", action="store_true",
+                       help="also print EXPLAIN ANALYZE, the per-machine "
+                            "profile and the utilization timeline")
+    views.add_argument("--live", action="store_true",
+                       help="render a dashboard while the query runs "
+                            "(sparklines per machine + stage wavefront; "
+                            "plain-text snapshots when stdout is not a "
+                            "TTY)")
+    views.add_argument("--chrome-out", metavar="PATH",
                        help="write a chrome://tracing JSON file")
-    trace.add_argument("--width", type=int, default=72,
-                       help="timeline width in columns (default 72)")
-    trace.add_argument("--max-events", type=int, default=1_000_000,
-                       help="cap on recorded trace events")
+    views.add_argument("--prom-out", metavar="PATH",
+                       help="write the recording's metrics in Prometheus "
+                            "text exposition format")
+    views.add_argument("--series-out", metavar="PATH",
+                       help="write the per-tick series (.csv for CSV, "
+                            "anything else JSONL)")
 
-    chaos = _command(
-        subparsers, "chaos", cmd_chaos,
-        "run a PGQL query under a fault profile with the "
-        "reliability layer, and report delivered-exactly-once stats",
-        _add_query_args,
+    faults = query.add_argument_group(
+        "fault injection",
+        "--stall, --crash and --verify need --chaos",
     )
-    chaos.add_argument("--profile", choices=sorted(PROFILES),
-                       default="soak",
-                       help="named fault mix (default: soak)")
-    chaos.add_argument("--drop", type=float, default=None,
-                       help="override the profile's message drop rate")
-    chaos.add_argument("--dup", type=float, default=None,
-                       help="override the duplication rate")
-    chaos.add_argument("--reorder", type=float, default=None,
-                       help="override the reordering rate")
-    chaos.add_argument("--max-delay", type=int, default=None,
-                       help="max extra ticks for reordered/duplicate copies")
-    chaos.add_argument("--stall", action="append", default=[],
-                       metavar="M@T+D",
-                       help="stall machine M's workers from tick T for D "
-                            "ticks (repeatable)")
-    chaos.add_argument("--crash", metavar="M@T",
-                       help="crash machine M at tick T (the query aborts)")
-    chaos.add_argument("--verify", action="store_true",
-                       help="also run fault-free and require identical "
-                            "results (exit 1 on mismatch)")
-    chaos.add_argument("--limit-print", type=int, default=0,
-                       help="max rows to print (default 0: stats only)")
-
-    monitor = _command(
-        subparsers, "monitor", cmd_monitor,
-        "run a recorded PGQL query behind a live terminal "
-        "dashboard (sparklines per machine + stage wavefront)",
-        _add_query_args,
-    )
-    monitor.add_argument("--interval", type=int, default=1,
-                         help="sample the series every N ticks (default 1)")
-    monitor.add_argument("--refresh", type=int, default=None,
-                         help="redraw every N samples (default: 8 on a "
-                              "TTY, 32 in snapshot mode)")
-    monitor.add_argument("--width", type=int, default=32,
-                         help="sparkline width in columns (default 32)")
-    monitor.add_argument("--snapshots", action="store_true",
-                         help="force plain-text snapshots instead of the "
-                              "ANSI in-place redraw")
-    monitor.add_argument("--prom-out", metavar="PATH",
-                         help="write the recording's metrics in Prometheus "
-                              "text exposition format")
-    monitor.add_argument("--series-out", metavar="PATH",
-                         help="write the per-tick series (.csv for CSV, "
-                              "anything else JSONL)")
+    faults.add_argument("--chaos", metavar="PROFILE", default=None,
+                        choices=sorted(PROFILES),
+                        help="run under this named fault mix with the "
+                             "reliability layer, and report "
+                             "delivered-exactly-once stats")
+    faults.add_argument("--stall", action="append", default=[],
+                        metavar="M@T+D",
+                        help="stall machine M's workers from tick T for D "
+                             "ticks (repeatable)")
+    faults.add_argument("--crash", metavar="M@T",
+                        help="crash machine M at tick T (the query aborts)")
+    faults.add_argument("--verify", action="store_true",
+                        help="also run fault-free and require identical "
+                             "results (exit 1 on mismatch)")
 
     bench = _command(
         subparsers, "bench", cmd_bench,
@@ -336,31 +342,6 @@ def _add_format_args(sub):
                           "(CI artifact)")
 
 
-def _add_query_args(sub):
-    """The flags of a query-running command (``query``, ``trace``,
-    ``chaos``, ``monitor``), all read by :func:`_run_query`."""
-    _add_engine_args(sub)
-    sub.add_argument("pgql", help="the PGQL query text")
-    sub.add_argument("--semantics", default="homomorphism",
-                     choices=[s.value for s in MatchSemantics])
-    sub.add_argument("--plan", default=SchedulingPolicy.APPEARANCE.value,
-                     choices=[p.value for p in SchedulingPolicy],
-                     help="vertex-ordering policy: appearance (query "
-                          "text order, the default), selectivity (greedy "
-                          "heuristic), or cost (statistics-backed cost "
-                          "model; also decides the common-neighbor "
-                          "operator)")
-    sub.add_argument("--common-neighbors",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="force the specialized common-neighbor hop "
-                          "on/off (default: off, except --plan cost "
-                          "where the cost model decides)")
-    sub.add_argument("--timeout", type=int, default=None, metavar="TICKS",
-                     help="abort the query after TICKS simulated ticks "
-                          "(exit code %d, partial metrics printed)"
-                          % EXIT_ABORTED)
-
-
 def _add_graph_args(sub):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph", metavar="PATH",
@@ -395,7 +376,7 @@ def load_graph(args):
         try:
             vertices, edges = (int(part) for part in args.random.split("x"))
         except ValueError:
-            raise SystemExit("--random expects VxE, e.g. 1000x5000")
+            _usage_error(args, "--random expects VxE, e.g. 1000x5000")
         return uniform_random_graph(vertices, edges, seed=args.seed)
     from repro.workloads import generate_bsbm
 
@@ -407,6 +388,16 @@ def _cluster_config(args, **overrides):
                          workers_per_machine=args.workers,
                          seed=args.seed,
                          **overrides)
+
+
+def _faulty_cluster(args, **faults):
+    """The cluster overrides of ``--chaos PROFILE`` (``query``,
+    ``traffic``): the named fault mix plus *faults* under the
+    reliability layer, or none without the flag."""
+    if args.chaos is None:
+        return {}
+    return {"chaos": profile(args.chaos, seed=args.seed, **faults),
+            "reliability": True}
 
 
 def _build_engine(args, **config_overrides):
@@ -436,21 +427,15 @@ def _planner_options(args, feedback=None):
 
 def _run_query(args, recording=None, feedback=None, query=None,
                **config_overrides):
-    """The one query run of ``query``, ``chaos``, ``trace`` and
-    ``monitor``: each supplies its :class:`Recording` (or None), its
-    cluster overrides, and what it prints afterwards.  *query* is
-    ``args.pgql`` unless the caller already parsed it.  A run that
-    stops short raises to :func:`main`, which prints its report."""
+    """The one query run of ``query`` (and of its ``--verify`` twin):
+    the :class:`Recording` (or None), the cluster overrides, the
+    feedback store.  *query* is ``args.pgql`` unless the caller already
+    parsed it."""
     engine = _build_engine(args, **config_overrides)
     return engine.query(args.pgql if query is None else query,
                         _planner_options(args, feedback),
                         ExecutionContext(recording=recording,
                                          deadline=args.timeout))
-
-
-def _print_counts(result):
-    print("rows     :", len(result.rows))
-    print("metrics  :", result.metrics.summary())
 
 
 def _print_stop(stopped):
@@ -473,17 +458,50 @@ def _print_report(args, text, document):
             handle.write("\n")
 
 
-def _parse_spec(flag, spec, shape, example):
+def _print_error(args, message):
+    """The one stderr line of a command that failed on bad input, then
+    its exit code."""
+    print("repro %s: error: %s" % (args.command, message), file=sys.stderr)
+    return EXIT_ERROR
+
+
+def _usage_error(args, message):
+    """End the command on bad usage the parser cannot see."""
+    raise SystemExit(_print_error(args, message))
+
+
+def _parse_spec(args, flag, spec, shape, example):
     """The integers of a *flag* spec shaped like *shape* (``N@T``,
     ``M@T``, ``M@T+D``: one letter per integer)."""
     pattern = re.sub("[A-Z]", r"(-?\\d+)", re.escape(shape))
     match = re.fullmatch(pattern, spec)
     if match is None:
-        raise SystemExit("%s expects %s, e.g. %s" % (flag, shape, example))
+        _usage_error(args, "%s expects %s, e.g. %s" % (flag, shape, example))
     return tuple(int(field) for field in match.groups())
 
 
+def _query_faults(args):
+    """The faults ``--stall`` and ``--crash`` add to the ``--chaos``
+    profile; they and ``--verify`` need the profile."""
+    for flag, given in (("--stall", args.stall), ("--crash", args.crash),
+                        ("--verify", args.verify)):
+        if given and args.chaos is None:
+            _usage_error(args, "%s requires --chaos PROFILE" % flag)
+    faults = {}
+    if args.stall:
+        faults["stalls"] = tuple(
+            _parse_spec(args, "--stall", spec, "M@T+D", "1@50+30")
+            for spec in args.stall
+        )
+    if args.crash:
+        faults["crashes"] = (
+            _parse_spec(args, "--crash", args.crash, "M@T", "2@100"),
+        )
+    return faults
+
+
 def cmd_query(args):
+    overrides = _faulty_cluster(args, **_query_faults(args))
     store = None
     if args.feedback_store:
         from repro.obs.feedback import FeedbackStore
@@ -494,12 +512,39 @@ def cmd_query(args):
                                         _planner_options(args, store))
         print(plan.describe())
         return 0
-    result = _run_query(
-        args, Recording() if args.explain_analyze else None, store
-    )
+    recording = None
+    if (args.explain_analyze or args.trace or args.live or args.chrome_out
+            or args.prom_out or args.series_out):
+        recording = Recording()
+    query = args.pgql
+    if args.live:
+        from repro.obs.dashboard import Dashboard
+        from repro.pgql import as_query
+        from repro.plan.paths import has_quantified_paths
+
+        dashboard = Dashboard()
+        query = as_query(args.pgql)
+        if not has_quantified_paths(query):
+            # Union expansions each sample into a recording of their
+            # own; their merged series is rendered once at the end.
+            dashboard.attach(recording.series)
+    try:
+        result = _run_query(args, recording, store, query, **overrides)
+    except (QueryAborted, QueryStalled) as stopped:
+        code = _print_stop(stopped)
+        if recording is not None:
+            print(recording.summary())
+        return code
+    if args.live:
+        # One last frame for the run's end state.
+        dashboard.on_sample(recording.series, recording.meta.get("ticks", 0))
+        print()
     print(result.result_set.pretty(limit=args.limit_print))
     print()
-    _print_counts(result)
+    print("rows     :", len(result.rows))
+    print("metrics  :", result.metrics.summary())
+    if args.chaos:
+        print("chaos    :", result.metrics.reliability_summary())
     if store is not None and result.plan is not None:
         profile = result.execution_profile()
         if profile is not None:
@@ -511,101 +556,43 @@ def cmd_query(args):
                 store.save()
                 print("feedback :", "recorded %s -> %s"
                       % (recorded, args.feedback_store))
-    if args.explain_analyze:
-        print()
-        print(result.explain_analyze())
-    return 0
-
-
-def cmd_chaos(args):
-    rates = (("drop_rate", args.drop), ("duplicate_rate", args.dup),
-             ("reorder_rate", args.reorder), ("max_delay", args.max_delay))
-    overrides = {name: value for name, value in rates if value is not None}
-    if args.stall:
-        overrides["stalls"] = tuple(
-            _parse_spec("--stall", spec, "M@T+D", "1@50+30")
-            for spec in args.stall
-        )
-    if args.crash:
-        overrides["crashes"] = (
-            _parse_spec("--crash", args.crash, "M@T", "2@100"),
-        )
-    chaos_config = profile(args.profile, seed=args.seed, **overrides)
-
-    result = _run_query(args, chaos=chaos_config, reliability=True)
-    if args.limit_print:
-        print(result.result_set.pretty(limit=args.limit_print))
-        print()
-    _print_counts(result)
-    print("chaos    :", result.metrics.reliability_summary())
-
+    if recording is not None:
+        _print_recording(args, result, recording)
     if args.verify:
         clean = _run_query(args)
-        if sorted(result.rows) == sorted(clean.rows):
-            print("verify   : OK (results identical to fault-free run)")
-        else:
+        if sorted(result.rows) != sorted(clean.rows):
             print("verify   : MISMATCH (%d rows under chaos, %d fault-free)"
                   % (len(result.rows), len(clean.rows)))
             return 1
+        print("verify   : OK (results identical to fault-free run)")
     return 0
 
 
-def cmd_trace(args):
-    recording = Recording(max_events=args.max_events)
-    result = _run_query(args, recording)
-    _print_counts(result)
+def _print_recording(args, result, recording):
+    """The views of a recorded ``query`` run its flags ask for, after
+    the recording's one-line summary."""
+    from repro.obs.export import series_csv, series_jsonl
+
     print(recording.summary())
-    print()
-    # EXPLAIN ANALYZE already folds in the recording's per-stage
-    # figures; the profile adds only what it lacks.
-    print(result.explain_analyze())
-    print()
-    profile = recording.profile()
-    print("\n".join(profile.machine_lines() + [
-        "stage %d: msgs=%d" % (s, profile.stage_work_messages.get(s, 0))
-        for s in range(profile.num_stages)
-    ]))
-    print()
-    print(recording.timeline(width=args.width))
+    if args.explain_analyze or args.trace:
+        print()
+        print(result.explain_analyze())
+    if args.trace:
+        # EXPLAIN ANALYZE already folds in the recording's per-stage
+        # figures; the profile adds only what it lacks.
+        profile = recording.profile()
+        print()
+        print("\n".join(profile.machine_lines() + [
+            "stage %d: msgs=%d" % (s, profile.stage_work_messages.get(s, 0))
+            for s in range(profile.num_stages)
+        ]))
+        print()
+        print(recording.timeline())
     if args.chrome_out:
         recording.to_chrome_json(args.chrome_out)
         print()
         print("chrome trace written to %s (open in chrome://tracing)"
               % args.chrome_out)
-    return 0
-
-
-def cmd_monitor(args):
-    from repro.obs.dashboard import Dashboard
-    from repro.obs.export import series_csv, series_jsonl
-    from repro.pgql import as_query
-    from repro.plan.paths import has_quantified_paths
-
-    dashboard = Dashboard(
-        width=args.width,
-        interactive=False if args.snapshots else None,
-    )
-    dashboard.refresh_every = args.refresh or (
-        8 if dashboard.interactive else 32
-    )
-    recording = Recording(interval=args.interval)
-    query = as_query(args.pgql)
-    if not has_quantified_paths(query):
-        # Union expansions each sample into a recording of their own;
-        # their merged series is rendered once at the end, not live.
-        dashboard.attach(recording.series)
-    try:
-        result = _run_query(args, recording, query=query)
-    except QueryAborted as aborted:
-        code = _print_stop(aborted)
-        if recording.series.num_samples:
-            print(recording.summary())
-        return code
-    # One last frame for the run's end state.
-    dashboard.on_sample(recording.series, recording.meta.get("ticks", 0))
-    print()
-    _print_counts(result)
-    print(recording.summary())
     if args.prom_out:
         with open(args.prom_out, "w") as handle:
             handle.write(recording.prometheus())
@@ -617,7 +604,6 @@ def cmd_monitor(args):
         with open(args.series_out, "w") as handle:
             handle.write(exporter(recording.series))
         print("series written to", args.series_out)
-    return 0
 
 
 def cmd_bench(args):
@@ -670,10 +656,8 @@ def _lint_rules(args):
         for rule_id in args.select.replace(",", " ").split():
             rule = rule_by_id(rule_id)
             if rule is None:
-                raise SystemExit(
-                    "repro lint: unknown rule in --select: %s "
-                    "(rules: RPR001..RPR009)" % rule_id
-                )
+                _usage_error(args, "unknown rule in --select: %s "
+                                   "(rules: RPR001..RPR009)" % rule_id)
             rules.append(rule)
     else:
         rules = default_rules()
@@ -731,16 +715,14 @@ def cmd_serve(args):
     from repro.service import QueryService, ServiceConfig
 
     cancels = sorted(
-        (_parse_spec("--cancel", spec, "N@T", "1@500")
+        (_parse_spec(args, "--cancel", spec, "N@T", "1@500")
          for spec in args.cancel),
         key=lambda pair: pair[1],
     )
     for index, _tick in cancels:
         if not 0 <= index < len(args.queries):
-            raise SystemExit(
-                "--cancel index %d out of range (%d queries)"
-                % (index, len(args.queries))
-            )
+            _usage_error(args, "--cancel index %d out of range (%d queries)"
+                         % (index, len(args.queries)))
     engine = _build_engine(args)
     service = QueryService(engine, ServiceConfig(
         max_concurrent=args.slots,
@@ -789,12 +771,8 @@ def cmd_traffic(args):
         try:
             gaps = tuple(int(part) for part in args.sweep.split(","))
         except ValueError:
-            raise SystemExit("--sweep expects G1,G2,..., e.g. 256,64,16")
-    overrides = {}
-    if args.chaos:
-        overrides = {"chaos": profile(args.chaos, seed=args.seed),
-                     "reliability": True}
-    engine = _build_engine(args, **overrides)
+            _usage_error(args, "--sweep expects G1,G2,..., e.g. 256,64,16")
+    engine = _build_engine(args, **_faulty_cluster(args))
     traffic = TrafficConfig(
         arrivals=args.arrivals,
         mean_interarrival=args.gap,
@@ -871,7 +849,7 @@ def cmd_feedback(args):
     from repro.obs.feedback import FeedbackStore, q_error
 
     if not os.path.exists(args.store):
-        raise SystemExit("repro feedback: no such store: %s" % args.store)
+        _usage_error(args, "no such store: %s" % args.store)
     store = FeedbackStore(args.store)
     lines = ["feedback store: %s (%d quer%s)"
              % (args.store, len(store), "y" if len(store) == 1 else "ies")]
@@ -935,9 +913,7 @@ def main(argv=None):
     # The process boundary: stopped runs are reported just above, and
     # every other typed error becomes one line and an exit code.
     except ReproError as error:  # repro: allow(RPR005)
-        print("repro %s: error: %s" % (args.command, error),
-              file=sys.stderr)
-        return EXIT_ERROR
+        return _print_error(args, error)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Live terminal dashboard over a recording's time series.
 
-``repro monitor`` runs a recorded query and renders, while it
+``repro query --live`` records its query and renders, while it
 executes, one sparkline row per machine (buffered contexts against the
 configured budget, with current ops/inflight/idle readouts) plus the
 stage-completion wavefront — how many machines have declared each stage
@@ -95,28 +95,25 @@ class Dashboard:
     Attach with :meth:`attach`; detach happens implicitly when the run
     ends (the sampler simply stops calling back).  ``interactive=None``
     autodetects: ANSI in-place redraw on a TTY, plain snapshots
-    otherwise.
+    otherwise.  A redraw comes every 8 samples; snapshots, which stack
+    up in the log, every 32.
     """
 
-    def __init__(self, stream=None, interactive=None, width=32,
-                 refresh_every=8):
+    def __init__(self, stream=None, interactive=None):
         self.stream = stream if stream is not None else sys.stdout
         if interactive is None:
             interactive = bool(getattr(self.stream, "isatty", lambda: False)())
         self.interactive = interactive
-        self.width = width
-        #: Render every N samples (snapshot mode spaces them further out).
-        self.refresh_every = refresh_every
         self.frames_rendered = 0
         self._last_height = 0
 
     def attach(self, sampler):
         sampler.on_sample = self.on_sample
-        sampler.callback_every = self.refresh_every
+        sampler.callback_every = 8 if self.interactive else 32
         return self
 
     def on_sample(self, sampler, tick):
-        lines = render_frame(sampler, tick, width=self.width)
+        lines = render_frame(sampler, tick)
         out = self.stream
         if self.interactive and self._last_height:
             # Move up over the previous frame and overwrite in place.

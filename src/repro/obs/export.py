@@ -12,8 +12,8 @@
 * the **time series** (:func:`series_jsonl`, :func:`series_csv`).
 
 Each text writer has a matching reader (``parse_*``) so round trips are
-testable; ``repro trace --chrome-out`` and ``repro monitor --prom-out /
---series-out`` are the callers.
+testable; ``repro query --chrome-out / --prom-out / --series-out`` is
+the caller.
 """
 
 import csv

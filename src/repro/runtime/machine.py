@@ -568,9 +568,7 @@ class QueryMachine:
         """
         if self._blocking:
             return
-        self.api.send(
-            message.src, Ack(message.stage, 1, seqs=(message.seq,))
-        )
+        self.api.send(message.src, Ack(message.stage, 1))
         self.metrics.control_messages_sent += 1
 
     def ghost_admits(self, stage_index, ctx, target):

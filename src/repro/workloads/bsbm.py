@@ -25,6 +25,7 @@ are tiny and dominated by distributed overhead.
 
 import random
 
+from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 
 #: BSBM query 5's similarity bands (verbatim from the benchmark spec).
@@ -58,6 +59,12 @@ def generate_bsbm(num_products=200, seed=0, num_features=None):
     ~num_products/20 vendors, and 2 reviews per product from
     ~num_products/2 reviewers.
     """
+    if num_products < 1 or (num_features is not None and num_features < 1):
+        raise GraphError(
+            "BSBM graph needs at least one product and, when given, one "
+            "feature (got products=%d, features=%s)"
+            % (num_products, num_features)
+        )
     rng = random.Random(seed)
     builder = GraphBuilder()
 

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import ast
+import itertools
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -38,22 +40,21 @@ class TestParser:
 
     def test_chaos_args(self):
         args = build_parser().parse_args(
-            ["chaos", "--random", "100x400", "--profile", "drop",
-             "--drop", "0.1", "--stall", "1@5+10", "--verify",
-             "SELECT a WHERE (a)"]
+            ["query", "--random", "100x400", "--chaos", "drop",
+             "--stall", "1@5+10", "--verify", "SELECT a WHERE (a)"]
         )
-        assert args.command == "chaos"
-        assert args.profile == "drop"
-        assert args.drop == 0.1
+        assert args.command == "query"
+        assert args.chaos == "drop"
         assert args.stall == ["1@5+10"]
         assert args.verify
 
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["chaos", "--random", "100x400", "--profile", "tsunami",
-                 "SELECT a WHERE (a)"]
-            )
+    def test_unknown_profile_rejected(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["query", "--random", "100x400", "--chaos", "tsunami",
+                  "SELECT a WHERE (a)"])
+        assert caught.value.code == EXIT_ERROR
+        assert "argument --chaos: invalid choice: 'tsunami'" \
+            in capsys.readouterr().err
 
     def test_timeout_arg(self):
         args = build_parser().parse_args(
@@ -152,7 +153,7 @@ class TestEndToEnd:
 
     def test_trace_prints_each_figure_once(self, capsys):
         code = main(
-            ["trace", "--random", "300x1200", "--machines", "3",
+            ["query", "--trace", "--random", "300x1200", "--machines", "3",
              "SELECT a, b WHERE (a)-[]->(b), a.value > b.value"]
         )
         assert code == 0
@@ -169,8 +170,8 @@ class TestChaosCommand:
 
     def test_chaos_verify_ok(self, capsys):
         code = main(
-            ["chaos", "--random", "100x400", "--machines", "4",
-             "--seed", "7", "--profile", "soak", "--verify", self.QUERY]
+            ["query", "--random", "100x400", "--machines", "4",
+             "--seed", "7", "--chaos", "soak", "--verify", self.QUERY]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -180,23 +181,29 @@ class TestChaosCommand:
 
     def test_chaos_crash_aborts(self, capsys):
         code = main(
-            ["chaos", "--random", "100x400", "--machines", "4",
-             "--crash", "2@10", self.QUERY]
+            ["query", "--random", "100x400", "--machines", "4",
+             "--chaos", "soak", "--crash", "2@10", self.QUERY]
         )
         assert code == EXIT_ABORTED
         out = capsys.readouterr().out
         assert "query aborted: machine 2 crashed" in out
         assert "partial" in out
 
-    def test_bad_stall_spec(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "--random", "100x400", "--stall", "nope",
-                  self.QUERY])
+    def test_bad_stall_spec(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["query", "--random", "100x400", "--chaos", "soak",
+                  "--stall", "nope", self.QUERY])
+        assert caught.value.code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "repro query: error: --stall expects M@T+D, e.g. 1@50+30\n")
 
-    def test_bad_crash_spec(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "--random", "100x400", "--crash", "nope",
-                  self.QUERY])
+    def test_bad_crash_spec(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["query", "--random", "100x400", "--chaos", "soak",
+                  "--crash", "nope", self.QUERY])
+        assert caught.value.code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "repro query: error: --crash expects M@T, e.g. 2@100\n")
 
 
 class TestTimeout:
@@ -247,20 +254,19 @@ class TestMonitorCommand:
 
     def test_monitor_args(self):
         args = build_parser().parse_args(
-            ["monitor", "--random", "100x400", "--interval", "2",
-             "--snapshots", "--series-out", "s.jsonl", self.QUERY]
+            ["query", "--random", "100x400", "--live",
+             "--series-out", "s.jsonl", self.QUERY]
         )
-        assert args.command == "monitor"
-        assert args.interval == 2
-        assert args.snapshots
+        assert args.command == "query"
+        assert args.live
         assert args.series_out == "s.jsonl"
 
     def test_monitor_end_to_end(self, capsys, tmp_path):
         prom = tmp_path / "metrics.prom"
         series = tmp_path / "series.csv"
         code = main(
-            ["monitor", "--random", "100x400", "--machines", "2",
-             "--snapshots", "--prom-out", str(prom),
+            ["query", "--random", "100x400", "--machines", "2",
+             "--live", "--prom-out", str(prom),
              "--series-out", str(series), self.QUERY]
         )
         assert code == 0
@@ -277,8 +283,8 @@ class TestMonitorCommand:
 
         series = tmp_path / "series.jsonl"
         code = main(
-            ["monitor", "--random", "60x240", "--machines", "2",
-             "--snapshots", "--series-out", str(series), self.QUERY]
+            ["query", "--random", "60x240", "--machines", "2",
+             "--live", "--series-out", str(series), self.QUERY]
         )
         assert code == 0
         meta, rows = parse_series_jsonl(series.read_text())
@@ -287,19 +293,21 @@ class TestMonitorCommand:
 
     def test_monitor_abort_prints_flow_state(self, capsys):
         code = main(
-            ["monitor", "--random", "200x800", "--machines", "4",
-             "--snapshots", "--timeout", "3", self.QUERY]
+            ["query", "--random", "200x800", "--machines", "4",
+             "--live", "--timeout", "3", self.QUERY]
         )
         assert code == EXIT_ABORTED
         out = capsys.readouterr().out
         assert "query aborted: deadline of 3 ticks exceeded" in out
         assert "flow     :" in out
         assert "machine 0:" in out
+        # A recorded run that stops short ends with its recording.
+        assert out.rstrip().splitlines()[-1].startswith("recording:")
 
     def test_monitor_union_query(self, capsys):
         code = main(
-            ["monitor", "--random", "60x240", "--machines", "2",
-             "--snapshots", "SELECT a, b WHERE (a)-/{1,2}/->(b)"]
+            ["query", "--random", "60x240", "--machines", "2",
+             "--live", "SELECT a, b WHERE (a)-/{1,2}/->(b)"]
         )
         assert code == 0
         assert "recording:" in capsys.readouterr().out
@@ -545,10 +553,10 @@ class TestTypedErrors:
          "offset 17"),
         (["query", "--random", "50x200", "--machines", "0", QUERY],
          "num_machines"),
-        (["chaos", "--random", "50x200", "--crash", "9@10", QUERY],
-         "machine 9"),
-        (["chaos", "--random", "50x200", "--stall", "1@-5+3", QUERY],
-         "start=-5"),
+        (["query", "--random", "50x200", "--chaos", "soak",
+          "--crash", "9@10", QUERY], "machine 9"),
+        (["query", "--random", "50x200", "--chaos", "soak",
+          "--stall", "1@-5+3", QUERY], "start=-5"),
         (["query", "--graph", "{tmp}/missing.json", QUERY],
          "missing.json"),
         (["query", "--graph", "{tmp}/bad.json", QUERY], "bad.json"),
@@ -570,6 +578,18 @@ class TestTypedErrors:
           "--compare", "{tmp}/schema.json"], "schema.json"),
         (["query", "--random", "50x200", "SELECT a.value / 0 WHERE (a)"],
          "division by zero"),
+        (["query", "--bsbm", "0", QUERY], "products=0"),
+        (["query", "--random", "50:200", QUERY], "--random expects VxE"),
+        (["query", "--random", "50x200", "--verify", QUERY],
+         "--verify requires --chaos"),
+        (["serve", "--random", "50x200", "--cancel", "x@1", QUERY],
+         "--cancel expects N@T"),
+        (["serve", "--random", "50x200", "--cancel=3@1", QUERY],
+         "--cancel index 3 out of range"),
+        (["lint", "--select", "RPR999"], "RPR999"),
+        (["traffic", "--random", "50x200", "--sweep", "a,b"],
+         "--sweep expects"),
+        (["feedback", "{tmp}/absent.json"], "absent.json"),
     ])
     def test_bad_input_is_one_line_and_exit_2(self, tmp_path, capsys,
                                               argv, names):
@@ -585,7 +605,11 @@ class TestTypedErrors:
             '"operators": "x"}}}\n')
         (tmp_path / "schema.json").write_text('{"schema": "x"}\n')
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        assert main(argv) == EXIT_ERROR == 2
+        try:
+            code = main(argv)
+        except SystemExit as usage:  # bad usage the parser cannot see
+            code = usage.code
+        assert code == EXIT_ERROR == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
@@ -621,8 +645,11 @@ class TestSpecsValidatedFirst:
     def test_rejected_before_running(self, capsys, argv, message):
         with pytest.raises(SystemExit) as caught:
             main(argv)
-        assert str(caught.value).startswith(message)
-        assert capsys.readouterr().out == ""
+        assert caught.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "repro %s: error: %s" % (argv[0], message))
+        assert captured.out == ""
 
 
 class TestStopReport:
@@ -708,3 +735,51 @@ class TestEveryFlagHasAReader:
         # ghost flags of `query` are read two calls below cmd_query.
         assert {"graph", "machines", "ghost_threshold"} <= reads["query"]
         assert unread == {}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+FENCE = re.compile(r"^\s*```[^\n]*\n(.*?)^\s*```", re.M | re.S)
+REPRO_LINE = re.compile(r"\bpython3? -m repro\s+(.*)")
+
+
+def _doc_commands():
+    """``(source, argv)`` of every ``python -m repro`` line in the fenced
+    code blocks of the docs and the verify skill, in the CLI module
+    docstring and in the CI workflow: continuation lines joined, shell
+    comments dropped, and the command cut at its first redirect, pipe,
+    ``;`` or ``&&``."""
+    paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    blocks = [(path.name, block) for path in paths if path.exists()
+              for block in FENCE.findall(path.read_text())]
+    blocks.append(("cli.py", cli.__doc__))
+    blocks.append(("ci.yml",
+                   (ROOT / ".github" / "workflows" / "ci.yml").read_text()))
+    for source, block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            match = REPRO_LINE.search(line)
+            if match is None:
+                continue
+            lexer = shlex.shlex(match.group(1), posix=True,
+                                punctuation_chars=True)
+            lexer.whitespace_split = True
+            yield source, list(itertools.takewhile(
+                lambda token: not set(token) <= set("|&;<>()"), lexer))
+
+
+class TestDocExamples:
+    def test_every_documented_command_parses(self, capsys):
+        commands = list(_doc_commands())
+        failures = []
+        for source, argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                failures.append("%s: repro %s -- %s" % (
+                    source, " ".join(argv),
+                    capsys.readouterr().err.strip().splitlines()[-1]))
+        assert failures == []
+        # The scan finds the examples; a broken pattern would pass empty.
+        assert len(commands) >= 40
+        assert {source for source, _argv in commands} >= {
+            "README.md", "SKILL.md", "cli.py", "ci.yml"}

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ClusterConfig, run_query
 from repro.baselines import SharedMemoryEngine
+from repro.errors import GraphError
 from repro.pgql import parse_and_validate
 from repro.workloads import (
     generate_bsbm,
@@ -57,6 +58,15 @@ class TestBsbmGenerator:
             (graph.in_degree(f) for f in bsbm.feature_ids), reverse=True
         )
         assert degrees[0] > 3 * max(1, degrees[len(degrees) // 2])
+
+    @pytest.mark.parametrize("sizes", [
+        dict(num_products=0), dict(num_products=-3),
+        dict(num_products=50, num_features=0),
+        dict(num_products=50, num_features=-1),
+    ])
+    def test_empty_sizes_are_a_graph_error(self, sizes):
+        with pytest.raises(GraphError, match="at least one product"):
+            generate_bsbm(**sizes)
 
 
 class TestQuery5:
