@@ -1,15 +1,17 @@
 """Invariant-aware static analysis for the repro codebase (`repro lint`).
 
-A self-contained, ``ast``-based rule engine built on a real control-flow
-graph and forward-dataflow framework (:mod:`repro.analysis.cfg`,
-:mod:`repro.analysis.dataflow`) that machine-checks the cross-cutting
-contracts the paper's guarantees rest on — simulator determinism
-(RPR001), zero-cost-off instrumentation (RPR002, the TXT2
+A self-contained, ``ast``-based rule engine that machine-checks the
+cross-cutting contracts the paper's guarantees rest on — simulator
+determinism (RPR001), zero-cost-off instrumentation (RPR002, the TXT2
 contract), message-protocol exhaustiveness (RPR003), iteration-order
 determinism (RPR006), reservation pairing on every CFG path (RPR007),
 the kernel-codegen audit (RPR008), cross-scope isolation (RPR009), plus
-the general hygiene rules RPR004/RPR005.  Everything except RPR008's
-dynamic half is stdlib-only and never executes scanned code.  See
+the general hygiene rules RPR004/RPR005.  The two path-sensitive rules,
+RPR006 and RPR007, run on a control-flow graph and forward-dataflow
+framework (:mod:`repro.analysis.cfg`, :mod:`repro.analysis.dataflow`);
+RPR002 walks each recording call's ancestors
+(:mod:`repro.analysis.guards`).  Everything except RPR008's dynamic half
+is stdlib-only and never executes scanned code.  See
 ``docs/static-analysis.md`` for the catalogue and workflow.
 
 Programmatic use::

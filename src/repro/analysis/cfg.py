@@ -1,11 +1,13 @@
 """Statement-level control-flow graphs for the analysis framework.
 
-Every flow-sensitive rule in :mod:`repro.analysis` used to re-implement
-its own statement walk (the PR 4 prefix-guard heuristic).  This module
-builds one shared CFG per scope — module body, function body, class
-body — over which :mod:`repro.analysis.dataflow` runs forward fixpoint
-analyses.  The graph models the control flow that matters for
-must/may facts:
+This module builds one CFG per scope — module body, function body,
+class body — over which :mod:`repro.analysis.dataflow` runs forward
+fixpoint analyses for the two path-sensitive rules: RPR006's set types
+(:class:`repro.analysis.flows.SetTypeAnalysis`) and RPR007's
+reservations (:class:`repro.analysis.flows.ReservationAnalysis`).
+RPR002's guard check is syntactic and walks the AST instead
+(:mod:`repro.analysis.guards`).  The graph models the control flow that
+matters for must/may facts:
 
 * branches (``if``/``elif``/``else``, ``while``/``for`` with ``else``
   clauses, ``match``), with each branch edge annotated by the test
@@ -20,8 +22,8 @@ must/may facts:
   inside a ``try`` (return/break/continue/raise) flows through a
   *duplicate* of each enclosing ``finally`` body before reaching its
   target — the duplication keeps the normal-completion path's facts
-  separate from the abrupt paths', which is what makes guard domination
-  through ``try/finally`` precise instead of merely conservative.
+  separate from the abrupt paths', which is what makes facts through
+  ``try/finally`` precise instead of merely conservative.
 
 Nested function and class bodies are **not** inlined: they execute at
 another time, so each is its own scope/CFG (see

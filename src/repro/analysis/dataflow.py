@@ -3,9 +3,9 @@
 One worklist engine serves every flow-sensitive rule: clients subclass
 :class:`ForwardDataflow` and define the lattice (``initial``/``join``),
 the per-element transfer function, and optionally ``refine`` to
-sharpen facts along branch edges (e.g. "``x is not None`` held on the
-true edge").  Must-analyses join with intersection (guard domination),
-may-analyses with union (a reservation *may* still be open).
+sharpen facts along branch edges (e.g. "``x`` is truthy on the true
+edge").  Must-analyses join with intersection (a name *must* hold a
+set), may-analyses with union (a reservation *may* still be open).
 
 The engine is deliberately small: facts are immutable values, blocks
 re-enter the worklist when their entry fact changes, and termination

@@ -1,39 +1,33 @@
-"""Guard-domination analysis for the zero-cost-off contract (RPR002).
+"""Guard check for the zero-cost-off contract (RPR002).
 
 The runtime's observability contract (TXT2, see ``repro.obs``) is that
 an absent recording costs exactly one pointer comparison on every hot
-path: the handle is ``None`` and every
-instrumentation site is dominated by an ``is not None`` test on it.
-This module implements the flow-sensitive half of that check as a
-client of the shared CFG + dataflow framework
-(:mod:`repro.analysis.cfg`, :mod:`repro.analysis.dataflow`): guard
-facts are a *must* property, so :class:`GuardAnalysis` joins with set
-intersection — a call is satisfied only when a dominating guard holds
-on **every** control-flow path reaching it, through branches, loops,
-``try``/``finally``, and early returns alike.
+path: the handle is ``None`` and every instrumentation site sits under
+an ``is not None`` test on it.  The check is syntactic: for each call on
+a recording handle, :class:`UnguardedCallScanner` walks the call's
+ancestors up to its scope and looks for a guard on the way.  A guard is
 
-The analysis understands the guard shapes that occur in idiomatic
-Python:
+* the test of an enclosing ``if``, ``while`` or ternary on the call's
+  branch — ``if x is not None: x.emit(...)`` (``and`` conjunctions,
+  ``not`` and truthiness included), or the ``else`` of ``if x is None``;
+* an earlier operand of an enclosing ``and``/``or`` —
+  ``x is not None and x.emit(...)``, ``x is None or x.emit(...)``;
+* an earlier statement of an enclosing block — ``assert x is not
+  None``, or an ``if x is None:`` whose body exits (``return``,
+  ``raise``, ``break``, ``continue``).
 
-* ``if x is not None: x.emit(...)`` (including ``and`` conjunctions);
-* ``x.emit(...) if x is not None else None`` (ternary);
-* ``x is not None and x.emit(...)`` (short-circuit);
-* ``x is None or x.emit(...)``;
-* early exits — ``if x is None: return`` guards the rest of the block;
-* ``assert x is not None``;
-* guards on a *prefix* of the access chain: ``if self.recording is not
-  None: self.recording.series.flush(...)`` is fine, because a non-None
-  handle owns its sub-objects.
-
-Reassigning a guarded name (``recording = ...``) invalidates its guard —
-including along loop back edges, which the old prefix-walk could not
-see — and nested function/class scopes start with no guards: a closure
-may run long after the guard was checked.
+A guard on a *prefix* of the access chain counts: ``if self.recording is
+not None: self.recording.series.flush(...)`` is fine, because a non-None
+handle owns its sub-objects.  Rebinding the handle (or a prefix of it)
+between the guard and the call voids the guard, and so does rebinding
+it anywhere in an enclosing loop (the back edge carries it round to the
+call) or ``try`` (a handler or ``finally`` may run after any prefix of
+the body), or as a ``with ... as`` target.  A nested function, class or
+lambda starts with no guards: it may run long after the guard was
+checked.
 """
 
 import ast
-
-from .dataflow import ForwardDataflow, iter_scopes
 
 
 def dotted_parts(node):
@@ -104,68 +98,88 @@ def negative_guards(test):
     return guards
 
 
-def _invalidated(fact, key):
-    """Drop *key* and everything rooted under it from a guard fact."""
-    if key is None:
-        return fact
-    prefix = key + "."
-    stale = {g for g in fact if g == key or g.startswith(prefix)}
-    return fact - stale if stale else fact
-
-
-def _invalidate_target(fact, target):
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            fact = _invalidate_target(fact, element)
-        return fact
-    if isinstance(target, ast.Starred):
-        return _invalidate_target(fact, target.value)
-    return _invalidated(fact, _key(target))
-
-
-class GuardAnalysis(ForwardDataflow):
-    """Must-analysis over guard keys: intersection join, edge refinement."""
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, a, b):
-        return a & b
-
-    def refine(self, test, polarity, fact):
-        if polarity is True:
-            return fact | frozenset(positive_guards(test))
-        return fact | frozenset(negative_guards(test))
-
-    def transfer(self, elem, fact):
-        kind, node = elem
-        if kind == "bind":
-            return _invalidate_target(fact, node)
-        if kind != "stmt":
-            return fact
-        if isinstance(node, ast.Assert):
-            return fact | frozenset(positive_guards(node.test))
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                fact = _invalidate_target(fact, target)
-            return fact
-        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return _invalidate_target(fact, node.target)
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                fact = _invalidate_target(fact, target)
-            return fact
-        return fact
-
-
 #: The chain segment name (leading underscores aside) that denotes the
 #: optional observability handle.
 TRACERISH = frozenset({"recording"})
 
+#: Ancestors whose body runs at another time, with no guard inherited.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+#: Statements that end a block: an ``if x is None:`` ending in one
+#: guards what follows the ``if``.
+_EXITS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
+
+
+def _position(parent, node):
+    """``(field, index)`` of *node* in *parent* (index None if scalar)."""
+    for field, value in ast.iter_fields(parent):
+        if value is node:
+            return field, None
+        if isinstance(value, list) and node in value:
+            return field, value.index(node)
+    return None, None
+
+
+def _void(live, *nodes):
+    """*live* minus the keys *nodes* rebind (or rebind a prefix of)."""
+    for node in nodes:
+        bound = {_key(sub) for sub in ast.walk(node)
+                 if isinstance(getattr(sub, "ctx", None), (ast.Store, ast.Del))}
+        bound |= {sub.name for sub in ast.walk(node)
+                  if isinstance(sub, ast.ExceptHandler) and sub.name}
+        live = {key for key in live
+                if not any(key == b or key.startswith(b + ".")
+                           for b in bound if b)}
+    return live
+
+
+def _guards_after(stmt):
+    """Keys a statement that completed normally proves non-None."""
+    if isinstance(stmt, ast.Assert):
+        return positive_guards(stmt.test)
+    if isinstance(stmt, ast.If) and isinstance(stmt.body[-1], _EXITS):
+        return _void(negative_guards(stmt.test), *stmt.orelse)
+    return set()
+
+
+def _guarded(node, live, parents):
+    """Walk from *node* to its scope; True at the first guard on a key in
+    *live* that no rebinding on the way has voided."""
+    while live:
+        parent = parents.get(node)
+        if parent is None:
+            return False
+        field, index = _position(parent, node)
+        if isinstance(node, ast.stmt) and index is not None:
+            for earlier in reversed(getattr(parent, field)[:index]):
+                if _guards_after(earlier) & live:
+                    return True
+                live = _void(live, earlier)
+        elif isinstance(parent, ast.BoolOp) and index is not None:
+            proves = (positive_guards if isinstance(parent.op, ast.And)
+                      else negative_guards)
+            if any(proves(value) & live for value in parent.values[:index]):
+                return True
+        if isinstance(parent, _SCOPES) and field == "body":
+            return False
+        if isinstance(parent, (ast.If, ast.While, ast.IfExp)):
+            if field == "body" and positive_guards(parent.test) & live:
+                return True
+            if field == "orelse" and negative_guards(parent.test) & live:
+                return True
+        if isinstance(parent, (ast.While, ast.Try)) or (
+                isinstance(parent, (ast.For, ast.AsyncFor))
+                and field != "iter"):
+            live = _void(live, parent)
+        elif isinstance(parent, (ast.With, ast.AsyncWith)) \
+                and field == "body":
+            live = _void(live, *parent.items)
+        node = parent
+    return False
+
 
 class UnguardedCallScanner:
-    """Collect attribute calls on observability handles without a
-    dominating ``is not None`` guard.
+    """Collect attribute calls on observability handles without an
+    ``is not None`` guard on the way to their scope.
 
     A call qualifies when any proper prefix of its access chain ends in
     a :data:`TRACERISH` segment (``"recording"``), and is satisfied
@@ -175,156 +189,27 @@ class UnguardedCallScanner:
     def __init__(self):
         #: Violations: (call node, full dotted chain tuple).
         self.found = []
-        self._reported = set()
 
-    # -- statements ----------------------------------------------------
     def scan_module(self, tree):
-        analysis = GuardAnalysis()
-        for _scope, body in iter_scopes(tree):
-            cfg, entry_facts = analysis.analyze(body)
-            for block in cfg.blocks:
-                fact = entry_facts[block.id]
-                if fact is None:
-                    # Dead code (after an unconditional exit): scan it
-                    # anyway, assuming nothing.
-                    fact = frozenset()
-                self._scan_block(block, set(fact))
+        parents = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = dotted_parts(node.func)
+            if chain is None or len(chain) < 2:
+                continue
+            base = chain[:-1]
+            matching = [length for length in range(1, len(base) + 1)
+                        if base[length - 1].lstrip("_") in TRACERISH]
+            if not matching:
+                continue
+            # A guard on a matching prefix or anything longer (a guard
+            # on the full base also proves the prefix).
+            keys = {".".join(base[:length])
+                    for length in range(min(matching), len(base) + 1)}
+            if not _guarded(node, keys, parents):
+                self.found.append((node, chain))
         return self.found
-
-    def _scan_block(self, block, guarded):
-        """Walk one block's elements with the fixpoint entry fact,
-        scanning expressions and updating guards in evaluation order."""
-        for kind, node in block.elems:
-            if kind in ("test", "expr"):
-                self.scan_expr(node, guarded)
-            elif kind == "loop-iter":
-                self.scan_expr(node.iter, guarded)
-            elif kind == "bind":
-                self._invalidate(node, guarded)
-            elif kind == "stmt":
-                self._scan_simple(node, guarded)
-
-    def _scan_simple(self, stmt, guarded):
-        if isinstance(stmt, ast.Assert):
-            self.scan_expr(stmt.test, guarded)
-            if stmt.msg is not None:
-                self.scan_expr(stmt.msg, guarded)
-            guarded |= positive_guards(stmt.test)
-        elif isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            if stmt.value is not None:
-                self.scan_expr(stmt.value, guarded)
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign)
-                else [stmt.target]
-            )
-            for target in targets:
-                self._invalidate(target, guarded)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._invalidate(target, guarded)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Defaults/decorators evaluate in the enclosing scope now;
-            # the body is its own scope (visited via iter_scopes) and
-            # runs later, when no guard still holds.
-            for default in (stmt.args.defaults
-                            + [d for d in stmt.args.kw_defaults if d]):
-                self.scan_expr(default, guarded)
-            for decorator in stmt.decorator_list:
-                self.scan_expr(decorator, guarded)
-        elif isinstance(stmt, ast.ClassDef):
-            for decorator in stmt.decorator_list:
-                self.scan_expr(decorator, guarded)
-            for base in stmt.bases:
-                self.scan_expr(base, guarded)
-            for keyword in stmt.keywords:
-                self.scan_expr(keyword.value, guarded)
-        else:
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.scan_expr(child, guarded)
-
-    def _invalidate(self, target, guarded):
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._invalidate(element, guarded)
-            return
-        if isinstance(target, ast.Starred):
-            self._invalidate(target.value, guarded)
-            return
-        key = _key(target)
-        if key is None:
-            return
-        prefix = key + "."
-        for stale in [g for g in guarded
-                      if g == key or g.startswith(prefix)]:
-            guarded.discard(stale)
-
-    # -- expressions ---------------------------------------------------
-    def scan_expr(self, node, guarded):
-        if node is None:
-            return
-        if isinstance(node, ast.Call):
-            self._check_call(node, guarded)
-            for child in ast.iter_child_nodes(node):
-                self.scan_expr(child, guarded)
-        elif isinstance(node, ast.BoolOp):
-            accumulated = set(guarded)
-            for value in node.values:
-                self.scan_expr(value, accumulated)
-                if isinstance(node.op, ast.And):
-                    accumulated |= positive_guards(value)
-                else:
-                    accumulated |= negative_guards(value)
-        elif isinstance(node, ast.IfExp):
-            self.scan_expr(node.test, guarded)
-            self.scan_expr(node.body,
-                           guarded | positive_guards(node.test))
-            self.scan_expr(node.orelse,
-                           guarded | negative_guards(node.test))
-        elif isinstance(node, ast.Lambda):
-            self.scan_expr(node.body, set())
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            element_guards = set(guarded)
-            for comp in node.generators:
-                self.scan_expr(comp.iter, element_guards)
-                for condition in comp.ifs:
-                    self.scan_expr(condition, element_guards)
-                    element_guards |= positive_guards(condition)
-            if isinstance(node, ast.DictComp):
-                self.scan_expr(node.key, element_guards)
-                self.scan_expr(node.value, element_guards)
-            else:
-                self.scan_expr(node.elt, element_guards)
-        else:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self.scan_expr(child, guarded)
-                else:
-                    # keywords, slices, formatted values, ...
-                    for grandchild in ast.iter_child_nodes(child):
-                        if isinstance(grandchild, ast.expr):
-                            self.scan_expr(grandchild, guarded)
-
-    def _check_call(self, node, guarded):
-        chain = dotted_parts(node.func)
-        if chain is None or len(chain) < 2:
-            return
-        base = chain[:-1]
-        matching = [
-            length for length in range(1, len(base) + 1)
-            if base[length - 1].lstrip("_") in TRACERISH
-        ]
-        if not matching:
-            return
-        # Satisfied when a guard covers a matching prefix or anything
-        # longer (a guard on the full base also proves the prefix).
-        shortest = min(matching)
-        for length in range(shortest, len(base) + 1):
-            if ".".join(base[:length]) in guarded:
-                return
-        # finally-body duplication means one call node can be walked on
-        # several paths; report it at most once.
-        if id(node) not in self._reported:
-            self._reported.add(id(node))
-            self.found.append((node, chain))

@@ -148,7 +148,7 @@ class DeterminismRule(Rule):
 # ----------------------------------------------------------------------
 
 class ZeroCostOffRule(Rule):
-    """RPR002: calls on the run's recording must be dominated by an
+    """RPR002: calls on the run's recording must sit under an
     ``is not None`` guard on the handle."""
 
     id = "RPR002"
@@ -160,8 +160,10 @@ class ZeroCostOffRule(Rule):
         "Observability must cost nothing when disabled: the runtime holds "
         "either a Recording or None under the one name `recording`, and "
         "the TXT2 overhead benchmark pins the unrecorded path to a single "
-        "pointer comparison per site. An instrumentation call not "
-        "dominated by an `is not None` guard on its handle either crashes "
+        "pointer comparison per site. An instrumentation call with no "
+        "`is not None` guard on its handle between it and its scope (an "
+        "enclosing test, an earlier `and` operand, an earlier `assert` or "
+        "early exit, with no rebinding in between) either crashes "
         "when the run is not recorded (AttributeError on None) or forces "
         "the handle to become a do-nothing object whose method calls are "
         "pure overhead on every hot-path operation. The guard on the root "
@@ -186,8 +188,8 @@ class ZeroCostOffRule(Rule):
             dotted = ".".join(chain)
             yield self.finding(
                 module, node,
-                "call %s() is not dominated by an `is not None` guard "
-                "on its recording handle" % dotted,
+                "call %s() has no `is not None` guard on its "
+                "recording handle" % dotted,
                 dotted, symbols,
             )
 

@@ -20,7 +20,7 @@ network latency for the exchange plus a barrier cost.
 
 from collections import defaultdict
 
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import NETWORK_BANDWIDTH, ClusterConfig
 from repro.cluster.metrics import QueryMetrics
 from repro.engine_api import Engine
 from repro.errors import PlanError
@@ -125,8 +125,7 @@ class BftEngine(Engine):
                     len(rows) for rows in next_frontier.values()
                 )
                 ticks += self.config.network_latency
-                if self.config.network_bandwidth:
-                    ticks += exchanged // self.config.network_bandwidth
+                ticks += exchanged // NETWORK_BANDWIDTH
             frontier = next_frontier
             alive = sum(len(rows) for rows in frontier.values())
             peak_intermediate = max(peak_intermediate, alive)

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ClusterConfigError
 
+#: Max extra delay ticks for reordered messages and duplicate copies.
+MAX_DELAY = 12
+
 
 @dataclass
 class ChaosConfig:
@@ -38,8 +41,6 @@ class ChaosConfig:
     duplicate_rate: float = 0.0
     #: Probability a message is delayed past later traffic (reordering).
     reorder_rate: float = 0.0
-    #: Max extra delay ticks for reordered messages and duplicate copies.
-    max_delay: int = 12
     #: Scripted compute stalls: tuple of ``(machine, start_tick, duration)``.
     stalls: tuple = field(default_factory=tuple)
     #: Scripted hard crashes: tuple of ``(machine, tick)``.
@@ -55,8 +56,6 @@ class ChaosConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ClusterConfigError("%s must be in [0, 1)" % name)
-        if self.max_delay < 1:
-            raise ClusterConfigError("max_delay must be >= 1")
         for machine, start, duration in self.stalls:
             if start < 0 or duration < 1 or machine < 0:
                 raise ClusterConfigError(
@@ -138,6 +137,6 @@ class FaultPlan:
         )
         delay = 0
         if config.reorder_rate and rng.random() < config.reorder_rate:
-            delay = rng.randint(1, config.max_delay)
-        dup_delay = rng.randint(1, config.max_delay) if duplicate else 0
+            delay = rng.randint(1, MAX_DELAY)
+        dup_delay = rng.randint(1, MAX_DELAY) if duplicate else 0
         return drop, duplicate, delay, dup_delay

@@ -143,8 +143,7 @@ def build_parser():
                        help="write the recording's metrics in Prometheus "
                             "text exposition format")
     views.add_argument("--series-out", metavar="PATH",
-                       help="write the per-tick series (.csv for CSV, "
-                            "anything else JSONL)")
+                       help="write the per-tick series as JSONL")
 
     faults = query.add_argument_group(
         "fault injection",
@@ -264,7 +263,7 @@ def build_parser():
     traffic.add_argument("--distinct", type=int, default=4,
                          help="distinct generated queries cycled over "
                               "arrivals (default 4)")
-    traffic.add_argument("--deadline", type=int, default=None,
+    traffic.add_argument("--timeout", type=int, default=None,
                          metavar="TICKS",
                          help="per-query deadline in virtual ticks")
     traffic.add_argument("--sweep", metavar="G1,G2,...",
@@ -571,7 +570,7 @@ def cmd_query(args):
 def _print_recording(args, result, recording):
     """The views of a recorded ``query`` run its flags ask for, after
     the recording's one-line summary."""
-    from repro.obs.export import series_csv, series_jsonl
+    from repro.obs.export import series_jsonl
 
     print(recording.summary())
     if args.explain_analyze or args.trace:
@@ -598,11 +597,8 @@ def _print_recording(args, result, recording):
             handle.write(recording.prometheus())
         print("prometheus text written to", args.prom_out)
     if args.series_out:
-        exporter = (
-            series_csv if args.series_out.endswith(".csv") else series_jsonl
-        )
         with open(args.series_out, "w") as handle:
-            handle.write(exporter(recording.series))
+            handle.write(series_jsonl(recording.series))
         print("series written to", args.series_out)
 
 
@@ -781,7 +777,7 @@ def cmd_traffic(args):
         scope_window=args.scope_window,
         query_edges=args.query_edges,
         distinct_queries=args.distinct,
-        deadline=args.deadline,
+        deadline=args.timeout,
     )
 
     if args.verify_serial:

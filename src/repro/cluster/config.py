@@ -4,7 +4,7 @@ The simulator is a discrete-time model: on every tick each worker may
 perform up to ``ops_per_tick`` micro-operations (matching one vertex,
 advancing one neighbor cursor, consuming one message context, ...), and
 a message sent on tick *t* becomes visible to its destination on tick
-``t + network_latency (+ payload size / network_bandwidth)``.
+``t + network_latency (+ payload size // NETWORK_BANDWIDTH)``.
 
 Absolute tick counts are meaningless; *ratios* between configurations
 (more machines, higher latency, smaller flow-control budgets) are the
@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from repro.errors import ClusterConfigError
 
+#: Contexts per tick of serialization delay: a bulk message with C
+#: contexts adds ``C // NETWORK_BANDWIDTH`` ticks to its latency.
+NETWORK_BANDWIDTH = 64
 
 @dataclass
 class ClusterConfig:
@@ -30,9 +33,6 @@ class ClusterConfig:
     ops_per_tick: int = 32
     #: Ticks between handing a message to the network and delivery.
     network_latency: int = 8
-    #: Contexts per tick of additional serialization delay (0 disables).
-    #: A bulk message with C contexts adds ``C // network_bandwidth`` ticks.
-    network_bandwidth: int = 64
     #: Fixed per-message cost, in sender micro-ops.
     message_send_cost: int = 4
     #: Messages one machine's NIC can inject per tick (0 = unlimited).
@@ -110,8 +110,6 @@ class ClusterConfig:
             raise ClusterConfigError("ops_per_tick must be >= 1")
         if self.network_latency < 0:
             raise ClusterConfigError("network_latency must be >= 0")
-        if self.network_bandwidth < 0:
-            raise ClusterConfigError("network_bandwidth must be >= 0")
         if self.bulk_message_size < 1:
             raise ClusterConfigError("bulk_message_size must be >= 1")
         if self.flow_control_window < 1:

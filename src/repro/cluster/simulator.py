@@ -30,6 +30,7 @@ A hard machine crash or an exceeded query deadline raises a structured
 recording — the simulator never hangs on an unrecoverable fault.
 """
 
+from repro.cluster.config import NETWORK_BANDWIDTH
 from repro.cluster.metrics import QueryMetrics
 from repro.cluster.network import Network
 from repro.context import ExecutionContext
@@ -104,7 +105,7 @@ class Simulator:
             plan = FaultPlan(chaos_config, default_seed=config.seed)
             self.network = ChaosNetwork(
                 latency=config.network_latency,
-                bandwidth=config.network_bandwidth,
+                bandwidth=NETWORK_BANDWIDTH,
                 sender_rate=config.sender_messages_per_tick,
                 plan=plan,
                 recording=recording,
@@ -115,7 +116,7 @@ class Simulator:
         else:
             self.network = Network(
                 latency=config.network_latency,
-                bandwidth=config.network_bandwidth,
+                bandwidth=NETWORK_BANDWIDTH,
                 sender_rate=config.sender_messages_per_tick,
             )
             self.chaos = None

@@ -51,11 +51,9 @@ from repro.obs.events import (
 from repro.obs.export import (
     chrome_trace,
     parse_prometheus,
-    parse_series_csv,
     parse_series_jsonl,
     prometheus_text,
     render_timeline,
-    series_csv,
     series_jsonl,
 )
 from repro.obs.feedback import (
@@ -82,9 +80,7 @@ __all__ = [
     "prometheus_text",
     "parse_prometheus",
     "series_jsonl",
-    "series_csv",
     "parse_series_jsonl",
-    "parse_series_csv",
     "TraceEvent",
     "EVENT_KINDS",
     "WorkerSpan",

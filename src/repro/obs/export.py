@@ -9,15 +9,13 @@
 * the recording's **metrics** as Prometheus text (:func:`prometheus_text`,
   rendered on demand from the recording's metrics, series, histograms
   and drift profile);
-* the **time series** (:func:`series_jsonl`, :func:`series_csv`).
+* the **time series** as JSONL (:func:`series_jsonl`).
 
 Each text writer has a matching reader (``parse_*``) so round trips are
 testable; ``repro query --chrome-out / --prom-out / --series-out`` is
 the caller.
 """
 
-import csv
-import io
 import json
 
 from repro.obs.sampler import MACHINE_COLUMNS
@@ -541,32 +539,3 @@ def parse_series_jsonl(text):
         else:
             rows.append(record)
     return meta, rows
-
-
-def series_csv(sampler):
-    """The time series as CSV: ``tick, machine, <columns...>``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("tick", "machine") + MACHINE_COLUMNS)
-    for row in series_rows(sampler):
-        writer.writerow(
-            [row["tick"], row["machine"]]
-            + [row[column] for column in MACHINE_COLUMNS]
-        )
-    return buffer.getvalue()
-
-
-def parse_series_csv(text):
-    """Read :func:`series_csv` output back into dict rows (typed)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        return []
-    rows = []
-    for record in reader:
-        row = {}
-        for key, value in zip(header, record):
-            number = float(value)
-            row[key] = int(number) if number.is_integer() else number
-        rows.append(row)
-    return rows

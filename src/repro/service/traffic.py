@@ -38,17 +38,12 @@ class TrafficConfig:
     slots: int = 8
     #: Per-scope flow window (None: carve evenly across the slots).
     scope_window: int = None
-    #: The query mix, cycled over arrivals.  None: a seeded random
-    #: pattern suite with *query_edges* edges per query.
-    queries: tuple = None
-    #: Edges per generated pattern query (when *queries* is None).
+    #: Edges per generated pattern query.
     query_edges: int = 3
     #: Distinct generated queries to cycle through.
     distinct_queries: int = 4
     #: Per-query deadline in virtual ticks (None: none).
     deadline: int = None
-    #: Priorities assigned round-robin to arrivals.
-    priority_cycle: tuple = (1,)
 
 
 @dataclass
@@ -124,9 +119,7 @@ def arrival_schedule(traffic):
 
 
 def query_mix(traffic):
-    """The query texts cycled over arrivals."""
-    if traffic.queries:
-        return list(traffic.queries)
+    """The query texts cycled over arrivals: a seeded random suite."""
     return random_query_suite(
         num_queries=traffic.distinct_queries,
         num_edges=traffic.query_edges,
@@ -151,7 +144,6 @@ def run_traffic(engine, traffic=None, service_config=None):
     service = QueryService(engine, service_config)
     schedule = arrival_schedule(traffic)
     mix = query_mix(traffic)
-    priorities = traffic.priority_cycle or (1,)
     handles = []
     pending = list(enumerate(schedule))
     cursor = 0
@@ -159,9 +151,7 @@ def run_traffic(engine, traffic=None, service_config=None):
         while cursor < len(pending) and pending[cursor][1] <= service.now:
             index, _tick = pending[cursor]
             handles.append(service.submit(
-                mix[index % len(mix)],
-                priority=priorities[index % len(priorities)],
-                deadline=traffic.deadline,
+                mix[index % len(mix)], deadline=traffic.deadline,
             ))
             cursor += 1
         if not service.step():
@@ -218,8 +208,9 @@ def verify_serial_parity(engine, traffic=None):
     The serial run uses one admission slot with the *same* per-scope
     flow window the concurrent service resolved, so each scope's
     virtual execution must be bit-identical: same rows in the same
-    order, same deterministic metrics.  Returns ``(report, mismatches)``
-    where an empty mismatch list is the parity gate passing.
+    order, same deterministic metrics.  Returns ``(concurrent, serial,
+    mismatches)`` — the two runs' :class:`TrafficReport` objects and a
+    list of per-query differences, empty when the parity gate passes.
     """
     traffic = traffic or TrafficConfig()
     concurrent = run_traffic(engine, traffic)

@@ -8,6 +8,7 @@ of the real runtime sources: un-guarding one recording call or deleting one
 message-dispatch arm must flip the analyzer to a non-zero exit.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -538,6 +539,59 @@ class TestMutations:
         result = analyze([root])
         assert "RPR002" in rules_of(result)
         assert result.fails("error")
+
+    @staticmethod
+    def recording_guards(source):
+        """``X is not None`` tests on a recording handle ``X`` whose
+        ``if`` body or ternary value calls a method on ``X``."""
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.If, ast.IfExp)):
+                continue
+            tests = (node.test.values
+                     if isinstance(node.test, ast.BoolOp)
+                     and isinstance(node.test.op, ast.And)
+                     else [node.test])
+            body = node.body if isinstance(node.body, list) else [node.body]
+            calls = [ast.unparse(call.func) for stmt in body
+                     for call in ast.walk(stmt)
+                     if isinstance(call, ast.Call)]
+            for test in tests:
+                if not (isinstance(test, ast.Compare)
+                        and isinstance(test.ops[0], ast.IsNot)):
+                    continue
+                handle = ast.unparse(test.left)
+                if handle.split(".")[-1].lstrip("_") != "recording":
+                    continue
+                if any(call.startswith(handle + ".") for call in calls):
+                    yield test
+
+    def test_unguarding_any_recording_call_fails(self, tmp_path):
+        """Each guard on a recording handle that guards a call on it,
+        replaced by ``True`` one at a time, is an RPR002 finding."""
+        rule = rule_by_id("RPR002")
+        rule.scope = ()
+        sites, missed = 0, []
+        for path in sorted(SRC_REPRO.rglob("*.py")):
+            rel = path.relative_to(SRC_REPRO.parent)
+            if rel.parts[1] == "analysis":
+                continue
+            source = path.read_text()
+            lines = source.splitlines(keepends=True)
+            write_package(tmp_path, {rel: source})
+            before = len(analyze([tmp_path / rel], [rule]).findings)
+            for test in self.recording_guards(source):
+                assert test.lineno == test.end_lineno
+                line = lines[test.lineno - 1]
+                mutated = list(lines)
+                mutated[test.lineno - 1] = (line[:test.col_offset] + "True"
+                                            + line[test.end_col_offset:])
+                write_package(tmp_path, {rel: "".join(mutated)})
+                after = len(analyze([tmp_path / rel], [rule]).findings)
+                sites += 1
+                if after <= before:
+                    missed.append("%s:%d" % (rel, test.lineno))
+        assert missed == []
+        assert sites >= 28
 
     def test_deleting_one_message_handler_fails(self, tmp_path):
         machine = (RUNTIME / "machine.py").read_text()

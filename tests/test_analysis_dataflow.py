@@ -1,9 +1,10 @@
 """Tests for the CFG/dataflow framework and the v2 rule packs.
 
 Split from ``test_analysis.py``: everything here exercises behavior
-that only exists because guard/type/reservation facts flow over a real
-control-flow graph — domination through try/finally, while/else, early
-returns, nested scopes — plus the RPR006/RPR007/RPR009 rule packs, the
+that depends on control flow — guards through try/finally, while/else,
+early returns, loops, rebinding and nested scopes (RPR002's ancestor
+walk), type and reservation facts over a real control-flow graph —
+plus the RPR006/RPR007/RPR009 rule packs, the
 RPR008 generated-source audit, and the runner surface (``--select``,
 ``--all-scopes``).  The mutation tests follow the house style: copy a
 real source verbatim, break one invariant, and require the analyzer to
@@ -102,7 +103,7 @@ class TestCfg:
 
 
 # ----------------------------------------------------------------------
-# RPR002 guard domination over the CFG (the tentpole rewrite)
+# RPR002 guards through control flow, rebinding and nested scopes
 # ----------------------------------------------------------------------
 
 class TestGuardDataflow:
@@ -238,6 +239,53 @@ class TestGuardDataflow:
             """))
         result = analyze([root])
         assert rules_of(result) == ["RPR002"]
+
+
+    @pytest.mark.parametrize("body", [
+        # a `with ... as` target
+        """\
+        if recording is not None:
+            with frame.open() as recording:
+                recording.emit(frame)
+        """,
+        # an `except ... as` name
+        """\
+        if recording is not None:
+            try:
+                frame.run()
+            except KeyError as recording:
+                recording.emit(frame)
+        """,
+        # a loop target
+        """\
+        if recording is None:
+            return
+        for recording in frame.recorders:
+            recording.emit(1)
+        """,
+        # a rebinding after the call: the back edge carries it round
+        """\
+        if recording is not None:
+            for item in frame.items:
+                recording.emit(item)
+                recording = item.recorder
+        """,
+    ])
+    def test_rebinding_voids_guard(self, tmp_path, body):
+        indented = textwrap.indent(textwrap.dedent(body), " " * 4)
+        root = write_package(tmp_path, runtime_module(
+            "def step(recording, frame):\n" + indented))
+        assert rules_of(analyze([root])) == ["RPR002"]
+
+    def test_guard_inside_the_loop_survives_its_rebinding(self, tmp_path):
+        root = write_package(tmp_path, runtime_module("""\
+            def drain(recording, frames):
+                for frame in frames:
+                    if recording is not None:
+                        recording.emit(frame)
+                    recording = frame.recorder
+            """))
+        assert analyze([root]).findings == []
 
 
 # ----------------------------------------------------------------------

@@ -263,7 +263,7 @@ class TestMonitorCommand:
 
     def test_monitor_end_to_end(self, capsys, tmp_path):
         prom = tmp_path / "metrics.prom"
-        series = tmp_path / "series.csv"
+        series = tmp_path / "series.jsonl"
         code = main(
             ["query", "--random", "100x400", "--machines", "2",
              "--live", "--prom-out", str(prom),
@@ -276,7 +276,7 @@ class TestMonitorCommand:
         assert "recording:" in out
         assert "# TYPE repro_ops_total counter" in prom.read_text()
         header = series.read_text().splitlines()[0]
-        assert header.startswith("tick,machine,")
+        assert header.startswith('{"meta": ')
 
     def test_monitor_series_jsonl(self, tmp_path, capsys):
         from repro.obs import parse_series_jsonl

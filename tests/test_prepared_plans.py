@@ -242,7 +242,7 @@ class TestKeySensitivity:
             for settings in (ClusterConfig, PlannerOptions,
                              ExecutionContext)
         ]
-        assert [len(names) for names in homes] == [18, 5, 4]
+        assert [len(names) for names in homes] == [17, 5, 4]
         for index, names in enumerate(homes):
             for other in homes[index + 1:]:
                 assert not names & other
