@@ -1,7 +1,8 @@
 """A :class:`~repro.cluster.network.Network` that injects faults.
 
-``ChaosNetwork`` keeps the base cost model (latency, bandwidth, NIC
-serialization) but breaks the delivery discipline according to a
+``ChaosNetwork.send`` prices every message with the base cost model
+(``Network._arrival``: latency, bandwidth, NIC serialization) but
+replaces the delivery discipline according to a
 :class:`~repro.chaos.plan.FaultPlan`:
 
 * **drop** — the envelope is never enqueued; the sender still paid its
@@ -15,7 +16,9 @@ Every injection is counted and, when the run is recorded, emitted as
 a typed ``repro.obs`` event so faults show up on the query timeline.
 """
 
-from repro.cluster.network import Network
+from heapq import heappush
+
+from repro.cluster.network import Envelope, Network, _envelope
 from repro.obs.events import MessageDelayed, MessageDropped, MessageDuplicated
 
 
@@ -40,11 +43,7 @@ class ChaosNetwork(Network):
         return self._plan
 
     def send(self, now, src, dst, payload, size=0):
-        base = (
-            self._injection_tick(now, src)
-            + self._latency
-            + self._transfer_ticks(size)
-        )
+        base = self._arrival(now, src, size)
         drop, duplicate, delay, dup_delay = self._plan.message_fate(
             now, src, dst
         )
@@ -59,21 +58,27 @@ class ChaosNetwork(Network):
                     now, src, dst, _payload_name(payload), delay
                 ))
         else:
-            deliver_at = self._fifo_clamp((src, dst), base)
+            # Network.send's FIFO clamp; a dropped message holds its
+            # channel's clock too, since its sender believes it sent.
+            deliver_at = max(base, self._channel_clock.get((src, dst), -1))
+            self._channel_clock[src, dst] = deliver_at
+        copies = () if drop else (deliver_at,)
         if drop:
             self.messages_dropped += 1
             if recording is not None:
                 recording.emit(MessageDropped(
                     now, src, dst, _payload_name(payload)
                 ))
-        else:
-            self._push(src, dst, payload, deliver_at, size, sent_at=now)
         if duplicate:
             self.messages_duplicated += 1
             if recording is not None:
                 recording.emit(MessageDuplicated(
                     now, src, dst, _payload_name(payload), dup_delay
                 ))
-            self._push(src, dst, payload, base + dup_delay, size,
-                       sent_at=now)
+            copies += (base + dup_delay,)
+        for tick in copies:
+            self._sequence += 1
+            heappush(self._heap, _envelope(Envelope, (
+                tick, self._sequence, src, dst, payload, now,
+            )))
         return deliver_at

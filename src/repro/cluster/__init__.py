@@ -3,7 +3,7 @@
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import MachineMetrics, QueryMetrics
 from repro.cluster.network import Envelope, Network
-from repro.cluster.simulator import MachineAPI, MachineInterface, Simulator
+from repro.cluster.simulator import MachineAPI, Simulator
 
 __all__ = [
     "ClusterConfig",
@@ -13,5 +13,4 @@ __all__ = [
     "Envelope",
     "Simulator",
     "MachineAPI",
-    "MachineInterface",
 ]

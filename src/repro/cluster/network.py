@@ -7,29 +7,26 @@ on a machine's ``COMPLETED`` notification never overtaking its earlier
 work messages on the same channel, which matches the ordered reliable
 transport (InfiniBand RC) the paper's messaging library runs on.
 
-The chaos subsystem (``repro.chaos``) subclasses :class:`Network` to
-inject message drops, duplications, and reordering delays; the
-injection/transfer helpers below are factored out so the subclass can
-reuse the cost model while overriding the delivery discipline.
+:meth:`Network.send` is the whole fault-free path: the cost model
+(:meth:`Network._arrival`: NIC slot, latency, transfer), the FIFO clamp
+and the enqueue.  A message in flight is its :class:`Envelope`, which
+is also its heap entry.  The chaos subsystem (``repro.chaos``)
+subclasses :class:`Network` to inject message drops, duplications and
+reordering delays: it shares ``_arrival`` and replaces the delivery
+discipline.
 """
 
-import heapq
-import itertools
+from collections import namedtuple
+from heapq import heappop, heappush
 
-
-class Envelope:
-    """A message in flight."""
-
-    __slots__ = ("src", "dst", "payload", "deliver_at", "size", "sent_at")
-
-    def __init__(self, src, dst, payload, deliver_at, size, sent_at=0):
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.deliver_at = deliver_at
-        self.size = size
-        #: Tick the sender handed the payload over (latency histogram).
-        self.sent_at = sent_at
+#: A message in flight and the network heap's entry for it: entries
+#: order by delivery tick, then by send order (``seq`` is unique, so a
+#: payload is never compared).  ``sent_at`` is the tick the sender
+#: handed the payload over (latency histogram).  Senders build one with
+#: ``_envelope(Envelope, fields)``, which skips namedtuple's Python-level
+#: ``__new__``.
+Envelope = namedtuple("Envelope", "deliver_at seq src dst payload sent_at")
+_envelope = tuple.__new__
 
 
 class Network:
@@ -52,7 +49,8 @@ class Network:
         self._bandwidth = bandwidth
         self._sender_rate = sender_rate
         self._heap = []
-        self._sequence = itertools.count()
+        # Send counter: the seq of the last envelope queued.
+        self._sequence = 0
         # Last scheduled delivery tick per (src, dst), for FIFO enforcement.
         self._channel_clock = {}
         # Next free NIC slot per source, in units of 1/sender_rate ticks.
@@ -67,53 +65,42 @@ class Network:
         """Messages currently in flight."""
         return len(self._heap)
 
-    # ------------------------------------------------------------------
-    # Cost model helpers (shared with repro.chaos.ChaosNetwork)
-    # ------------------------------------------------------------------
-    def _injection_tick(self, now, src):
-        """Integral tick the source NIC injects the next message.
+    def _arrival(self, now, src, size):
+        """The cost model: the tick a message of *size* that *src*
+        hands over on tick *now* lands, before any FIFO clamp.
 
         The NIC serializes ``sender_rate`` messages per tick: message
         *k* of a burst occupies slot *k* and injects on tick
-        ``slot // sender_rate`` — integer arithmetic throughout.
+        ``slot // sender_rate`` — integer arithmetic throughout.  The
+        link then adds its latency and ``size // bandwidth`` ticks.
         """
         rate = self._sender_rate
-        if not rate:
-            return now
-        slot = max(now * rate, self._source_slot.get(src, 0))
-        self._source_slot[src] = slot + 1
-        return slot // rate
+        if rate:
+            slot = self._source_slot.get(src, 0)
+            if slot < now * rate:
+                slot = now * rate
+            self._source_slot[src] = slot + 1
+            now = slot // rate
+        if self._bandwidth:
+            return now + self._latency + size // self._bandwidth
+        return now + self._latency
 
-    def _transfer_ticks(self, size):
-        return size // self._bandwidth if self._bandwidth else 0
-
-    def _fifo_clamp(self, channel, deliver_at):
-        """Enforce per-channel FIFO: never deliver before a prior message."""
-        previous = self._channel_clock.get(channel, -1)
-        if deliver_at <= previous:
-            deliver_at = previous  # keep FIFO order; ties break by sequence
-        self._channel_clock[channel] = deliver_at
-        return deliver_at
-
-    def _push(self, src, dst, payload, deliver_at, size, sent_at=0):
-        heapq.heappush(
-            self._heap,
-            (deliver_at, next(self._sequence),
-             Envelope(src, dst, payload, deliver_at, size, sent_at)),
-        )
-
-    # ------------------------------------------------------------------
-    # Public interface
-    # ------------------------------------------------------------------
     def send(self, now, src, dst, payload, size=0):
-        """Queue *payload* from *src* to *dst*; returns the delivery tick."""
-        deliver_at = (
-            self._injection_tick(now, src)
-            + self._latency
-            + self._transfer_ticks(size)
-        )
-        deliver_at = self._fifo_clamp((src, dst), deliver_at)
-        self._push(src, dst, payload, deliver_at, size, sent_at=now)
+        """Queue *payload* from *src* to *dst*; returns the delivery tick.
+
+        A message never lands before an earlier one on its channel;
+        ties break by send order.
+        """
+        deliver_at = self._arrival(now, src, size)
+        channel = (src, dst)
+        previous = self._channel_clock.get(channel, -1)
+        if deliver_at < previous:
+            deliver_at = previous
+        self._channel_clock[channel] = deliver_at
+        self._sequence += 1
+        heappush(self._heap, _envelope(Envelope, (
+            deliver_at, self._sequence, src, dst, payload, now,
+        )))
         return deliver_at
 
     def deliver_due(self, now):
@@ -121,10 +108,10 @@ class Network:
 
         Envelopes come out in (delivery tick, send order) — deterministic.
         """
+        heap = self._heap
         due = []
-        while self._heap and self._heap[0][0] <= now:
-            _, _, envelope = heapq.heappop(self._heap)
-            due.append(envelope)
+        while heap and heap[0][0] <= now:
+            due.append(heappop(heap))
         self.messages_delivered += len(due)
         return due
 

@@ -1,16 +1,20 @@
 """The discrete-time cluster simulator.
 
-The simulator owns a set of *machine* objects (anything implementing the
-small :class:`MachineInterface` protocol), the :class:`Network`, and the
+The simulator owns a set of duck-typed *machine* objects (each has
+``on_message(src, payload)``, ``worker_step(worker_index, budget)``,
+``is_finished()`` and ``metrics``), the :class:`Network`, and the
 global clock.  On each tick it first delivers due network messages, then
 gives every worker of every machine an operation budget.  The run ends
 when every machine reports completion and no messages are in flight.
 
 Machines talk to the outside world exclusively through the
 :class:`MachineAPI` handle they are given, which tags network traffic
-with the current tick — machines never see the simulator itself.
+with the current tick — machines never see the simulator itself.  Its
+``send`` hands the payload straight to ``Network.send``; each tick the
+simulator unpacks the due :class:`~repro.cluster.network.Envelope`
+entries into ``on_message`` calls.
 
-Two optional subsystems hook in here:
+Three optional subsystems hook in here:
 
 * **chaos** (``repro.chaos``): when the config carries a ``ChaosConfig``
   the network is replaced by a fault-injecting :class:`~repro.chaos.
@@ -26,8 +30,9 @@ Two optional subsystems hook in here:
   seals it when the run ends or aborts.
 
 A hard machine crash or an exceeded query deadline raises a structured
-:class:`~repro.errors.QueryAborted` carrying partial metrics and the
-recording — the simulator never hangs on an unrecoverable fault.
+:class:`~repro.errors.QueryAborted` (:meth:`Simulator.abort`) carrying
+partial metrics, the recording and :meth:`Simulator.flow_state` — the
+simulator never hangs on an unrecoverable fault.
 """
 
 from repro.cluster.config import NETWORK_BANDWIDTH
@@ -35,26 +40,6 @@ from repro.cluster.metrics import QueryMetrics
 from repro.cluster.network import Network
 from repro.context import ExecutionContext
 from repro.errors import QueryAborted, QueryStalled, RuntimeFault
-
-
-class MachineInterface:
-    """Protocol the simulator drives.  Machines subclass or duck-type it."""
-
-    def on_message(self, src, payload):
-        """Handle a delivered network payload."""
-        raise NotImplementedError
-
-    def worker_step(self, worker_index, budget):
-        """Run one worker for up to *budget* micro-ops; return ops used."""
-        raise NotImplementedError
-
-    def is_finished(self):
-        """True when this machine considers the computation complete."""
-        raise NotImplementedError
-
-    @property
-    def metrics(self):
-        raise NotImplementedError
 
 
 class MachineAPI:
@@ -158,25 +143,25 @@ class Simulator:
     # ------------------------------------------------------------------
     # Abort path (crash / deadline): structured, never a hang
     # ------------------------------------------------------------------
-    def _partial_metrics(self):
+    def _metrics(self):
+        """The run's QueryMetrics so far, network fault counters included
+        (partial on the abort path, final in :meth:`finish`)."""
         metrics = QueryMetrics.collect(
             self.now, [machine.metrics for machine in self._machines]
         )
-        self._attach_fault_counters(metrics)
-        return metrics
-
-    def _attach_fault_counters(self, metrics):
         network = self.network
         metrics.messages_dropped = network.messages_dropped
         metrics.messages_duplicated = network.messages_duplicated
         metrics.messages_delayed = network.messages_delayed
+        return metrics
 
-    def _flow_state(self):
+    def flow_state(self):
         """Per-machine flow-control/memory snapshot for abort reports.
 
         Captured on *every* abort path — deadline timeouts included, not
         just crashes — so a query stuck on an exhausted window can be
-        debugged from the exception alone.
+        debugged from the exception alone; the multi-query service also
+        reads it for co-tenants.
         """
         state = []
         for machine_id, machine in enumerate(self._machines):
@@ -197,20 +182,14 @@ class Simulator:
             state.append(entry)
         return state
 
-    def flow_state(self):
-        """Public form of the per-machine flow snapshot (service layer)."""
-        return self._flow_state()
-
     def abort(self, reason):
         """Abort the run now with a structured :class:`QueryAborted`.
 
-        Public entry point for external controllers — the multi-query
-        service uses it to cancel one tenant's scope mid-run.
+        :meth:`step` calls it on a crash or a passed deadline; the
+        multi-query service calls it to cancel one tenant's scope
+        mid-run.
         """
-        self._abort(reason)
-
-    def _abort(self, reason):
-        metrics = self._partial_metrics()
+        metrics = self._metrics()
         if self.recording is not None:
             self.recording.seal(self.now, metrics, aborted=reason)
         detail, flow_state = self._diagnosis()
@@ -238,7 +217,7 @@ class Simulator:
         )
         if unacked:
             details.append("%d unacked frames" % unacked)
-        return "; ".join(details) or None, self._flow_state()
+        return "; ".join(details) or None, self.flow_state()
 
     def stalled(self, reason):
         """The :class:`QueryStalled` describing this run right now (the
@@ -300,27 +279,25 @@ class Simulator:
         if recording is not None:
             from repro.obs.events import MessageDeliver
         if deadline is not None and self.now >= deadline:
-            self._abort("deadline of %d ticks exceeded" % deadline)
+            self.abort("deadline of %d ticks exceeded" % deadline)
         if chaos is not None:
             crashed = chaos.begin_tick(self.now)
             if crashed is not None:
-                self._abort("machine %d crashed" % crashed)
+                self.abort("machine %d crashed" % crashed)
         for index, machine in self._timer_machines:
             if chaos is None or not chaos.is_stalled(index, self.now):
                 machine.on_tick(self.now)
 
-        for envelope in self.network.deliver_due(self.now):
+        for _at, _seq, src, dst, payload, sent_at in \
+                self.network.deliver_due(self.now):
             if recording is not None:
                 recording.emit(MessageDeliver(
-                    self.now, envelope.src, envelope.dst,
-                    getattr(envelope.payload, "trace_name",
-                            type(envelope.payload).__name__),
-                    getattr(envelope.payload, "stage", None),
+                    self.now, src, dst,
+                    getattr(payload, "trace_name", type(payload).__name__),
+                    getattr(payload, "stage", None),
                 ))
-                recording.message_latency.observe(
-                    self.now - envelope.sent_at
-                )
-            machines[envelope.dst].on_message(envelope.src, envelope.payload)
+                recording.message_latency.observe(self.now - sent_at)
+            machines[dst].on_message(src, payload)
 
         all_idle = True
         for index, machine in enumerate(machines):
@@ -376,10 +353,7 @@ class Simulator:
 
     def finish(self):
         """Seal a completed run; returns its :class:`QueryMetrics`."""
-        metrics = QueryMetrics.collect(
-            self.now, [machine.metrics for machine in self._machines]
-        )
-        self._attach_fault_counters(metrics)
+        metrics = self._metrics()
         if self.recording is not None:
             self.recording.seal(self.now, metrics)
         return metrics

@@ -30,7 +30,7 @@ from repro.obs.events import (
     WorkerSpan,
 )
 from repro.runtime.flow_control import FlowControl
-from repro.runtime.hops import CNItem, vertex_admissible
+from repro.runtime.hops import vertex_admissible
 from repro.runtime.kernels import reference_kernels
 from repro.runtime.messages import (
     Ack,
@@ -38,14 +38,10 @@ from repro.runtime.messages import (
     QuotaGrant,
     QuotaRequest,
     WorkMessage,
+    item_weight as _item_weight,
 )
 from repro.runtime.termination import TerminationTracker
 from repro.runtime.worker import ScanFrame, Worker, frame_for_item
-
-
-def _item_weight(item):
-    """Contexts an item accounts for in memory metrics."""
-    return len(item) if isinstance(item, CNItem) else 1
 
 
 # The two PGX.D tasks (paper §3.3) as phases of ``worker_step``: workers
@@ -426,13 +422,8 @@ class QueryMachine:
                 payload.arrived_at = self.api.now
             stage = payload.stage
             self._inbox[stage].append(payload)
-            items = payload.items
-            weight = len(items)
-            for item in items:
-                if isinstance(item, CNItem):
-                    weight += len(item) - 1
-            self.stage_load[stage] += len(items)
-            self.metrics.buffered_delta(weight)
+            self.stage_load[stage] += len(payload.items)
+            self.metrics.buffered_delta(payload.weight)
             # The first free slot in slice order takes it; if that
             # worker's slice goes elsewhere, _wake_for_sources passes
             # the message on within the tick.
@@ -637,9 +628,9 @@ class QueryMachine:
             return False  # route() records the refusal
         message = WorkMessage(stage_index, (item,))
         self.flow.on_send(stage_index, dest)
-        self.api.send(dest, message, size=_item_weight(item))
+        self.api.send(dest, message, size=message.weight)
         self.metrics.work_messages_sent += 1
-        self.metrics.contexts_sent += _item_weight(item)
+        self.metrics.contexts_sent += message.weight
         self._sync_wait = message.seq
         return True
 
@@ -741,10 +732,7 @@ class QueryMachine:
         if not self.flow.can_flush(stage, dest):
             return False
         message = WorkMessage(stage, tuple(buffer))
-        weight = len(buffer)
-        for item in buffer:
-            if isinstance(item, CNItem):
-                weight += len(item) - 1
+        weight = message.weight
         del buffer[:]
         # The buffer has room again: can_enqueue turned true.
         window = stage * self._num_machines + dest

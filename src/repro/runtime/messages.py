@@ -10,22 +10,38 @@ messages of dynamic flow-control capacity borrowing.
 
 import itertools
 
+from repro.runtime.hops import CNItem
+
 _SEQUENCE = itertools.count(1)
+
+
+def item_weight(item):
+    """Contexts an item accounts for in memory metrics: a CN_PROBE item
+    counts its base context and each candidate."""
+    return len(item) if type(item) is CNItem else 1
 
 
 class WorkMessage:
     """A bulk of intermediate results destined for one stage.
 
     ``items`` are plain context tuples, except for CN_PROBE stages where
-    each item is ``(ctx, candidates)`` with *candidates* a tuple of
-    ``(vertex, appendix)`` pairs (see ``runtime.hops``).
+    each item is a :class:`~repro.runtime.hops.CNItem` (``ctx`` plus a
+    tuple of ``(vertex, appendix)`` candidates).  ``weight`` is the sum
+    of :func:`item_weight` over the items: the contexts the bulk ships,
+    which the network charges transfer time for and both machines'
+    memory metrics count.
     """
 
-    __slots__ = ("stage", "items", "seq", "src", "arrived_at")
+    __slots__ = ("stage", "items", "weight", "seq", "src", "arrived_at")
 
     def __init__(self, stage, items):
         self.stage = stage
         self.items = items
+        weight = len(items)  # item_weight, summed inline
+        for item in items:
+            if type(item) is CNItem:
+                weight += len(item) - 1
+        self.weight = weight
         self.seq = next(_SEQUENCE)
         self.src = None  # filled in on delivery
         self.arrived_at = 0  # delivery tick (inbox-wait histogram)

@@ -9,10 +9,14 @@ deadlines are unrecoverable by design and abort with a structured
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, ExecutionContext, PgxdAsyncEngine, \
     run_query, uniform_random_graph
-from repro.chaos import ChaosConfig, FaultPlan, PROFILES, profile
+from repro.chaos import ChaosConfig, ChaosNetwork, FaultPlan, PROFILES, \
+    profile
+from repro.cluster import Network
 from repro.errors import ClusterConfigError, QueryAborted
 from repro.obs import Recording
 
@@ -236,3 +240,50 @@ class TestConfigValidation:
         chaos = ChaosConfig(crashes=((99, 5),))
         with pytest.raises(ClusterConfigError):
             chaos_run(chaos_graph, chaos)
+
+
+class TestFaultFreeChaosNetwork:
+    """A ChaosNetwork whose plan injects nothing is the plain Network:
+    both price a message with the one cost model and clamp it FIFO."""
+
+    @given(
+        sender_rate=st.sampled_from([0, 1, 3, 8]),
+        bandwidth=st.sampled_from([0, 1, 10]),
+        latency=st.integers(0, 3),
+        sends=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # ticks since the previous send
+                st.integers(0, 3),  # src
+                st.integers(1, 3),  # dst offset from src
+                st.integers(0, 40),  # size
+            ),
+            max_size=40,
+        ),
+    )
+    def test_delivers_what_network_delivers(self, sender_rate, bandwidth,
+                                            latency, sends):
+        plain = Network(latency=latency, bandwidth=bandwidth,
+                        sender_rate=sender_rate)
+        chaotic = ChaosNetwork(
+            latency=latency, bandwidth=bandwidth, sender_rate=sender_rate,
+            plan=FaultPlan(ChaosConfig(), default_seed=0),
+        )
+        logs = {plain: [], chaotic: []}
+        now = 0
+        for index, (gap, src, offset, size) in enumerate(sends):
+            now += gap
+            for network, log in logs.items():
+                log.extend(
+                    (env.deliver_at, env.src, env.dst, env.payload)
+                    for env in network.deliver_due(now)
+                )
+                log.append(network.send(now, src, (src + offset) % 4,
+                                        index, size))
+        for network, log in logs.items():
+            log.extend(
+                (env.deliver_at, env.src, env.dst, env.payload)
+                for env in network.deliver_due(now + 10_000)
+            )
+        assert logs[chaotic] == logs[plain]
+        assert len(chaotic) == len(plain) == 0
+        assert chaotic.messages_delivered == len(sends)

@@ -44,6 +44,12 @@ class TestItemWeight:
         item = CNItem((1,), ((5, ()), (6, ())))
         assert _item_weight(item) == 3
 
+    def test_work_message_weighs_its_items(self):
+        ctx = (7, 8)
+        message = WorkMessage(2, (ctx, CNItem(ctx, ((1, ()), (2, ())))))
+        assert message.weight == 4
+        assert WorkMessage(2, (ctx, ctx)).weight == 2
+
 
 class TestMessageHandling:
     def test_work_message_enters_inbox_and_load(self):
