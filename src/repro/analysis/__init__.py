@@ -4,11 +4,11 @@ A self-contained, ``ast``-based rule engine that machine-checks the
 cross-cutting contracts the paper's guarantees rest on — simulator
 determinism (RPR001), zero-cost-off instrumentation (RPR002, the TXT2
 contract), message-protocol exhaustiveness (RPR003), iteration-order
-determinism (RPR006), reservation pairing on every CFG path (RPR007),
-the kernel-codegen audit (RPR008), cross-scope isolation (RPR009), plus
-the general hygiene rules RPR004/RPR005.  The two path-sensitive rules,
-RPR006 and RPR007, run on a control-flow graph and forward-dataflow
-framework (:mod:`repro.analysis.cfg`, :mod:`repro.analysis.dataflow`);
+determinism (RPR006), the kernel-codegen audit (RPR008), cross-scope
+isolation (RPR009), plus the general hygiene rules RPR004/RPR005.  The
+path-sensitive rule, RPR006, runs on a control-flow graph and
+forward-dataflow framework (:mod:`repro.analysis.cfg`,
+:mod:`repro.analysis.dataflow`);
 RPR002 walks each recording call's ancestors
 (:mod:`repro.analysis.guards`).  Everything except RPR008's dynamic half
 is stdlib-only and never executes scanned code.  See

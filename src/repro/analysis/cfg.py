@@ -2,16 +2,14 @@
 
 This module builds one CFG per scope — module body, function body,
 class body — over which :mod:`repro.analysis.dataflow` runs forward
-fixpoint analyses for the two path-sensitive rules: RPR006's set types
-(:class:`repro.analysis.flows.SetTypeAnalysis`) and RPR007's
-reservations (:class:`repro.analysis.flows.ReservationAnalysis`).
-RPR002's guard check is syntactic and walks the AST instead
-(:mod:`repro.analysis.guards`).  The graph models the control flow that
-matters for must/may facts:
+fixpoint analyses for the path-sensitive rule, RPR006's set types
+(:class:`repro.analysis.flows.SetTypeAnalysis`).  RPR002's guard check
+is syntactic and walks the AST instead (:mod:`repro.analysis.guards`).
+The graph models the control flow that matters for must facts:
 
 * branches (``if``/``elif``/``else``, ``while``/``for`` with ``else``
   clauses, ``match``), with each branch edge annotated by the test
-  expression and its polarity so analyses can refine facts per edge;
+  expression and its polarity;
 * loops, including ``break``/``continue`` and back edges;
 * early exits: ``return`` and ``raise`` edges leave through distinct
   exit blocks (``exit`` for normal completion, ``raise_exit`` for

@@ -1,11 +1,9 @@
 """Forward dataflow over :mod:`repro.analysis.cfg` graphs.
 
 One worklist engine serves every flow-sensitive rule: clients subclass
-:class:`ForwardDataflow` and define the lattice (``initial``/``join``),
-the per-element transfer function, and optionally ``refine`` to
-sharpen facts along branch edges (e.g. "``x`` is truthy on the true
-edge").  Must-analyses join with intersection (a name *must* hold a
-set), may-analyses with union (a reservation *may* still be open).
+:class:`ForwardDataflow` and define the lattice (``initial``/``join``)
+and the per-element transfer function.  A must-analysis joins with
+intersection (a name *must* hold a set on every path).
 
 The engine is deliberately small: facts are immutable values, blocks
 re-enter the worklist when their entry fact changes, and termination
@@ -19,7 +17,7 @@ from .cfg import EXC, build_cfg
 
 
 class ForwardDataflow:
-    """Subclass and override the four lattice hooks."""
+    """Subclass and override the three lattice hooks."""
 
     def initial(self):
         """Fact at scope entry."""
@@ -33,10 +31,6 @@ class ForwardDataflow:
         """Apply one block element ``(kind, node)`` to *fact*."""
         raise NotImplementedError
 
-    def refine(self, test, polarity, fact):
-        """Sharpen *fact* along a True/False branch edge of *test*."""
-        return fact
-
     # -- engine --------------------------------------------------------
     def run(self, cfg):
         """Fixpoint: returns ``{block_id: entry_fact}`` (None=unreached)."""
@@ -49,16 +43,14 @@ class ForwardDataflow:
             if fact is None:
                 continue
             out = self.block_exit(block, fact)
-            for succ, polarity, test in block.succ:
+            for succ, polarity, _test in block.succ:
                 if polarity == EXC:
                     # The source may have executed any prefix of its
                     # elements when the exception surfaced: be safe and
                     # merge its entry with its exit.
                     edge_fact = self.join(fact, out)
-                elif polarity is None:
-                    edge_fact = out
                 else:
-                    edge_fact = self.refine(test, polarity, out)
+                    edge_fact = out
                 old = entry_facts[succ.id]
                 new = edge_fact if old is None else self.join(old, edge_fact)
                 if new != old:

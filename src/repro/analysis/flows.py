@@ -1,20 +1,11 @@
-"""Client dataflow analyses for the determinism and flow-control rules.
+"""The client dataflow analysis of the determinism rule RPR006.
 
-Two analyses live here, both built on the shared CFG/dataflow framework:
-
-:class:`SetTypeAnalysis` (RPR006)
-    A *must* analysis tracking which names and attributes definitely
-    hold a ``set`` (or a dict built from a set, whose view order is the
-    set's order).  Iterating such a value is order-nondeterministic
-    under hash randomization, so a loop over one that emits messages or
-    charges metrics breaks the bit-determinism contract.
-
-:class:`ReservationAnalysis` (RPR007)
-    A *may* analysis tracking open flow-control reservations
-    (``FlowControl.reserve`` / ``QueryMachine.reserve_items``).  A
-    token reaching the scope's normal exit means some path leaks
-    reserved quota — the ``inflight + reserved <= limit`` invariant
-    then decays monotonically until the query wedges.
+:class:`SetTypeAnalysis`, built on the shared CFG/dataflow framework,
+is a *must* analysis tracking which names and attributes definitely
+hold a ``set`` (or a dict built from a set, whose view order is the
+set's order).  Iterating such a value is order-nondeterministic under
+hash randomization, so a loop over one that emits messages or charges
+metrics breaks the bit-determinism contract.
 """
 
 import ast
@@ -260,264 +251,3 @@ def _facts_at_stmts(analysis, cfg, entry_facts):
             facts.setdefault(id(node), fact)
             fact = analysis.transfer(elem, fact)
     return facts
-
-
-# ---------------------------------------------------------------------------
-# RPR007 support: reservation-pairing tracking
-# ---------------------------------------------------------------------------
-
-#: Call-chain tails that open a reservation / close one.
-RESERVE_SEGMENTS = frozenset({"reserve", "reserve_items"})
-RELEASE_SEGMENTS = frozenset({"release", "end_batch"})
-
-
-class ReservationToken(tuple):
-    """(line, col, base, holder) — one syntactic reservation site.
-
-    ``holder`` is the local name the grant was stored into ("" when the
-    call's result is dropped); releases and ownership transfers are
-    recognized through it.
-    """
-    __slots__ = ()
-
-    @property
-    def line(self):
-        return self[0]
-
-    @property
-    def base(self):
-        return self[2]
-
-    @property
-    def holder(self):
-        return self[3]
-
-
-def _call_role(node, aliases):
-    """Classify a call as "reserve"/"release"/None via its chain tail."""
-    if not isinstance(node, ast.Call):
-        return None
-    chain = dotted_parts(node.func)
-    if chain is None:
-        return None
-    if len(chain) == 1:
-        return aliases.get(chain[0])
-    if chain[-1] in RESERVE_SEGMENTS:
-        return "reserve"
-    if chain[-1] in RELEASE_SEGMENTS:
-        return "release"
-    return None
-
-
-def call_aliases(body):
-    """Map local alias names to reserve/release roles.
-
-    The generated kernels prebind methods for speed (``reserve =
-    rt.reserve_items``); a pre-pass over plain assignments lets the
-    analysis see through that.
-    """
-    aliases = {}
-    for node in ast.walk(ast.Module(body=list(body), type_ignores=[])):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        chain = dotted_parts(node.value)
-        if chain is None or len(chain) < 2:
-            continue
-        if chain[-1] in RESERVE_SEGMENTS:
-            aliases[target.id] = "reserve"
-        elif chain[-1] in RELEASE_SEGMENTS:
-            aliases[target.id] = "release"
-    return aliases
-
-
-def _names_in(expr):
-    return {node.id for node in ast.walk(expr)
-            if isinstance(node, ast.Name)}
-
-
-class ReservationAnalysis(ForwardDataflow):
-    """May-analysis: the fact is the frozenset of possibly-open tokens.
-
-    Joins with union — a reservation open on *any* path into a block is
-    still the caller's responsibility.  Tokens close when:
-
-    * a release-role call names their holder among its arguments (a
-      release call naming no tracked holder conservatively closes all
-      tokens — the analysis favors false negatives over noise);
-    * a ``return`` expression references the holder — ownership moves
-      to the caller (``reserve_items`` itself ends with
-      ``return room + slots * bulk``);
-    * a branch proves the grant was zero: the false edge of a
-      truthiness test on the holder, or the true edge of
-      ``holder == 0`` / ``<= 0`` / ``< 1``.
-
-    Findings are the tokens still open in the fact entering the
-    normal-exit block; the raise exit is exempt (an exception already
-    abandons the machine's quota accounting to the abort path).
-    """
-
-    def __init__(self, aliases=None):
-        self.aliases = aliases or {}
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, a, b):
-        return a | b
-
-    def transfer(self, elem, fact):
-        kind, node = elem
-        if kind == "bind":
-            return fact
-        if kind in ("test", "expr", "loop-iter"):
-            target_expr = node.iter if kind == "loop-iter" else node
-            return self._scan_expr_calls(target_expr, fact, holder=None)
-        if kind != "stmt":
-            return fact
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and node.value is not None:
-            fact = self._scan_expr_calls(node.value, fact,
-                                         holder=node.targets[0])
-            return self._rehome(node, fact)
-        if isinstance(node, ast.Return):
-            if node.value is not None:
-                fact = self._scan_expr_calls(node.value, fact, holder=None)
-                # Ownership transfer: returning a value derived from the
-                # holder hands the reservation to the caller.
-                returned = _names_in(node.value)
-                fact = frozenset(t for t in fact
-                                 if not t[3] or t[3] not in returned)
-            return fact
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            # Nested scopes are analyzed separately; a reserve inside a
-            # nested def does not open a token in the enclosing frame.
-            return fact
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call):
-                fact = self._apply_call(child, fact, holder=None)
-        return fact
-
-    def refine(self, test, polarity, fact):
-        zero_holders = self._proven_zero(test, polarity)
-        if zero_holders:
-            fact = frozenset(t for t in fact if t[3] not in zero_holders)
-        return fact
-
-    # -- helpers -------------------------------------------------------
-    def _scan_expr_calls(self, expr, fact, holder):
-        """Apply every call in *expr*; the outermost call binds *holder*."""
-        outer = expr if isinstance(expr, ast.Call) else None
-        for child in ast.walk(expr):
-            if isinstance(child, ast.Call):
-                fact = self._apply_call(
-                    child, fact, holder=holder if child is outer else None
-                )
-        return fact
-
-    def _apply_call(self, node, fact, holder):
-        role = _call_role(node, self.aliases)
-        if role == "reserve":
-            holder_name = holder.id \
-                if isinstance(holder, ast.Name) else ""
-            base = dotted_parts(node.func)
-            token = ReservationToken((
-                getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
-                ".".join(base) if base else "?", holder_name,
-            ))
-            return fact | {token}
-        if role == "release":
-            if not fact:
-                return fact
-            arg_names = set()
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                arg_names |= _names_in(arg)
-            matched = frozenset(t for t in fact if t[3] and t[3] in arg_names)
-            if matched:
-                return fact - matched
-            # A release that names no tracked holder (e.g. end_batch
-            # over a dict of grants) conservatively closes everything.
-            return frozenset()
-        return fact
-
-    def _rehome(self, assign, fact):
-        """Track grants moved into containers: ``resv[dest] = rem - 1``
-        re-homes ``rem``'s token onto ``resv``; ``x = rem`` onto ``x``."""
-        target = assign.targets[0]
-        value_names = _names_in(assign.value)
-        holders = {t[3] for t in fact if t[3]}
-        moved = holders & value_names
-        if not moved:
-            return fact
-        if isinstance(target, ast.Subscript) \
-                and isinstance(target.value, ast.Name):
-            new_holder = target.value.id
-        elif isinstance(target, ast.Name):
-            new_holder = target.id
-        else:
-            return fact
-        rehomed = set()
-        for token in fact:
-            if token[3] in moved:
-                rehomed.add(ReservationToken(
-                    (token[0], token[1], token[2], new_holder)))
-            else:
-                rehomed.add(token)
-        return frozenset(rehomed)
-
-    @staticmethod
-    def _proven_zero(test, polarity):
-        """Holder names proven to hold a zero/empty grant on this edge."""
-        holders = set()
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            return ReservationAnalysis._proven_zero(
-                test.operand, not polarity)
-        if isinstance(test, ast.Name):
-            if polarity is False:
-                holders.add(test.id)
-            return holders
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            left, op, right = test.left, test.ops[0], test.comparators[0]
-            name, const = None, None
-            if isinstance(left, ast.Name) and isinstance(right, ast.Constant):
-                name, const, flipped = left.id, right.value, False
-            elif isinstance(right, ast.Name) \
-                    and isinstance(left, ast.Constant):
-                name, const, flipped = right.id, left.value, True
-            else:
-                return holders
-            if not isinstance(const, (int, float)) \
-                    or isinstance(const, bool):
-                return holders
-            # Normalize to "name OP const".
-            if flipped:
-                swap = {ast.Lt: ast.Gt, ast.Gt: ast.Lt,
-                        ast.LtE: ast.GtE, ast.GtE: ast.LtE}
-                op_type = swap.get(type(op), type(op))
-            else:
-                op_type = type(op)
-            proves_zero_true = (
-                (op_type is ast.Eq and const == 0)
-                or (op_type is ast.LtE and const <= 0)
-                or (op_type is ast.Lt and const <= 1)
-            )
-            proves_zero_false = (
-                (op_type is ast.NotEq and const == 0)
-                or (op_type is ast.Gt and const >= 0)
-                or (op_type is ast.GtE and const >= 1)
-            )
-            if polarity is True and proves_zero_true:
-                holders.add(name)
-            elif polarity is False and proves_zero_false:
-                holders.add(name)
-        return holders
-
-    # -- entry point ---------------------------------------------------
-    def leaks(self, body):
-        """Open tokens on some path reaching the scope's normal exit."""
-        cfg, entry_facts = self.analyze(list(body))
-        open_tokens = entry_facts[cfg.exit.id]
-        return sorted(open_tokens) if open_tokens else []

@@ -14,9 +14,7 @@ test observes — properties of paths a run may never take:
    frame-free entry ``fresh``;
 3. verify, function by function, that generated recording calls are
    guarded (the zero-cost-off contract inside generated code, which
-   RPR002 cannot see) and that the generated reservation protocol
-   cannot leak (:class:`~repro.analysis.flows.ReservationAnalysis`
-   over the function body).
+   RPR002 cannot see).
 
 Unlike every other rule, this one *imports and executes* repository
 code (plan compilation pulls in numpy via the graph layer).  When those
@@ -27,7 +25,6 @@ keeps working in a dependency-free environment.
 import ast
 
 from repro.analysis.core import Rule, enclosing_symbols
-from repro.analysis.flows import ReservationAnalysis, call_aliases
 from repro.analysis.guards import UnguardedCallScanner
 
 #: Process-wide cache of the (expensive, deterministic) audit: raw
@@ -36,12 +33,10 @@ _AUDIT_CACHE = None
 
 
 class KernelCodegenAuditRule(Rule):
-    """RPR008: generated kernels keep recording calls guarded and release
-    every reservation."""
+    """RPR008: generated kernels keep their recording calls guarded."""
 
     id = "RPR008"
-    title = ("kernel-codegen audit: generated recording calls guarded, "
-             "reservations released")
+    title = "kernel-codegen audit: generated recording calls guarded"
     severity = "error"
     project_wide = True
     rationale = (
@@ -49,21 +44,20 @@ class KernelCodegenAuditRule(Rule):
         "that parse the repository. What they charge (stage visits/"
         "passes/scanned/emitted, result counts, micro-ops) is compared "
         "bit for bit against the micro-stepped cursor path by the "
-        "kernels-on/off differential. This audit covers the two "
-        "contracts that differential cannot observe because a run may "
-        "never take the offending path: it compiles every plan in the "
-        "bench matrix, parses every generated function (each stage's "
-        "frame entry and frame-free entry), and checks that generated "
-        "recording calls stay behind an `is not None` guard and that the "
-        "generated reservation protocol releases on every path to the "
-        "function's exit."
+        "kernels-on/off differential. This audit covers the contract "
+        "that differential cannot observe because a run may never take "
+        "the offending path: it compiles every plan in the bench "
+        "matrix, parses every generated function (each stage's frame "
+        "entry and frame-free entry), and checks that generated "
+        "recording calls stay behind an `is not None` guard, so a run "
+        "without a recording pays nothing for them."
     )
     example = (
-        "# generated NEIGHBOR kernel, every exit of the adjacency loop:\n"
-        "#   if resv: rt.end_batch(2, resv)\n"
-        "#   return ops, K_BUDGET\n"
-        "# an exit emitted without the end_batch line fails the audit\n"
-        "# with the workload/stage whose kernel leaks."
+        "# generated OUTPUT kernel, one emitted result:\n"
+        "#   if recording is not None:\n"
+        "#       recording.emit(ResultEmitted(rt.api.now, rt.machine_id))\n"
+        "# the same emit without its guard fails the audit with the\n"
+        "# workload/stage whose kernel lost it."
     )
 
     def check_project(self, modules):
@@ -145,12 +139,4 @@ def _audit_kernel_source(where, workload, stage_index, source):
             yield problem("recording-guard", (
                 "generated call %s() in %s() is not guarded by `is not "
                 "None` on its handle" % (".".join(chain), function.name)
-            ))
-        aliases = call_aliases(function.body)
-        leaks = ReservationAnalysis(aliases).leaks(function.body)
-        for line, _col, base, _holder in leaks:
-            yield problem("reserve-leak", (
-                "generated reservation from %s() at line %d of %s() can "
-                "reach its exit without end_batch"
-                % (base, line, function.name)
             ))

@@ -14,11 +14,8 @@ Each rule encodes one cross-cutting contract of this codebase (see
   ``QueryAborted`` or the termination protocol's control flow;
 * **RPR006** — no effectful iteration over ``set``s / set-keyed dict
   views (hash-seed-dependent order breaks bit-determinism);
-* **RPR007** — flow-control reservations must be paired with a release
-  on every CFG path to function exit;
 * **RPR008** — the generated bulk kernels must guard their recording
-  calls and release every reservation (see
-  :mod:`repro.analysis.kernel_audit`);
+  calls (see :mod:`repro.analysis.kernel_audit`);
 * **RPR009** — no ``QueryScope``-reachable mutable state mutated across
   the service boundary except through the scheduler API.
 """
@@ -28,12 +25,7 @@ import os
 
 from repro.analysis.core import Rule, enclosing_symbols
 from repro.analysis.dataflow import iter_scopes
-from repro.analysis.flows import (
-    ReservationAnalysis,
-    SetTypeAnalysis,
-    call_aliases,
-    class_set_model,
-)
+from repro.analysis.flows import SetTypeAnalysis, class_set_model
 from repro.analysis.guards import UnguardedCallScanner, dotted_parts
 
 # ----------------------------------------------------------------------
@@ -584,70 +576,6 @@ class IterationOrderRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR007 — reservation pairing
-# ----------------------------------------------------------------------
-
-class ReservationPairingRule(Rule):
-    """RPR007: every reserve is released on every path to exit."""
-
-    id = "RPR007"
-    title = "reservation pairing: release flow-control grants on every path"
-    severity = "error"
-    scope = ("repro.runtime", "repro.cluster", "repro.service")
-    rationale = (
-        "Flow control admits work under `inflight + reserved <= limit`; "
-        "`FlowControl.reserve` / `QueryMachine.reserve_items` charge the "
-        "`reserved` term and only `release` / `end_batch` give it back. "
-        "A CFG path that exits a function with a grant still open leaks "
-        "window capacity permanently — after enough leaks every send is "
-        "refused and the query wedges in a way no functional test "
-        "attributes to the leak site. The may-analysis tracks each "
-        "grant through local aliases, container re-homing "
-        "(`resv[dest] = rem - 1`), zero-grant branches, and ownership-"
-        "transferring returns; a grant reaching the normal exit on any "
-        "path is a leak (the raise exit is exempt — aborts snapshot and "
-        "rebuild flow state)."
-    )
-    example = (
-        "# bad: early return leaks the reserved slots\n"
-        "rem = rt.reserve_items(stage, dest, want)\n"
-        "if rem > 0 and not fits(rem):\n"
-        "    return ops, K_BLOCKED\n"
-        "\n"
-        "# good: every exit releases what it still holds\n"
-        "rem = rt.reserve_items(stage, dest, want)\n"
-        "if rem > 0 and not fits(rem):\n"
-        "    rt.end_batch(stage, {dest: rem})\n"
-        "    return ops, K_BLOCKED"
-    )
-
-    def check(self, module):
-        symbols = enclosing_symbols(module.tree)
-        for scope, body in iter_scopes(module.tree):
-            aliases = call_aliases(body)
-            leaks = ReservationAnalysis(aliases).leaks(body)
-            if not leaks:
-                continue
-            calls_at = {}
-            for stmt in body:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Call):
-                        calls_at.setdefault(
-                            (node.lineno, node.col_offset), node)
-            for line, col, base, holder in leaks:
-                node = calls_at.get((line, col))
-                if node is None:
-                    continue
-                yield self.finding(
-                    module, node,
-                    "reservation from %s() can reach function exit "
-                    "without a matching release/end_batch on some "
-                    "control-flow path" % base,
-                    "reserve-leak:%s" % base, symbols,
-                )
-
-
-# ----------------------------------------------------------------------
 # RPR009 — cross-scope isolation
 # ----------------------------------------------------------------------
 
@@ -770,7 +698,6 @@ RULE_CLASSES = (
     MutableDefaultRule,
     ExceptionHygieneRule,
     IterationOrderRule,
-    ReservationPairingRule,
     KernelCodegenAuditRule,
     CrossScopeIsolationRule,
 )

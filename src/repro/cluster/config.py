@@ -82,9 +82,8 @@ class ClusterConfig:
     blocking_remote: bool = False
     #: The kernel set ``run_bulk`` dispatches to (repro.runtime.kernels):
     #: True, per-stage kernels generated at plan-finalize time that
-    #: process whole CSR adjacency runs per dispatch and pre-reserve
-    #: flow-control window capacity in batches; False, the reference
-    #: cursor kernels.  Both charge identical op counts, so every
+    #: process whole CSR adjacency runs per dispatch; False, the
+    #: reference cursor kernels.  Both charge identical op counts, so every
     #: deterministic metric is bit-identical either way.  Ignored
     #: (reference) under blocking_remote.
     bulk_kernels: bool = True

@@ -40,17 +40,14 @@ with two entries, compiled together:
   stage-load and buffered-context gauges are kept as if the frame
   existed, so their peaks and the termination counts are unchanged.
 
-Remote continuations use the batch-admission API of
-``runtime.flow_control``: a kernel pre-reserves window capacity for the
-rest of its adjacency run (``QueryMachine.reserve_items``) and emits
-into the bulk buffers without per-item admission checks.  The moment a
-reservation is refused it falls back to the existing
-``QueryMachine.route`` micro-step admission, which refuses at exactly
-the same item as cursor execution would — preserving strict flow
-control, chaos/reliability behavior, and parking semantics.  All
-reservations are released at the end of every context's run, so
-outside one the window state is indistinguishable from the reference
-set's.
+Remote continuations are admitted by the one flow-control rule of
+``QueryMachine._enqueue``: an item joins its (stage, dest) bulk buffer,
+a full buffer is flushed first, and a flush is refused while the
+window is shut.  The NEIGHBOR kernel inlines that rule over the
+buffers it looked up once per call; on a refusal it calls
+``QueryMachine.route`` for the refusal's bookkeeping and parks the
+context at that neighbor, so it refuses at the item the cursor path
+refuses at and the window state is the reference set's throughout.
 
 Cost-parity contract (see docs/performance.md):
 
@@ -565,8 +562,9 @@ def _neighbor_template(plan, stage, ns, w, fresh):
 
     The adjacency run is walked over the graph's flat python-list CSR
     (converted once per graph) between absolute ``pos``/``end`` bounds;
-    remote continuations go through batch reservations with a
-    ``rt.route`` fallback whose refusal point matches the cursor path.
+    a remote continuation is admitted as ``QueryMachine._enqueue``
+    admits it — a full buffer must flush first, and a refused flush
+    parks the context at this neighbor, as on the cursor path.
     ``emitted`` is tallied in a local and charged, with ``scanned``, to
     the machine's stage counters once per exit of a context's run.
     """
@@ -593,14 +591,13 @@ def _neighbor_template(plan, stage, ns, w, fresh):
         "remote_in = M.stage_remote_in",
         "local_q = rt._local_inbox[%d]" % s_next,
         "cap = rt._local_share_cap",
-        "reserve = rt.reserve_items",
         "get_buffer = rt._buffer",
         "flush = rt._flush_buffer",
         "bulk = rt.config.bulk_message_size",
     ]
     if hop.appends_target_id:
         prebinds.append("ghosted = rt.ghosts_enabled")
-    prebinds += ["resv = {}", "bufs = {}"]
+    prebinds.append("bufs = {}")
 
     ind = _prologue(w, stage, fresh, prebinds)
     if fresh:
@@ -642,11 +639,9 @@ def _neighbor_template(plan, stage, ns, w, fresh):
     def leave(at, signal=None):
         # Every exit of a run: charge the neighbors this call inspected
         # (a blocked attempt counts, as on the cursor path) and the
-        # continuations it produced, then hand any leftover reservation
-        # back to the window.
+        # continuations it produced.
         w.append(at + "M.stage_scanned[%d] += pos - pos0" % s)
         w.append(at + "M.stage_emitted[%d] += emitted" % s)
-        w.append(at + "if resv: rt.end_batch(%d, resv)" % s_next)
         if signal is not None:
             w.append(at + "return ops, %s" % signal)
 
@@ -697,34 +692,31 @@ def _neighbor_template(plan, stage, ns, w, fresh):
                  "%d, out_ctx, target):" % s_next)
         w.append(body + "    pass")
     w.append(body + "else:")
-    w.append(body + "    rem = resv.get(dest, 0)")
-    w.append(body + "    if rem <= 0:")
-    w.append(body + "        rem = reserve(%d, dest, end - pos + 1)" % s_next)
-    w.append(body + "    if rem > 0:")
-    w.append(body + "        resv[dest] = rem - 1")
-    w.append(body + "        buf = bufs.get(dest)")
-    w.append(body + "        if buf is None:")
-    w.append(body + "            buf = get_buffer(%d, dest)" % s_next)
-    w.append(body + "            bufs[dest] = buf")
-    w.append(body + "        buf.append(out_ctx)")
-    w.append(body + "        cbc = M.cur_buffered_contexts + 1")
-    w.append(body + "        M.cur_buffered_contexts = cbc")
-    w.append(body + "        if cbc > M.peak_buffered_contexts:")
-    w.append(body + "            M.peak_buffered_contexts = cbc")
-    w.append(body + "        remote_in[%d] += 1" % s_next)
-    w.append(body + "        emitted += 1")
-    w.append(body + "        if len(buf) >= bulk:")
-    w.append(body + "            flush(%d, dest, buf)" % s_next)
-    w.append(body + "    else:")
-    # A zero grant means the buffer is full and the window is shut, so
-    # route() can only refuse: it is called for the refusal's side
-    # effects (last_refused, flow_control_blocks, the FlowBlock event).
+    w.append(body + "    buf = bufs.get(dest)")
+    w.append(body + "    if buf is None:")
+    w.append(body + "        buf = get_buffer(%d, dest)" % s_next)
+    w.append(body + "        bufs[dest] = buf")
+    # QueryMachine._enqueue, inlined: a full buffer must flush first.
+    w.append(body + "    if len(buf) >= bulk and not flush(%d, dest, buf):"
+             % s_next)
+    # The window is shut, so route() can only refuse: it is called for
+    # the refusal's side effects (last_refused, flow_control_blocks,
+    # the FlowBlock event).
     w.append(body + "        if rt.route(comp, %d, dest, out_ctx):" % s_next)
     w.append(body + "            raise RuntimeFault("
              "'stage %d: route admitted an item after a refused "
-             "reservation')" % s)
+             "flush')" % s)
     suspend(body + "        ", "pos - 1")  # replay this neighbor on resume
     leave(body + "        ", "K_BLOCKED")
+    w.append(body + "    buf.append(out_ctx)")
+    w.append(body + "    cbc = M.cur_buffered_contexts + 1")
+    w.append(body + "    M.cur_buffered_contexts = cbc")
+    w.append(body + "    if cbc > M.peak_buffered_contexts:")
+    w.append(body + "        M.peak_buffered_contexts = cbc")
+    w.append(body + "    remote_in[%d] += 1" % s_next)
+    w.append(body + "    emitted += 1")
+    w.append(body + "    if len(buf) >= bulk:")
+    w.append(body + "        flush(%d, dest, buf)  # opportunistic" % s_next)
     w.append(loop + "if ops >= budget:")
     suspend(loop + "    ", "pos")
     leave(loop + "    ", "K_BUDGET")

@@ -595,14 +595,15 @@ class QueryMachine:
         the emission once the window frees up.
         """
         if dest == self.machine_id:
+            weight = _item_weight(item)
             queue = self._local_inbox[stage_index]
             if len(queue) < self._local_share_cap:
                 queue.append(item)
                 self.stage_load[stage_index] += 1
-                self.metrics.buffered_delta(_item_weight(item))
+                self.metrics.buffered_delta(weight)
             else:
                 self.push_frame(comp, frame_for_item(self, stage_index, item))
-            self.metrics.stage_emitted[stage_index - 1] += _item_weight(item)
+            self.metrics.stage_emitted[stage_index - 1] += weight
             return True
         if self._blocking:
             admitted = self._route_blocking(stage_index, dest, item)
@@ -675,48 +676,6 @@ class QueryMachine:
         if len(buffer) >= bulk:
             self._flush(stage, dest)  # opportunistic; failure is fine
         return True
-
-    def reserve_items(self, stage, dest, want):
-        """Batch admission for a bulk kernel: how many *items* it may
-        emit to (stage, dest) without per-item admission checks.
-
-        Capacity is the free room in the outgoing buffer plus freshly
-        reserved flow-control slots (``bulk_message_size`` items each).
-        A full buffer is flushed here on a reserved slot so the kernel's
-        append-then-flush loop never overfills it.  Returns 0 when no
-        capacity is available — the kernel then falls back to
-        :meth:`route`, which refuses at exactly the same item the
-        micro-stepped cursor would.
-        """
-        buffer = self._outgoing.get((stage, dest))
-        if buffer is None:
-            buffer = self._buffer(stage, dest)
-        bulk = self.config.bulk_message_size
-        room = bulk - len(buffer)
-        if room >= want:
-            return want
-        slots = self.flow.reserve(
-            stage, dest, (want - room + bulk - 1) // bulk
-        )
-        if slots == 0:
-            return room if room > 0 else 0
-        if room <= 0:
-            self._flush(stage, dest)  # guaranteed by the reservation
-        return room + slots * bulk
-
-    def end_batch(self, stage, resv):
-        """Release a kernel's leftover reservations (every kernel exit).
-
-        *resv* is the kernel's per-destination remaining-item map; the
-        flow-control slots behind it go back to the window, so between
-        worker slices reservations are always zero and ``can_send`` /
-        ``can_enqueue`` behave exactly as on the cursor path.
-        """
-        if resv:
-            flow = self.flow
-            for dest in resv:
-                flow.release(stage, dest)
-            resv.clear()
 
     def _flush(self, stage, dest):
         return self._flush_buffer(

@@ -128,12 +128,11 @@ class RelFrame:
     stay readable through the wrapper.
     """
 
-    __slots__ = ("seq", "payload", "size")
+    __slots__ = ("seq", "payload")
 
-    def __init__(self, seq, payload, size=0):
+    def __init__(self, seq, payload):
         self.seq = seq
         self.payload = payload
-        self.size = size
 
     @property
     def stage(self):

@@ -86,7 +86,7 @@ class ReliableTransport:
             sender = self._senders[dst] = _ChannelSender()
         seq = sender.next_seq
         sender.next_seq += 1
-        frame = RelFrame(seq, payload, size)
+        frame = RelFrame(seq, payload)
         retransmit_at = self.now + self._rto
         sender.unacked[seq] = [frame, size, retransmit_at, self._rto, 1]
         if self._next_poll is None or retransmit_at < self._next_poll:

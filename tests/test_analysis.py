@@ -714,7 +714,7 @@ class TestDocSync:
 
     def test_explain_reuses_rule_rationale(self):
         for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                        "RPR006", "RPR007", "RPR008", "RPR009"):
+                        "RPR006", "RPR008", "RPR009"):
             rule = rule_by_id(rule_id)
             text = explain(rule_id)
             assert rule.rationale in text

@@ -3,8 +3,8 @@
 Split from ``test_analysis.py``: everything here exercises behavior
 that depends on control flow — guards through try/finally, while/else,
 early returns, loops, rebinding and nested scopes (RPR002's ancestor
-walk), type and reservation facts over a real control-flow graph —
-plus the RPR006/RPR007/RPR009 rule packs, the
+walk), type facts over a real control-flow graph — plus the
+RPR006/RPR009 rule packs, the
 RPR008 generated-source audit, and the runner surface (``--select``,
 ``--all-scopes``).  The mutation tests follow the house style: copy a
 real source verbatim, break one invariant, and require the analyzer to
@@ -426,147 +426,6 @@ class TestIterationOrderRule:
 
 
 # ----------------------------------------------------------------------
-# RPR007 — reservation pairing
-# ----------------------------------------------------------------------
-
-class TestReservationPairingRule:
-    def test_leak_on_early_return_flagged(self, tmp_path):
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, stage, dest, want):
-                    slots = self.flow.reserve(stage, dest, want)
-                    if self.queue.full():
-                        return False
-                    self.queue.put(slots)
-                    self.flow.release(stage, dest)
-                    return True
-            """))
-        result = analyze([root])
-        assert rules_of(result) == ["RPR007"]
-        finding = result.findings[0]
-        assert finding.pattern == "reserve-leak:self.flow.reserve"
-        assert finding.line == 3
-
-    def test_release_on_every_path_clean(self, tmp_path):
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, stage, dest, want):
-                    slots = self.flow.reserve(stage, dest, want)
-                    if self.queue.full():
-                        self.flow.release(stage, dest)
-                        return False
-                    self.queue.put(slots)
-                    self.flow.release(stage, dest)
-                    return True
-            """))
-        assert analyze([root]).findings == []
-
-    def test_zero_grant_branch_clean(self, tmp_path):
-        # `slots == 0` proves nothing is held on the early return.
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, stage, dest, want):
-                    slots = self.flow.reserve(stage, dest, want)
-                    if slots == 0:
-                        return False
-                    self.queue.put(slots)
-                    self.flow.release(stage, dest)
-                    return True
-            """))
-        assert analyze([root]).findings == []
-
-    def test_truthiness_refinement_clean(self, tmp_path):
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, stage, dest, want):
-                    slots = self.flow.reserve(stage, dest, want)
-                    if slots:
-                        self.queue.put(slots)
-                        self.flow.release(stage, dest)
-                    return True
-            """))
-        assert analyze([root]).findings == []
-
-    def test_ownership_transfer_via_return_clean(self, tmp_path):
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def grab(self, stage, dest, want):
-                    slots = self.flow.reserve(stage, dest, want)
-                    return slots * self.bulk
-            """))
-        assert analyze([root]).findings == []
-
-    def test_raise_path_exempt(self, tmp_path):
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, stage, dest, want):
-                    slots = self.flow.reserve(stage, dest, want)
-                    if self.aborted:
-                        raise RuntimeError("abort snapshots flow state")
-                    self.queue.put(slots)
-                    self.flow.release(stage, dest)
-            """))
-        assert analyze([root]).findings == []
-
-    def test_prebound_alias_tracked(self, tmp_path):
-        # The kernels prebind `reserve = rt.reserve_items`; the alias
-        # pre-pass must still see the grant.
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, rt, stage, dest, want):
-                    reserve = rt.reserve_items
-                    rem = reserve(stage, dest, want)
-                    if rem > 0:
-                        self.queue.put(rem)
-                        return True
-                    return False
-            """))
-        result = analyze([root])
-        assert rules_of(result) == ["RPR007"]
-        assert result.findings[0].pattern == "reserve-leak:reserve"
-
-    def test_container_rehoming_tracked(self, tmp_path):
-        # The kernel idiom: the grant moves into a per-dest dict which
-        # `end_batch` then releases.
-        root = write_package(tmp_path, runtime_module("""\
-            class Machine:
-                def push(self, rt, stage, dests, want):
-                    resv = {}
-                    for dest in dests:
-                        rem = rt.reserve_items(stage, dest, want)
-                        if rem > 0:
-                            resv[dest] = rem - 1
-                    if resv:
-                        rt.end_batch(stage, resv)
-                    return True
-            """))
-        assert analyze([root]).findings == []
-
-    def test_mutation_dropping_return_transfer_flags(self, tmp_path):
-        source = (SRC_REPRO / "runtime" / "machine.py").read_text()
-        needle = "return room + slots * bulk"
-        assert needle in source
-        mutated = source.replace(needle, "return room")
-        root = write_package(tmp_path, {
-            "repro/runtime/machine.py": mutated,
-        })
-        result = analyze([root])
-        assert any(
-            f.rule == "RPR007"
-            and f.pattern == "reserve-leak:self.flow.reserve"
-            for f in result.findings
-        )
-
-    def test_real_machine_module_self_hosts_clean(self, tmp_path):
-        source = (SRC_REPRO / "runtime" / "machine.py").read_text()
-        root = write_package(tmp_path, {
-            "repro/runtime/machine.py": source,
-        })
-        result = analyze([root])
-        assert not any(f.rule == "RPR007" for f in result.findings)
-
-
-# ----------------------------------------------------------------------
 # RPR009 — cross-scope isolation
 # ----------------------------------------------------------------------
 
@@ -629,7 +488,7 @@ class TestCrossScopeIsolationRule:
 
 
 # ----------------------------------------------------------------------
-# RPR008 — guarded trace calls and reservation release in generated source
+# RPR008 — guarded recording calls in generated source
 # ----------------------------------------------------------------------
 
 class TestKernelAudit:
@@ -705,16 +564,6 @@ class TestKernelAudit:
         for message, pattern in problems:
             assert pattern.endswith(":recording-guard")
             assert "in fresh()" in message
-
-    def test_leaked_reservation_is_flagged(self):
-        source = self.kernel_sources()["neighbor"]
-        lines = source.splitlines()
-        releases = [index for index, line in enumerate(lines)
-                    if "rt.end_batch(" in line]
-        # Drop the release on the budget exit (the last one emitted).
-        del lines[releases[-1]]
-        assert self.audit("\n".join(lines) + "\n") \
-            == ["kernel-audit:fixture:0:reserve-leak"]
 
     def test_real_tree_audit_is_clean(self):
         # The self-host over the runtime package, including the

@@ -6,8 +6,8 @@ total micro-ops, visits/passes, the stage profile — must be bit-identical
 to the reference cursor kernels.  These tests run the full benchmark
 matrix (and chaos-injected and window-starved runs) both ways and diff
 everything, per-machine ``scanned``/``emitted`` profile views included,
-then property-test the batch reservation API that lets kernels pre-admit
-whole remote batches without breaking the flow-control memory bound.
+then property-test ``FlowControl``'s reservation API against the
+flow-control memory bound.
 """
 
 import random
@@ -119,13 +119,14 @@ class TestDifferentialParity:
             graph, query, chaos=profile("soak", seed=7), reliability=True,
         ))
 
-    def test_window_starved_run_identical(self):
-        """Refused reservations: the kernels' route fallback parks at
-        the same item the cursor path does."""
+    @pytest.mark.parametrize("window,bulk", [(1, 1), (1, 2), (1, 4), (2, 3)])
+    def test_window_starved_run_identical(self, window, bulk):
+        """Refused flushes: the kernels park at the same item the cursor
+        path does (bulk 1 fills the buffer on every item)."""
         graph = uniform_random_graph(200, 1_200, seed=21, num_types=4)
         query = "SELECT a, b, c WHERE (a)-[]->(b)-[]->(c)"
         on, off = _both_ways(
-            graph, query, flow_control_window=1, bulk_message_size=4,
+            graph, query, flow_control_window=window, bulk_message_size=bulk,
         )
         assert on.metrics.flow_control_blocks > 0
         assert (
@@ -134,18 +135,18 @@ class TestDifferentialParity:
         _assert_identical(on, off)
 
     def test_route_fallback_never_admits(self, monkeypatch):
-        """After a zero grant the NEIGHBOR kernel calls ``route`` only
-        for the refusal's side effects and then replays the item; an
-        admission there would ship it twice.  Zero grants forced while
-        the window is open must fault instead."""
+        """After a refused flush the NEIGHBOR kernel calls ``route``
+        only for the refusal's side effects and then replays the item;
+        an admission there would ship it twice, so it must fault."""
         monkeypatch.setattr(
-            QueryMachine, "reserve_items",
-            lambda self, stage, dest, want: 0,
+            QueryMachine, "_enqueue",
+            lambda self, stage, dest, item: True,
         )
         graph = uniform_random_graph(100, 500, seed=5, num_types=3)
         with pytest.raises(RuntimeFault, match="route admitted"):
             run_query(graph, "SELECT a, b WHERE (a)-[]->(b)",
-                      ClusterConfig(num_machines=2))
+                      ClusterConfig(num_machines=2, flow_control_window=1,
+                                    bulk_message_size=4))
 
 
 def _labelled_graph():

@@ -50,31 +50,31 @@ class TestSendPath:
         assert transport.unacked_frames() == 3
 
     def test_frame_trace_name_shows_inner_type(self):
-        frame = RelFrame(0, "payload", 0)
+        frame = RelFrame(0, "payload")
         assert frame.trace_name == "Rel[str]"
 
 
 class TestReceivePath:
     def test_in_order_frames_released_immediately(self):
         transport, api, _metrics = make()
-        out = transport.receive(1, RelFrame(0, "a", 0))
+        out = transport.receive(1, RelFrame(0, "a"))
         assert out == [(1, "a")]
-        out = transport.receive(1, RelFrame(1, "b", 0))
+        out = transport.receive(1, RelFrame(1, "b"))
         assert out == [(1, "b")]
 
     def test_out_of_order_buffered_then_released_in_order(self):
         transport, api, metrics = make()
-        assert transport.receive(1, RelFrame(2, "c", 0)) == []
-        assert transport.receive(1, RelFrame(1, "b", 0)) == []
+        assert transport.receive(1, RelFrame(2, "c")) == []
+        assert transport.receive(1, RelFrame(1, "b")) == []
         assert metrics.reordered_frames == 2
         # Seq 0 fills the gap: everything drains in sequence order.
-        out = transport.receive(1, RelFrame(0, "a", 0))
+        out = transport.receive(1, RelFrame(0, "a"))
         assert out == [(1, "a"), (1, "b"), (1, "c")]
 
     def test_duplicates_dropped_but_still_acked(self):
         transport, api, metrics = make()
-        transport.receive(1, RelFrame(0, "a", 0))
-        assert transport.receive(1, RelFrame(0, "a", 0)) == []
+        transport.receive(1, RelFrame(0, "a"))
+        assert transport.receive(1, RelFrame(0, "a")) == []
         assert metrics.dup_frames_dropped == 1
         # Both receipts acked: a lost ack is repaired by the duplicate.
         acks = [payload for _dst, payload, _size in api.sent
@@ -84,14 +84,14 @@ class TestReceivePath:
 
     def test_buffered_duplicate_also_dropped(self):
         transport, _api, metrics = make()
-        transport.receive(1, RelFrame(3, "d", 0))
-        transport.receive(1, RelFrame(3, "d", 0))
+        transport.receive(1, RelFrame(3, "d"))
+        transport.receive(1, RelFrame(3, "d"))
         assert metrics.dup_frames_dropped == 1
 
     def test_ack_reports_selective_gaps(self):
         transport, api, _metrics = make()
-        transport.receive(1, RelFrame(0, "a", 0))
-        transport.receive(1, RelFrame(2, "c", 0))
+        transport.receive(1, RelFrame(0, "a"))
+        transport.receive(1, RelFrame(2, "c"))
         ack = [payload for _dst, payload, _size in api.sent
                if isinstance(payload, RelAck)][-1]
         assert ack.cumulative == 0
