@@ -78,6 +78,40 @@ def _abl4_measured(results):
     )
 
 
+def _abl3_measured(outcomes):
+    """The ABL3 sentence, read off the collected metrics: how often the
+    dynamic mode asks to borrow and is granted capacity, and its
+    suspensions and ticks against the static windows'."""
+    static, dynamic = outcomes[False].metrics, outcomes[True].metrics
+    return (
+        "Under a tight budget on a skewed partition the dynamic mode "
+        "asks to borrow capacity %d times and is granted it %d times; "
+        "it suspends %d times to the %d of the static windows of Potter "
+        "et al. and completes in %d ticks to their %d."
+        % (dynamic.quota_requests, dynamic.quota_granted,
+           dynamic.flow_control_blocks, static.flow_control_blocks,
+           dynamic.ticks, static.ticks)
+    )
+
+
+def _abl8_measured(outcomes):
+    """The ABL8 sentence, read off the collected metrics: the work
+    messages without ghosts and the cut at each ghost threshold."""
+    off = outcomes[None].metrics.work_messages
+    cuts = [
+        "to %d (%.1fx) with vertices of degree >= %d ghosted"
+        % (result.metrics.work_messages,
+           off / max(1, result.metrics.work_messages), threshold)
+        for threshold, result in outcomes.items() if threshold is not None
+    ]
+    return (
+        "On a power-law graph whose hubs are hop targets, replicated "
+        "ghost data lets senders pre-filter remote hops: a selective "
+        "target filter cuts the work messages from %d %s, with identical "
+        "results." % (off, _and(cuts))
+    )
+
+
 def _and(values):
     values = [str(value) for value in values]
     if len(values) == 1:
@@ -142,9 +176,7 @@ EXPERIMENTS = [
         "Redistributing completed stages' windows and borrowing "
         "capacity between machines 'improves the utilization of the "
         "memory used for message buffers'.",
-        "Under a tight budget on a skewed partition the "
-        "dynamic mode borrows capacity, suspends less often, and "
-        "completes no slower than the static windows of Potter et al.",
+        _abl3_measured,
         lambda: run_abl3(),
     ),
     (
@@ -187,10 +219,7 @@ EXPERIMENTS = [
         "PGX.D can replicate high-degree vertices ('ghost nodes'); the "
         "paper turns the feature off for its runs.  We implement it and "
         "measure what it buys.",
-        "On a power-law graph whose hubs are hop targets, "
-        "replicated ghost data lets senders pre-filter remote hops: a "
-        "selective target filter prunes most messages to hubs (3x+ "
-        "fewer work messages) with identical results.",
+        _abl8_measured,
         lambda: run_abl8(),
     ),
     (
@@ -209,10 +238,10 @@ EXPERIMENTS = [
 
 def capture(func):
     buffer = io.StringIO()
-    started = time.time()
+    started = time.time()  # repro: allow(RPR001) progress timer printed to stdout, never written to the document
     with contextlib.redirect_stdout(buffer):
         result = func()
-    elapsed = time.time() - started
+    elapsed = time.time() - started  # repro: allow(RPR001) progress timer printed to stdout, never written to the document
     return buffer.getvalue().strip(), result, elapsed
 
 

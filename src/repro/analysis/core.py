@@ -21,6 +21,7 @@ import os
 import re
 import tokenize
 
+from repro.analysis.guards import parent_map
 from repro.errors import AnalysisError
 
 #: Severities, mildest first.  ``--fail-on`` compares against this order.
@@ -77,7 +78,7 @@ class SourceModule:
     """One parsed source file with the metadata rules consume."""
 
     __slots__ = ("abspath", "path", "name", "source", "tree",
-                 "suppressions")
+                 "suppressions", "_parents")
 
     def __init__(self, abspath, path, name, source, tree, suppressions):
         self.abspath = abspath
@@ -89,6 +90,15 @@ class SourceModule:
         self.tree = tree
         #: line number -> set of rule ids allowed on that line.
         self.suppressions = suppressions
+        self._parents = None
+
+    @property
+    def parents(self):
+        """``{child: parent}`` over the tree, built once and shared by
+        the rules that walk ancestors (RPR002, RPR006)."""
+        if self._parents is None:
+            self._parents = parent_map(self.tree)
+        return self._parents
 
     def suppressed(self, rule, line):
         """True when *rule* is allowed on *line* (or the line above)."""

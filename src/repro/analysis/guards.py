@@ -1,11 +1,13 @@
-"""Guard check for the zero-cost-off contract (RPR002).
+"""The ancestor walk, and the guard check of the zero-cost-off contract
+(RPR002) built on it.
 
 The runtime's observability contract (TXT2, see ``repro.obs``) is that
 an absent recording costs exactly one pointer comparison on every hot
 path: the handle is ``None`` and every instrumentation site sits under
 an ``is not None`` test on it.  The check is syntactic: for each call on
 a recording handle, :class:`UnguardedCallScanner` walks the call's
-ancestors up to its scope and looks for a guard on the way.  A guard is
+ancestors up to its scope (:func:`reaching`) and looks for a guard on
+the way.  A guard is
 
 * the test of an enclosing ``if``, ``while`` or ternary on the call's
   branch — ``if x is not None: x.emit(...)`` (``and`` conjunctions,
@@ -25,6 +27,10 @@ call) or ``try`` (a handler or ``finally`` may run after any prefix of
 the body), or as a ``with ... as`` target.  A nested function, class or
 lambda starts with no guards: it may run long after the guard was
 checked.
+
+The same walk, asked for bindings instead of guards, finds the
+assignment that reaches a loop for RPR006 (:mod:`repro.analysis.flows`);
+both rules share one parent map per module (``SourceModule.parents``).
 """
 
 import ast
@@ -103,7 +109,7 @@ def negative_guards(test):
 TRACERISH = frozenset({"recording"})
 
 #: Ancestors whose body runs at another time, with no guard inherited.
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 #: Statements that end a block: an ``if x is None:`` ending in one
 #: guards what follows the ``if``.
 _EXITS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
@@ -141,31 +147,52 @@ def _guards_after(stmt):
     return set()
 
 
-def _guarded(node, live, parents):
-    """Walk from *node* to its scope; True at the first guard on a key in
-    *live* that no rebinding on the way has voided."""
+def parent_map(tree):
+    """``{child: parent}`` for every node of *tree*."""
+    parents = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+    return parents
+
+
+def reaching(node, live, parents, guards=True):
+    """Walk from *node* to its scope and return what reaches it first.
+
+    With *guards*, that is the first node holding a guard on a key in
+    *live* (an enclosing test, an earlier ``and``/``or`` operand or an
+    earlier statement); without, the first earlier statement that binds
+    a key in *live* (RPR006 reads the plain assignment off it).  Keys
+    rebound on the way are voided, and the walk returns None once none
+    is left.  Reaching the top of the scope, it returns the scope node
+    (the module, or the enclosing ``def``, ``class`` or ``lambda``).
+    """
     while live:
         parent = parents.get(node)
         if parent is None:
-            return False
+            return node
         field, index = _position(parent, node)
         if isinstance(node, ast.stmt) and index is not None:
             for earlier in reversed(getattr(parent, field)[:index]):
-                if _guards_after(earlier) & live:
-                    return True
-                live = _void(live, earlier)
-        elif isinstance(parent, ast.BoolOp) and index is not None:
+                if guards and _guards_after(earlier) & live:
+                    return earlier
+                voided = _void(live, earlier)
+                if not guards and voided != live:
+                    return earlier
+                live = voided
+        elif guards and isinstance(parent, ast.BoolOp) \
+                and index is not None:
             proves = (positive_guards if isinstance(parent.op, ast.And)
                       else negative_guards)
             if any(proves(value) & live for value in parent.values[:index]):
-                return True
-        if isinstance(parent, _SCOPES) and field == "body":
-            return False
-        if isinstance(parent, (ast.If, ast.While, ast.IfExp)):
+                return parent
+        if isinstance(parent, SCOPES) and field == "body":
+            return parent
+        if guards and isinstance(parent, (ast.If, ast.While, ast.IfExp)):
             if field == "body" and positive_guards(parent.test) & live:
-                return True
+                return parent
             if field == "orelse" and negative_guards(parent.test) & live:
-                return True
+                return parent
         if isinstance(parent, (ast.While, ast.Try)) or (
                 isinstance(parent, (ast.For, ast.AsyncFor))
                 and field != "iter"):
@@ -174,7 +201,7 @@ def _guarded(node, live, parents):
                 and field == "body":
             live = _void(live, *parent.items)
         node = parent
-    return False
+    return None
 
 
 class UnguardedCallScanner:
@@ -190,11 +217,9 @@ class UnguardedCallScanner:
         #: Violations: (call node, full dotted chain tuple).
         self.found = []
 
-    def scan_module(self, tree):
-        parents = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
+    def scan_module(self, tree, parents=None):
+        if parents is None:
+            parents = parent_map(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -210,6 +235,7 @@ class UnguardedCallScanner:
             # on the full base also proves the prefix).
             keys = {".".join(base[:length])
                     for length in range(min(matching), len(base) + 1)}
-            if not _guarded(node, keys, parents):
+            hit = reaching(node, keys, parents)
+            if hit is None or isinstance(hit, SCOPES + (ast.Module,)):
                 self.found.append((node, chain))
         return self.found

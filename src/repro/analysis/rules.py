@@ -24,8 +24,7 @@ import ast
 import os
 
 from repro.analysis.core import Rule, enclosing_symbols
-from repro.analysis.dataflow import iter_scopes
-from repro.analysis.flows import SetTypeAnalysis, class_set_model
+from repro.analysis.flows import SetTypes
 from repro.analysis.guards import UnguardedCallScanner, dotted_parts
 
 # ----------------------------------------------------------------------
@@ -174,7 +173,7 @@ class ZeroCostOffRule(Rule):
 
     def check(self, module):
         scanner = UnguardedCallScanner()
-        scanner.scan_module(module.tree)
+        scanner.scan_module(module.tree, module.parents)
         symbols = enclosing_symbols(module.tree)
         for node, chain in scanner.found:
             dotted = ".".join(chain)
@@ -499,8 +498,7 @@ class IterationOrderRule(Rule):
     id = "RPR006"
     title = "iteration-order determinism: no effectful loops over sets"
     severity = "error"
-    scope = ("repro.runtime", "repro.cluster", "repro.service",
-             "repro.analytics")
+    scope = ("repro.runtime", "repro.cluster", "repro.service")
     rationale = (
         "Every parity gate — bulk-kernel differential, serial-vs-"
         "concurrent soak, chaos exact-result check — rests on bit-"
@@ -509,10 +507,17 @@ class IterationOrderRule(Rule):
         "views of a dict keyed from one) whose body sends messages, "
         "mutates shared buffers, or charges metrics makes emission "
         "order — and therefore traces, tick interleavings, and peak "
-        "gauges — vary run to run. The dataflow analysis tracks which "
-        "locals, attributes, and helper-method results must hold sets; "
-        "wrap the iterable in `sorted(...)` to pin the order, or "
-        "suppress with a comment when the body is provably order-"
+        "gauges — vary run to run. A name, attribute or helper-method "
+        "result counts as a set when the plain assignment reaching the "
+        "loop (found by RPR002's ancestor walk, with no rebinding on "
+        "the way or in an enclosing loop or `try`) builds one. The "
+        "walk follows one path and joins an `if`/`else` only when both "
+        "branches end by assigning a set, so a set assigned earlier in "
+        "a branch, a set extended under an `if` without `else`, a "
+        "`try` handler rebinding the name after the loop, or a "
+        "comprehension or nested `def` reusing the name is not "
+        "tracked. Wrap the iterable in `sorted(...)` to pin the order, "
+        "or suppress with a comment when the body is provably order-"
         "insensitive."
     )
     example = (
@@ -528,51 +533,24 @@ class IterationOrderRule(Rule):
 
     def check(self, module):
         symbols = enclosing_symbols(module.tree)
-        class_models, parent_class = {}, {}
+        types = SetTypes(module.tree, module.parents)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                class_models[id(node)] = class_set_model(node)
-                for stmt in node.body:
-                    if isinstance(stmt, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        parent_class[id(stmt)] = node
-        reported = set()
-        for scope, body in iter_scopes(module.tree):
-            owner = parent_class.get(id(scope))
-            if owner is not None:
-                attrs, methods = class_models[id(owner)]
-                analysis = SetTypeAnalysis(set_methods=methods,
-                                           seed_attrs=attrs)
-            else:
-                analysis = SetTypeAnalysis()
-            cfg, entry_facts = analysis.analyze(body)
-            for block in cfg.blocks:
-                fact = entry_facts[block.id]
-                if fact is None:
-                    fact = analysis.initial()
-                for elem in block.elems:
-                    kind, node = elem
-                    if kind == "loop-iter" and id(node) not in reported:
-                        classification = analysis.classify_iterable(
-                            node.iter, fact)
-                        if classification is not None \
-                                and _loop_has_effects(node.body):
-                            reported.add(id(node))
-                            iterable = ast.unparse(node.iter)
-                            what = (
-                                "a set" if classification == "set"
-                                else "a set-keyed dict view"
-                            )
-                            yield self.finding(
-                                module, node,
-                                "loop over %s iterates %s in hash order "
-                                "while its body emits/mutates/charges; "
-                                "rewrite as `for ... in sorted(%s):` to "
-                                "pin the order"
-                                % (iterable, what, iterable),
-                                "set-iter:%s" % iterable, symbols,
-                            )
-                    fact = analysis.transfer(elem, fact)
+            if not isinstance(node, (ast.For, ast.AsyncFor)) \
+                    or not _loop_has_effects(node.body):
+                continue
+            classification = types.iterable(node)
+            if classification is None:
+                continue
+            iterable = ast.unparse(node.iter)
+            what = ("a set" if classification == "set"
+                    else "a set-keyed dict view")
+            yield self.finding(
+                module, node,
+                "loop over %s iterates %s in hash order while its body "
+                "emits/mutates/charges; rewrite as `for ... in "
+                "sorted(%s):` to pin the order" % (iterable, what, iterable),
+                "set-iter:%s" % iterable, symbols,
+            )
 
 
 # ----------------------------------------------------------------------

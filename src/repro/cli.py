@@ -1,4 +1,4 @@
-"""Command-line interface: query and analyze graphs from the shell.
+"""Command-line interface: query, inspect and lint from the shell.
 
 Usage examples::
 
@@ -27,10 +27,6 @@ Usage examples::
     python -m repro lint src/repro --fail-on error --json-out lint.json
 
     python -m repro lint --explain RPR002
-
-    python -m repro analyze --random 1000x5000 pagerank --iterations 20
-
-    python -m repro analyze --bsbm 500 wcc
 
 Every command runs one function, named by ``set_defaults(func=...)``.
 ``query`` runs one query: its view flags (``--explain-analyze``,
@@ -305,19 +301,6 @@ def build_parser():
                           help="feedback store JSON written by "
                                "`repro query --feedback-store`")
 
-    analyze = _command(subparsers, "analyze", cmd_analyze,
-                       "run a BSP algorithm",
-                       _add_graph_args, _add_cluster_args)
-    analyze.add_argument(
-        "algorithm",
-        choices=["pagerank", "wcc", "sssp", "triangles", "degree"],
-    )
-    analyze.add_argument("--iterations", type=int, default=20,
-                         help="pagerank iterations")
-    analyze.add_argument("--source", type=int, default=0,
-                         help="sssp source vertex")
-    analyze.add_argument("--top", type=int, default=10,
-                         help="print the top-N vertices")
     return parser
 
 
@@ -860,43 +843,6 @@ def cmd_feedback(args):
                             q_error(row["estimated"], row["actual"])))
     _print_report(args, "\n".join(lines),
                   json.dumps(store.to_dict(), indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_analyze(args):
-    from repro.analytics import (
-        BspEngine,
-        DegreeCentrality,
-        PageRank,
-        SingleSourceShortestPaths,
-        TriangleCount,
-        WeaklyConnectedComponents,
-    )
-
-    engine = BspEngine(load_graph(args), _cluster_config(args))
-    programs = {
-        "pagerank": lambda: PageRank(iterations=args.iterations),
-        "wcc": WeaklyConnectedComponents,
-        "sssp": lambda: SingleSourceShortestPaths(args.source),
-        "triangles": TriangleCount,
-        "degree": DegreeCentrality,
-    }
-    result = engine.run(programs[args.algorithm]())
-
-    if args.algorithm == "triangles":
-        print("triangles:", sum(result.values.values()))
-    elif args.algorithm == "wcc":
-        labels = set(result.values.values())
-        print("components:", len(labels))
-    else:
-        ranked = sorted(result.values.items(), key=lambda kv: kv[1],
-                        reverse=(args.algorithm != "sssp"))
-        print("top %d vertices:" % args.top)
-        for vertex, value in ranked[: args.top]:
-            print("  %8d  %s" % (vertex, value))
-    print()
-    print("supersteps:", result.supersteps)
-    print("metrics   :", result.metrics.summary())
     return 0
 
 

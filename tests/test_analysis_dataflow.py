@@ -1,14 +1,13 @@
-"""Tests for the CFG/dataflow framework and the v2 rule packs.
+"""Tests for the flow-sensitive rules and the v2 rule packs.
 
 Split from ``test_analysis.py``: everything here exercises behavior
 that depends on control flow — guards through try/finally, while/else,
 early returns, loops, rebinding and nested scopes (RPR002's ancestor
-walk), type facts over a real control-flow graph — plus the
-RPR006/RPR009 rule packs, the
-RPR008 generated-source audit, and the runner surface (``--select``,
-``--all-scopes``).  The mutation tests follow the house style: copy a
-real source verbatim, break one invariant, and require the analyzer to
-flip non-zero.
+walk), set-typed values reaching a loop along that same walk (RPR006),
+plus the RPR009 rule pack, the RPR008 generated-source audit, and the
+runner surface (``--select``, ``--all-scopes``).  The mutation tests
+follow the house style: take a real source verbatim, break one
+invariant, and require the analyzer to flip non-zero.
 """
 
 import json
@@ -18,8 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze
-from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import iter_scopes
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,58 +45,6 @@ def rules_of(result):
 
 def runtime_module(source):
     return {"repro/runtime/fixture.py": source}
-
-
-# ----------------------------------------------------------------------
-# CFG construction basics
-# ----------------------------------------------------------------------
-
-class TestCfg:
-    def test_scopes_are_separate(self):
-        import ast
-        tree = ast.parse(
-            "def outer():\n"
-            "    def inner():\n"
-            "        pass\n"
-            "class C:\n"
-            "    def method(self):\n"
-            "        pass\n"
-        )
-        names = []
-        for scope, _body in iter_scopes(tree):
-            names.append(getattr(scope, "name", "<module>"))
-        assert names == ["<module>", "outer", "C", "inner", "method"]
-
-    def test_while_true_has_no_false_exit(self):
-        import ast
-        tree = ast.parse(
-            "while True:\n"
-            "    if done():\n"
-            "        break\n"
-        )
-        cfg = build_cfg(tree.body)
-        for block in cfg.blocks:
-            for _succ, polarity, test in block.succ:
-                if polarity is False:
-                    assert not (isinstance(test, ast.Constant)
-                                and test.value)
-
-    def test_unreachable_code_still_built(self):
-        import ast
-        tree = ast.parse(
-            "def f():\n"
-            "    return 1\n"
-            "    leftover()\n"
-        )
-        _scope, body = list(iter_scopes(tree))[1]
-        cfg = build_cfg(body)
-        lines = {
-            getattr(node, "lineno", None)
-            for block in cfg.blocks for _kind, node in block.elems
-        }
-        # The dead call after the return is still in some block, so
-        # rules scan it (dead code assumes no guards hold).
-        assert 3 in lines
 
 
 # ----------------------------------------------------------------------
@@ -411,18 +356,149 @@ class TestIterationOrderRule:
         assert result.findings == []
         assert result.suppressed == 1
 
-    def test_mutation_unsorting_triangle_count_flags(self, tmp_path):
-        source = (SRC_REPRO / "analytics" / "algorithms.py").read_text()
-        assert "for target in sorted(higher):" in source
-        mutated = source.replace("for target in sorted(higher):",
-                                 "for target in higher:")
-        root = write_package(tmp_path, {
-            "repro/analytics/algorithms.py": mutated,
-        })
+    def test_rebinding_after_the_loop_still_flagged(self, tmp_path):
+        root = write_package(tmp_path, runtime_module("""\
+            class Stage:
+                def fanout(self, ctx, members, payload):
+                    targets = set(members)
+                    for target in targets:
+                        ctx.send(target, payload)
+                    targets = sorted(targets)
+                    return targets
+            """))
         result = analyze([root])
-        assert "RPR006" in rules_of(result)
-        assert any(f.pattern == "set-iter:higher"
-                   for f in result.findings)
+        assert rules_of(result) == ["RPR006"]
+        assert result.findings[0].pattern == "set-iter:targets"
+
+    def test_use_inside_a_while_body_flagged(self, tmp_path):
+        root = write_package(tmp_path, runtime_module("""\
+            class Stage:
+                def fanout(self, ctx, members, payload):
+                    pending = set(members)
+                    while ctx.busy():
+                        for target in pending:
+                            ctx.send(target, payload)
+            """))
+        result = analyze([root])
+        assert rules_of(result) == ["RPR006"]
+        assert result.findings[0].pattern == "set-iter:pending"
+
+    def test_seeded_self_attr_flagged(self, tmp_path):
+        root = write_package(tmp_path, runtime_module("""\
+            class Stage:
+                def __init__(self):
+                    self.peers = set()
+
+                def fanout(self, ctx, payload):
+                    for target in self.peers:
+                        ctx.send(target, payload)
+            """))
+        result = analyze([root])
+        assert rules_of(result) == ["RPR006"]
+        assert result.findings[0].pattern == "set-iter:self.peers"
+
+    def test_set_in_both_branches_flagged(self, tmp_path):
+        root = write_package(tmp_path, runtime_module("""\
+            class Stage:
+                def fanout(self, ctx, members, payload, wide):
+                    if wide:
+                        targets = set(members)
+                    else:
+                        targets = {members[0]}
+                    for target in targets:
+                        ctx.send(target, payload)
+            """))
+        result = analyze([root])
+        assert rules_of(result) == ["RPR006"]
+        assert result.findings[0].pattern == "set-iter:targets"
+
+    def test_rebinding_in_an_enclosing_loop_clean(self, tmp_path):
+        # The back edge of the outer loop carries the sorted list round
+        # to the inner loop's second evaluation.
+        root = write_package(tmp_path, runtime_module("""\
+            class Stage:
+                def fanout(self, ctx, members, payload, rounds):
+                    targets = set(members)
+                    for _ in range(rounds):
+                        for target in targets:
+                            ctx.send(target, payload)
+                        targets = sorted(targets)
+            """))
+        assert analyze([root]).findings == []
+
+    def test_with_as_rebinding_clean(self, tmp_path):
+        root = write_package(tmp_path, runtime_module("""\
+            class Stage:
+                def fanout(self, ctx, members, payload):
+                    targets = set(members)
+                    with ctx.pinned(targets) as targets:
+                        for target in targets:
+                            ctx.send(target, payload)
+            """))
+        assert analyze([root]).findings == []
+
+    def test_mutation_unsorting_triangle_count_flags(self, tmp_path):
+        assert analyze([write_package(
+            tmp_path / "clean", runtime_module(NEIGHBOR_EXCHANGE))]
+        ).findings == []
+        for name in ("higher", "mine"):
+            loop = "for target in sorted(%s):" % name
+            assert loop in NEIGHBOR_EXCHANGE
+            mutated = NEIGHBOR_EXCHANGE.replace(
+                loop, "for target in %s:" % name)
+            result = analyze([write_package(
+                tmp_path / name, runtime_module(mutated))])
+            assert [f.pattern for f in result.findings] == [
+                "set-iter:%s" % name]
+
+
+#: The neighbor-set exchange of triangle counting and of the local
+#: clustering coefficient, as BSP vertex programs write it: a helper
+#: builds the neighbor set, and superstep 0 sends it to every member.
+NEIGHBOR_EXCHANGE = """\
+class TriangleCount:
+    def _higher_neighbors(self, ctx, vertex):
+        neighbors = set()
+        for target in ctx.out_neighbors():
+            if int(target) > vertex:
+                neighbors.add(int(target))
+        for target in ctx.in_neighbors():
+            if int(target) > vertex:
+                neighbors.add(int(target))
+        return neighbors
+
+    def compute(self, ctx, vertex, state, messages):
+        if ctx.superstep == 0:
+            higher = self._higher_neighbors(ctx, vertex)
+            payload = tuple(sorted(higher))
+            for target in sorted(higher):
+                ctx.send(target, payload)
+            ctx.vote_to_halt()
+            return 0
+        return state
+
+
+class LocalClusteringCoefficient:
+    def _neighbors(self, ctx, vertex):
+        neighbors = set()
+        for target in ctx.out_neighbors():
+            if int(target) != vertex:
+                neighbors.add(int(target))
+        for target in ctx.in_neighbors():
+            if int(target) != vertex:
+                neighbors.add(int(target))
+        return neighbors
+
+    def compute(self, ctx, vertex, state, messages):
+        mine = self._neighbors(ctx, vertex)
+        if ctx.superstep == 0:
+            payload = tuple(sorted(mine))
+            for target in sorted(mine):
+                ctx.send(target, payload)
+            ctx.vote_to_halt()
+            return 0.0
+        return state
+"""
 
 
 # ----------------------------------------------------------------------

@@ -26,14 +26,6 @@ class TestParser:
         assert args.machines == 2
         assert args.pgql == "SELECT a WHERE (a)"
 
-    def test_analyze_args(self):
-        args = build_parser().parse_args(
-            ["analyze", "--bsbm", "100", "pagerank", "--iterations", "5"]
-        )
-        assert args.command == "analyze"
-        assert args.algorithm == "pagerank"
-        assert args.iterations == 5
-
     def test_graph_source_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "SELECT a WHERE (a)"])
@@ -138,18 +130,6 @@ class TestEndToEnd:
              "SELECT a, b WHERE (a)-[]->(b WITH type = 1)"]
         )
         assert code == 0
-
-    @pytest.mark.parametrize(
-        "algorithm", ["pagerank", "wcc", "sssp", "triangles", "degree"]
-    )
-    def test_analyze_command(self, capsys, algorithm):
-        code = main(
-            ["analyze", "--random", "60x240", "--machines", "2", algorithm,
-             "--iterations", "3"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "supersteps:" in out
 
     def test_trace_prints_each_figure_once(self, capsys):
         code = main(
